@@ -25,13 +25,13 @@ dirichlet_eta_even_exact; verification code prefers those where it can.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "alternating_chain_tail",
     "alternating_chain_tail_family",
     "symmetrize",
+    "distinct_orderings",
     "innermost_peel_residual",
     "bottom_block_residual",
 ]
@@ -59,7 +60,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MARGIN = 0.05
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
-MAX_SYMMETRIZE_PARTS = 6
+MAX_SYMMETRIZE_ORDERINGS = 720  # 6!: six distinct exponents
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -333,16 +334,54 @@ def alternating_chain_tail_family(
     return suffix[1 : 2 * half : 2].copy()
 
 
+def distinct_orderings(s: Sequence[float]) -> int:
+    """Number of distinct orderings of the exponents, r! / prod m_i!.
+
+    Raises ValueError unless symmetrize accepts that many: at least one
+    exponent and at most MAX_SYMMETRIZE_ORDERINGS distinct orderings.
+    """
+    sl = list(s)
+    if not sl:
+        raise ValueError("symmetrize needs at least one exponent")
+    count = factorial(len(sl))
+    for mult in Counter(sl).values():
+        count //= factorial(mult)
+    if count > MAX_SYMMETRIZE_ORDERINGS:
+        raise ValueError(
+            f"symmetrize supports at most {MAX_SYMMETRIZE_ORDERINGS} distinct "
+            f"orderings of the exponents, got {count} for {len(sl)} exponents"
+        )
+    return count
+
+
+def _multiset_permutations(counts: dict[float, int], r: int) -> Iterator[list[float]]:
+    """Each distinct ordering of the multiset {x: count} of size r, once."""
+    if r == 0:
+        yield []
+        return
+    for x in counts:
+        if counts[x]:
+            counts[x] -= 1
+            for rest in _multiset_permutations(counts, r - 1):
+                yield [x, *rest]
+            counts[x] += 1
+
+
 def symmetrize(
     kernel: str, s: Sequence[float], cfg: EvalConfig | None = None
 ) -> SeriesValue:
     """Sum a kernel over all r! orderings of the exponents, repeats included.
 
     Kernels: "T" is the parity-chained alternating sum, "S" the
-    non-strict multiple zeta, "strict" the strict multiple zeta.  Equal
-    exponents are re-evaluated per permutation rather than deduplicated,
-    so the result is literally the r!-term symmetrization.  Error bounds
-    add across the terms.
+    non-strict multiple zeta, "strict" the strict multiple zeta.  Each
+    distinct ordering is evaluated once; it stands for prod m_i! of the
+    r! permutations, where m_i are the multiplicities of the exponents.
+    The value is the exactly rounded sum of multiplicity times kernel
+    value, bit for bit what math.fsum over all r! terms gives, and the
+    error bound the same sum of the per-ordering bounds.  At most
+    MAX_SYMMETRIZE_ORDERINGS distinct orderings are accepted (see
+    distinct_orderings), so [2.0] * 8 is one evaluation while seven
+    distinct exponents raise ValueError.
     """
     kernels: dict[str, Callable[[Sequence[float], EvalConfig], SeriesValue]] = {
         "T": alternating_chain_sum,
@@ -352,19 +391,16 @@ def symmetrize(
     if kernel not in kernels:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {sorted(kernels)}")
     sl = list(s)
-    if not 1 <= len(sl) <= MAX_SYMMETRIZE_PARTS:
-        raise ValueError(
-            f"symmetrize supports 1..{MAX_SYMMETRIZE_PARTS} exponents, got {len(sl)}"
-        )
+    mult = factorial(len(sl)) // distinct_orderings(sl)  # permutations per ordering
     cfg = cfg or default_config(len(sl))
     fn = kernels[kernel]
-    values = []
-    errors = []
-    for perm in itertools.permutations(sl):
-        sv = fn(list(perm), cfg)
-        values.append(sv.value)
-        errors.append(sv.err_bound)
-    return SeriesValue(math.fsum(values), math.fsum(errors))
+    value = Fraction(0)
+    error = Fraction(0)
+    for ordering in _multiset_permutations(Counter(sl), len(sl)):
+        sv = fn(ordering, cfg)
+        value += Fraction(sv.value)
+        error += Fraction(sv.err_bound)
+    return SeriesValue(float(value * mult), float(error * mult))
 
 
 def innermost_peel_residual(

@@ -326,6 +326,14 @@ def test_verify_rejects_unknown_suite_and_bad_config(runner):
     assert result.exit_code == 2
 
 
+def test_verify_rejects_too_many_orderings_before_summing(runner):
+    # seven distinct exponents have 5040 orderings, past the symmetrize cap
+    for suite in ("hoffman", "multiple-eta"):
+        result = runner.invoke(cli, ["verify", suite, "--max-r", "7"])
+        assert result.exit_code == 2
+        assert "distinct orderings" in result.output
+
+
 def test_verify_writes_report_to_file(runner, tmp_path):
     out = tmp_path / "report.txt"
     result = _invoke(
@@ -366,6 +374,12 @@ def test_reports_are_deterministic_and_thread_independent():
     serial_checks = [l for l in one.splitlines() if l.startswith("CHECK")]
     thread_checks = [l for l in threaded.lines() if l.startswith("CHECK")]
     assert serial_checks == thread_checks
+
+
+def test_main_suite_passes_to_degree_seven():
+    report = run_suite("main", max_k=7)
+    assert report.passed
+    assert len(report.checks) == 1 + 2 + 3 + 5 + 7 + 11 + 15
 
 
 def test_seeded_suites_record_their_seed():

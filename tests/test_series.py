@@ -8,17 +8,20 @@ doubling: the distance from a deeper evaluation must not exceed the bound
 claimed at the shallower depth.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetagenus import series
 from zetagenus.series import (
     DEFAULT_MARGIN,
     DEFAULT_TOL,
-    MAX_SYMMETRIZE_PARTS,
+    MAX_SYMMETRIZE_ORDERINGS,
     EvalConfig,
     SeriesValue,
     alternating_chain_sum,
@@ -28,6 +31,7 @@ from zetagenus.series import (
     default_config,
     dirichlet_eta,
     dirichlet_eta_even_exact,
+    distinct_orderings,
     innermost_peel_residual,
     multiple_zeta,
     multiple_zeta_star,
@@ -281,7 +285,87 @@ def test_symmetrize_guards():
     with pytest.raises(ValueError):
         symmetrize("U", (2.0,), SMALL)
     with pytest.raises(ValueError):
-        symmetrize("T", (2.0,) * (MAX_SYMMETRIZE_PARTS + 1), SMALL)
+        symmetrize("T", (), SMALL)
+    # the cap is on distinct orderings, not on the number of exponents
+    seven = tuple(2.0 + 0.5 * i for i in range(7))
+    assert distinct_orderings(seven[:6]) == MAX_SYMMETRIZE_ORDERINGS
+    with pytest.raises(ValueError, match="distinct orderings"):
+        symmetrize("T", seven, SMALL)
+    eight = symmetrize("T", (2.0,) * 8, SMALL)
+    assert eight.value == 40320 * alternating_chain_sum((2.0,) * 8, SMALL).value
+
+
+_KERNELS = {
+    "T": alternating_chain_sum,
+    "S": multiple_zeta_star,
+    "strict": multiple_zeta,
+}
+
+
+def _symmetrize_by_permutations(kernel, s, cfg):
+    """Reference: math.fsum over the list of all r! permutation terms.
+
+    The kernels are deterministic, so each distinct ordering is evaluated
+    once and its result repeated in the list; the list itself has r!
+    entries, as a literal loop over itertools.permutations would build.
+    """
+    fn = _KERNELS[kernel]
+    memo = {}
+    values, errors = [], []
+    for perm in itertools.permutations(s):
+        if perm not in memo:
+            memo[perm] = fn(list(perm), cfg)
+        values.append(memo[perm].value)
+        errors.append(memo[perm].err_bound)
+    return SeriesValue(math.fsum(values), math.fsum(errors))
+
+
+def _orderings_by_formula(s):
+    n = math.factorial(len(s))
+    for x in set(s):
+        n //= math.factorial(s.count(x))
+    return n
+
+
+def _seeded_multisets(seed, count):
+    """Exponent multisets with repeats, r <= 8, within the ordering cap."""
+    rng = random.Random(seed)
+    pool = (1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+    out = [(2.0,) * 8, (2.0, 4.0, 6.0, 2.0, 2.0), (1.5,) * 7]
+    while len(out) < count:
+        r = rng.randint(2, 8)
+        s = tuple(rng.choice(pool[: rng.randint(1, 4)]) for _ in range(r))
+        if len(set(s)) < r and _orderings_by_formula(s) <= MAX_SYMMETRIZE_ORDERINGS:
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("kernel", ["T", "S", "strict"])
+def test_symmetrize_is_bit_identical_to_the_permutation_sum(kernel):
+    cfg = _cfg(2000)
+    for s in _seeded_multisets(seed=2017, count=16):
+        got = symmetrize(kernel, s, cfg)
+        want = _symmetrize_by_permutations(kernel, s, cfg)
+        assert got.value == want.value, s
+        assert got.err_bound == want.err_bound, s
+
+
+@pytest.mark.parametrize(
+    "s,calls",
+    [((2.0,) * 6, 1), ((2.0, 4.0, 6.0, 2.0, 2.0), 20), ((2.0, 2.0, 4.0, 4.0), 6), ((3.0, 2.5, 2.0), 6)],
+)
+def test_symmetrize_calls_each_kernel_once_per_distinct_ordering(monkeypatch, s, calls):
+    for kernel, real in _KERNELS.items():
+        seen = []
+
+        def counting(exps, cfg, real=real, seen=seen):
+            seen.append(tuple(exps))
+            return real(exps, cfg)
+
+        monkeypatch.setattr(series, real.__name__, counting)
+        symmetrize(kernel, s, SMALL)
+        assert len(seen) == calls == distinct_orderings(s)
+        assert set(seen) == set(itertools.permutations(s))
 
 
 # ---------------------------------------------------------------------------
