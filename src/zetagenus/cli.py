@@ -7,11 +7,13 @@ Four subcommands:
 * table   all coefficients up to a degree, exported CSV or JSON, with an
           optional JSON cache reused across runs
 * verify  one named verification suite with configurable depth,
-          tolerance, seed, and thread count
+          tolerance, and seed
 
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage or
-configuration error.  Every flag can also be set through an environment
-variable ZETAGENUS_<COMMAND>_<FLAG>, e.g. ZETAGENUS_VERIFY_DEPTH.
+configuration error.  An input past a supported range (degree, ground
+size, term budget) exits 2 before any work.  Every flag can also be set
+through an environment variable ZETAGENUS_<COMMAND>_<FLAG>, e.g.
+ZETAGENUS_VERIFY_DEPTH.
 
 A genus is named "L" or "Ahat", or is a path to a JSON file of the form
 {"name": ..., "coefficients": [{"num": "1", "den": "1"}, ...]} listing
@@ -202,7 +204,6 @@ def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> N
     "--delta", "margin", type=float, default=None, help="Exponent margin above 1."
 )
 @click.option("--seed", type=int, default=None, help="Seed for sampled suites.")
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", default=None, help="Also determines report destination.")
 @click.pass_context
 def verify(
@@ -217,12 +218,9 @@ def verify(
     tol: Optional[float],
     margin: Optional[float],
     seed: Optional[int],
-    threads: int,
     out: Optional[str],
 ) -> None:
     """Run one verification suite; exit 1 iff any check fails."""
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
     try:
         report = run_suite(
             suite,
@@ -235,7 +233,6 @@ def verify(
             tol=tol,
             margin=margin,
             seed=seed,
-            threads=threads,
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

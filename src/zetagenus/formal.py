@@ -22,11 +22,12 @@ from fractions import Fraction
 from math import fsum
 from typing import Mapping, Optional
 
-from .partitions import SetPartition, coarsenings
+from .partitions import SetPartition, coarsenings, mobius
 
 __all__ = [
     "FormalPolynomial",
     "TERM_BUDGET",
+    "check_size",
     "power_sum_poly",
     "monomial_poly",
     "signed_power_sum_poly",
@@ -112,13 +113,23 @@ class FormalPolynomial:
         return diffs[0] if diffs else None
 
 
-def _budget_check(pi: SetPartition, level_cap: int) -> None:
+def check_size(blocks: int, level_cap: int, chained: bool = False) -> None:
+    """Refuse a partition with this many blocks at this level cap.
+
+    Every polynomial here has at most level_cap^blocks terms, which must
+    fit TERM_BUDGET; chained symmetrization also needs at most
+    MAX_CHAIN_BLOCKS blocks.
+    """
     if level_cap < 1:
         raise ValueError("level cap must be at least 1")
-    if level_cap ** pi.length > TERM_BUDGET:
+    if level_cap**blocks > TERM_BUDGET:
         raise ValueError(
-            f"cap^blocks = {level_cap}^{pi.length} exceeds the "
+            f"cap^blocks = {level_cap}^{blocks} exceeds the "
             f"{TERM_BUDGET:,}-term budget"
+        )
+    if chained and blocks > MAX_CHAIN_BLOCKS:
+        raise ValueError(
+            f"chained symmetrization supports at most {MAX_CHAIN_BLOCKS} blocks"
         )
 
 
@@ -128,7 +139,7 @@ def _block_factor(block: tuple[int, ...], n: int) -> Monomial:
 
 def power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
     """prod over blocks B of (sum_{n<=N} prod_{a in B} a_n): free nested sums."""
-    _budget_check(pi, level_cap)
+    check_size(pi.length, level_cap)
     result = FormalPolynomial({(): Fraction(1)}, level_cap)
     for block in pi.blocks:
         factor = FormalPolynomial(
@@ -141,7 +152,7 @@ def power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
 
 def signed_power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
     """Like power_sum_poly but each term carries (-1)^(sum of levels)."""
-    _budget_check(pi, level_cap)
+    check_size(pi.length, level_cap)
     result = FormalPolynomial({(): Fraction(1)}, level_cap)
     for block in pi.blocks:
         factor = FormalPolynomial(
@@ -157,7 +168,7 @@ def signed_power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
 
 def monomial_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
     """Sum over assignments of pairwise distinct levels to the blocks."""
-    _budget_check(pi, level_cap)
+    check_size(pi.length, level_cap)
     terms: dict[Monomial, Fraction] = {}
     blocks = pi.blocks
     for levels in itertools.permutations(range(1, level_cap + 1), len(blocks)):
@@ -181,12 +192,8 @@ def chain_sum_poly_symmetrized(pi: SetPartition, level_cap: int) -> FormalPolyno
     the sign (-1)^(n_1 + ... + n_r).  This is the exact-polynomial twin
     of series.symmetrize("T", ...).
     """
-    _budget_check(pi, level_cap)
+    check_size(pi.length, level_cap, chained=True)
     r = pi.length
-    if r > MAX_CHAIN_BLOCKS:
-        raise ValueError(
-            f"chained symmetrization supports at most {MAX_CHAIN_BLOCKS} blocks"
-        )
     terms: dict[Monomial, Fraction] = {}
     for ordered in itertools.permutations(pi.blocks):
         chain: list[int] = []
@@ -254,16 +261,6 @@ def _compare(name: str, lhs: FormalPolynomial, rhs: FormalPolynomial) -> Identit
     )
 
 
-def _mobius_from_grouping(grouping: SetPartition) -> int:
-    sign = -1 if (grouping.ground_size - grouping.length) % 2 else 1
-    acc = sign
-    for block in grouping.blocks:
-        n = len(block)
-        for i in range(2, n):
-            acc *= i
-    return acc
-
-
 def check_mobius_inversion(pi: SetPartition, level_cap: int) -> IdentityReport:
     """Distinct-level sums from free sums by Mobius inversion, exactly.
 
@@ -271,8 +268,8 @@ def check_mobius_inversion(pi: SetPartition, level_cap: int) -> IdentityReport:
     """
     lhs = monomial_poly(pi, level_cap)
     rhs = FormalPolynomial({}, level_cap)
-    for rho, grouping in coarsenings(pi):
-        rhs = rhs + power_sum_poly(rho, level_cap).scale(_mobius_from_grouping(grouping))
+    for rho, _ in coarsenings(pi):
+        rhs = rhs + power_sum_poly(rho, level_cap).scale(mobius(pi, rho))
     return _compare(f"mobius-inversion[{pi!r},N={level_cap}]", lhs, rhs)
 
 
@@ -308,10 +305,10 @@ def check_chain_inversion(pi: SetPartition, level_cap: int) -> ChainInversionRep
 
     lhs1 = chain_sum_poly_symmetrized(pi, level_cap).scale(sign_pi)
     rhs1 = FormalPolynomial({}, level_cap)
-    for rho, grouping in coarsenings(pi):
+    for rho, _ in coarsenings(pi):
         sign_rho = -1 if rho.length % 2 else 1
         rhs1 = rhs1 + signed_power_sum_poly(rho, level_cap).scale(
-            sign_rho * _mobius_from_grouping(grouping)
+            sign_rho * mobius(pi, rho)
         )
     first = _compare(f"chain-from-signed[{pi!r},N={level_cap}]", lhs1, rhs1)
 

@@ -39,10 +39,12 @@ from typing import Mapping
 
 from .exact import PowerSeries, a_hat_series, l_genus_series
 from .partitions import (
+    MAX_GROUND_SIZE,
     IntegerPartition,
     PartitionLike,
     as_integer_partition,
     integer_partitions,
+    signed_block_sums,
 )
 
 __all__ = [
@@ -53,9 +55,11 @@ __all__ = [
     "coefficient_table",
     "coefficient_table_oracle",
     "monomial_to_power_sum",
+    "check_parts",
+    "check_oracle_degree",
 ]
 
-MAX_CLOSED_FORM_PARTS = 12  # set-partition enumeration cap
+MAX_CLOSED_FORM_PARTS = MAX_GROUND_SIZE  # set-partition enumeration cap
 MAX_ORACLE_DEGREE = 8  # multivariate expansion in k variables gets large fast
 MAX_MONOMIAL_WEIGHT = 12
 
@@ -138,48 +142,40 @@ def leading_coefficients(genus: GenusSpec, count: int) -> list[Fraction]:
     return list(_leading_from_series(genus.series, count))
 
 
-@lru_cache(maxsize=None)
-def _block_sum_weights(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Aggregate the signed set-partition sum by multiset of block sums.
+def check_parts(r: int) -> None:
+    """Refuse a closed-form coefficient with more than MAX_CLOSED_FORM_PARTS parts.
 
-    Iterates over every set partition of the index positions of ``parts``
-    (incrementally, block by block) and accumulates the integer weight
-    (-1)^(r - blocks) * prod (|B| - 1)! keyed by the sorted tuple of
-    per-block part sums.  The genus- and basis-independent half of both
-    the closed coefficient formula and the monomial expansion.
+    A degree-k table needs k parts (the partition 1^k), so callers that
+    build tables up to some degree check that degree before any work.
     """
-    r = len(parts)
     if r > MAX_CLOSED_FORM_PARTS:
         raise ValueError(
             f"{r} parts needs {r}-element set-partition enumeration; cap is "
             f"{MAX_CLOSED_FORM_PARTS}"
         )
+
+
+def check_oracle_degree(k: int) -> None:
+    """Refuse an oracle table outside degrees 1..MAX_ORACLE_DEGREE."""
+    if not 1 <= k <= MAX_ORACLE_DEGREE:
+        raise ValueError(f"oracle supports degrees 1..{MAX_ORACLE_DEGREE}, got {k}")
+
+
+@lru_cache(maxsize=None)
+def _block_sum_weights(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The signed set-partition sum over the positions of parts, aggregated
+    by multiset of block sums: sorted (block sums, total weight) pairs.
+
+    The genus- and basis-independent half of both the closed coefficient
+    formula and the monomial expansion.
+    """
     weights: dict[tuple[int, ...], int] = {}
-    sums: list[int] = []
-    sizes: list[int] = []
 
-    def rec(i: int, cfac: int) -> None:
-        if i == r:
-            key = tuple(sorted(sums))
-            ell = len(sums)
-            w = cfac if (r - ell) % 2 == 0 else -cfac
-            weights[key] = weights.get(key, 0) + w
-            return
-        v = parts[i]
-        for b in range(len(sums)):
-            sums[b] += v
-            sz = sizes[b]
-            sizes[b] += 1
-            rec(i + 1, cfac * sz)
-            sums[b] -= v
-            sizes[b] = sz
-        sums.append(v)
-        sizes.append(1)
-        rec(i + 1, cfac)
-        sums.pop()
-        sizes.pop()
+    def add(w: int, sums: list[int]) -> None:
+        key = tuple(sorted(sums))
+        weights[key] = weights.get(key, 0) + w
 
-    rec(0, 1)
+    signed_block_sums(parts, add)
     return tuple(sorted(weights.items()))
 
 
@@ -191,6 +187,7 @@ def coefficient_closed_form(genus: GenusSpec, partition: PartitionLike) -> Fract
     k = J.weight
     if genus.order < k:
         raise ValueError(f"genus series order {genus.order} too small for weight {k}")
+    check_parts(len(J))
     lam = _leading_from_series(genus.series, k)
     total = Fraction(0)
     for key, w in _block_sum_weights(J.parts):
@@ -205,6 +202,7 @@ def coefficient_table(genus: GenusSpec, degree: int) -> CoefficientTable:
     """The full degree-k table, one closed-form evaluation per partition."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    check_parts(degree)
     entries = {
         J: coefficient_closed_form(genus, J) for J in integer_partitions(degree)
     }
@@ -287,8 +285,7 @@ def coefficient_table_oracle(genus: GenusSpec, degree: int) -> CoefficientTable:
     off e_i -> p_i.  Shares no code path with coefficient_closed_form.
     """
     k = degree
-    if not 1 <= k <= MAX_ORACLE_DEGREE:
-        raise ValueError(f"oracle supports degrees 1..{MAX_ORACLE_DEGREE}, got {k}")
+    check_oracle_degree(k)
     if genus.order < k:
         raise ValueError(f"genus series order {genus.order} too small for degree {k}")
     m = k

@@ -11,14 +11,16 @@ Enumeration is in lexicographic order of these strings, so for r = 3:
 The partial order is refinement: pi <= rho when every block of pi sits
 inside a single block of rho.  The witness for comparability is itself a
 set partition, of the block index set of pi, and the Mobius function of
-an interval is read off that witness.
+an interval is read off that witness.  signed_block_sums walks the same
+enumeration without building SetPartition objects, handing each
+partition's Mobius weight and block sums to a callback.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "IntegerPartition",
@@ -26,6 +28,7 @@ __all__ = [
     "SetPartition",
     "iter_set_partitions",
     "enumerate_set_partitions",
+    "signed_block_sums",
     "coarsenings",
     "refinement_witness",
     "mobius",
@@ -202,13 +205,17 @@ class SetPartition:
         return f"SetPartition[{inner}]"
 
 
-def iter_set_partitions(r: int) -> Iterator[SetPartition]:
-    """Yield all set partitions of {1..r} in lexicographic RGS order."""
+def _check_ground_size(r: int) -> None:
     if not 1 <= r <= MAX_GROUND_SIZE:
         raise ValueError(
             f"ground size {r} out of supported range 1..{MAX_GROUND_SIZE} "
             f"(Bell({MAX_GROUND_SIZE}) = {bell_number(MAX_GROUND_SIZE):,} is the enumeration cap)"
         )
+
+
+def iter_set_partitions(r: int) -> Iterator[SetPartition]:
+    """Yield all set partitions of {1..r} in lexicographic RGS order."""
+    _check_ground_size(r)
     rgs = [0] * r
 
     def rec(i: int, mx: int) -> Iterator[SetPartition]:
@@ -224,6 +231,55 @@ def iter_set_partitions(r: int) -> Iterator[SetPartition]:
 
 def enumerate_set_partitions(r: int) -> list[SetPartition]:
     return list(iter_set_partitions(r))
+
+
+def signed_block_sums(values: Sequence, visit: Callable[[int, list], None]) -> None:
+    """Call visit(w, sums) once per set partition P of the positions of values.
+
+    w is the Mobius weight mu(bottom, P) = (-1)^(r - len(P)) * prod over
+    blocks of (|B| - 1)!, and sums holds each block's values added left to
+    right, blocks in order of first appearance.  Partitions come in the
+    lexicographic RGS order of iter_set_partitions.  The sums list is
+    reused between calls, so visit must copy whatever it keeps.
+
+    This is the signed set-partition sum behind the closed coefficient
+    formula, the monomial expansion and the Hoffman-type identities; it
+    builds no SetPartition, because it is the hot loop of table exports.
+    """
+    r = len(values)
+    _check_ground_size(r)
+    sums: list = []
+    sizes: list[int] = []
+    last = r - 1
+
+    # Joining a block of size n multiplies the weight by -n; opening a new
+    # block keeps it.  Sums are restored from a saved value, never by
+    # subtracting, so float sums come out exactly as sum() over the block.
+    def rec(i: int, w: int) -> None:
+        v = values[i]
+        if i == last:  # the leaves, unrolled: most calls happen here
+            for b in range(len(sums)):
+                old = sums[b]
+                sums[b] = old + v
+                visit(-w * sizes[b], sums)
+                sums[b] = old
+            sums.append(v)
+            visit(w, sums)
+            sums.pop()
+            return
+        for b in range(len(sums)):
+            old, size = sums[b], sizes[b]
+            sums[b] = old + v
+            sizes[b] = size + 1
+            rec(i + 1, -w * size)
+            sums[b], sizes[b] = old, size
+        sums.append(v)
+        sizes.append(1)
+        rec(i + 1, w)
+        sums.pop()
+        sizes.pop()
+
+    rec(0, 1)
 
 
 def merge_blocks(pi: SetPartition, grouping: SetPartition) -> SetPartition:

@@ -13,9 +13,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
-from .genus import CoefficientTable, GenusSpec, coefficient_table
+from .genus import CoefficientTable, GenusSpec, check_parts, coefficient_table
 from .partitions import IntegerPartition, integer_partitions
 
 __all__ = [
@@ -58,6 +58,39 @@ def _monomial_latex(J: IntegerPartition) -> str:
     return " ".join(pieces)
 
 
+def _render_poly(
+    table: Optional[CoefficientTable],
+    monomial: Callable[[IntegerPartition], str],
+    times: str,
+    fraction: Callable[[Fraction], str],
+    over: Callable[[str, int], str],
+) -> str:
+    """The renderer core: a lone term keeps its own coefficient, several
+    terms share their common denominator, applied by over(terms, den)."""
+    if table is None:
+        return "1"
+    terms = _ordered_terms(table)
+    if len(terms) == 1:
+        J, c = terms[0]
+        sign = "-" if c < 0 else ""
+        a = abs(c)
+        if a == 1:
+            return f"{sign}{monomial(J)}"
+        coef = str(a.numerator) if a.denominator == 1 else fraction(a)
+        return f"{sign}{coef}{times}{monomial(J)}"
+    den = math.lcm(*(c.denominator for _, c in terms))
+    rendered = []
+    for i, (J, c) in enumerate(terms):
+        num = c.numerator * (den // c.denominator)
+        body = monomial(J) if abs(num) == 1 else f"{abs(num)}{times}{monomial(J)}"
+        if i == 0:
+            rendered.append(f"-{body}" if num < 0 else body)
+        else:
+            rendered.append(f"{'-' if num < 0 else '+'} {body}")
+    joined = " ".join(rendered)
+    return over(joined, den) if den != 1 else joined
+
+
 def render_poly_text(table: Optional[CoefficientTable]) -> str:
     """Plain-text polynomial with the common denominator pulled out.
 
@@ -65,62 +98,20 @@ def render_poly_text(table: Optional[CoefficientTable]) -> str:
     sign(fraction)*monomial, e.g. "-(1/24)*p1"; several terms share one
     denominator, e.g. "(7*p2 - p1^2)/45".
     """
-    if table is None:
-        return "1"
-    terms = _ordered_terms(table)
-    if len(terms) == 1:
-        J, c = terms[0]
-        mono = _monomial_text(J)
-        sign = "-" if c < 0 else ""
-        a = abs(c)
-        if a == 1:
-            return f"{sign}{mono}"
-        if a.denominator == 1:
-            return f"{sign}{a.numerator}*{mono}"
-        return f"{sign}({a})*{mono}"
-    den = math.lcm(*(c.denominator for _, c in terms))
-    rendered = []
-    for i, (J, c) in enumerate(terms):
-        num = c.numerator * (den // c.denominator)
-        mono = _monomial_text(J)
-        body = mono if abs(num) == 1 else f"{abs(num)}*{mono}"
-        if i == 0:
-            rendered.append(f"-{body}" if num < 0 else body)
-        else:
-            rendered.append(f"{'-' if num < 0 else '+'} {body}")
-    joined = " ".join(rendered)
-    return f"({joined})/{den}" if den != 1 else joined
+    return _render_poly(
+        table, _monomial_text, "*", lambda a: f"({a})", lambda t, den: f"({t})/{den}"
+    )
 
 
 def render_poly_latex(table: Optional[CoefficientTable]) -> str:
     """LaTeX polynomial in factored style: \\frac{1}{45}\\left(...\\right)."""
-    if table is None:
-        return "1"
-    terms = _ordered_terms(table)
-    if len(terms) == 1:
-        J, c = terms[0]
-        mono = _monomial_latex(J)
-        sign = "-" if c < 0 else ""
-        a = abs(c)
-        if a == 1:
-            return f"{sign}{mono}"
-        if a.denominator == 1:
-            return f"{sign}{a.numerator} {mono}"
-        return f"{sign}\\frac{{{a.numerator}}}{{{a.denominator}}} {mono}"
-    den = math.lcm(*(c.denominator for _, c in terms))
-    rendered = []
-    for i, (J, c) in enumerate(terms):
-        num = c.numerator * (den // c.denominator)
-        mono = _monomial_latex(J)
-        body = mono if abs(num) == 1 else f"{abs(num)} {mono}"
-        if i == 0:
-            rendered.append(f"-{body}" if num < 0 else body)
-        else:
-            rendered.append(f"{'-' if num < 0 else '+'} {body}")
-    joined = " ".join(rendered)
-    if den == 1:
-        return joined
-    return f"\\frac{{1}}{{{den}}}\\left({joined}\\right)"
+    return _render_poly(
+        table,
+        _monomial_latex,
+        " ",
+        lambda a: f"\\frac{{{a.numerator}}}{{{a.denominator}}}",
+        lambda t, den: f"\\frac{{1}}{{{den}}}\\left({t}\\right)",
+    )
 
 
 def render_poly_json(genus_name: str, k: int, table: Optional[CoefficientTable]) -> str:
@@ -273,6 +264,7 @@ def tables_with_cache(
     genus: GenusSpec, max_k: int, cache_path: Optional[str]
 ) -> dict[int, CoefficientTable]:
     """Tables for 1..max_k, reusing and refreshing the cache when given."""
+    check_parts(max_k)  # the degree-max_k table needs max_k parts; refuse it before any work
     cached = read_cache(cache_path, genus) if cache_path else {}
     tables = {}
     missing = False

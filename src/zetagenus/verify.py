@@ -1,9 +1,13 @@
 """Verification suites: each cross-checks one family of identities.
 
-A suite produces a SuiteReport holding one CheckResult per comparison.
-Checks are pure and independent, so they may be evaluated on a thread
-pool; results are buffered and emitted in a fixed order, making reports
-byte-identical for identical configuration regardless of thread count.
+A suite produces a SuiteReport holding one CheckResult per comparison,
+in a fixed order, so identical configuration gives a byte-identical
+report.  One table, _SUITES, declares every suite: its check builder and
+its options with their defaults, in the order of the CONFIG header line.
+run_suite fills in the defaults, writes that line, and hands each
+builder only its own options.  Builders check their largest degree or
+size before any work, so an input past the supported range fails at
+once.
 
 The eight suites:
 
@@ -26,21 +30,24 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .formal import (
     FormalPolynomial,
+    IdentityReport,
     check_chain_inversion,
     check_mobius_inversion,
+    check_size,
     monomial_poly,
     power_sum_poly,
 )
 from .genus import (
     GenusSpec,
+    check_oracle_degree,
+    check_parts,
     coefficient_table,
     coefficient_table_oracle,
 )
@@ -51,6 +58,7 @@ from .partitions import (
     enumerate_set_partitions,
     integer_partitions,
     iter_set_partitions,
+    signed_block_sums,
 )
 from .series import (
     DEFAULT_MARGIN,
@@ -124,17 +132,11 @@ class SuiteReport:
         return "\n".join(self.lines())
 
 
+Checks = Iterator[CheckResult]
+
+
 def _flt(x: float) -> str:
     return f"{x:.12e}"
-
-
-def _run_checks(
-    tasks: Sequence[Callable[[], CheckResult]], threads: int
-) -> tuple[CheckResult, ...]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(lambda fn: fn(), tasks))
-    return tuple(fn() for fn in tasks)
 
 
 def _relative_check(name: str, exact: Fraction, approx: float, tol: float) -> CheckResult:
@@ -148,24 +150,28 @@ def _absolute_check(name: str, lhs: float, rhs: float, tol: float) -> CheckResul
     return CheckResult(name, delta <= tol, _flt(lhs), _flt(rhs), f"{delta:.3e}", f"{tol:g}")
 
 
+def _exact_check(name: str, ok: bool, lhs: str, rhs: str, delta: str) -> CheckResult:
+    return CheckResult(name, ok, lhs, rhs, delta, "exact")
+
+
+def _count_check(name: str, bad: int, total: int) -> CheckResult:
+    return _exact_check(name, bad == 0, f"{total - bad}/{total}", f"{total}/{total}", str(bad))
+
+
+def _identity_check(name: str, rep: IdentityReport) -> CheckResult:
+    if rep.ok:
+        return _exact_check(name, True, "match", "match", "0")
+    return _exact_check(
+        name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}"
+    )
+
+
 def _tuple_label(s: Sequence[float]) -> str:
     return ",".join(f"{x:.3f}" for x in s)
 
 
 def _partition_label(pi: SetPartition) -> str:
     return "|".join("".join(str(a) for a in block) for block in pi.blocks)
-
-
-def _partition_weights(r: int) -> list[tuple[int, int, tuple[tuple[int, ...], ...]]]:
-    """(sign, cycle factor, blocks) for every set partition of {1..r}."""
-    out = []
-    for pi in enumerate_set_partitions(r):
-        sign = -1 if (r - pi.length) % 2 else 1
-        cfac = 1
-        for block in pi.blocks:
-            cfac *= factorial(len(block) - 1)
-        out.append((sign, cfac, pi.blocks))
-    return out
 
 
 def _config_for(parts: int, depth: Optional[int], tol: float, margin: float) -> EvalConfig:
@@ -175,16 +181,7 @@ def _config_for(parts: int, depth: Optional[int], tol: float, margin: float) -> 
     return EvalConfig(depth, tol, margin)
 
 
-def suite_main(
-    *,
-    max_k: Optional[int] = None,
-    depth: Optional[int] = None,
-    tol: Optional[float] = None,
-    margin: Optional[float] = None,
-    seed: Optional[int] = None,
-    threads: int = 1,
-    **_: object,
-) -> SuiteReport:
+def _main_checks(max_k: int, depth: Optional[int], tol: float, margin: float) -> Checks:
     """Exact L coefficients against pi-normalized chained alternating sums.
 
     For each partition J = (j_1 >= ... >= j_r) of each k <= max_k the
@@ -193,111 +190,74 @@ def suite_main(
         (-1)^r / (prod of multiplicity factorials)
         * 2^(2k) / pi^(2k) * symmetrize("T", (2 j_1, ..., 2 j_r))
 
-    to relative tolerance tol.
+    to relative tolerance tol.  Without a depth, each partition uses the
+    default depth for its number of parts.
     """
-    max_k = 3 if max_k is None else max_k
-    tol = DEFAULT_TOL if tol is None else tol
-    margin = DEFAULT_MARGIN if margin is None else margin
+    check_parts(max_k)
     genus = GenusSpec.l_genus(max_k)
-    tasks: list[Callable[[], CheckResult]] = []
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
-            exact = table[part]
-
-            def task(part=part, exact=exact, k=k) -> CheckResult:
-                r = len(part)
-                cfg = _config_for(r, depth, tol, margin)
-                sym = symmetrize("T", [2.0 * j for j in part.parts], cfg)
-                sign = -1.0 if r % 2 else 1.0
-                approx = (
-                    sign / part.symmetry_factor() * 4.0**k / math.pi ** (2 * k) * sym.value
-                )
-                return _relative_check(f"h[{part}]", exact, approx, tol)
-
-            tasks.append(task)
-    checks = _run_checks(tasks, threads)
-    config = (
-        ("max_k", str(max_k)),
-        ("depth", "default" if depth is None else str(depth)),
-        ("tol", f"{tol:g}"),
-        ("threads", str(threads)),
-    )
-    return SuiteReport("main", config, checks)
+            r = len(part)
+            cfg = _config_for(r, depth, tol, margin)
+            sym = symmetrize("T", [2.0 * j for j in part.parts], cfg)
+            sign = -1.0 if r % 2 else 1.0
+            approx = sign / part.symmetry_factor() * 4.0**k / math.pi ** (2 * k) * sym.value
+            yield _relative_check(f"h[{part}]", table[part], approx, tol)
 
 
-def suite_ahat(
-    *,
-    max_k: Optional[int] = None,
-    depth: Optional[int] = None,
-    tol: Optional[float] = None,
-    margin: Optional[float] = None,
-    seed: Optional[int] = None,
-    threads: int = 1,
-    **_: object,
-) -> SuiteReport:
+def _ahat_checks(max_k: int, depth: int, tol: float, margin: float) -> Checks:
     """Exact A-hat coefficients against non-strict nested zeta sums.
 
-    Same shape as suite_main with kernel S and normalization (2 pi)^(2k).
-    The non-strict sums have 1/N outer tails, hence the large default
-    depth.
+    Same shape as the main suite with kernel S and normalization
+    (2 pi)^(2k).  The non-strict sums have 1/N outer tails, hence the
+    large default depth.
     """
-    max_k = 3 if max_k is None else max_k
-    depth = AHAT_DEPTH if depth is None else depth
-    tol = DEFAULT_TOL if tol is None else tol
-    margin = DEFAULT_MARGIN if margin is None else margin
+    check_parts(max_k)
     genus = GenusSpec.a_hat(max_k)
-    tasks: list[Callable[[], CheckResult]] = []
+    cfg = EvalConfig(depth, tol, margin)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
-            exact = table[part]
-
-            def task(part=part, exact=exact, k=k) -> CheckResult:
-                r = len(part)
-                cfg = EvalConfig(depth, tol, margin)
-                sym = symmetrize("S", [2.0 * j for j in part.parts], cfg)
-                sign = -1.0 if r % 2 else 1.0
-                approx = (
-                    sign / part.symmetry_factor() * sym.value / (2.0 * math.pi) ** (2 * k)
-                )
-                return _relative_check(f"a[{part}]", exact, approx, tol)
-
-            tasks.append(task)
-    checks = _run_checks(tasks, threads)
-    config = (
-        ("max_k", str(max_k)),
-        ("depth", str(depth)),
-        ("tol", f"{tol:g}"),
-        ("threads", str(threads)),
-    )
-    return SuiteReport("ahat", config, checks)
+            r = len(part)
+            sym = symmetrize("S", [2.0 * j for j in part.parts], cfg)
+            sign = -1.0 if r % 2 else 1.0
+            approx = sign / part.symmetry_factor() * sym.value / (2.0 * math.pi) ** (2 * k)
+            yield _relative_check(f"a[{part}]", table[part], approx, tol)
 
 
 def _sampled_tuples(
     seed: int, samples: int, max_r: int
 ) -> list[tuple[int, tuple[float, ...]]]:
-    """(index, exponents) with r cycling 1..max_r, reproducible from seed."""
+    """(index, exponents) with r cycling 1..max_r, reproducible from seed.
+
+    Every tuple is checked against the symmetrize guard here, so an
+    oversized max_r is refused before any sum runs.
+    """
     rng = random.Random(seed)
     out = []
     for r in range(1, max_r + 1):
         for i in range(samples):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
+            distinct_orderings(s)
             out.append((i, s))
     return out
 
 
-def suite_hoffman(
-    *,
-    max_r: Optional[int] = None,
-    samples: Optional[int] = None,
-    depth: Optional[int] = None,
-    tol: Optional[float] = None,
-    margin: Optional[float] = None,
-    seed: Optional[int] = None,
-    threads: int = 1,
-    **_: object,
-) -> SuiteReport:
+def _weighted_products(
+    s: Sequence[float], f: Callable[[float], float]
+) -> list[tuple[int, float]]:
+    """(Mobius weight, product of f over the block sums) for every set
+    partition of the positions of s; f runs once per distinct block sum."""
+    terms: list[tuple[int, tuple[float, ...]]] = []
+    signed_block_sums(s, lambda w, sums: terms.append((w, tuple(sums))))
+    values = {x: f(x) for x in dict.fromkeys(x for _, sums in terms for x in sums)}
+    return [(w, math.prod(values[x] for x in sums)) for w, sums in terms]
+
+
+def _hoffman_checks(
+    max_r: int, samples: int, seed: int, depth: int, tol: float, margin: float
+) -> Checks:
     """Symmetrized nested zetas against set-partition products of zetas.
 
     Strict form:      sum over permutations of the strict nested sum
@@ -310,63 +270,21 @@ def suite_hoffman(
     decompositions of the finite index box, so residuals are pure float
     noise and the tolerance is easily met.
     """
-    max_r = 3 if max_r is None else max_r
-    samples = 20 if samples is None else samples
-    depth = SAMPLE_DEPTH if depth is None else depth
-    tol = DEFAULT_TOL if tol is None else tol
-    margin = DEFAULT_MARGIN if margin is None else margin
-    seed = DEFAULT_SEED if seed is None else seed
-    cfg_tmpl = EvalConfig(depth, tol, margin)
-    tasks: list[Callable[[], CheckResult]] = []
+    cfg = EvalConfig(depth, tol, margin)
     for i, s in _sampled_tuples(seed, samples, max_r):
-        r = len(s)
-        distinct_orderings(s)  # reject an oversized max_r before any sum runs
-        weights = _partition_weights(r)
-
-        def strict_task(i=i, s=s, r=r, weights=weights) -> CheckResult:
-            lhs = symmetrize("strict", s, cfg_tmpl).value
-            rhs = math.fsum(
-                sign
-                * cfac
-                * math.prod(zeta(sum(s[a - 1] for a in block), cfg_tmpl).value for block in blocks)
-                for sign, cfac, blocks in weights
-            )
-            return _absolute_check(f"strict[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
-
-        def star_task(i=i, s=s, r=r, weights=weights) -> CheckResult:
-            lhs = symmetrize("S", s, cfg_tmpl).value
-            rhs = math.fsum(
-                cfac
-                * math.prod(zeta(sum(s[a - 1] for a in block), cfg_tmpl).value for block in blocks)
-                for _sign, cfac, blocks in weights
-            )
-            return _absolute_check(f"star[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
-
-        tasks.append(strict_task)
-        tasks.append(star_task)
-    checks = _run_checks(tasks, threads)
-    config = (
-        ("max_r", str(max_r)),
-        ("samples", str(samples)),
-        ("seed", str(seed)),
-        ("depth", str(depth)),
-        ("tol", f"{tol:g}"),
-        ("threads", str(threads)),
-    )
-    return SuiteReport("hoffman", config, checks)
+        products = _weighted_products(s, lambda x: zeta(x, cfg).value)
+        label = f"{i:02d}:{_tuple_label(s)}"
+        lhs = symmetrize("strict", s, cfg).value
+        rhs = math.fsum(w * p for w, p in products)
+        yield _absolute_check(f"strict[{label}]", lhs, rhs, tol)
+        lhs = symmetrize("S", s, cfg).value
+        rhs = math.fsum(abs(w) * p for w, p in products)
+        yield _absolute_check(f"star[{label}]", lhs, rhs, tol)
 
 
-def suite_multiple_eta(
-    *,
-    max_r: Optional[int] = None,
-    samples: Optional[int] = None,
-    depth: Optional[int] = None,
-    tol: Optional[float] = None,
-    margin: Optional[float] = None,
-    seed: Optional[int] = None,
-    threads: int = 1,
-    **_: object,
-) -> SuiteReport:
+def _multiple_eta_checks(
+    max_r: int, samples: int, seed: int, depth: int, tol: float, margin: float
+) -> Checks:
     """The alternating analogue: eta products against chained sums.
 
     sum over set partitions of (-1)^(r-blocks) * prod (|B|-1)! * prod
@@ -375,57 +293,17 @@ def suite_multiple_eta(
     index is truncated at exactly the same depth, which again makes the
     identity exact on the finite box.
     """
-    max_r = 3 if max_r is None else max_r
-    samples = 20 if samples is None else samples
-    depth = SAMPLE_DEPTH if depth is None else depth
-    tol = DEFAULT_TOL if tol is None else tol
-    margin = DEFAULT_MARGIN if margin is None else margin
-    seed = DEFAULT_SEED if seed is None else seed
     cfg = EvalConfig(depth, tol, margin)
-    tasks: list[Callable[[], CheckResult]] = []
     for i, s in _sampled_tuples(seed, samples, max_r):
-        r = len(s)
-        distinct_orderings(s)  # reject an oversized max_r before any sum runs
-        weights = _partition_weights(r)
-
-        def task(i=i, s=s, r=r, weights=weights) -> CheckResult:
-            def eta_at(x: float) -> float:
-                return -alternating_chain_sum((x,), cfg).value
-
-            lhs = math.fsum(
-                sign
-                * cfac
-                * math.prod(eta_at(sum(s[a - 1] for a in block)) for block in blocks)
-                for sign, cfac, blocks in weights
-            )
-            sym = symmetrize("T", s, cfg)
-            rhs = (-1.0 if r % 2 else 1.0) * sym.value
-            return _absolute_check(f"eta[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
-
-        tasks.append(task)
-    checks = _run_checks(tasks, threads)
-    config = (
-        ("max_r", str(max_r)),
-        ("samples", str(samples)),
-        ("seed", str(seed)),
-        ("depth", str(depth)),
-        ("tol", f"{tol:g}"),
-        ("threads", str(threads)),
-    )
-    return SuiteReport("multiple-eta", config, checks)
+        products = _weighted_products(s, lambda x: -alternating_chain_sum((x,), cfg).value)
+        lhs = math.fsum(w * p for w, p in products)
+        rhs = (-1.0 if len(s) % 2 else 1.0) * symmetrize("T", s, cfg).value
+        yield _absolute_check(f"eta[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
 
 
-def suite_positivity(
-    *,
-    samples: Optional[int] = None,
-    recurrence_samples: Optional[int] = None,
-    depth: Optional[int] = None,
-    tol: Optional[float] = None,
-    margin: Optional[float] = None,
-    seed: Optional[int] = None,
-    threads: int = 1,
-    **_: object,
-) -> SuiteReport:
+def _positivity_checks(
+    samples: int, recurrence_samples: int, seed: int, depth: int, tol: float, margin: float
+) -> Checks:
     """Sign separation for chained sums plus both peeling recurrences.
 
     For sampled exponent tuples (r cycling 1..3): the chained sum is
@@ -434,80 +312,41 @@ def suite_positivity(
     checks the two recurrences that peel the innermost index and the
     terminal block, to absolute tolerance.
     """
-    samples = 100 if samples is None else samples
-    recurrence_samples = 10 if recurrence_samples is None else recurrence_samples
-    depth = SAMPLE_DEPTH if depth is None else depth
-    tol = DEFAULT_TOL if tol is None else tol
-    margin = DEFAULT_MARGIN if margin is None else margin
-    seed = DEFAULT_SEED if seed is None else seed
     cfg = EvalConfig(depth, tol, margin)
     rng = random.Random(seed)
-    tasks: list[Callable[[], CheckResult]] = []
     for i in range(samples):
         r = 1 + i % 3
         s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
         k = rng.randint(1, TAIL_K_HIGH)
-
-        def neg_task(i=i, s=s) -> CheckResult:
-            sv = alternating_chain_sum(s, cfg)
-            ok = sv.value < 0 and abs(sv.value) > sv.err_bound
-            return CheckResult(
-                f"chain-negative[{i:02d}:{_tuple_label(s)}]",
-                ok,
-                _flt(sv.value),
-                "<0",
-                _flt(abs(sv.value)),
-                _flt(sv.err_bound),
-            )
-
-        def tail_task(i=i, s=s, k=k) -> CheckResult:
-            sv = alternating_chain_tail(k, s, cfg)
-            ok = sv.value > 0 and sv.value > sv.err_bound
-            return CheckResult(
-                f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]",
-                ok,
-                _flt(sv.value),
-                ">0",
-                _flt(abs(sv.value)),
-                _flt(sv.err_bound),
-            )
-
-        tasks.append(neg_task)
-        tasks.append(tail_task)
+        sv = alternating_chain_sum(s, cfg)
+        yield CheckResult(
+            f"chain-negative[{i:02d}:{_tuple_label(s)}]",
+            sv.value < 0 and abs(sv.value) > sv.err_bound,
+            _flt(sv.value),
+            "<0",
+            _flt(abs(sv.value)),
+            _flt(sv.err_bound),
+        )
+        sv = alternating_chain_tail(k, s, cfg)
+        yield CheckResult(
+            f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]",
+            sv.value > 0 and sv.value > sv.err_bound,
+            _flt(sv.value),
+            ">0",
+            _flt(abs(sv.value)),
+            _flt(sv.err_bound),
+        )
     for i in range(recurrence_samples):
         r = 1 + i % 3
         s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
         k = rng.randint(1, TAIL_K_HIGH)
-
-        def peel_task(i=i, s=s) -> CheckResult:
-            lhs, rhs = innermost_peel_residual(s, cfg)
-            return _absolute_check(f"peel[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
-
-        def block_task(i=i, s=s, k=k) -> CheckResult:
-            lhs, rhs = bottom_block_residual(k, s, cfg)
-            return _absolute_check(f"block[{i:02d}:k={k}:{_tuple_label(s)}]", lhs, rhs, tol)
-
-        tasks.append(peel_task)
-        tasks.append(block_task)
-    checks = _run_checks(tasks, threads)
-    config = (
-        ("samples", str(samples)),
-        ("recurrence_samples", str(recurrence_samples)),
-        ("seed", str(seed)),
-        ("depth", str(depth)),
-        ("tol", f"{tol:g}"),
-        ("threads", str(threads)),
-    )
-    return SuiteReport("positivity", config, checks)
+        lhs, rhs = innermost_peel_residual(s, cfg)
+        yield _absolute_check(f"peel[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
+        lhs, rhs = bottom_block_residual(k, s, cfg)
+        yield _absolute_check(f"block[{i:02d}:k={k}:{_tuple_label(s)}]", lhs, rhs, tol)
 
 
-def suite_formal(
-    *,
-    max_r: Optional[int] = None,
-    level_cap: Optional[int] = None,
-    threads: int = 1,
-    **_: object,
-) -> SuiteReport:
+def _formal_checks(max_r: int, level_cap: int) -> Checks:
     """Exact truncated-polynomial identities over whole partition lattices.
 
     For every set partition of ground sets up to max_r, at the given
@@ -517,94 +356,46 @@ def suite_formal(
     that the signed length statistic of the whole lattice equals
     (-1)^n, by direct enumeration and by the alternating Stirling sum.
     """
-    max_r = 3 if max_r is None else max_r
-    level_cap = 4 if level_cap is None else level_cap
-    tasks: list[Callable[[], CheckResult]] = []
+    for n in range(1, max_r + 1):
+        # the partition of n into singletons is the largest one of size n;
+        # refuse it before any work, as the first check to reach it would
+        check_size(n, level_cap, chained=True)
     for n in range(1, max_r + 1):
         for pi in enumerate_set_partitions(n):
             label = _partition_label(pi)
-
-            def free_task(pi=pi, label=label) -> CheckResult:
-                lhs = power_sum_poly(pi, level_cap)
-                rhs = FormalPolynomial({}, level_cap)
-                for rho, _grouping in coarsenings(pi):
-                    rhs = rhs + monomial_poly(rho, level_cap)
-                diff = lhs.first_difference(rhs)
-                ok = diff is None
-                return CheckResult(
-                    f"free-sum[{label}]",
-                    ok,
-                    f"terms={len(lhs.terms)}",
-                    f"terms={len(rhs.terms)}",
-                    "0" if ok else f"at={diff}",
-                    "exact",
-                )
-
-            def mobius_task(pi=pi, label=label) -> CheckResult:
-                rep = check_mobius_inversion(pi, level_cap)
-                return CheckResult(
-                    f"mobius[{label}]",
-                    rep.ok,
-                    "match" if rep.ok else str(rep.lhs_coeff),
-                    "match" if rep.ok else str(rep.rhs_coeff),
-                    "0" if rep.ok else f"at={rep.first_diff}",
-                    "exact",
-                )
-
-            def chain_task(pi=pi, label=label) -> CheckResult:
-                rep = check_chain_inversion(pi, level_cap)
-                bad = None
-                if not rep.chain_from_signed.ok:
-                    bad = rep.chain_from_signed
-                elif not rep.signed_from_chain.ok:
-                    bad = rep.signed_from_chain
-                return CheckResult(
-                    f"chain-inversion[{label}]",
-                    rep.ok,
-                    "match" if rep.ok else str(bad.lhs_coeff),
-                    "match" if rep.ok else str(bad.rhs_coeff),
-                    "0" if rep.ok else f"at={bad.first_diff}",
-                    "exact",
-                )
-
-            tasks.append(free_task)
-            tasks.append(mobius_task)
-            tasks.append(chain_task)
+            lhs = power_sum_poly(pi, level_cap)
+            rhs = FormalPolynomial({}, level_cap)
+            for rho, _ in coarsenings(pi):
+                rhs = rhs + monomial_poly(rho, level_cap)
+            diff = lhs.first_difference(rhs)
+            yield _exact_check(
+                f"free-sum[{label}]",
+                diff is None,
+                f"terms={len(lhs.terms)}",
+                f"terms={len(rhs.terms)}",
+                "0" if diff is None else f"at={diff}",
+            )
+            yield _identity_check(f"mobius[{label}]", check_mobius_inversion(pi, level_cap))
+            rep = check_chain_inversion(pi, level_cap)
+            bad = rep.signed_from_chain if rep.chain_from_signed.ok else rep.chain_from_signed
+            yield _identity_check(f"chain-inversion[{label}]", bad)
     for n in range(1, 10):
-
-        def parity_task(n=n) -> CheckResult:
-            by_sum = alternating_length_sum(n)
-            by_enum = sum(
-                (-1 if pi.length % 2 else 1) * factorial(pi.length)
-                for pi in iter_set_partitions(n)
-            )
-            expected = -1 if n % 2 else 1
-            ok = by_sum == by_enum == expected
-            return CheckResult(
-                f"length-parity[n={n}]",
-                ok,
-                str(by_enum),
-                str(by_sum),
-                "0" if ok else "1",
-                "exact",
-            )
-
-        tasks.append(parity_task)
-    checks = _run_checks(tasks, threads)
-    config = (
-        ("max_r", str(max_r)),
-        ("level_cap", str(level_cap)),
-        ("threads", str(threads)),
-    )
-    return SuiteReport("formal", config, checks)
+        by_sum = alternating_length_sum(n)
+        by_enum = sum(
+            (-1 if pi.length % 2 else 1) * factorial(pi.length)
+            for pi in iter_set_partitions(n)
+        )
+        ok = by_sum == by_enum == (-1 if n % 2 else 1)
+        yield _exact_check(
+            f"length-parity[n={n}]", ok, str(by_enum), str(by_sum), "0" if ok else "1"
+        )
 
 
-def suite_oracle(
-    *,
-    max_k: Optional[int] = None,
-    threads: int = 1,
-    **_: object,
-) -> SuiteReport:
+def _genera(max_k: int) -> tuple[tuple[str, GenusSpec], ...]:
+    return (("L", GenusSpec.l_genus(max_k)), ("Ahat", GenusSpec.a_hat(max_k)))
+
+
+def _oracle_checks(max_k: int) -> Checks:
     """Closed-form coefficient tables against the elimination oracle.
 
     The oracle expands the defining product of one-variable series and
@@ -612,41 +403,18 @@ def suite_oracle(
     shares no code path with the set-partition closed form, so exact
     agreement on every partition is a genuine cross-check.
     """
-    max_k = 6 if max_k is None else max_k
-    tasks: list[Callable[[], CheckResult]] = []
-    for name, genus in (
-        ("L", GenusSpec.l_genus(max_k)),
-        ("Ahat", GenusSpec.a_hat(max_k)),
-    ):
+    if max_k >= 1:
+        check_oracle_degree(max_k)  # refuse before the first table is built
+    for name, genus in _genera(max_k):
         for k in range(1, max_k + 1):
-
-            def task(name=name, genus=genus, k=k) -> CheckResult:
-                closed = coefficient_table(genus, k)
-                oracle = coefficient_table_oracle(genus, k)
-                parts = integer_partitions(k)
-                bad = sum(1 for p in parts if closed[p] != oracle[p])
-                total = len(parts)
-                return CheckResult(
-                    f"oracle[{name},k={k}]",
-                    bad == 0,
-                    f"{total - bad}/{total}",
-                    f"{total}/{total}",
-                    str(bad),
-                    "exact",
-                )
-
-            tasks.append(task)
-    checks = _run_checks(tasks, threads)
-    config = (("max_k", str(max_k)), ("threads", str(threads)))
-    return SuiteReport("oracle", config, checks)
+            closed = coefficient_table(genus, k)
+            oracle = coefficient_table_oracle(genus, k)
+            parts = integer_partitions(k)
+            bad = sum(1 for p in parts if closed[p] != oracle[p])
+            yield _count_check(f"oracle[{name},k={k}]", bad, len(parts))
 
 
-def suite_signs(
-    *,
-    max_k: Optional[int] = None,
-    threads: int = 1,
-    **_: object,
-) -> SuiteReport:
+def _signs_checks(max_k: int) -> Checks:
     """Sign pattern of every coefficient of both named genera.
 
     For a partition with r parts the L coefficient has sign (-1)^(r-1)
@@ -654,51 +422,75 @@ def suite_signs(
     k <= max_k, in exact arithmetic.  One aggregated check per
     (genus, k).
     """
-    max_k = 12 if max_k is None else max_k
-    specs = (
-        ("L", GenusSpec.l_genus(max_k), 1),
-        ("Ahat", GenusSpec.a_hat(max_k), 0),
-    )
-    tasks: list[Callable[[], CheckResult]] = []
-    for name, genus, offset in specs:
+    check_parts(max_k)
+    for name, genus in _genera(max_k):
+        offset = 1 if name == "L" else 0
         for k in range(1, max_k + 1):
-
-            def task(name=name, genus=genus, offset=offset, k=k) -> CheckResult:
-                table = coefficient_table(genus, k)
-                parts = integer_partitions(k)
-                bad = 0
-                for p in parts:
-                    expected = -1 if (len(p) + offset) % 2 else 1
-                    q = table[p]
-                    actual = 1 if q > 0 else (-1 if q < 0 else 0)
-                    if actual != expected:
-                        bad += 1
-                total = len(parts)
-                return CheckResult(
-                    f"signs[{name},k={k}]",
-                    bad == 0,
-                    f"{total - bad}/{total}",
-                    f"{total}/{total}",
-                    str(bad),
-                    "exact",
-                )
-
-            tasks.append(task)
-    checks = _run_checks(tasks, threads)
-    config = (("max_k", str(max_k)), ("threads", str(threads)))
-    return SuiteReport("signs", config, checks)
+            table = coefficient_table(genus, k)
+            parts = integer_partitions(k)
+            bad = 0
+            for p in parts:
+                expected = -1 if (len(p) + offset) % 2 else 1
+                q = table[p]
+                actual = 1 if q > 0 else (-1 if q < 0 else 0)
+                if actual != expected:
+                    bad += 1
+            yield _count_check(f"signs[{name},k={k}]", bad, len(parts))
 
 
-_SUITES: dict[str, Callable[..., SuiteReport]] = {
-    "main": suite_main,
-    "ahat": suite_ahat,
-    "hoffman": suite_hoffman,
-    "multiple-eta": suite_multiple_eta,
-    "positivity": suite_positivity,
-    "formal": suite_formal,
-    "oracle": suite_oracle,
-    "signs": suite_signs,
+@dataclass(frozen=True)
+class _Suite:
+    """A suite's check builder and its options with their defaults.
+
+    config lists, in CONFIG-line order, the options the report header
+    shows; hidden options reach the builder but stay out of the header.
+    """
+
+    build: Callable[..., Checks]
+    config: tuple[tuple[str, object], ...]
+    hidden: tuple[tuple[str, object], ...] = ()
+
+
+_MARGIN = (("margin", DEFAULT_MARGIN),)
+_SAMPLED = (
+    ("max_r", 3),
+    ("samples", 20),
+    ("seed", DEFAULT_SEED),
+    ("depth", SAMPLE_DEPTH),
+    ("tol", DEFAULT_TOL),
+)
+
+_SUITES: dict[str, _Suite] = {
+    "main": _Suite(_main_checks, (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)), _MARGIN),
+    "ahat": _Suite(
+        _ahat_checks, (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)), _MARGIN
+    ),
+    "hoffman": _Suite(_hoffman_checks, _SAMPLED, _MARGIN),
+    "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED, _MARGIN),
+    "positivity": _Suite(
+        _positivity_checks,
+        (
+            ("samples", 100),
+            ("recurrence_samples", 10),
+            ("seed", DEFAULT_SEED),
+            ("depth", SAMPLE_DEPTH),
+            ("tol", DEFAULT_TOL),
+        ),
+        _MARGIN,
+    ),
+    "formal": _Suite(_formal_checks, (("max_r", 3), ("level_cap", 4))),
+    "oracle": _Suite(_oracle_checks, (("max_k", 6),)),
+    "signs": _Suite(_signs_checks, (("max_k", 12),)),
 }
+_OPTIONS = {key for suite in _SUITES.values() for key, _ in suite.config + suite.hidden}
+
+
+def _config_text(value: object) -> str:
+    if value is None:
+        return "default"
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
 
 
 def available_suites() -> tuple[str, ...]:
@@ -706,11 +498,24 @@ def available_suites() -> tuple[str, ...]:
 
 
 def run_suite(name: str, **options: object) -> SuiteReport:
-    """Run one named suite; unknown option keys are ignored by the suite."""
+    """Run one named suite.
+
+    An option left out or given as None takes the suite's default.  A
+    suite ignores the options of other suites, so one option set serves
+    them all; an option that no suite takes is an error.
+    """
     try:
-        fn = _SUITES[name]
+        suite = _SUITES[name]
     except KeyError:
         raise ValueError(
             f"unknown suite {name!r}; expected one of {', '.join(_SUITES)}"
         ) from None
-    return fn(**options)
+    unknown = sorted(set(options) - _OPTIONS)
+    if unknown:
+        raise ValueError(f"unknown suite option(s): {', '.join(unknown)}")
+    values = {
+        key: default if options.get(key) is None else options[key]
+        for key, default in suite.config + suite.hidden
+    }
+    config = tuple((key, _config_text(values[key])) for key, _ in suite.config)
+    return SuiteReport(name, config, tuple(suite.build(**values)))

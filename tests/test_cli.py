@@ -1,9 +1,11 @@
 """End-to-end tests for the command line and the verification suites."""
 
+import dataclasses
 import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from click.testing import CliRunner
 from zetagenus.cli import cli
 from zetagenus.genus import GenusSpec
 from zetagenus.render import parse_table_json, read_cache
+from zetagenus import verify
 from zetagenus.verify import available_suites, run_suite
 
 F = Fraction
@@ -334,6 +337,34 @@ def test_verify_rejects_too_many_orderings_before_summing(runner):
         assert "distinct orderings" in result.output
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["table", "--genus", "L", "--max-k", "13"], "13 parts needs 13-element"),
+        (["verify", "main", "--k", "13"], "13 parts needs 13-element"),
+        (["verify", "signs", "--k", "13"], "13 parts needs 13-element"),
+        (["poly", "--genus", "L", "--k", "13"], "13 parts needs 13-element"),
+        (["verify", "oracle", "--k", "9"], "oracle supports degrees 1..8, got 9"),
+        (["verify", "formal", "--max-r", "4", "--n", "40"], "cap^blocks = 40^4 exceeds"),
+        (["verify", "formal", "--max-r", "5"], "supports at most 4 blocks"),
+    ],
+)
+def test_out_of_range_inputs_fail_before_any_work(runner, tmp_path, args, message):
+    if args[0] == "table":
+        args = args + ["--out", str(tmp_path / "t.csv")]
+    start = time.perf_counter()
+    result = runner.invoke(cli, args)
+    assert time.perf_counter() - start < 2.0
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_verify_has_no_threads_option(runner):
+    result = runner.invoke(cli, ["verify", "main", "--threads", "2"])
+    assert result.exit_code == 2
+    assert "--threads" in result.output
+
+
 def test_verify_writes_report_to_file(runner, tmp_path):
     out = tmp_path / "report.txt"
     result = _invoke(
@@ -366,14 +397,88 @@ def test_run_suite_rejects_unknown_names():
         run_suite("bogus")
 
 
-def test_reports_are_deterministic_and_thread_independent():
+def test_run_suite_rejects_options_no_suite_takes():
+    with pytest.raises(ValueError, match="threads"):
+        run_suite("oracle", max_k=1, threads=2)
+
+
+def test_reports_are_deterministic():
     one = run_suite("oracle", max_k=3).render()
     two = run_suite("oracle", max_k=3).render()
     assert one == two
-    threaded = run_suite("oracle", max_k=3, threads=2)
-    serial_checks = [l for l in one.splitlines() if l.startswith("CHECK")]
-    thread_checks = [l for l in threaded.lines() if l.startswith("CHECK")]
-    assert serial_checks == thread_checks
+
+
+_SAMPLED_CONFIG = "CONFIG max_r=3 samples=20 seed=1729 depth=50000 tol=1e-06"
+_NUMERIC = ("tol", "margin")
+
+
+@pytest.mark.parametrize(
+    "suite,config,options",
+    [
+        ("main", "CONFIG max_k=3 depth=default tol=1e-06", ("max_k", "depth", *_NUMERIC)),
+        ("ahat", "CONFIG max_k=3 depth=2000000 tol=1e-06", ("max_k", "depth", *_NUMERIC)),
+        ("hoffman", _SAMPLED_CONFIG, ("max_r", "samples", "seed", "depth", *_NUMERIC)),
+        ("multiple-eta", _SAMPLED_CONFIG, ("max_r", "samples", "seed", "depth", *_NUMERIC)),
+        (
+            "positivity",
+            "CONFIG samples=100 recurrence_samples=10 seed=1729 depth=50000 tol=1e-06",
+            ("samples", "recurrence_samples", "seed", "depth", *_NUMERIC),
+        ),
+        ("formal", "CONFIG max_r=3 level_cap=4", ("max_r", "level_cap")),
+        ("oracle", "CONFIG max_k=6", ("max_k",)),
+        ("signs", "CONFIG max_k=12", ("max_k",)),
+    ],
+)
+def test_default_config_lines(runner, monkeypatch, suite, config, options):
+    # The header comes from the suite table alone, so the checks are stubbed
+    # out; each builder must receive exactly its own options.
+    received = {}
+
+    def build(**kwargs):
+        received.update(kwargs)
+        return iter(())
+
+    entry = dataclasses.replace(verify._SUITES[suite], build=build)
+    monkeypatch.setitem(verify._SUITES, suite, entry)
+    result = _invoke(runner, ["verify", suite])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1] == config
+    assert sorted(received) == sorted(options)
+    if "margin" in received:
+        assert received["margin"] == 0.05
+
+
+def test_config_line_with_explicit_depth(runner):
+    result = _invoke(runner, ["verify", "main", "--k", "1", "--depth", "20000"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1] == "CONFIG max_k=1 depth=20000 tol=1e-06"
+
+
+def _count_calls(monkeypatch, name):
+    seen = []
+    real = getattr(verify, name)
+
+    def counting(*args):
+        seen.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "suite,function", [("hoffman", "zeta"), ("multiple-eta", "alternating_chain_sum")]
+)
+def test_sampled_suites_evaluate_each_block_sum_once(monkeypatch, suite, function):
+    # A tuple of r exponents has 2^r - 1 distinct block sums, one per
+    # nonempty subset; each is evaluated once and shared by every set
+    # partition (and, in hoffman, by the strict and the star check).
+    plain = run_suite(suite, samples=2, max_r=3, depth=2_000).render()
+    seen = _count_calls(monkeypatch, function)
+    report = run_suite(suite, samples=2, max_r=3, depth=2_000)
+    assert report.render() == plain
+    assert report.passed
+    assert len(seen) == len(set(seen)) == 2 * (1 + 3 + 7)
 
 
 def test_main_suite_passes_to_degree_seven():

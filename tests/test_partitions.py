@@ -21,6 +21,7 @@ from zetagenus.partitions import (
     merge_blocks,
     mobius,
     refinement_witness,
+    signed_block_sums,
     stirling2,
 )
 
@@ -211,6 +212,43 @@ def test_mobius_sums_vanish_on_the_top_interval(n):
     top = SetPartition((0,) * n)
     total = sum(mobius(sigma, top) for sigma in _interval(bottom, top))
     assert total == 0
+
+
+def _visits(values):
+    seen = []
+    signed_block_sums(values, lambda w, sums: seen.append((w, tuple(sums))))
+    return seen
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_signed_block_sum_weights_are_the_mobius_function(r):
+    # with value 2^(i-1) at position i, each block sum spells out its block
+    bottom = SetPartition(tuple(range(r)))
+    visits = _visits([2**i for i in range(r)])
+    partitions = []
+    for w, sums in visits:
+        blocks = [[i + 1 for i in range(r) if mask >> i & 1] for mask in sums]
+        pi = SetPartition.from_blocks(blocks)
+        assert pi.blocks == tuple(map(tuple, blocks))  # first-appearance order
+        assert w == mobius(bottom, pi)
+        partitions.append(pi)
+    assert partitions == enumerate_set_partitions(r)
+    assert sum(w for w, _ in visits) == (1 if r == 1 else 0)
+
+
+def test_signed_block_sums_add_floats_as_sum_does():
+    values = [1.1, 2.7, 0.3, 3.3, 1.9, 2.2]
+    masks = _visits([2**i for i in range(len(values))])
+    for (_, mask_sums), (_, float_sums) in zip(masks, _visits(values)):
+        blocks = [[values[i] for i in range(len(values)) if m >> i & 1] for m in mask_sums]
+        assert float_sums == tuple(sum(b) for b in blocks)
+
+
+def test_signed_block_sums_guard():
+    with pytest.raises(ValueError):
+        signed_block_sums((), lambda w, sums: None)
+    with pytest.raises(ValueError):
+        signed_block_sums((1,) * (MAX_GROUND_SIZE + 1), lambda w, sums: None)
 
 
 def test_refinement_is_transitive():
