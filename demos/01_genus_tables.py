@@ -58,10 +58,9 @@ print()
 # ---------------------------------------------------------------------------
 # Single coefficients
 # ---------------------------------------------------------------------------
-# Every coefficient comes from one closed-form evaluation: a signed sum over
-# set partitions of the parts, weighted by the leading coefficients lambda_k.
-# No polynomial multiplication happens, so isolated deep coefficients are
-# cheap.
+# coefficient_closed_form is the paper's formula: a signed sum over set
+# partitions of the parts, weighted by the leading coefficients lambda_k.
+# It needs no lower degree, only Bell(r) terms for a partition with r parts.
 
 print("Isolated coefficients:")
 for parts in [(2, 1), (4,), (3, 2, 1), (2, 2, 2, 2)]:
@@ -85,14 +84,18 @@ print()
 # ---------------------------------------------------------------------------
 # An independent oracle
 # ---------------------------------------------------------------------------
-# coefficient_table_oracle recomputes a whole degree through multivariate
-# polynomial expansion in k formal variables: build Q(x_i) factors, multiply
-# them out, and read off coefficients of monomial symmetric functions.  It
-# shares no code path with the closed form, which makes it a real referee.
+# coefficient_table builds whole degrees from the log/exp recurrence.
+# coefficient_table_oracle recomputes a degree on partitions alone: the
+# coefficient of the monomial x^lambda in prod Q(x_i) is prod b_{lambda_i},
+# and in e_mu it counts 0-1 matrices with margins (lambda, mu), a triangular
+# system.  It shares no code path with the other two routes, which makes it
+# a real referee.
 
 k = 5
-assert coefficient_table_oracle(signature, k) == coefficient_table(signature, k)
-print(f"Oracle agrees with the closed form at degree {k}.")
+oracle = coefficient_table_oracle(signature, k)
+assert oracle == coefficient_table(signature, k)
+assert all(coefficient_closed_form(signature, J) == c for J, c in oracle.items())
+print(f"Oracle, recurrence and closed form agree at degree {k}.")
 print()
 
 # ---------------------------------------------------------------------------

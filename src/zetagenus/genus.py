@@ -7,12 +7,24 @@ sequence in the power-sum basis,
     K_k = sum over partitions J = (j_1 >= ... >= j_r) of k
           of lambda_J * p_{j_1} ... p_{j_r},
 
-this module computes the lambda_J exactly.  Two independent routes are
-provided:
+this module computes the lambda_J exactly: K_k is the degree-k part of
+prod_i Q(x_i) in the elementary symmetric functions e_j of the x_i, with
+e_j renamed p_j.  There are three routes:
 
-* ``coefficient_closed_form`` combines the leading coefficients
-  lambda_k (obtained from the b_k by Newton's identities) over the
-  lattice of set partitions of the r index positions:
+* ``coefficient_table``, the production route, is the log/exp
+  recurrence.  With log Q(z) = sum_j c_j z^j the product is
+  exp(sum_j c_j P_j) over the power sums P_j of the x_i, and
+  j c_j = (-1)^(j-1) lambda_j for the leading coefficients lambda_k
+  (Newton's identities on the b_k).  With N_j = (-1)^(j-1) P_j written
+  in the elementary basis (genus-independent), each degree follows from
+  the lower ones (Macdonald, Symmetric Functions and Hall Polynomials,
+  ch. I section 2):
+
+      F_0 = 1,   F_k = (1/k) * sum_{j=1..k} lambda_j * N_j * F_{k-j}
+
+* ``coefficient_closed_form`` is the paper's statement: one coefficient
+  from the lambda_k, combined over the lattice of set partitions of the
+  r index positions,
 
       lambda_J = (1/prod_l alpha_l!) * sum over set partitions P of
                  (-1)^(r - len(P)) * prod_blocks (|B|-1)! *
@@ -20,21 +32,20 @@ provided:
 
   where alpha_l are the multiplicities of the parts of J.
 
-* ``coefficient_table_oracle`` never touches that formula: it expands
-  prod_{i=1..k} Q(x_i z) mod z^(k+1) as an exact multivariate symmetric
-  polynomial, reduces the z^k coefficient to the elementary basis by
-  lex leading-term elimination, and renames e_i -> p_i.
+* ``coefficient_table_oracle`` uses neither, nor the lambda_k: it works
+  on partitions alone, matching the coefficients of the monomials
+  x^lambda in prod_i Q(x_i) with those in the e_mu, a triangular system.
 
-Agreement of the two routes is what the test suite leans on.
+The ``oracle`` verification suite requires all three to agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 from typing import Mapping
 
 from .exact import PowerSeries, a_hat_series, l_genus_series
@@ -60,7 +71,7 @@ __all__ = [
 ]
 
 MAX_CLOSED_FORM_PARTS = MAX_GROUND_SIZE  # set-partition enumeration cap
-MAX_ORACLE_DEGREE = 8  # multivariate expansion in k variables gets large fast
+MAX_ORACLE_DEGREE = 8  # the cross-check range of `verify oracle`
 MAX_MONOMIAL_WEIGHT = 12
 
 
@@ -145,8 +156,9 @@ def leading_coefficients(genus: GenusSpec, count: int) -> list[Fraction]:
 def check_parts(r: int) -> None:
     """Refuse a closed-form coefficient with more than MAX_CLOSED_FORM_PARTS parts.
 
-    A degree-k table needs k parts (the partition 1^k), so callers that
-    build tables up to some degree check that degree before any work.
+    Tables keep the cap on their degree (1^k has k parts), so that every
+    entry is a coefficient the closed form can check; callers that build
+    tables up to some degree check that degree before any work.
     """
     if r > MAX_CLOSED_FORM_PARTS:
         raise ValueError(
@@ -198,15 +210,47 @@ def coefficient_closed_form(genus: GenusSpec, partition: PartitionLike) -> Fract
     return total / J.symmetry_factor()
 
 
+@lru_cache(maxsize=None)
+def _newton(j: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """N_j = (-1)^(j-1) P_j in the elementary basis, as (parts of e_mu,
+    coefficient) pairs, by N_j = j e_j - sum_{i<j} e_i N_{j-i}."""
+    terms = {(j,): j}
+    for i in range(1, j):
+        for mu, c in _newton(j - i):
+            key = tuple(sorted(mu + (i,), reverse=True))
+            terms[key] = terms.get(key, 0) - c
+    return tuple(terms.items())
+
+
+@lru_cache(maxsize=None)
+def _level(series: PowerSeries, k: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """F_k, the degree-k part of prod_i Q(x_i), in the elementary basis:
+    (parts of e_mu, coefficient) pairs, zeros included, so every partition
+    of k is present (N_k alone has them all).  Cached, so building degrees
+    1..K computes each level once."""
+    if k == 0:
+        return (((), Fraction(1)),)
+    lam = _leading_from_series(series, k)
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for j in range(1, k + 1):
+        lower = _level(series, k - j)
+        for nu, n in _newton(j):
+            w = lam[j - 1] * n
+            for mu, c in lower:
+                key = tuple(sorted(nu + mu, reverse=True))
+                acc[key] = acc.get(key, 0) + w * c
+    return tuple((mu, c / k) for mu, c in acc.items())
+
+
 def coefficient_table(genus: GenusSpec, degree: int) -> CoefficientTable:
-    """The full degree-k table, one closed-form evaluation per partition."""
+    """The full degree-k table, from the log/exp recurrence."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     check_parts(degree)
-    entries = {
-        J: coefficient_closed_form(genus, J) for J in integer_partitions(degree)
-    }
-    return CoefficientTable(degree, entries)
+    if genus.order < degree:
+        raise ValueError(f"genus series order {genus.order} too small for weight {degree}")
+    level = dict(_level(genus.series, degree))
+    return CoefficientTable(degree, {J: level[J.parts] for J in integer_partitions(degree)})
 
 
 def monomial_to_power_sum(partition: PartitionLike) -> dict[IntegerPartition, Fraction]:
@@ -236,102 +280,54 @@ def monomial_to_power_sum(partition: PartitionLike) -> dict[IntegerPartition, Fr
     }
 
 
-# --- the independent multivariate oracle -----------------------------------
-
-# Exact multivariate polynomials as {exponent tuple: Fraction}.  Tuples are
-# full length m; lexicographic comparison of tuples is lexicographic
-# monomial order with x_1 heaviest.
-
-_Poly = dict
+# --- the partitions-only oracle ---------------------------------------------
 
 
-def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(key)
-            prod = ca * cb
-            out[key] = prod if c is None else c + prod
-    return {e: c for e, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _elementary_poly(j: int, m: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """e_j in m variables, as a frozen item tuple."""
-    terms = {}
-    for combo in combinations(range(m), j):
-        exps = [0] * m
-        for i in combo:
-            exps[i] = 1
-        terms[tuple(exps)] = Fraction(1)
-    return tuple(terms.items())
-
-
-def _conjugate(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate of a weakly decreasing exponent vector, as partition parts."""
-    parts = [e for e in exponents if e]
-    if not parts:
-        return ()
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate of a nonempty partition."""
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
 
 
-def coefficient_table_oracle(genus: GenusSpec, degree: int) -> CoefficientTable:
-    """Degree-k table by explicit symmetric-function expansion.
+@lru_cache(maxsize=None)
+def _zero_one_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """The number of 0-1 matrices with row sums rows and column sums cols.
 
-    Instantiates m = k variables, expands prod_i Q(x_i z) mod z^(k+1)
-    exactly, reduces the z^k coefficient to the elementary basis by
-    repeatedly eliminating the lex-leading monomial, and reads the table
-    off e_i -> p_i.  Shares no code path with coefficient_closed_form.
+    Equal columns are interchangeable, so cols is kept sorted with zeros
+    dropped, which makes the cache hit more often.
+    """
+    if not rows:
+        return int(not cols)
+    total = 0
+    for chosen in combinations(range(len(cols)), rows[0]):
+        rest = list(cols)
+        for i in chosen:
+            rest[i] -= 1
+        total += _zero_one_matrices(rows[1:], tuple(sorted(filter(None, rest), reverse=True)))
+    return total
+
+
+def coefficient_table_oracle(genus: GenusSpec, degree: int) -> CoefficientTable:
+    """Degree-k table by triangular elimination over the partitions of k.
+
+    The degree-k part of prod_i Q(x_i) is symmetric, so it is fixed by its
+    coefficients on the monomials x^lambda for partitions lambda of k;
+    each is prod_i b_{lambda_i}.  The coefficient of x^lambda in e_mu is
+    the number of 0-1 matrices with row sums lambda and column sums mu:
+    1 when mu is the conjugate lambda', and 0 unless lambda' dominates mu.
+    Taking lambda in decreasing lex order, every other mu with a nonzero
+    count is already solved, so each equation yields the coefficient of
+    e_{lambda'}.  Shares no code with the recurrence or the closed form.
     """
     k = degree
     check_oracle_degree(k)
     if genus.order < k:
         raise ValueError(f"genus series order {genus.order} too small for degree {k}")
-    m = k
     b = genus.series.coefficients
-    zero_exp = (0,) * m
-
-    # levels[d] is the z^d coefficient, a polynomial in x_1..x_m
-    levels: list[_Poly] = [{zero_exp: Fraction(1)}] + [dict() for _ in range(k)]
-    for var in range(m):
-        new_levels: list[_Poly] = [dict() for _ in range(k + 1)]
-        for d in range(k + 1):
-            target = new_levels[d]
-            for bdeg in range(d + 1):
-                cb = b[bdeg]
-                if not cb:
-                    continue
-                for mono, c in levels[d - bdeg].items():
-                    if bdeg:
-                        lst = list(mono)
-                        lst[var] += bdeg
-                        mono2 = tuple(lst)
-                    else:
-                        mono2 = mono
-                    prev = target.get(mono2)
-                    prod = c * cb
-                    target[mono2] = prod if prev is None else prev + prod
-        levels = new_levels
-
-    poly = {e: c for e, c in levels[k].items() if c}
-    found: dict[IntegerPartition, Fraction] = {}
-    while poly:
-        lead = max(poly)
-        c = poly[lead]
-        mu = _conjugate(lead)
-        found[IntegerPartition(mu)] = c
-        expansion: _Poly = {zero_exp: Fraction(1)}
-        for j in mu:
-            expansion = _poly_mul(expansion, dict(_elementary_poly(j, m)))
-        for mono, ec in expansion.items():
-            nv = poly.get(mono, Fraction(0)) - c * ec
-            if nv:
-                poly[mono] = nv
-            else:
-                poly.pop(mono, None)
-
-    entries = {
-        J: found.get(J, Fraction(0)) for J in integer_partitions(k)
-    }
-    return CoefficientTable(k, entries)
+    found: dict[tuple[int, ...], Fraction] = {}
+    for lam in integer_partitions(k):
+        rhs = math.prod(b[p] for p in lam.parts)
+        for mu, c in found.items():
+            if c:
+                rhs -= c * _zero_one_matrices(lam.parts, mu)
+        found[_conjugate(lam.parts)] = rhs
+    return CoefficientTable(k, {J: found[J.parts] for J in integer_partitions(k)})

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from zetagenus.cli import cli
 from zetagenus.genus import GenusSpec
+from zetagenus.partitions import IntegerPartition
 from zetagenus.render import parse_table_json, read_cache
 from zetagenus import verify
 from zetagenus.verify import available_suites, run_suite
@@ -406,6 +407,38 @@ def test_reports_are_deterministic():
     one = run_suite("oracle", max_k=3).render()
     two = run_suite("oracle", max_k=3).render()
     assert one == two
+
+
+@pytest.mark.parametrize("route", ["coefficient_table", "coefficient_closed_form"])
+def test_oracle_suite_counts_a_disagreeing_route(monkeypatch, route):
+    # The oracle checks both the production tables and the paper's formula:
+    # shifting either route's 1+1+1 coefficient fails exactly the k=3 checks.
+    plain = run_suite("oracle", max_k=3).lines()
+    real = getattr(verify, route)
+    ones = IntegerPartition((1, 1, 1))
+
+    def shifted_table(genus, k):
+        table = real(genus, k)
+        if k != 3:
+            return table
+        entries = dict(table.items())
+        entries[ones] += 1
+        return dataclasses.replace(table, entries=entries)
+
+    def shifted_closed_form(genus, partition):
+        return real(genus, partition) + (IntegerPartition(partition) == ones)
+
+    shifted = shifted_table if route == "coefficient_table" else shifted_closed_form
+    monkeypatch.setattr(verify, route, shifted)
+    lines = run_suite("oracle", max_k=3).lines()
+    assert [line for line in lines if "FAIL" in line] == [
+        "CHECK oracle[L,k=3] FAIL 2/3 3/3 1 exact",
+        "CHECK oracle[Ahat,k=3] FAIL 2/3 3/3 1 exact",
+        "RESULT oracle FAIL 4/6",
+    ]
+    assert [line for line in lines if line.startswith("CHECK") and "PASS" in line] == [
+        line for line in plain if line.startswith("CHECK") and "k=3" not in line
+    ]
 
 
 _SAMPLED_CONFIG = "CONFIG max_r=3 samples=20 seed=1729 depth=50000 tol=1e-06"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zetagenus import genus as genus_module
 from zetagenus.exact import bernoulli
 from zetagenus.genus import (
     MAX_CLOSED_FORM_PARTS,
@@ -56,6 +57,23 @@ def spinor_genus():
     return GenusSpec.a_hat(8)
 
 
+# Zero coefficients make whole degrees vanish (every odd degree below 5);
+# their tables must still hold every partition, with Fraction(0) entries.
+SPARSE_COEFFICIENTS = (1, 0, 1, 0, 0, F(1, 3), 0, F(-2, 7), 0, 0, 5)
+
+
+def _three_genera(order):
+    return (
+        GenusSpec.l_genus(order),
+        GenusSpec.a_hat(order),
+        GenusSpec.from_coefficients("sparse", SPARSE_COEFFICIENTS[: order + 1]),
+    )
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
+
+
 # ---------------------------------------------------------------------------
 # Frozen low-degree tables
 # ---------------------------------------------------------------------------
@@ -79,11 +97,39 @@ def test_table_lookup_accepts_flexible_keys(signature_genus):
     assert table.degree == 3
 
 
-def test_closed_form_matches_table_entries(spinor_genus):
-    for k in range(1, 5):
-        table = coefficient_table(spinor_genus, k)
-        for J, c in table.items():
-            assert coefficient_closed_form(spinor_genus, J) == c
+def test_closed_form_matches_table_entries():
+    # The recurrence behind the tables against the paper's formula.
+    for genus in _three_genera(10):
+        for k in range(1, 11):
+            table = coefficient_table(genus, k)
+            assert [J for J, _ in table.items()] == integer_partitions(k)
+            for J, c in table.items():
+                assert type(c) is Fraction
+                assert coefficient_closed_form(genus, J) == c
+    sparse = _three_genera(10)[2]
+    for k in (1, 3):
+        assert all(c == 0 for _, c in coefficient_table(sparse, k).items())
+
+
+def test_tables_need_no_set_partition_enumeration(monkeypatch):
+    genus_module._level.cache_clear()
+    monkeypatch.setattr(genus_module, "signed_block_sums", _raise)
+    monkeypatch.setattr(genus_module, "_block_sum_weights", _raise)
+    for genus in (GenusSpec.l_genus(12), GenusSpec.a_hat(12)):
+        for k in range(1, 13):
+            table = coefficient_table(genus, k)
+            assert table[(1,) * k] == genus.series[k]
+            assert table[(k,)] == leading_coefficients(genus, k)[-1]
+
+
+def test_each_recurrence_level_is_computed_once():
+    genus = GenusSpec.from_coefficients("once", [1] + [F(1, p) for p in (2, 3, 5, 7, 11, 13, 17)])
+    before = genus_module._level.cache_info().misses
+    for k in range(1, 8):
+        coefficient_table(genus, k)
+    for k in range(7, 0, -1):
+        coefficient_table(genus, k)
+    assert genus_module._level.cache_info().misses - before == 8  # levels 0..7
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +139,25 @@ def test_closed_form_matches_table_entries(spinor_genus):
 
 def test_oracle_agrees_with_closed_form(signature_genus, spinor_genus):
     for genus in (signature_genus, spinor_genus):
-        for k in range(1, 6):
-            assert coefficient_table_oracle(genus, k) == coefficient_table(genus, k)
+        for k in range(1, 9):
+            oracle = coefficient_table_oracle(genus, k)
+            for J, c in oracle.items():
+                assert coefficient_closed_form(genus, J) == c
+
+
+def test_oracle_shares_no_code_with_the_recurrence(monkeypatch):
+    genera = _three_genera(8)
+    tables = [[coefficient_table(genus, k) for k in range(1, 9)] for genus in genera]
+    for name in (
+        "_level",
+        "_newton",
+        "_leading_from_series",
+        "_block_sum_weights",
+        "signed_block_sums",
+    ):
+        monkeypatch.setattr(genus_module, name, _raise)
+    for genus, expected in zip(genera, tables):
+        assert [coefficient_table_oracle(genus, k) for k in range(1, 9)] == expected
 
 
 def test_oracle_degree_guard(signature_genus):
