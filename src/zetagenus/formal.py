@@ -11,7 +11,11 @@ levels above N to zero preserves it.  A failure therefore pinpoints a
 concrete first differing monomial rather than a numeric residual.
 
 Ground elements are the integers 1..r of a SetPartition; a monomial is a
-sorted tuple of (element, level) pairs.
+sorted tuple of (element, level) pairs.  All four sums go through one
+routine, _level_sum, that adds a monomial for each assignment of levels
+to the blocks; they differ only in which assignments they pass (free,
+pairwise distinct, or chained) and in the sign.  Each identity's
+right-hand side is added up in one dict by sum_over_coarsenings.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .partitions import SetPartition, coarsenings, mobius
 
@@ -32,6 +36,7 @@ __all__ = [
     "monomial_poly",
     "signed_power_sum_poly",
     "chain_sum_poly_symmetrized",
+    "sum_over_coarsenings",
     "IdentityReport",
     "check_mobius_inversion",
     "check_chain_inversion",
@@ -133,54 +138,54 @@ def check_size(blocks: int, level_cap: int, chained: bool = False) -> None:
         )
 
 
-def _block_factor(block: tuple[int, ...], n: int) -> Monomial:
-    return tuple(sorted((a, n) for a in block))
+def _level_sum(
+    pi: SetPartition,
+    assignments: Iterable[tuple[int, ...]],
+    level_cap: int,
+    signed: bool = False,
+) -> FormalPolynomial:
+    """Sum over level assignments (one level per block of pi, in block
+    order) of the monomial giving each element its block's level, times
+    (-1)^(sum of levels) when signed.  The (element, level) pairs are built
+    once and shared by every monomial that holds them."""
+    pairs = [[[(a, n) for a in block] for n in range(level_cap + 1)] for block in pi.blocks]
+    counts: dict[Monomial, int] = {}
+    for levels in assignments:
+        mono = tuple(sorted(p for at, n in zip(pairs, levels) for p in at[n]))
+        counts[mono] = counts.get(mono, 0) + (-1 if signed and sum(levels) % 2 else 1)
+    return FormalPolynomial({m: Fraction(c) for m, c in counts.items() if c}, level_cap)
 
 
 def power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
     """prod over blocks B of (sum_{n<=N} prod_{a in B} a_n): free nested sums."""
     check_size(pi.length, level_cap)
-    result = FormalPolynomial({(): Fraction(1)}, level_cap)
-    for block in pi.blocks:
-        factor = FormalPolynomial(
-            {_block_factor(block, n): Fraction(1) for n in range(1, level_cap + 1)},
-            level_cap,
-        )
-        result = result * factor
-    return result
+    levels = itertools.product(range(1, level_cap + 1), repeat=pi.length)
+    return _level_sum(pi, levels, level_cap)
 
 
 def signed_power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
     """Like power_sum_poly but each term carries (-1)^(sum of levels)."""
     check_size(pi.length, level_cap)
-    result = FormalPolynomial({(): Fraction(1)}, level_cap)
-    for block in pi.blocks:
-        factor = FormalPolynomial(
-            {
-                _block_factor(block, n): Fraction(-1 if n % 2 else 1)
-                for n in range(1, level_cap + 1)
-            },
-            level_cap,
-        )
-        result = result * factor
-    return result
+    levels = itertools.product(range(1, level_cap + 1), repeat=pi.length)
+    return _level_sum(pi, levels, level_cap, signed=True)
 
 
 def monomial_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
     """Sum over assignments of pairwise distinct levels to the blocks."""
     check_size(pi.length, level_cap)
-    terms: dict[Monomial, Fraction] = {}
-    blocks = pi.blocks
-    for levels in itertools.permutations(range(1, level_cap + 1), len(blocks)):
-        mono = tuple(
-            sorted(
-                pair
-                for block, n in zip(blocks, levels)
-                for pair in _block_factor(block, n)
-            )
-        )
-        terms[mono] = terms.get(mono, Fraction(0)) + 1
-    return FormalPolynomial(terms, level_cap)
+    levels = itertools.permutations(range(1, level_cap + 1), pi.length)
+    return _level_sum(pi, levels, level_cap)
+
+
+def _chains(r: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Chains n_1 >=' ... >=' n_r of levels below top, where equality is
+    permitted only at even shared values."""
+    if r == 0:
+        yield ()
+        return
+    for n in range(1, top):
+        for rest in _chains(r - 1, n + 1 if n % 2 == 0 else n):
+            yield (n, *rest)
 
 
 def chain_sum_poly_symmetrized(pi: SetPartition, level_cap: int) -> FormalPolynomial:
@@ -189,44 +194,34 @@ def chain_sum_poly_symmetrized(pi: SetPartition, level_cap: int) -> FormalPolyno
     For each of the len(pi)! block orderings, levels run over chains
     n_1 >=' n_2 >=' ... >=' n_r with every index <= the cap, where
     equality is permitted only at even shared values; each term carries
-    the sign (-1)^(n_1 + ... + n_r).  This is the exact-polynomial twin
-    of series.symmetrize("T", ...).
+    the sign (-1)^(n_1 + ... + n_r).  Giving the i-th block of an ordering
+    the i-th chain level is giving the blocks, in their own order, a
+    permutation of the chain.  This is the exact-polynomial twin of
+    series.symmetrize("T", ...).
     """
     check_size(pi.length, level_cap, chained=True)
-    r = pi.length
-    terms: dict[Monomial, Fraction] = {}
-    for ordered in itertools.permutations(pi.blocks):
-        chain: list[int] = []
+    levels = (
+        perm
+        for chain in _chains(pi.length, level_cap + 1)
+        for perm in itertools.permutations(chain)
+    )
+    return _level_sum(pi, levels, level_cap, signed=True)
 
-        def rec(position: int) -> None:
-            if position == r:
-                mono = tuple(
-                    sorted(
-                        pair
-                        for block, n in zip(ordered, chain)
-                        for pair in _block_factor(block, n)
-                    )
-                )
-                sign = -1 if sum(chain) % 2 else 1
-                nv = terms.get(mono, Fraction(0)) + sign
-                if nv:
-                    terms[mono] = nv
-                else:
-                    terms.pop(mono, None)
-                return
-            if position == 0:
-                candidates = range(1, level_cap + 1)
-            else:
-                prev = chain[-1]
-                top = prev + 1 if prev % 2 == 0 else prev
-                candidates = range(1, top)
-            for n in candidates:
-                chain.append(n)
-                rec(position + 1)
-                chain.pop()
 
-        rec(0)
-    return FormalPolynomial(terms, level_cap)
+def sum_over_coarsenings(
+    pi: SetPartition,
+    level_cap: int,
+    build: Callable[[SetPartition, int], FormalPolynomial],
+    weight: Callable[[SetPartition], int] = lambda rho: 1,
+) -> FormalPolynomial:
+    """sum over rho >= pi of weight(rho) * build(rho, level_cap), added
+    into one dict."""
+    acc: dict[Monomial, Fraction] = {}
+    for rho, _ in coarsenings(pi):
+        w = weight(rho)
+        for mono, c in build(rho, level_cap).terms.items():
+            acc[mono] = acc.get(mono, 0) + w * c
+    return FormalPolynomial({m: c for m, c in acc.items() if c}, level_cap)
 
 
 @dataclass(frozen=True)
@@ -267,9 +262,7 @@ def check_mobius_inversion(pi: SetPartition, level_cap: int) -> IdentityReport:
     Verifies  monomial(pi) = sum over rho >= pi of mu(pi, rho) * power_sum(rho).
     """
     lhs = monomial_poly(pi, level_cap)
-    rhs = FormalPolynomial({}, level_cap)
-    for rho, _ in coarsenings(pi):
-        rhs = rhs + power_sum_poly(rho, level_cap).scale(mobius(pi, rho))
+    rhs = sum_over_coarsenings(pi, level_cap, power_sum_poly, lambda rho: mobius(pi, rho))
     return _compare(f"mobius-inversion[{pi!r},N={level_cap}]", lhs, rhs)
 
 
@@ -301,22 +294,16 @@ def check_chain_inversion(pi: SetPartition, level_cap: int) -> ChainInversionRep
     Both sides are exact polynomials; each report carries the first
     differing monomial on failure.
     """
-    sign_pi = -1 if pi.length % 2 else 1
-
-    lhs1 = chain_sum_poly_symmetrized(pi, level_cap).scale(sign_pi)
-    rhs1 = FormalPolynomial({}, level_cap)
-    for rho, _ in coarsenings(pi):
-        sign_rho = -1 if rho.length % 2 else 1
-        rhs1 = rhs1 + signed_power_sum_poly(rho, level_cap).scale(
-            sign_rho * mobius(pi, rho)
-        )
+    lhs1 = chain_sum_poly_symmetrized(pi, level_cap).scale((-1) ** pi.length)
+    rhs1 = sum_over_coarsenings(
+        pi, level_cap, signed_power_sum_poly, lambda rho: (-1) ** rho.length * mobius(pi, rho)
+    )
     first = _compare(f"chain-from-signed[{pi!r},N={level_cap}]", lhs1, rhs1)
 
-    lhs2 = signed_power_sum_poly(pi, level_cap).scale(sign_pi)
-    rhs2 = FormalPolynomial({}, level_cap)
-    for rho, _ in coarsenings(pi):
-        sign_rho = -1 if rho.length % 2 else 1
-        rhs2 = rhs2 + chain_sum_poly_symmetrized(rho, level_cap).scale(sign_rho)
+    lhs2 = signed_power_sum_poly(pi, level_cap).scale((-1) ** pi.length)
+    rhs2 = sum_over_coarsenings(
+        pi, level_cap, chain_sum_poly_symmetrized, lambda rho: (-1) ** rho.length
+    )
     second = _compare(f"signed-from-chain[{pi!r},N={level_cap}]", lhs2, rhs2)
 
     return ChainInversionReport(first, second)

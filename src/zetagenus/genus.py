@@ -67,6 +67,7 @@ __all__ = [
     "coefficient_table_oracle",
     "monomial_to_power_sum",
     "check_parts",
+    "check_table_degree",
     "check_oracle_degree",
 ]
 
@@ -154,16 +155,23 @@ def leading_coefficients(genus: GenusSpec, count: int) -> list[Fraction]:
 
 
 def check_parts(r: int) -> None:
-    """Refuse a closed-form coefficient with more than MAX_CLOSED_FORM_PARTS parts.
-
-    Tables keep the cap on their degree (1^k has k parts), so that every
-    entry is a coefficient the closed form can check; callers that build
-    tables up to some degree check that degree before any work.
-    """
+    """Refuse a closed-form coefficient with more than MAX_CLOSED_FORM_PARTS parts."""
     if r > MAX_CLOSED_FORM_PARTS:
         raise ValueError(
             f"{r} parts needs {r}-element set-partition enumeration; cap is "
             f"{MAX_CLOSED_FORM_PARTS}"
+        )
+
+
+def check_table_degree(k: int) -> None:
+    """Refuse a table past degree MAX_CLOSED_FORM_PARTS, so that every entry
+    (1^k has k parts) stays checkable by the closed form; the recurrence
+    itself has no such limit."""
+    if k > MAX_CLOSED_FORM_PARTS:
+        raise ValueError(
+            f"degree {k} is past the table cap {MAX_CLOSED_FORM_PARTS}: every table "
+            "entry must stay checkable by the closed form, which takes at most "
+            f"{MAX_CLOSED_FORM_PARTS} parts"
         )
 
 
@@ -246,7 +254,7 @@ def coefficient_table(genus: GenusSpec, degree: int) -> CoefficientTable:
     """The full degree-k table, from the log/exp recurrence."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    check_parts(degree)
+    check_table_degree(degree)
     if genus.order < degree:
         raise ValueError(f"genus series order {genus.order} too small for weight {degree}")
     level = dict(_level(genus.series, degree))

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .genus import CoefficientTable, GenusSpec, check_parts, coefficient_table
+from .genus import CoefficientTable, GenusSpec, check_table_degree, coefficient_table
 from .partitions import IntegerPartition, integer_partitions
 
 __all__ = [
@@ -264,7 +264,7 @@ def tables_with_cache(
     genus: GenusSpec, max_k: int, cache_path: Optional[str]
 ) -> dict[int, CoefficientTable]:
     """Tables for 1..max_k, reusing and refreshing the cache when given."""
-    check_parts(max_k)  # the degree-max_k table needs max_k parts; refuse it before any work
+    check_table_degree(max_k)  # refuse before any work
     cached = read_cache(cache_path, genus) if cache_path else {}
     tables = {}
     missing = False

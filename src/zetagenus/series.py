@@ -2,8 +2,11 @@
 
 All evaluators share the same truncation semantics: a depth N caps every
 summation index, so an r-fold sum runs over the part of its index region
-inside the box {1..N}^r.  Values are plain float64; each comes with an
-err_bound field holding a truncation estimate:
+inside the box {1..N}^r.  Each sum has one code path: zeta is the
+one-level case of the monotone nested sum behind multiple_zeta and
+multiple_zeta_star, and the chained sum is its own tail from the first
+index on.  Values are plain float64; each comes with an err_bound field
+holding a truncation estimate:
 
 * monotone sums (zeta, multiple_zeta, multiple_zeta_star) use an
   integral tail bound for the outer index times partial-sum bounds for
@@ -67,23 +70,19 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation depth plus the tolerances the caller is aiming for.
+    """Truncation depth plus the admissible exponent range.
 
-    ``depth`` caps every summation index.  ``target_tol`` is carried
-    along for report formatting.  ``min_exponent_margin`` is the delta
-    in the requirement s >= 1 + delta on every exponent, which keeps the
-    truncation bounds finite and meaningful.
+    ``depth`` caps every summation index.  ``min_exponent_margin`` is the
+    delta in the requirement s >= 1 + delta on every exponent, which
+    keeps the truncation bounds finite and meaningful.
     """
 
     depth: int = DEPTH_HIGH_RANK
-    target_tol: float = DEFAULT_TOL
     min_exponent_margin: float = DEFAULT_MARGIN
 
     def __post_init__(self) -> None:
         if self.depth < 2:
             raise ValueError("depth must be at least 2")
-        if not self.target_tol > 0:
-            raise ValueError("target_tol must be positive")
         if not self.min_exponent_margin > 0:
             raise ValueError("min_exponent_margin must be positive")
 
@@ -110,9 +109,14 @@ class SeriesValue:
         return self.value
 
 
-def _validate_exponents(s: Sequence[float], cfg: EvalConfig) -> list[float]:
+def _setup(
+    s: Sequence[float], cfg: EvalConfig | None, empty_ok: bool = False
+) -> tuple[list[float], EvalConfig]:
+    """The exponents as floats and the config, by default the one for
+    their count; every exponent must be at least 1 + margin."""
     out = [float(x) for x in s]
-    if not out:
+    cfg = cfg or default_config(max(len(out), 1))
+    if not out and not empty_ok:
         raise ValueError("need at least one exponent")
     floor = 1.0 + cfg.min_exponent_margin
     for x in out:
@@ -121,7 +125,7 @@ def _validate_exponents(s: Sequence[float], cfg: EvalConfig) -> list[float]:
                 f"exponent {x} below 1 + margin = {floor}; the truncated sum "
                 "would not be meaningful"
             )
-    return out
+    return out, cfg
 
 
 @lru_cache(maxsize=8)
@@ -150,13 +154,9 @@ def _noise(l1_scale: float, depth: int, levels: int) -> float:
 
 
 def zeta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
-    """Truncated zeta(s) = sum_{n<=N} n^(-s) with an integral tail bound."""
-    cfg = cfg or default_config(1)
-    (s,) = _validate_exponents([s], cfg)
-    p = _powers(s, cfg.depth)
-    value = _fsum(p)
-    tail = cfg.depth ** (1.0 - s) / (s - 1.0)
-    return SeriesValue(value, tail + _noise(value, cfg.depth, 1))
+    """Truncated zeta(s) = sum_{n<=N} n^(-s) with an integral tail bound:
+    the one-level nested sum."""
+    return _nested_monotone(*_setup([s], cfg), strict=True)
 
 
 def zeta_even_exact(k: int) -> Fraction:
@@ -178,8 +178,7 @@ def dirichlet_eta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
     magnitude of the first unsummed term, the classical bound for a
     truncated alternating series with decreasing terms.
     """
-    cfg = cfg or default_config(1)
-    (s,) = _validate_exponents([s], cfg)
+    (s,), cfg = _setup([s], cfg)
     pairs = cfg.depth // 2
     p = _powers(s, cfg.depth)
     paired = p[0 : 2 * pairs : 2] - p[1 : 2 * pairs : 2]
@@ -203,14 +202,11 @@ def _nested_monotone(s: list[float], cfg: EvalConfig, strict: bool) -> SeriesVal
     below (shifted by one position in the strict case).
     """
     depth = cfg.depth
-    level = _powers(s[-1], depth).copy()
+    level = _powers(s[-1], depth)
     for j in range(len(s) - 2, -1, -1):
         prefix = np.cumsum(level)
         if strict:
-            shifted = np.empty_like(prefix)
-            shifted[0] = 0.0
-            shifted[1:] = prefix[:-1]
-            prefix = shifted
+            prefix = np.concatenate(([0.0], prefix[:-1]))
         level = _powers(s[j], depth) * prefix
     value = _fsum(level)
     inner_bound = 1.0
@@ -226,9 +222,7 @@ def multiple_zeta(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesVa
 
     sum over n_1 > n_2 > ... > n_r >= 1 (all <= depth) of prod n_i^(-s_i).
     """
-    sl = _validate_exponents(s, cfg or default_config(len(list(s))))
-    cfg = cfg or default_config(len(sl))
-    return _nested_monotone(sl, cfg, strict=True)
+    return _nested_monotone(*_setup(s, cfg), strict=True)
 
 
 def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -236,9 +230,7 @@ def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> Ser
 
     sum over n_1 >= n_2 >= ... >= n_r >= 1 (all <= depth) of prod n_i^(-s_i).
     """
-    sl = _validate_exponents(s, cfg or default_config(len(list(s))))
-    cfg = cfg or default_config(len(sl))
-    return _nested_monotone(sl, cfg, strict=False)
+    return _nested_monotone(*_setup(s, cfg), strict=False)
 
 
 def _chain_final_level(s: list[float], depth: int) -> np.ndarray:
@@ -258,14 +250,18 @@ def _chain_final_level(s: list[float], depth: int) -> np.ndarray:
     return level
 
 
-def _chain_tail_estimate(s: list[float], depth: int, base: int) -> float:
-    """First-omitted-outer-term estimate for chained sums from n_r >= base."""
+def _chain_from(s: list[float], depth: int, base: int) -> SeriesValue:
+    """The chained sum over n_r >= base, with the first-omitted-outer-term
+    estimate as its error."""
+    final = _chain_final_level(s, depth)[base - 1 :]
+    value = _fsum(final)
     est = 2.0 * float(depth + 1) ** (-s[0])
     if len(s) > 1:
-        est *= float(max(base, 1)) ** (-sum(s[1:]))
+        est *= float(base) ** (-sum(s[1:]))
         for sj in s[1:]:
             est *= 1.0 + 2.0 ** (-sj)
-    return est
+    l1 = float(np.abs(final).sum())
+    return SeriesValue(value, est + _noise(l1, depth, len(s)))
 
 
 def alternating_chain_sum(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -276,13 +272,8 @@ def alternating_chain_sum(s: Sequence[float], cfg: EvalConfig | None = None) -> 
     even.  For r = 1 this is -eta(s).  The value is negative for
     admissible exponents, with magnitude shrinking as r grows.
     """
-    cfg = cfg or default_config(len(list(s)))
-    sl = _validate_exponents(s, cfg)
-    final = _chain_final_level(sl, cfg.depth)
-    value = _fsum(final)
-    l1 = float(np.abs(final).sum())
-    err = _chain_tail_estimate(sl, cfg.depth, 1) + _noise(l1, cfg.depth, len(sl))
-    return SeriesValue(value, err)
+    sl, cfg = _setup(s, cfg)
+    return _chain_from(sl, cfg.depth, 1)
 
 
 def alternating_chain_tail(
@@ -297,21 +288,10 @@ def alternating_chain_tail(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    sl = list(s)
+    sl, cfg = _setup(s, cfg, empty_ok=True)
     if not sl:
         return SeriesValue(1.0, 0.0)
-    cfg = cfg or default_config(len(sl))
-    sl = _validate_exponents(sl, cfg)
-    final = _chain_final_level(sl, cfg.depth)
-    start = 2 * k - 1  # 0-based position of index value 2k
-    if start >= cfg.depth:
-        sliced = final[:0]
-    else:
-        sliced = final[start:]
-    value = _fsum(sliced)
-    l1 = float(np.abs(sliced).sum())
-    err = _chain_tail_estimate(sl, cfg.depth, 2 * k) + _noise(l1, cfg.depth, len(sl))
-    return SeriesValue(value, err)
+    return _chain_from(sl, cfg.depth, 2 * k)
 
 
 def alternating_chain_tail_family(
@@ -323,12 +303,10 @@ def alternating_chain_tail_family(
     at the same truncation depth as alternating_chain_tail would use.
     For the empty exponent list every entry is exactly 1.
     """
-    sl = list(s)
-    cfg = cfg or default_config(max(len(sl), 1))
+    sl, cfg = _setup(s, cfg, empty_ok=True)
     half = cfg.depth // 2
     if not sl:
         return np.ones(half, dtype=np.float64)
-    sl = _validate_exponents(sl, cfg)
     final = _chain_final_level(sl, cfg.depth)
     suffix = np.cumsum(final[::-1])[::-1]
     return suffix[1 : 2 * half : 2].copy()
@@ -419,8 +397,7 @@ def innermost_peel_residual(
     the grouping is an exact bijection of finite index sets, so the
     difference is pure floating-point noise.  Returns (lhs, rhs).
     """
-    cfg = cfg or default_config(len(list(s)))
-    sl = _validate_exponents(s, cfg)
+    sl, cfg = _setup(s, cfg)
     lhs = alternating_chain_sum(sl, cfg).value
     depth = cfg.depth
     if len(sl) == 1:
@@ -429,7 +406,6 @@ def innermost_peel_residual(
     else:
         fam = alternating_chain_tail_family(sl[:-1], cfg)
     # iterate the innermost value directly so odd depths stay exact
-    n = np.arange(1, depth + 1, dtype=np.float64)
     weights = _signed_powers(sl[-1], depth)
     k_of_n = (np.arange(1, depth + 1) + 1) // 2  # 1-based tail index for each n_r
     fam_padded = np.concatenate(([0.0], fam, np.zeros(depth)))
@@ -459,8 +435,7 @@ def bottom_block_residual(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cfg = cfg or default_config(len(list(s)))
-    sl = _validate_exponents(s, cfg)
+    sl, cfg = _setup(s, cfg)
     r = len(sl)
     depth = cfg.depth
     lhs = alternating_chain_tail(k, sl, cfg).value
@@ -472,17 +447,14 @@ def bottom_block_residual(
         suffix_exp = sum(sl[j:])  # s_{j+1} + ... + s_r
         sj = sl[j - 1]
         for ell in range(k, half + 1):
-            # tail_{ell+1}(prefix); empty prefix is identically 1 at any bound
-            if not prefix:
-                rest = 1.0
-            else:
-                rest = float(fam[ell]) if ell < len(fam) else 0.0
+            # tail_{ell+1}(prefix); past the family's end it is 1 for the
+            # empty prefix (identically 1 at any bound) and 0 otherwise
+            rest = float(fam[ell]) if ell < len(fam) else float(not prefix)
             if rest == 0.0:
                 continue
             even_v = 2 * ell
             common = float(even_v) ** (-suffix_exp) if suffix_exp else 1.0
-            if even_v <= depth:
-                terms.append(common * float(even_v) ** (-sj) * rest)
+            terms.append(common * float(even_v) ** (-sj) * rest)
             if even_v + 1 <= depth:
                 terms.append(-common * float(even_v + 1) ** (-sj) * rest)
     rhs = math.fsum(terms)

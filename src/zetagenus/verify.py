@@ -37,18 +37,18 @@ from math import factorial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .formal import (
-    FormalPolynomial,
     IdentityReport,
     check_chain_inversion,
     check_mobius_inversion,
     check_size,
     monomial_poly,
     power_sum_poly,
+    sum_over_coarsenings,
 )
 from .genus import (
     GenusSpec,
     check_oracle_degree,
-    check_parts,
+    check_table_degree,
     coefficient_closed_form,
     coefficient_table,
     coefficient_table_oracle,
@@ -56,7 +56,6 @@ from .genus import (
 from .partitions import (
     SetPartition,
     alternating_length_sum,
-    coarsenings,
     enumerate_set_partitions,
     integer_partitions,
     signed_block_sums,
@@ -175,13 +174,6 @@ def _partition_label(pi: SetPartition) -> str:
     return "|".join("".join(str(a) for a in block) for block in pi.blocks)
 
 
-def _config_for(parts: int, depth: Optional[int], tol: float, margin: float) -> EvalConfig:
-    if depth is None:
-        base = default_config(parts)
-        return EvalConfig(base.depth, tol, margin)
-    return EvalConfig(depth, tol, margin)
-
-
 def _main_checks(max_k: int, depth: Optional[int], tol: float, margin: float) -> Checks:
     """Exact L coefficients against pi-normalized chained alternating sums.
 
@@ -194,13 +186,13 @@ def _main_checks(max_k: int, depth: Optional[int], tol: float, margin: float) ->
     to relative tolerance tol.  Without a depth, each partition uses the
     default depth for its number of parts.
     """
-    check_parts(max_k)
+    check_table_degree(max_k)
     genus = GenusSpec.l_genus(max_k)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
             r = len(part)
-            cfg = _config_for(r, depth, tol, margin)
+            cfg = EvalConfig(default_config(r).depth if depth is None else depth, margin)
             sym = symmetrize("T", [2.0 * j for j in part.parts], cfg)
             sign = -1.0 if r % 2 else 1.0
             approx = sign / part.symmetry_factor() * 4.0**k / math.pi ** (2 * k) * sym.value
@@ -214,9 +206,9 @@ def _ahat_checks(max_k: int, depth: int, tol: float, margin: float) -> Checks:
     (2 pi)^(2k).  The non-strict sums have 1/N outer tails, hence the
     large default depth.
     """
-    check_parts(max_k)
+    check_table_degree(max_k)
     genus = GenusSpec.a_hat(max_k)
-    cfg = EvalConfig(depth, tol, margin)
+    cfg = EvalConfig(depth, margin)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
@@ -271,7 +263,7 @@ def _hoffman_checks(
     decompositions of the finite index box, so residuals are pure float
     noise and the tolerance is easily met.
     """
-    cfg = EvalConfig(depth, tol, margin)
+    cfg = EvalConfig(depth, margin)
     for i, s in _sampled_tuples(seed, samples, max_r):
         products = _weighted_products(s, lambda x: zeta(x, cfg).value)
         label = f"{i:02d}:{_tuple_label(s)}"
@@ -294,7 +286,7 @@ def _multiple_eta_checks(
     index is truncated at exactly the same depth, which again makes the
     identity exact on the finite box.
     """
-    cfg = EvalConfig(depth, tol, margin)
+    cfg = EvalConfig(depth, margin)
     for i, s in _sampled_tuples(seed, samples, max_r):
         products = _weighted_products(s, lambda x: -alternating_chain_sum((x,), cfg).value)
         lhs = math.fsum(w * p for w, p in products)
@@ -313,7 +305,7 @@ def _positivity_checks(
     checks the two recurrences that peel the innermost index and the
     terminal block, to absolute tolerance.
     """
-    cfg = EvalConfig(depth, tol, margin)
+    cfg = EvalConfig(depth, margin)
     rng = random.Random(seed)
     for i in range(samples):
         r = 1 + i % 3
@@ -365,9 +357,7 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
         for pi in enumerate_set_partitions(n):
             label = _partition_label(pi)
             lhs = power_sum_poly(pi, level_cap)
-            rhs = FormalPolynomial({}, level_cap)
-            for rho, _ in coarsenings(pi):
-                rhs = rhs + monomial_poly(rho, level_cap)
+            rhs = sum_over_coarsenings(pi, level_cap, monomial_poly)
             diff = lhs.first_difference(rhs)
             yield _exact_check(
                 f"free-sum[{label}]",
@@ -427,7 +417,7 @@ def _signs_checks(max_k: int) -> Checks:
     k <= max_k, in exact arithmetic.  One aggregated check per
     (genus, k).
     """
-    check_parts(max_k)
+    check_table_degree(max_k)
     for name, genus in _genera(max_k):
         offset = 1 if name == "L" else 0
         for k in range(1, max_k + 1):
@@ -522,5 +512,7 @@ def run_suite(name: str, **options: object) -> SuiteReport:
         key: default if options.get(key) is None else options[key]
         for key, default in suite.config + suite.hidden
     }
+    if "tol" in values and not values["tol"] > 0:
+        raise ValueError("tol must be positive")
     config = tuple((key, _config_text(values[key])) for key, _ in suite.config)
     return SuiteReport(name, config, tuple(suite.build(**values)))

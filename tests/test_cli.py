@@ -338,16 +338,23 @@ def test_verify_rejects_too_many_orderings_before_summing(runner):
         assert "distinct orderings" in result.output
 
 
+_TABLE_CAP = "degree 13 is past the table cap 12"
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
-        (["table", "--genus", "L", "--max-k", "13"], "13 parts needs 13-element"),
-        (["verify", "main", "--k", "13"], "13 parts needs 13-element"),
-        (["verify", "signs", "--k", "13"], "13 parts needs 13-element"),
-        (["poly", "--genus", "L", "--k", "13"], "13 parts needs 13-element"),
+        # explicit ids: the message would make the test names over-long
+        pytest.param(["table", "--genus", "L", "--max-k", "13"], _TABLE_CAP, id="args0-table cap"),
+        pytest.param(["verify", "main", "--k", "13"], _TABLE_CAP, id="args1-table cap"),
+        pytest.param(["verify", "signs", "--k", "13"], _TABLE_CAP, id="args2-table cap"),
+        pytest.param(["poly", "--genus", "L", "--k", "13"], _TABLE_CAP, id="args3-table cap"),
         (["verify", "oracle", "--k", "9"], "oracle supports degrees 1..8, got 9"),
         (["verify", "formal", "--max-r", "4", "--n", "40"], "cap^blocks = 40^4 exceeds"),
         (["verify", "formal", "--max-r", "5"], "supports at most 4 blocks"),
+        pytest.param(["verify", "ahat", "--k", "13"], _TABLE_CAP, id="args7-table cap"),
+        # coeff does enumerate set partitions, so its message names them
+        (["coeff", "--genus", "L", "--partition", ",".join(["1"] * 13)], "13 parts needs 13-element"),
     ],
 )
 def test_out_of_range_inputs_fail_before_any_work(runner, tmp_path, args, message):
@@ -358,6 +365,19 @@ def test_out_of_range_inputs_fail_before_any_work(runner, tmp_path, args, messag
     assert time.perf_counter() - start < 2.0
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-06"])
+@pytest.mark.parametrize("suite", ["main", "ahat", "hoffman", "multiple-eta", "positivity"])
+def test_nonpositive_tol_fails_before_any_work(runner, monkeypatch, suite, tol):
+    def build(**kwargs):
+        raise AssertionError("the checks were built")
+
+    entry = dataclasses.replace(verify._SUITES[suite], build=build)
+    monkeypatch.setitem(verify._SUITES, suite, entry)
+    result = runner.invoke(cli, ["verify", suite, "--tol", tol])
+    assert result.exit_code == 2
+    assert "tol must be positive" in result.output
 
 
 def test_verify_has_no_threads_option(runner):

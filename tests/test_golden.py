@@ -1,0 +1,97 @@
+"""Golden sha256 hashes of the CLI's exact outputs.
+
+Only outputs made of exact arithmetic are pinned here: coefficient tables,
+polynomials and single coefficients (reduced fractions), and the reports
+of the formal, oracle and signs suites (exact matches and counts).  Float
+reports are left out, since the last digit of a float can differ between
+CPUs whose vectorised pow rounds differently.  Every command runs in
+process through click's CliRunner and writes its output to a file, whose
+bytes are hashed; a table run with --cache also pins the cache file.
+
+A hash that changes means a printed byte changed.  If that is intended,
+print the new hashes with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change log which outputs moved and why.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from zetagenus.cli import cli
+
+CASES = {
+    "table-L-csv": ["table", "--genus", "L", "--max-k", "12", "--format", "csv", "--cache", "{cache}"],
+    "table-L-json": ["table", "--genus", "L", "--max-k", "12", "--format", "json"],
+    "table-Ahat-csv": ["table", "--genus", "Ahat", "--max-k", "12", "--format", "csv", "--cache", "{cache}"],
+    "table-Ahat-json": ["table", "--genus", "Ahat", "--max-k", "12", "--format", "json"],
+    "poly-L-text": ["poly", "--genus", "L", "--k", "12", "--format", "text"],
+    "poly-L-latex": ["poly", "--genus", "L", "--k", "12", "--format", "latex"],
+    "poly-L-json": ["poly", "--genus", "L", "--k", "12", "--format", "json"],
+    "poly-Ahat-text": ["poly", "--genus", "Ahat", "--k", "12", "--format", "text"],
+    "poly-Ahat-latex": ["poly", "--genus", "Ahat", "--k", "12", "--format", "latex"],
+    "poly-Ahat-json": ["poly", "--genus", "Ahat", "--k", "12", "--format", "json"],
+    "coeff-L-12": ["coeff", "--genus", "L", "--partition", "12"],
+    "coeff-L-3,2,1": ["coeff", "--genus", "L", "--partition", "3,2,1"],
+    "coeff-L-1^8": ["coeff", "--genus", "L", "--partition", "1,1,1,1,1,1,1,1"],
+    "coeff-Ahat-4,4,2,1,1": ["coeff", "--genus", "Ahat", "--partition", "4,4,2,1,1"],
+    "verify-formal": ["verify", "formal"],
+    "verify-formal-r4-n5": ["verify", "formal", "--max-r", "4", "--n", "5"],
+    "verify-oracle": ["verify", "oracle"],
+    "verify-oracle-k8": ["verify", "oracle", "--k", "8"],
+    "verify-signs": ["verify", "signs"],
+}
+
+GOLDEN = {
+    "table-L-csv": "1771ea2691e29c5aff174ace865da7e4ada180c1cdf045f9b89205e70027e5f3",
+    "table-L-csv.cache": "b19a524d831f948b098c48268443a7aa43c5978bf957424ccdbd5718918579de",
+    "table-L-json": "0880dfcbeac416fb1bfa69deea8268ccebae1d8e215ec1be141c4fddc74528b0",
+    "table-Ahat-csv": "f633095e0b8cc0797c01879e649da946597d0dbe2570df47820b24e80b62edad",
+    "table-Ahat-csv.cache": "26e2b0057af905d3d85ffdae2bab4687ee59e6635d21cedf8efc77d4d73bd6a4",
+    "table-Ahat-json": "0733b27eebac8417de55de74c517f233e76cc8c6dd02faebbb0bd532884b4f56",
+    "poly-L-text": "b351323d4140745dc750149c469b162785a095a8f7f9bba89c0bf9391e3e006d",
+    "poly-L-latex": "30babc69639af4683df1f0646b4c950950823afe54f807ee5c80a0085cdf2eb1",
+    "poly-L-json": "b33e8b14c1849bbe5b5b733e83f8f5b933d10cfc8f749dd080630c0d21d8fb89",
+    "poly-Ahat-text": "cc4978dc82da5d18fbfa09a68a87f802d559b62e6d675c435a78878871bcbece",
+    "poly-Ahat-latex": "9a24c841a608d5288a5cfd0096967e4a9974f19147e7ad626e19709b8c16afd9",
+    "poly-Ahat-json": "2a8e35908a3f8ea225013994f37cb1f3c7e9e2b7f80ab19b2e84845738aa861b",
+    "coeff-L-12": "c7f187842dded129e44da41262d1353743a0fe7bf1859a2920474d6a41a7dc05",
+    "coeff-L-3,2,1": "94ba5b82bd3c21d242b64fad3553202ef0f4027f15076acf7863c9e3a9da6c29",
+    "coeff-L-1^8": "a06b0a583a6cbe237a1332bd7ed7d2b46132287ad64005a76d36eceb511a4a8f",
+    "coeff-Ahat-4,4,2,1,1": "971ccfd37ef2cbb944b7ae91e847bd7a5b868b9220776aee18d6d55cf5fcbbca",
+    "verify-formal": "473c6c940b6013a18428e8bd7d1327e4ae41d635687f1930421c0e72f3f19ab2",
+    "verify-formal-r4-n5": "dbcfd4b2327c3ddfceea408883393ff45525001d40e56874595ecb8cc6b49855",
+    "verify-oracle": "f7430d5831eb1ae0b35c4b7a119125b262bf6ecbbe07dd022eaf81d4a9c1494f",
+    "verify-oracle-k8": "32f6cc89a39fc23cc48e1da93a3c0aa2d364c28d1284a3620d9424d34c9ec100",
+    "verify-signs": "a01e999919b6d888d5f36e6bc89818d81cfc5126510a854d69982864c59db01c",
+}
+
+
+def _hashes(name: str, workdir: Path) -> dict[str, str]:
+    """Run one case and return the sha256 of each file it writes."""
+    out, cache = workdir / f"{name}.out", workdir / f"{name}.cache"
+    args = [a.format(cache=cache) for a in CASES[name]] + ["--out", str(out)]
+    result = CliRunner().invoke(cli, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    files = {name: out, f"{name}.cache": cache}
+    return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items() if path.exists()}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_exact_outputs_match_their_golden_hashes(name, tmp_path):
+    got = _hashes(name, tmp_path)
+    assert got == {key: GOLDEN[key] for key in got}
+    assert set(got) == {key for key in GOLDEN if key.split(".")[0] == name}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            for key, digest in _hashes(case, Path(tmp)).items():
+                print(f'    "{key}": "{digest}",', file=sys.stdout)

@@ -8,6 +8,7 @@ doubling: the distance from a deeper evaluation must not exceed the bound
 claimed at the shallower depth.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from zetagenus import series
 from zetagenus.series import (
     DEFAULT_MARGIN,
-    DEFAULT_TOL,
     MAX_SYMMETRIZE_ORDERINGS,
     EvalConfig,
     SeriesValue,
@@ -190,6 +190,19 @@ def test_rank_one_sums_collapse_to_zeta():
     z = zeta(3.0, cfg).value
     assert multiple_zeta((3.0,), cfg).value == pytest.approx(z, abs=1e-14)
     assert multiple_zeta_star((3.0,), cfg).value == pytest.approx(z, abs=1e-14)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 1000, 50_000])
+def test_zeta_is_the_one_level_monotone_sum_bit_for_bit(depth):
+    # zeta has no summation code of its own: the one-level strict and
+    # non-strict nested sums give the same value and bound, bit for bit
+    # (SeriesValue equality compares both fields with float ==).
+    rng = random.Random(1729 + depth)
+    cfg = _cfg(depth)
+    for s in [1.06, 2.0, 9.0] + [rng.uniform(1.06, 9.0) for _ in range(12)]:
+        z = zeta(s, cfg)
+        assert z == multiple_zeta([s], cfg)
+        assert z == multiple_zeta_star([s], cfg)
 
 
 def test_rank_one_chain_is_negated_eta():
@@ -420,7 +433,7 @@ def test_default_config_depths_by_rank():
     assert default_config(1).depth == default_config(2).depth
     assert default_config(3).depth == default_config(4).depth
     assert default_config(1).depth > default_config(3).depth
-    assert default_config(1).target_tol == DEFAULT_TOL
+    assert [f.name for f in dataclasses.fields(EvalConfig)] == ["depth", "min_exponent_margin"]
     assert default_config(1).min_exponent_margin == DEFAULT_MARGIN
     with pytest.raises(ValueError):
         default_config(0)
@@ -430,7 +443,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(1)
     with pytest.raises(ValueError):
-        EvalConfig(100, target_tol=0.0)
+        EvalConfig(100, min_exponent_margin=float("nan"))
     with pytest.raises(ValueError):
         EvalConfig(100, min_exponent_margin=0.0)
 
