@@ -13,13 +13,16 @@ holding a truncation estimate:
   the inner ones, which is a genuine upper bound;
 * alternating sums (dirichlet_eta, the chained sums) use the magnitude
   of the first omitted outer term with a safety factor, which is a
-  heuristic estimate validated by the depth-doubling tests.
+  heuristic estimate validated by the depth-doubling tests (for eta, the
+  one-level case, it is a proved bound).
 
 A small floating-point noise allowance is folded into every bound.
 Final reductions go through math.fsum (exactly rounded compensated
 summation); intermediate per-level prefix sums are sequential float64
 cumulative sums in fixed ascending-index order, so single-threaded runs
-are bitwise reproducible.
+are bitwise reproducible.  numpy is imported inside the functions that
+build arrays, so it loads when a series is first evaluated and never
+for the exact commands.
 
 For even integer arguments the exact values are available as rational
 multiples of powers of pi through zeta_even_exact and
@@ -29,16 +32,18 @@ dirichlet_eta_even_exact; verification code prefers those where it can.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .exact import bernoulli
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EvalConfig",
@@ -65,7 +70,7 @@ DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
 MAX_SYMMETRIZE_ORDERINGS = 720  # 6!: six distinct exponents
 
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,7 @@ def _setup(
 @lru_cache(maxsize=8)
 def _powers(s: float, depth: int) -> np.ndarray:
     """n^(-s) for n = 1..depth, cached read-only."""
+    import numpy as np
     n = np.arange(1, depth + 1, dtype=np.float64)
     p = n ** (-s)
     p.flags.writeable = False
@@ -171,20 +177,13 @@ def zeta_even_exact(k: int) -> Fraction:
 
 
 def dirichlet_eta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
-    """Truncated eta(s) = sum (-1)^(n-1) n^(-s), summed in positive pairs.
-
-    The value is accumulated as (2m-1)^(-s) - (2m)^(-s) over complete
-    pairs, which keeps every addend positive.  The error bound is the
-    magnitude of the first unsummed term, the classical bound for a
-    truncated alternating series with decreasing terms.
-    """
-    (s,), cfg = _setup([s], cfg)
-    pairs = cfg.depth // 2
-    p = _powers(s, cfg.depth)
-    paired = p[0 : 2 * pairs : 2] - p[1 : 2 * pairs : 2]
-    value = _fsum(paired)
-    tail = float(2 * pairs + 1) ** (-s)
-    return SeriesValue(value, tail + _noise(value, cfg.depth, 1))
+    """Truncated eta(s) = sum_{n<=N} (-1)^(n-1) n^(-s): minus the one-level
+    chained sum.  Its estimate 2 (N+1)^(-s) is twice the first omitted
+    term, which bounds the tail of an alternating series with decreasing
+    terms."""
+    sl, cfg = _setup([s], cfg)
+    sv = _chain_from(sl, cfg.depth, 1)
+    return SeriesValue(-sv.value, sv.err_bound)
 
 
 def dirichlet_eta_even_exact(k: int) -> Fraction:
@@ -201,6 +200,7 @@ def _nested_monotone(s: list[float], cfg: EvalConfig, strict: bool) -> SeriesVal
     outer level multiplies its power weights by a prefix sum of the level
     below (shifted by one position in the strict case).
     """
+    import numpy as np
     depth = cfg.depth
     level = _powers(s[-1], depth)
     for j in range(len(s) - 2, -1, -1):
@@ -241,6 +241,7 @@ def _chain_final_level(s: list[float], depth: int) -> np.ndarray:
     means a >= b with equality permitted only at even a.  Summing a
     suffix of the array bounds the innermost index from below.
     """
+    import numpy as np
     level = _signed_powers(s[0], depth)
     for j in range(1, len(s)):
         suffix = np.cumsum(level[::-1])[::-1]
@@ -253,6 +254,7 @@ def _chain_final_level(s: list[float], depth: int) -> np.ndarray:
 def _chain_from(s: list[float], depth: int, base: int) -> SeriesValue:
     """The chained sum over n_r >= base, with the first-omitted-outer-term
     estimate as its error."""
+    import numpy as np
     final = _chain_final_level(s, depth)[base - 1 :]
     value = _fsum(final)
     est = 2.0 * float(depth + 1) ** (-s[0])
@@ -303,6 +305,7 @@ def alternating_chain_tail_family(
     at the same truncation depth as alternating_chain_tail would use.
     For the empty exponent list every entry is exactly 1.
     """
+    import numpy as np
     sl, cfg = _setup(s, cfg, empty_ok=True)
     half = cfg.depth // 2
     if not sl:
@@ -397,6 +400,7 @@ def innermost_peel_residual(
     the grouping is an exact bijection of finite index sets, so the
     difference is pure floating-point noise.  Returns (lhs, rhs).
     """
+    import numpy as np
     sl, cfg = _setup(s, cfg)
     lhs = alternating_chain_sum(sl, cfg).value
     depth = cfg.depth

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -558,3 +560,44 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "coeff" in result.stdout and "verify" in result.stdout
+
+
+_STARTUP_SCRIPT = r"""
+import json
+import sys
+
+import zetagenus
+loaded = {"import zetagenus": "numpy" in sys.modules}
+from zetagenus import cli
+loaded["import zetagenus.cli"] = "numpy" in sys.modules
+for args in [
+    ["--help"],
+    ["table", "--genus", "L", "--max-k", "4", "--out", sys.argv[1]],
+    ["poly", "--genus", "Ahat", "--k", "3"],
+    ["coeff", "--genus", "L", "--partition", "2,1"],
+    ["verify", "signs"],
+    ["verify", "oracle"],
+    ["verify", "formal"],
+    ["verify", "main", "--k", "1", "--depth", "1000"],
+]:
+    assert cli.cli.main(args, standalone_mode=False) in (None, 0), args
+    loaded[" ".join(args[:2])] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_numeric_suites_load_numpy(tmp_path):
+    # numpy serves only the series evaluators: importing the package and
+    # running the exact commands leave it unloaded, and the first series
+    # evaluation loads it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path / "table.csv")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded.pop("verify main") is True
+    assert len(loaded) == 9 and not any(loaded.values()), loaded

@@ -211,6 +211,45 @@ def test_rank_one_chain_is_negated_eta():
     assert abs(got + dirichlet_eta(2.5, cfg).value) < 1e-12
 
 
+@pytest.mark.parametrize("s", [1.3, 2.0, 2.5, 7.0])
+def test_eta_sums_every_index_up_to_an_odd_depth(s):
+    # The depth caps every index: at an odd depth the last term is
+    # summed too, so eta is minus the one-level chained sum exactly.
+    cfg = EvalConfig(1001, min_exponent_margin=0.2)
+    eta = dirichlet_eta(s, cfg)
+    assert eta.value == -alternating_chain_sum([s], cfg).value
+    assert eta.err_bound >= 1002.0 ** (-s)  # at least the first omitted term
+
+
+def _paired_eta(s, depth):
+    # the former evaluation: complete pairs (2m-1)^(-s) - (2m)^(-s), each
+    # difference rounded to float64, then summed exactly rounded
+    p = series._powers(s, depth).tolist()
+    diffs = [(p[i], p[i + 1], p[i] - p[i + 1]) for i in range(0, depth - 1, 2)]
+    exact = all(Fraction(a) - Fraction(b) == Fraction(d) for a, b, d in diffs)
+    return math.fsum(d for _, _, d in diffs), exact, p
+
+
+@pytest.mark.parametrize("depth", [2, 4, 1000, 2000])
+def test_eta_at_even_depths_is_the_exactly_rounded_sum_of_its_terms(depth):
+    # At an even depth the value is the exactly rounded sum of the depth
+    # signed terms.  Where every pair difference is exact in float64 the
+    # former paired sum had that value too, so the two agree bit for bit;
+    # elsewhere the pairing's own rounding may move it by an ulp.
+    pairs_exact = []
+    for s in [1.06, 1.3, 2.0, 2.5, 4.0, 9.0]:
+        got = dirichlet_eta(s, EvalConfig(depth)).value
+        old, exact, p = _paired_eta(s, depth)
+        signed = sum(Fraction(x) * (-1) ** n for n, x in enumerate(p))
+        assert got == float(signed)
+        if exact:
+            pairs_exact.append(s)
+            assert got == old
+        else:
+            assert abs(got - old) <= math.ulp(old)
+    assert 2.0 in pairs_exact
+
+
 KNOWN = [
     (lambda cfg: zeta(2.0, cfg), math.pi**2 / 6, 1e-5),
     (lambda cfg: dirichlet_eta(2.0, cfg), math.pi**2 / 12, 1e-9),
