@@ -17,12 +17,15 @@ holding a truncation estimate:
   one-level case, it is a proved bound).
 
 A small floating-point noise allowance is folded into every bound.
-Final reductions go through math.fsum (exactly rounded compensated
-summation); intermediate per-level prefix sums are sequential float64
-cumulative sums in fixed ascending-index order, so single-threaded runs
-are bitwise reproducible.  numpy is imported inside the functions that
-build arrays, so it loads when a series is first evaluated and never
-for the exact commands.
+Final reductions are exactly rounded, bit for bit what math.fsum over the
+terms gives: error-free extraction (Rump, Ogita and Oishi, "Accurate
+floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008)
+splits the array, in plain numpy adds, into a few float64 partial sums
+whose total is exact, and math.fsum rounds those once.  Intermediate
+per-level prefix sums are sequential float64 cumulative sums in fixed
+ascending-index order, so single-threaded runs are bitwise reproducible.
+numpy is imported inside the functions that build arrays, so it loads
+when a series is first evaluated and never for the exact commands.
 
 For even integer arguments the exact values are available as rational
 multiples of powers of pi through zeta_even_exact and
@@ -37,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -150,8 +154,44 @@ def _signed_powers(s: float, depth: int) -> np.ndarray:
     return p
 
 
+def _exact_parts(arr: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is the exact sum of arr.
+
+    Each pass takes the power of two sigma >= n * M, where M is max|r|
+    rounded up to a power of two, and splits r exactly into
+    q = (sigma + r) - sigma and r - q.  Every q is a multiple of
+    2^-53 sigma and at most M in magnitude, so every partial sum of the
+    q is a multiple of 2^-53 sigma no larger than sigma: a float.  Their
+    numpy sum is therefore exact, in whatever order it adds.  The
+    remainder is at most 2^-53 sigma, so the passes end with r all zero.
+    Where sigma would overflow, or arr holds inf or nan, the terms
+    themselves are the parts.
+    """
+    import numpy as np
+    parts: list[float] = []
+    if not arr.size:
+        return parts
+    shift = (arr.size - 1).bit_length()  # ceil(log2(n))
+    r = arr
+    q = np.empty_like(arr)
+    while True:
+        m = float(np.abs(r, out=q).max())
+        if m == 0.0:
+            return parts
+        mant, exp = math.frexp(m)  # m = mant * 2^exp, 0.5 <= mant < 1
+        exp += shift - (mant == 0.5)  # sigma = 2^exp >= n * M
+        if not (math.isfinite(m) and exp <= 1022):  # sigma + r must stay finite
+            return arr.tolist()
+        sigma = math.ldexp(1.0, exp)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        r = np.subtract(r, q, out=None if r is arr else r)  # never writes arr
+
+
 def _fsum(arr: np.ndarray) -> float:
-    return math.fsum(arr.tolist())
+    """The exactly rounded sum of arr, bit for bit math.fsum(arr.tolist())."""
+    return math.fsum(_exact_parts(arr))
 
 
 def _noise(l1_scale: float, depth: int, levels: int) -> float:
@@ -412,7 +452,7 @@ def innermost_peel_residual(
     # iterate the innermost value directly so odd depths stay exact
     weights = _signed_powers(sl[-1], depth)
     k_of_n = (np.arange(1, depth + 1) + 1) // 2  # 1-based tail index for each n_r
-    fam_padded = np.concatenate(([0.0], fam, np.zeros(depth)))
+    fam_padded = np.concatenate(([0.0], fam, [0.0]))
     terms = weights * fam_padded[k_of_n]
     rhs = _fsum(terms)
     return lhs, rhs
@@ -437,29 +477,33 @@ def bottom_block_residual(
     exact bijection, so the residual is floating-point noise.  Returns
     (lhs, rhs).
     """
+    import numpy as np
     if k < 1:
         raise ValueError("k must be at least 1")
     sl, cfg = _setup(s, cfg)
-    r = len(sl)
     depth = cfg.depth
     lhs = alternating_chain_tail(k, sl, cfg).value
     half = depth // 2
-    terms: list[float] = []
-    for j in range(1, r + 1):
+    # the terms are grouped by l = k..half; the powers come from Python's
+    # float pow, whose rounding numpy's vectorised pow does not match on
+    # every CPU, and only the products and the sum run in numpy
+    even = np.arange(2 * k, 2 * half + 1, 2, dtype=np.float64).tolist()  # 2l
+    odd = np.arange(2 * k + 1, depth + 1, 2, dtype=np.float64).tolist()  # 2l + 1 <= depth
+
+    def powers(base: list[float], exp: float) -> np.ndarray:
+        return np.fromiter(map(pow, base, repeat(exp)), np.float64, len(base))
+
+    parts: list[float] = []
+    for j in range(1, len(sl) + 1):
         prefix = sl[: j - 1]
         fam = alternating_chain_tail_family(prefix, cfg)  # entry t-1 = tail_t(prefix)
+        # tail_{l+1}(prefix); past the family's end (l = half) it is 1 for
+        # the empty prefix (identically 1 at any bound) and 0 otherwise
+        rest = np.append(fam[k:], float(not prefix))[: len(even)]
         suffix_exp = sum(sl[j:])  # s_{j+1} + ... + s_r
         sj = sl[j - 1]
-        for ell in range(k, half + 1):
-            # tail_{ell+1}(prefix); past the family's end it is 1 for the
-            # empty prefix (identically 1 at any bound) and 0 otherwise
-            rest = float(fam[ell]) if ell < len(fam) else float(not prefix)
-            if rest == 0.0:
-                continue
-            even_v = 2 * ell
-            common = float(even_v) ** (-suffix_exp) if suffix_exp else 1.0
-            terms.append(common * float(even_v) ** (-sj) * rest)
-            if even_v + 1 <= depth:
-                terms.append(-common * float(even_v + 1) ** (-sj) * rest)
-    rhs = math.fsum(terms)
+        common = powers(even, -suffix_exp) if suffix_exp else np.ones(len(even))
+        parts += _exact_parts((common * powers(even, -sj)) * rest)
+        parts += _exact_parts((-common[: len(odd)] * powers(odd, -sj)) * rest[: len(odd)])
+    rhs = math.fsum(parts)
     return lhs, rhs

@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from zetagenus.series import (
     zeta,
     zeta_even_exact,
 )
+from zetagenus.verify import run_suite
 
 SMALL = EvalConfig(40)
 CLOSE = 5e-13
@@ -421,6 +423,131 @@ def test_symmetrize_calls_each_kernel_once_per_distinct_ordering(monkeypatch, s,
 
 
 # ---------------------------------------------------------------------------
+# Exactly rounded reduction
+# ---------------------------------------------------------------------------
+
+
+def _list_fsum(arr):
+    # the reduction as it was: every element through a Python list
+    return math.fsum(arr.tolist())
+
+
+def _same_sum(values):
+    arr = np.asarray(values, dtype=np.float64)
+    got, want = series._fsum(arr), _list_fsum(arr)
+    assert got.hex() == want.hex()  # bit for bit, sign of zero included
+    return got
+
+
+class _NoList(np.ndarray):
+    def tolist(self):
+        raise AssertionError("tolist called")
+
+
+def _wide_signed(rng, n, low, high):
+    return [rng.choice((-1.0, 1.0)) * rng.random() * 2.0 ** rng.randint(low, high) for _ in range(n)]
+
+
+def test_fsum_of_empty_and_zero_arrays():
+    assert _same_sum([]) == 0.0
+    for zeros in ([0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0] * 5):
+        _same_sum(zeros)
+
+
+def test_fsum_of_subnormals():
+    tiny = 5e-324
+    _same_sum([tiny] * 7)
+    _same_sum([tiny, -tiny, 3 * tiny, 2.2250738585072014e-308, -1e-310])
+    rng = random.Random(11)
+    _same_sum([rng.uniform(-1, 1) * 1e-310 for _ in range(500)])
+    _same_sum(_wide_signed(rng, 500, -1074, -1000))
+
+
+def test_fsum_of_exact_cancellation():
+    rng = random.Random(12)
+    for n in (1, 2, 50, 2000):
+        half = _wide_signed(rng, n, -60, 60)
+        both = half + [-x for x in half]
+        rng.shuffle(both)
+        assert _same_sum(both) == 0.0
+    _same_sum([1.0, 1e100, 1.0, -1e100])  # cancels all but 2.0
+    _same_sum([2.0**53, 1.0, -(2.0**53)])
+    _same_sum([1.0, 2.0**-53, 2.0**-106, -1.0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fsum_of_mixed_signs_over_a_wide_range(seed):
+    rng = random.Random(seed)
+    for n in (1, 3, 64, 1000, 30_000):
+        _same_sum(_wide_signed(rng, n, -1000, 1000))
+    # ties and half-ulp remainders, where a compensated sum can go wrong
+    _same_sum([rng.choice((1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-1074, 3.0)) for _ in range(999)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True), max_size=100))
+def test_fsum_matches_math_fsum_bit_for_bit(values):
+    _same_sum(values)
+
+
+@pytest.mark.parametrize("s", [1.06, 2.0, 3.7, 14.0])
+def test_fsum_of_series_terms(s):
+    _same_sum(series._signed_powers(s, 50_000))
+    _same_sum(series._powers(s, 50_000))
+
+
+def test_fsum_builds_no_list_without_overflow():
+    rng = random.Random(13)
+    arr = np.array(_wide_signed(rng, 5000, -1000, 1000)).view(_NoList)
+    assert series._fsum(arr) == _list_fsum(arr.view(np.ndarray))
+    assert series._fsum(np.zeros(3).view(_NoList)) == 0.0
+    assert series._fsum(np.zeros(0).view(_NoList)) == 0.0
+
+
+def test_fsum_falls_back_to_the_list_near_overflow():
+    calls = []
+
+    class Listing(np.ndarray):
+        def tolist(self):
+            calls.append(len(self))
+            return super().tolist()
+
+    for values in ([1e308, -1e308, 1.0], [1.7e308, 3.0, -1.6e308, 2.0**-1000], [8.9e307] * 2):
+        arr = np.array(values).view(Listing)
+        before = len(calls)
+        got = series._fsum(arr)
+        assert len(calls) == before + 1  # sigma would overflow: the fallback ran
+        assert got.hex() == _list_fsum(arr.view(np.ndarray)).hex()
+    # where math.fsum itself overflows, so does the fallback
+    with pytest.raises(OverflowError):
+        series._fsum(np.array([1e308, 1e308, -1e308]))
+
+
+def test_fsum_of_non_finite_values_follows_math_fsum():
+    assert series._fsum(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(series._fsum(np.array([1.0, math.nan])))
+    with pytest.raises(ValueError):
+        series._fsum(np.array([math.inf, -math.inf]))
+
+
+SUITE_OPTIONS = {
+    "main": {"max_k": 3},
+    "ahat": {"max_k": 3},
+    "hoffman": {"max_r": 3, "samples": 4, "seed": 3},
+    "multiple-eta": {"max_r": 3, "samples": 4, "seed": 4},
+    "positivity": {"samples": 6, "recurrence_samples": 6, "seed": 5},
+}
+
+
+@pytest.mark.parametrize("depth", [1001, 1200])
+@pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+def test_reports_do_not_depend_on_the_reduction(monkeypatch, suite, depth):
+    report = run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines()
+    monkeypatch.setattr(series, "_fsum", _list_fsum)
+    assert run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines() == report
+
+
+# ---------------------------------------------------------------------------
 # Recurrence residuals
 # ---------------------------------------------------------------------------
 
@@ -438,6 +565,64 @@ def test_innermost_peel_residual_is_float_noise(depth, s):
 def test_bottom_block_residual_is_float_noise(depth, k, s):
     lhs, rhs = bottom_block_residual(k, s, _cfg(depth))
     assert abs(lhs - rhs) < 1e-10
+
+
+def _peel_rhs_by_list(s, cfg):
+    # the former right-hand side: a depth-long zero pad, summed via a list
+    depth = cfg.depth
+    if len(s) == 1:
+        fam = np.ones((depth + 1) // 2)
+    else:
+        fam = alternating_chain_tail_family(s[:-1], cfg)
+    weights = series._signed_powers(s[-1], depth)
+    k_of_n = (np.arange(1, depth + 1) + 1) // 2
+    fam_padded = np.concatenate(([0.0], fam, np.zeros(depth)))
+    return math.fsum((weights * fam_padded[k_of_n]).tolist())
+
+
+def _block_rhs_by_loop(k, s, cfg):
+    # the former right-hand side: one Python float per term, then fsum
+    depth = cfg.depth
+    half = depth // 2
+    terms = []
+    for j in range(1, len(s) + 1):
+        prefix = s[: j - 1]
+        fam = alternating_chain_tail_family(prefix, cfg)
+        suffix_exp = sum(s[j:])
+        sj = s[j - 1]
+        for ell in range(k, half + 1):
+            rest = float(fam[ell]) if ell < len(fam) else float(not prefix)
+            if rest == 0.0:
+                continue
+            even_v = 2 * ell
+            common = float(even_v) ** (-suffix_exp) if suffix_exp else 1.0
+            terms.append(common * float(even_v) ** (-sj) * rest)
+            if even_v + 1 <= depth:
+                terms.append(-common * float(even_v + 1) ** (-sj) * rest)
+    return math.fsum(terms)
+
+
+def _seeded_recurrence_cases(seed):
+    rng = random.Random(seed)
+    for depth in (2, 3, 40, 41, 999, 1000):
+        for r in (1, 2, 3):
+            s = [rng.uniform(1.06, 9.0) for _ in range(r)]
+            for k in (1, rng.randint(1, max(depth // 2, 1)), depth // 2, depth // 2 + 1):
+                yield depth, k, s
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_peel_rhs_is_bit_identical_to_the_list_sum(seed):
+    for depth, _, s in _seeded_recurrence_cases(seed):
+        cfg = _cfg(depth)
+        assert innermost_peel_residual(s, cfg)[1] == _peel_rhs_by_list(s, cfg)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_rhs_is_bit_identical_to_the_term_loop(seed):
+    for depth, k, s in _seeded_recurrence_cases(seed):
+        cfg = _cfg(depth)
+        assert bottom_block_residual(k, s, cfg)[1] == _block_rhs_by_loop(k, s, cfg)
 
 
 def test_bottom_block_guard():
