@@ -24,7 +24,6 @@ from .formal import (
     check_mobius_inversion,
     monomial_poly,
     power_sum_poly,
-    signed_power_sum_poly,
     substitute_exact,
     substitute_float,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "FormalPolynomial",
     "power_sum_poly",
     "monomial_poly",
-    "signed_power_sum_poly",
     "chain_sum_poly_symmetrized",
     "check_mobius_inversion",
     "check_chain_inversion",

@@ -30,7 +30,7 @@ from typing import Optional
 
 import click
 
-from .genus import GenusSpec, coefficient_closed_form, coefficient_table
+from .genus import GenusSpec, check_table_degree, coefficient_closed_form, coefficient_table
 from .render import (
     render_poly_json,
     render_poly_latex,
@@ -61,7 +61,13 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 
 def _load_genus(name: str, order: int) -> GenusSpec:
-    """Resolve a genus name or a custom-series JSON file path."""
+    """Resolve a genus name or a custom-series JSON path for degrees up to
+    order.  An order past the cap is refused first, before any series is
+    built; after this, the exact routes the commands call raise no ValueError."""
+    try:
+        check_table_degree(order)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if name == "L":
         return GenusSpec.l_genus(order)
     if name == "Ahat":
@@ -113,11 +119,7 @@ def coeff(genus: str, partition: str, out: Optional[str]) -> None:
     """Print one exact coefficient as a reduced fraction."""
     parts = _parse_partition(partition)
     spec = _load_genus(genus, sum(parts))
-    try:
-        value = coefficient_closed_form(spec, parts)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    _emit(str(value), out)
+    _emit(str(coefficient_closed_form(spec, parts)), out)
 
 
 @cli.command()
@@ -136,10 +138,7 @@ def poly(genus: str, k: int, fmt: str, out: Optional[str]) -> None:
     if k < 0:
         raise ConfigError("k must be nonnegative")
     spec = _load_genus(genus, max(k, 1))
-    try:
-        table = coefficient_table(spec, k) if k >= 1 else None
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    table = coefficient_table(spec, k) if k >= 1 else None
     if fmt == "text":
         rendered = render_poly_text(table)
     elif fmt == "latex":
@@ -168,8 +167,6 @@ def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> N
     spec = _load_genus(genus, max_k)
     try:
         tables = tables_with_cache(spec, max_k, cache)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     except OSError as exc:
         raise ConfigError(f"cache {cache}: {exc}")
     rendered = render_table_csv(tables) if fmt == "csv" else render_table_json(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import fsum
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -34,7 +35,6 @@ __all__ = [
     "check_size",
     "power_sum_poly",
     "monomial_poly",
-    "signed_power_sum_poly",
     "chain_sum_poly_symmetrized",
     "sum_over_coarsenings",
     "IdentityReport",
@@ -156,18 +156,12 @@ def _level_sum(
     return FormalPolynomial({m: Fraction(c) for m, c in counts.items() if c}, level_cap)
 
 
-def power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
-    """prod over blocks B of (sum_{n<=N} prod_{a in B} a_n): free nested sums."""
+def power_sum_poly(pi: SetPartition, level_cap: int, signed: bool = False) -> FormalPolynomial:
+    """prod over blocks B of (sum_{n<=N} prod_{a in B} a_n): free nested
+    sums; when signed, each term carries (-1)^(sum of levels)."""
     check_size(pi.length, level_cap)
     levels = itertools.product(range(1, level_cap + 1), repeat=pi.length)
-    return _level_sum(pi, levels, level_cap)
-
-
-def signed_power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
-    """Like power_sum_poly but each term carries (-1)^(sum of levels)."""
-    check_size(pi.length, level_cap)
-    levels = itertools.product(range(1, level_cap + 1), repeat=pi.length)
-    return _level_sum(pi, levels, level_cap, signed=True)
+    return _level_sum(pi, levels, level_cap, signed)
 
 
 def monomial_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
@@ -296,11 +290,14 @@ def check_chain_inversion(pi: SetPartition, level_cap: int) -> ChainInversionRep
     """
     lhs1 = chain_sum_poly_symmetrized(pi, level_cap).scale((-1) ** pi.length)
     rhs1 = sum_over_coarsenings(
-        pi, level_cap, signed_power_sum_poly, lambda rho: (-1) ** rho.length * mobius(pi, rho)
+        pi,
+        level_cap,
+        partial(power_sum_poly, signed=True),
+        lambda rho: (-1) ** rho.length * mobius(pi, rho),
     )
     first = _compare(f"chain-from-signed[{pi!r},N={level_cap}]", lhs1, rhs1)
 
-    lhs2 = signed_power_sum_poly(pi, level_cap).scale((-1) ** pi.length)
+    lhs2 = power_sum_poly(pi, level_cap, signed=True).scale((-1) ** pi.length)
     rhs2 = sum_over_coarsenings(
         pi, level_cap, chain_sum_poly_symmetrized, lambda rho: (-1) ** rho.length
     )

@@ -23,14 +23,19 @@ e_j renamed p_j.  There are three routes:
       F_0 = 1,   F_k = (1/k) * sum_{j=1..k} lambda_j * N_j * F_{k-j}
 
 * ``coefficient_closed_form`` is the paper's statement: one coefficient
-  from the lambda_k, combined over the lattice of set partitions of the
-  r index positions,
+  from the lambda_k, summed over the set partitions P of the r positions,
 
-      lambda_J = (1/prod_l alpha_l!) * sum over set partitions P of
-                 (-1)^(r - len(P)) * prod_blocks (|B|-1)! *
-                 prod_blocks lambda_{sum of j_i over B}
+      lambda_J = (1/prod_l alpha_l!) * sum over P of (-1)^(r - len(P)) *
+                 prod_{B in P} (|B|-1)! * lambda_{sum of j_i over B}
 
-  where alpha_l are the multiplicities of the parts of J.
+  with alpha the multiplicities of the distinct parts l of J.  A block's
+  factor depends only on the multiplicity vector 0 != beta <= alpha of
+  the parts it takes, so by the exponential formula (Stanley, Enumerative
+  Combinatorics vol. 2, section 5.1) lambda_J = [x^alpha] exp(G), with
+  G = sum_beta (-1)^(|beta|-1) (|beta|-1)! lambda_{beta.l} x^beta / beta!,
+  a sum over the prod_l (alpha_l + 1) points of the multiplicity grid in
+  place of Bell(r) set partitions.  ``monomial_to_power_sum`` keeps the
+  set-partition sum itself.
 
 * ``coefficient_table_oracle`` uses neither, nor the lambda_k: it works
   on partitions alone, matching the coefficients of the monomials
@@ -45,12 +50,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping
 
 from .exact import PowerSeries, a_hat_series, l_genus_series
 from .partitions import (
-    MAX_GROUND_SIZE,
     IntegerPartition,
     PartitionLike,
     as_integer_partition,
@@ -66,13 +70,13 @@ __all__ = [
     "coefficient_table",
     "coefficient_table_oracle",
     "monomial_to_power_sum",
-    "check_parts",
     "check_table_degree",
     "check_oracle_degree",
 ]
 
-MAX_CLOSED_FORM_PARTS = MAX_GROUND_SIZE  # set-partition enumeration cap
-MAX_ORACLE_DEGREE = 8  # the cross-check range of `verify oracle`
+MAX_EXACT_DEGREE = 20  # tables, polynomials, signs and single coefficients
+# `verify oracle --k 12` takes about 1 s; each degree costs the oracle 2.5x the last
+MAX_ORACLE_DEGREE = 12
 MAX_MONOMIAL_WEIGHT = 12
 
 
@@ -154,24 +158,18 @@ def leading_coefficients(genus: GenusSpec, count: int) -> list[Fraction]:
     return list(_leading_from_series(genus.series, count))
 
 
-def check_parts(r: int) -> None:
-    """Refuse a closed-form coefficient with more than MAX_CLOSED_FORM_PARTS parts."""
-    if r > MAX_CLOSED_FORM_PARTS:
-        raise ValueError(
-            f"{r} parts needs {r}-element set-partition enumeration; cap is "
-            f"{MAX_CLOSED_FORM_PARTS}"
-        )
-
-
 def check_table_degree(k: int) -> None:
-    """Refuse a table past degree MAX_CLOSED_FORM_PARTS, so that every entry
-    (1^k has k parts) stays checkable by the closed form; the recurrence
-    itself has no such limit."""
-    if k > MAX_CLOSED_FORM_PARTS:
+    """Refuse a table, or a coefficient of weight k, past MAX_EXACT_DEGREE.
+
+    The cap is set from cost: the tables of degrees 1..20 take about
+    0.7 s, each further degree about 1.5 times as long as the last, and
+    the closed form rechecks all 627 entries of degree 20 in about 2 s.
+    """
+    if k > MAX_EXACT_DEGREE:
         raise ValueError(
-            f"degree {k} is past the table cap {MAX_CLOSED_FORM_PARTS}: every table "
-            "entry must stay checkable by the closed form, which takes at most "
-            f"{MAX_CLOSED_FORM_PARTS} parts"
+            f"degree {k} is past the exact-layer cap {MAX_EXACT_DEGREE}: the "
+            f"tables of degrees 1..{MAX_EXACT_DEGREE} take under a second, and "
+            "each further degree costs about 1.5 times the last"
         )
 
 
@@ -181,41 +179,39 @@ def check_oracle_degree(k: int) -> None:
         raise ValueError(f"oracle supports degrees 1..{MAX_ORACLE_DEGREE}, got {k}")
 
 
-@lru_cache(maxsize=None)
-def _block_sum_weights(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The signed set-partition sum over the positions of parts, aggregated
-    by multiset of block sums: sorted (block sums, total weight) pairs.
-
-    The genus- and basis-independent half of both the closed coefficient
-    formula and the monomial expansion.
-    """
-    weights: dict[tuple[int, ...], int] = {}
-
-    def add(w: int, sums: list[int]) -> None:
-        key = tuple(sorted(sums))
-        weights[key] = weights.get(key, 0) + w
-
-    signed_block_sums(parts, add)
-    return tuple(sorted(weights.items()))
-
-
 def coefficient_closed_form(genus: GenusSpec, partition: PartitionLike) -> Fraction:
-    """lambda_J for one partition, by the set-partition combination formula."""
+    """lambda_J = F_alpha for F = exp(G), by the grid recurrence
+    beta_i F_beta = sum_{gamma <= beta, gamma_i >= 1} gamma_i G_gamma F_{beta-gamma},
+    i the first nonzero coordinate of beta.  Points are numbered in mixed
+    radix, last coordinate fastest, so beta - gamma is idx(beta) - idx(gamma)."""
     J = as_integer_partition(partition)
     if len(J) == 0:
         raise ValueError("partition must have at least one part")
     k = J.weight
+    check_table_degree(k)
     if genus.order < k:
         raise ValueError(f"genus series order {genus.order} too small for weight {k}")
-    check_parts(len(J))
     lam = _leading_from_series(genus.series, k)
-    total = Fraction(0)
-    for key, w in _block_sum_weights(J.parts):
-        prod = Fraction(w)
-        for s in key:
-            prod *= lam[s - 1]
-        total += prod
-    return total / J.symmetry_factor()
+    mult = J.multiplicities()
+    ell, alpha = tuple(mult), tuple(mult.values())
+    grid = list(product(*(range(a + 1) for a in alpha)))
+    stride = [math.prod(a + 1 for a in alpha[i + 1 :]) for i in range(len(alpha))]
+    G = [Fraction(0)]  # each G_beta once, before any product uses it
+    for beta in grid[1:]:
+        n = sum(beta)
+        weight = sum(x * l for x, l in zip(beta, ell))
+        w = (-1) ** (n - 1) * math.factorial(n - 1)
+        G.append(lam[weight - 1] * Fraction(w, math.prod(map(math.factorial, beta))))
+    F = [Fraction(1)]
+    for b, beta in enumerate(grid[1:], 1):
+        i = next(j for j, x in enumerate(beta) if x)
+        ranges = [range(1, x + 1) if j == i else range(x + 1) for j, x in enumerate(beta)]
+        acc = Fraction(0)
+        for gamma in product(*ranges):
+            g = sum(x * s for x, s in zip(gamma, stride))
+            acc += gamma[i] * G[g] * F[b - g]
+        F.append(acc / beta[i])
+    return F[-1]
 
 
 @lru_cache(maxsize=None)
@@ -281,11 +277,15 @@ def monomial_to_power_sum(partition: PartitionLike) -> dict[IntegerPartition, Fr
         raise ValueError(
             f"weight {I.weight} exceeds the supported cap {MAX_MONOMIAL_WEIGHT}"
         )
+    weights: dict[tuple[int, ...], int] = {}
+
+    def add(w: int, sums: list[int]) -> None:
+        key = tuple(sorted(sums))
+        weights[key] = weights.get(key, 0) + w
+
+    signed_block_sums(I.parts, add)
     af = I.symmetry_factor()
-    return {
-        IntegerPartition(key): Fraction(w, af)
-        for key, w in _block_sum_weights(I.parts)
-    }
+    return {IntegerPartition(key): Fraction(w, af) for key, w in sorted(weights.items())}
 
 
 # --- the partitions-only oracle ---------------------------------------------

@@ -242,9 +242,9 @@ def signed_block_sums(values: Sequence, visit: Callable[[int, list], None]) -> N
     lexicographic RGS order of iter_set_partitions.  The sums list is
     reused between calls, so visit must copy whatever it keeps.
 
-    This is the signed set-partition sum behind the closed coefficient
-    formula, the monomial expansion and the Hoffman-type identities; it
-    builds no SetPartition, because it is the hot loop of table exports.
+    This is the signed set-partition sum behind the monomial expansion
+    and the Hoffman-type identities; it builds no SetPartition, which
+    keeps it cheap.
     """
     r = len(values)
     _check_ground_size(r)

@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -87,6 +88,7 @@ __all__ = [
 DEFAULT_SEED = 1729
 SAMPLE_DEPTH = 50_000  # matched-truncation identity checks
 AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
+MAX_SERIES_DEGREE = 12  # the degree cap of main and ahat
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8
 
@@ -174,49 +176,47 @@ def _partition_label(pi: SetPartition) -> str:
     return "|".join("".join(str(a) for a in block) for block in pi.blocks)
 
 
-def _main_checks(max_k: int, depth: Optional[int], tol: float, margin: float) -> Checks:
-    """Exact L coefficients against pi-normalized chained alternating sums.
+def _genus_checks(
+    genus_of: Callable[[int], GenusSpec],
+    kernel: str,
+    label: str,
+    scale: Callable[[float, int, float], float],
+    max_k: int,
+    depth: Optional[int],
+    tol: float,
+    margin: float,
+) -> Checks:
+    """Exact genus coefficients against pi-normalized symmetrized sums.
 
     For each partition J = (j_1 >= ... >= j_r) of each k <= max_k the
-    exact coefficient h_J is compared with
-
-        (-1)^r / (prod of multiplicity factorials)
-        * 2^(2k) / pi^(2k) * symmetrize("T", (2 j_1, ..., 2 j_r))
-
-    to relative tolerance tol.  Without a depth, each partition uses the
-    default depth for its number of parts.
+    exact coefficient is compared, to relative tolerance tol, with
+    scale((-1)^r / (prod of multiplicity factorials), k, symmetrize(kernel,
+    (2 j_1, ..., 2 j_r))): for main the L genus, chained alternating sums
+    (T) and 2^(2k) / pi^(2k); for ahat the A-hat genus, non-strict nested
+    zetas (S), whose 1/N outer tails need a large depth, and (2 pi)^(-2k).
+    Without a depth, each partition uses the default for its r.
     """
-    check_table_degree(max_k)
-    genus = GenusSpec.l_genus(max_k)
+    if max_k > MAX_SERIES_DEGREE:  # `verify main --k 12` takes about 78 s
+        raise ValueError(f"degree {max_k} is past the main and ahat table cap {MAX_SERIES_DEGREE}")
+    genus = genus_of(max_k)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
             r = len(part)
             cfg = EvalConfig(default_config(r).depth if depth is None else depth, margin)
-            sym = symmetrize("T", [2.0 * j for j in part.parts], cfg)
+            sym = symmetrize(kernel, [2.0 * j for j in part.parts], cfg)
             sign = -1.0 if r % 2 else 1.0
-            approx = sign / part.symmetry_factor() * 4.0**k / math.pi ** (2 * k) * sym.value
-            yield _relative_check(f"h[{part}]", table[part], approx, tol)
+            approx = scale(sign / part.symmetry_factor(), k, sym.value)
+            yield _relative_check(f"{label}[{part}]", table[part], approx, tol)
 
 
-def _ahat_checks(max_k: int, depth: int, tol: float, margin: float) -> Checks:
-    """Exact A-hat coefficients against non-strict nested zeta sums.
+# Each suite keeps its own float expression order, so its reports do not move.
+def _main_scale(c: float, k: int, value: float) -> float:
+    return c * 4.0**k / math.pi ** (2 * k) * value
 
-    Same shape as the main suite with kernel S and normalization
-    (2 pi)^(2k).  The non-strict sums have 1/N outer tails, hence the
-    large default depth.
-    """
-    check_table_degree(max_k)
-    genus = GenusSpec.a_hat(max_k)
-    cfg = EvalConfig(depth, margin)
-    for k in range(1, max_k + 1):
-        table = coefficient_table(genus, k)
-        for part in integer_partitions(k):
-            r = len(part)
-            sym = symmetrize("S", [2.0 * j for j in part.parts], cfg)
-            sign = -1.0 if r % 2 else 1.0
-            approx = sign / part.symmetry_factor() * sym.value / (2.0 * math.pi) ** (2 * k)
-            yield _relative_check(f"a[{part}]", table[part], approx, tol)
+
+def _ahat_scale(c: float, k: int, value: float) -> float:
+    return c * value / (2.0 * math.pi) ** (2 * k)
 
 
 def _sampled_tuples(
@@ -390,9 +390,9 @@ def _oracle_checks(max_k: int) -> Checks:
 
     The oracle solves a triangular system over the partitions of k alone;
     it shares no code path with the log/exp recurrence behind the tables
-    or with the paper's set-partition closed form, so exact agreement of
-    all three on every partition is a genuine cross-check.  A partition
-    counts as bad when either route differs from the oracle.
+    or with the paper's closed form on the multiplicity grid, so exact
+    agreement of all three on every partition is a genuine cross-check.
+    A partition counts as bad when either route differs from the oracle.
     """
     if max_k >= 1:
         check_oracle_degree(max_k)  # refuse before the first table is built
@@ -456,9 +456,15 @@ _SAMPLED = (
 )
 
 _SUITES: dict[str, _Suite] = {
-    "main": _Suite(_main_checks, (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)), _MARGIN),
+    "main": _Suite(
+        partial(_genus_checks, GenusSpec.l_genus, "T", "h", _main_scale),
+        (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)),
+        _MARGIN,
+    ),
     "ahat": _Suite(
-        _ahat_checks, (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)), _MARGIN
+        partial(_genus_checks, GenusSpec.a_hat, "S", "a", _ahat_scale),
+        (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)),
+        _MARGIN,
     ),
     "hoffman": _Suite(_hoffman_checks, _SAMPLED, _MARGIN),
     "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED, _MARGIN),

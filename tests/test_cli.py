@@ -17,7 +17,8 @@ from zetagenus.cli import cli
 from zetagenus.genus import GenusSpec
 from zetagenus.partitions import IntegerPartition
 from zetagenus.render import parse_table_json, read_cache
-from zetagenus import verify
+from zetagenus import genus as genus_module
+from zetagenus import partitions, verify
 from zetagenus.verify import available_suites, run_suite
 
 F = Fraction
@@ -340,23 +341,40 @@ def test_verify_rejects_too_many_orderings_before_summing(runner):
         assert "distinct orderings" in result.output
 
 
-_TABLE_CAP = "degree 13 is past the table cap 12"
+_EXACT_CAP = "degree 21 is past the exact-layer cap 20"
+_SERIES_CAP = "degree 13 is past the main and ahat table cap 12"
+_DEEP_CAP = "degree 150 is past the exact-layer cap 20"
 
 
 @pytest.mark.parametrize(
     "args,message",
     [
         # explicit ids: the message would make the test names over-long
-        pytest.param(["table", "--genus", "L", "--max-k", "13"], _TABLE_CAP, id="args0-table cap"),
-        pytest.param(["verify", "main", "--k", "13"], _TABLE_CAP, id="args1-table cap"),
-        pytest.param(["verify", "signs", "--k", "13"], _TABLE_CAP, id="args2-table cap"),
-        pytest.param(["poly", "--genus", "L", "--k", "13"], _TABLE_CAP, id="args3-table cap"),
-        (["verify", "oracle", "--k", "9"], "oracle supports degrees 1..8, got 9"),
+        pytest.param(["table", "--genus", "L", "--max-k", "21"], _EXACT_CAP, id="args0-table cap"),
+        pytest.param(["verify", "main", "--k", "13"], _SERIES_CAP, id="args1-table cap"),
+        pytest.param(["verify", "signs", "--k", "21"], _EXACT_CAP, id="args2-table cap"),
+        pytest.param(["poly", "--genus", "L", "--k", "21"], _EXACT_CAP, id="args3-table cap"),
+        pytest.param(
+            ["verify", "oracle", "--k", "13"], "oracle supports degrees 1..12, got 13",
+            id="args4-oracle cap",
+        ),
         (["verify", "formal", "--max-r", "4", "--n", "40"], "cap^blocks = 40^4 exceeds"),
         (["verify", "formal", "--max-r", "5"], "supports at most 4 blocks"),
-        pytest.param(["verify", "ahat", "--k", "13"], _TABLE_CAP, id="args7-table cap"),
-        # coeff does enumerate set partitions, so its message names them
-        (["coeff", "--genus", "L", "--partition", ",".join(["1"] * 13)], "13 parts needs 13-element"),
+        pytest.param(["verify", "ahat", "--k", "13"], _SERIES_CAP, id="args7-table cap"),
+        # coeff is capped by weight, however few its parts
+        pytest.param(
+            ["coeff", "--genus", "L", "--partition", ",".join(["1"] * 21)], _EXACT_CAP,
+            id="args8-coefficient cap",
+        ),
+        pytest.param(
+            ["coeff", "--genus", "L", "--partition", "21"], _EXACT_CAP, id="args9-coefficient cap"
+        ),
+        # far past the cap: refused before the series is built
+        pytest.param(["table", "--genus", "L", "--max-k", "150"], _DEEP_CAP, id="args10-deep table"),
+        pytest.param(["poly", "--genus", "L", "--k", "150"], _DEEP_CAP, id="args11-deep poly"),
+        pytest.param(
+            ["coeff", "--genus", "L", "--partition", "150"], _DEEP_CAP, id="args12-deep coeff"
+        ),
     ],
 )
 def test_out_of_range_inputs_fail_before_any_work(runner, tmp_path, args, message):
@@ -534,6 +552,51 @@ def test_sampled_suites_evaluate_each_block_sum_once(monkeypatch, suite, functio
     assert report.render() == plain
     assert report.passed
     assert len(seen) == len(set(seen)) == 2 * (1 + 3 + 7)
+
+
+def test_signs_suite_passes_to_degree_twenty():
+    # The paper's theorem: every coefficient is nonzero with the expected sign.
+    report = run_suite("signs", max_k=20)
+    assert report.passed
+    assert len(report.checks) == 40
+
+
+def test_oracle_suite_passes_at_its_cap():
+    report = run_suite("oracle", max_k=12)
+    assert report.passed
+    assert len(report.checks) == 24
+
+
+def _no_set_partitions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("set partitions were enumerated")
+
+    for module in (partitions, genus_module, verify):
+        for name in ("signed_block_sums", "iter_set_partitions"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coeff", "--genus", "L", "--partition", ",".join(["1"] * 20)],
+        ["coeff", "--genus", "Ahat", "--partition", "3,3,2,2" + ",1" * 10],
+        ["table", "--genus", "L", "--max-k", "14", "--format", "json"],
+        ["poly", "--genus", "Ahat", "--k", "14"],
+        ["verify", "signs", "--k", "14"],
+        ["verify", "oracle", "--k", "9"],
+        ["verify", "main", "--k", "2"],
+        ["verify", "ahat", "--k", "2", "--depth", "20000", "--tol", "1e-3"],
+    ],
+    ids=["coeff-1^20", "coeff-3,3,2,2,1^10", "table", "poly", "signs", "oracle", "main", "ahat"],
+)
+def test_no_production_route_enumerates_set_partitions(runner, monkeypatch, tmp_path, args):
+    _no_set_partitions(monkeypatch)
+    if args[0] == "table":
+        args = args + ["--out", str(tmp_path / "t.json")]
+    result = _invoke(runner, args)
+    assert result.exit_code == 0, result.output
 
 
 def test_main_suite_passes_to_degree_seven():

@@ -19,7 +19,6 @@ from zetagenus.formal import (
     check_mobius_inversion,
     monomial_poly,
     power_sum_poly,
-    signed_power_sum_poly,
     substitute_exact,
     substitute_float,
 )
@@ -60,9 +59,9 @@ def test_power_sum_factorises_over_blocks():
 
 
 def test_signed_power_sum_flips_odd_levels():
-    got = signed_power_sum_poly(_pi((1,)), 2)
+    got = power_sum_poly(_pi((1,)), 2, signed=True)
     assert got == _poly({((1, 1),): -1, ((1, 2),): 1}, 2)
-    pair = signed_power_sum_poly(_pi((1, 2)), 2)
+    pair = power_sum_poly(_pi((1, 2)), 2, signed=True)
     assert pair == _poly({((1, 1), (2, 1)): -1, ((1, 2), (2, 2)): 1}, 2)
 
 
@@ -70,7 +69,7 @@ def test_signed_and_unsigned_power_sums_differ_by_level_parity():
     # One sign per block, carried by the block's shared level.
     for pi in enumerate_set_partitions(3):
         plain = power_sum_poly(pi, 3)
-        signed = signed_power_sum_poly(pi, 3)
+        signed = power_sum_poly(pi, 3, signed=True)
         for mono, c in plain.terms.items():
             levels = dict(mono)
             parity = sum(levels[block[0]] for block in pi.blocks) % 2
@@ -117,7 +116,7 @@ def test_chain_sum_frozen_expansion():
 
 def test_chain_sum_of_one_block_is_the_signed_sum():
     for pi in (_pi((1,)), _pi((1, 2)), _pi((1, 2, 3))):
-        assert chain_sum_poly_symmetrized(pi, 4) == signed_power_sum_poly(pi, 4)
+        assert chain_sum_poly_symmetrized(pi, 4) == power_sum_poly(pi, 4, signed=True)
 
 
 def test_chain_sum_term_signs_follow_level_parity():

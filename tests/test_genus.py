@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetagenus import genus as genus_module
+from zetagenus import partitions as partitions_module
 from zetagenus.exact import bernoulli
 from zetagenus.genus import (
-    MAX_CLOSED_FORM_PARTS,
+    MAX_EXACT_DEGREE,
     MAX_MONOMIAL_WEIGHT,
     MAX_ORACLE_DEGREE,
     CoefficientTable,
@@ -59,7 +60,7 @@ def spinor_genus():
 
 # Zero coefficients make whole degrees vanish (every odd degree below 5);
 # their tables must still hold every partition, with Fraction(0) entries.
-SPARSE_COEFFICIENTS = (1, 0, 1, 0, 0, F(1, 3), 0, F(-2, 7), 0, 0, 5)
+SPARSE_COEFFICIENTS = (1, 0, 1, 0, 0, F(1, 3), 0, F(-2, 7), 0, 0, 5, 0, F(3, 11))
 
 
 def _three_genera(order):
@@ -111,10 +112,42 @@ def test_closed_form_matches_table_entries():
         assert all(c == 0 for _, c in coefficient_table(sparse, k).items())
 
 
+def test_closed_form_equals_the_literal_set_partition_sum():
+    # The paper's sum over the set partitions of J's positions is
+    # sum_K [p_K] m_J * prod_i lambda_{K_i}, with [p_K] m_J enumerated.
+    expansions = {
+        J: monomial_to_power_sum(J)
+        for k in range(1, 13)
+        for J in integer_partitions(k)
+        if len(J) <= 8
+    }
+    for genus in _three_genera(12):
+        lam = leading_coefficients(genus, 12)
+        for J, expansion in expansions.items():
+            literal = sum(
+                c * math.prod(lam[s - 1] for s in K.parts) for K, c in expansion.items()
+            )
+            assert coefficient_closed_form(genus, J) == literal
+
+
+def test_closed_form_needs_no_set_partition_enumeration(monkeypatch):
+    for module, name in (
+        (genus_module, "signed_block_sums"),
+        (partitions_module, "signed_block_sums"),
+        (partitions_module, "iter_set_partitions"),
+    ):
+        monkeypatch.setattr(module, name, _raise)
+    for genus in (GenusSpec.l_genus(20), GenusSpec.a_hat(20)):
+        for J, c in coefficient_table(genus, 14).items():
+            assert coefficient_closed_form(genus, J) == c
+        table = coefficient_table(genus, 20)
+        for parts in ((1,) * 20, (2,) * 10, (3, 3, 2, 2) + (1,) * 10):
+            assert coefficient_closed_form(genus, parts) == table[parts]
+
+
 def test_tables_need_no_set_partition_enumeration(monkeypatch):
     genus_module._level.cache_clear()
     monkeypatch.setattr(genus_module, "signed_block_sums", _raise)
-    monkeypatch.setattr(genus_module, "_block_sum_weights", _raise)
     for genus in (GenusSpec.l_genus(12), GenusSpec.a_hat(12)):
         for k in range(1, 13):
             table = coefficient_table(genus, k)
@@ -152,7 +185,6 @@ def test_oracle_shares_no_code_with_the_recurrence(monkeypatch):
         "_level",
         "_newton",
         "_leading_from_series",
-        "_block_sum_weights",
         "signed_block_sums",
     ):
         monkeypatch.setattr(genus_module, name, _raise)
@@ -324,8 +356,11 @@ def test_genus_requires_unit_constant_term():
 def test_closed_form_guards(signature_genus):
     with pytest.raises(ValueError):
         coefficient_closed_form(signature_genus, ())
-    with pytest.raises(ValueError):
-        coefficient_closed_form(signature_genus, (1,) * (MAX_CLOSED_FORM_PARTS + 1))
+    # Past the exact-layer cap, by weight, even where the series reaches.
+    deep = GenusSpec.l_genus(MAX_EXACT_DEGREE + 1)
+    for parts in ((1,) * (MAX_EXACT_DEGREE + 1), (MAX_EXACT_DEGREE + 1,)):
+        with pytest.raises(ValueError, match="exact-layer cap"):
+            coefficient_closed_form(deep, parts)
     # Weight exceeding the series order must fail rather than zero-fill.
     with pytest.raises(ValueError):
         coefficient_closed_form(GenusSpec.l_genus(2), (3,))
