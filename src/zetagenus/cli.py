@@ -83,7 +83,7 @@ def _load_genus(name: str, order: int) -> GenusSpec:
             Fraction(int(e["num"]), int(e["den"])) for e in doc["coefficients"]
         ]
         genus = GenusSpec.from_coefficients(str(doc["name"]), coeffs)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot load genus from {name}: {exc}")
     if genus.order < order:
         raise ConfigError(

@@ -2,34 +2,34 @@
 
 All evaluators share the same truncation semantics: a depth N caps every
 summation index, so an r-fold sum runs over the part of its index region
-inside the box {1..N}^r.  Each sum has one code path: zeta is the
-one-level case of the monotone nested sum behind multiple_zeta and
-multiple_zeta_star, and the chained sum is its own tail from the first
-index on.  Values are plain float64; each comes with an err_bound field
-holding a truncation estimate:
+inside the box {1..N}^r.  Every kernel folds one level step, _step, over
+its exponents: zeta is the one-level case of the monotone nested sum
+behind multiple_zeta and multiple_zeta_star, the chained sum is its own
+tail from the first index on, and symmetrize sums a kernel over all
+orderings by a DP over sub-multisets of the exponents on the same step.
+Values are plain float64; each comes with an err_bound field holding a
+truncation estimate:
 
 * monotone sums (zeta, multiple_zeta, multiple_zeta_star) use an
   integral tail bound for the outer index times partial-sum bounds for
   the inner ones, which is a genuine upper bound;
 * alternating sums (dirichlet_eta, the chained sums) use the magnitude
-  of the first omitted outer term with a safety factor, which is a
-  heuristic estimate validated by the depth-doubling tests (for eta, the
-  one-level case, it is a proved bound).
+  of the first omitted outer term with a safety factor, a heuristic
+  estimate validated by the depth-doubling tests (for eta, the one-level
+  case, a proved bound).
 
 A small floating-point noise allowance is folded into every bound.
-Final reductions are exactly rounded, bit for bit what math.fsum over the
-terms gives: error-free extraction (Rump, Ogita and Oishi, "Accurate
+Final reductions are exactly rounded, bit for bit math.fsum over the
+terms: error-free extraction (Rump, Ogita and Oishi, "Accurate
 floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008)
 splits the array, in plain numpy adds, into a few float64 partial sums
-whose total is exact, and math.fsum rounds those once.  Intermediate
-per-level prefix sums are sequential float64 cumulative sums in fixed
-ascending-index order, so single-threaded runs are bitwise reproducible.
-numpy is imported inside the functions that build arrays, so it loads
-when a series is first evaluated and never for the exact commands.
+whose exact total math.fsum rounds once.  Level sums are sequential
+cumulative sums in fixed index order, so runs are bitwise reproducible.
+numpy loads when a series is first evaluated, never for exact commands.
 
-For even integer arguments the exact values are available as rational
-multiples of powers of pi through zeta_even_exact and
-dirichlet_eta_even_exact; verification code prefers those where it can.
+For even integer arguments the exact values are rational multiples of
+powers of pi (zeta_even_exact, dirichlet_eta_even_exact); verification
+code prefers those where it can.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exact import bernoulli
 
@@ -63,7 +63,7 @@ __all__ = [
     "alternating_chain_tail",
     "alternating_chain_tail_family",
     "symmetrize",
-    "distinct_orderings",
+    "check_symmetrize_size",
     "innermost_peel_residual",
     "bottom_block_residual",
 ]
@@ -72,7 +72,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MARGIN = 0.05
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
-MAX_SYMMETRIZE_ORDERINGS = 720  # 6!: six distinct exponents
+MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.7 s, 70 MB at depth 2e5; 8 take 2x
 
 _EPS = sys.float_info.epsilon
 
@@ -147,13 +147,6 @@ def _powers(s: float, depth: int) -> np.ndarray:
     return p
 
 
-def _signed_powers(s: float, depth: int) -> np.ndarray:
-    """(-1)^n n^(-s) for n = 1..depth (fresh writable array)."""
-    p = _powers(s, depth).copy()
-    p[0::2] = -p[0::2]
-    return p
-
-
 def _exact_parts(arr: np.ndarray) -> list[float]:
     """A few floats whose exact sum is the exact sum of arr.
 
@@ -202,7 +195,7 @@ def _noise(l1_scale: float, depth: int, levels: int) -> float:
 def zeta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
     """Truncated zeta(s) = sum_{n<=N} n^(-s) with an integral tail bound:
     the one-level nested sum."""
-    return _nested_monotone(*_setup([s], cfg), strict=True)
+    return _nested_monotone("strict", *_setup([s], cfg))
 
 
 def zeta_even_exact(k: int) -> Fraction:
@@ -221,8 +214,7 @@ def dirichlet_eta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
     chained sum.  Its estimate 2 (N+1)^(-s) is twice the first omitted
     term, which bounds the tail of an alternating series with decreasing
     terms."""
-    sl, cfg = _setup([s], cfg)
-    sv = _chain_from(sl, cfg.depth, 1)
+    sv = alternating_chain_sum([s], cfg)
     return SeriesValue(-sv.value, sv.err_bound)
 
 
@@ -233,27 +225,52 @@ def dirichlet_eta_even_exact(k: int) -> Fraction:
     return Fraction(2 ** (2 * k - 1) - 1, factorial(2 * k)) * bernoulli(k)
 
 
-def _nested_monotone(s: list[float], cfg: EvalConfig, strict: bool) -> SeriesValue:
-    """Shared DP for the strict (>) and non-strict (>=) nested zeta sums.
-
-    Level arrays are indexed by the value of one summation index; each
-    outer level multiplies its power weights by a prefix sum of the level
-    below (shifted by one position in the strict case).
-    """
+def _step(kernel: str, x: float, level: np.ndarray | None, depth: int) -> np.ndarray:
+    """The level after `level` (or the first) for exponent x, in a fresh
+    array but for the monotone first level, the cached read-only powers.
+    "S" and "strict" add an outer index: n^(-x) times the prefix sum of
+    level, shifted by one for strict.  "T" adds an inner index: (-1)^n
+    n^(-x) times the suffix sum less, at odd n, the equal term."""
     import numpy as np
+    if level is None and kernel != "T":
+        return _powers(x, depth)
+    out = np.empty(depth)
+    if level is None:
+        out.fill(1.0)
+    elif kernel == "T":
+        np.cumsum(level[::-1], out=out[::-1])
+        out[0::2] -= level[0::2]
+    elif kernel == "S":
+        np.cumsum(level, out=out)
+    else:
+        out[0] = 0.0
+        np.cumsum(level[:-1], out=out[1:])
+    out *= _powers(x, depth)
+    if kernel == "T":
+        np.negative(out[0::2], out=out[0::2])
+    return out
+
+
+def _tail_factor(kernel: str, x: float, depth: int, first: bool) -> float:
+    """x's factor in an ordering's truncation estimate, a product over its
+    exponents: first, the outer index's integral tail bound ("T": twice the
+    first omitted term); later, partial sum plus tail ("T": 1 + 2^(-x))."""
+    if kernel == "T":
+        return 2.0 * float(depth + 1) ** (-x) if first else 1.0 + 2.0 ** (-x)
+    tail = depth ** (1.0 - x) / (x - 1.0)
+    return tail if first else float(_powers(x, depth).sum()) + tail
+
+
+def _nested_monotone(kernel: str, s: list[float], cfg: EvalConfig) -> SeriesValue:
+    """The "strict" (>) or "S" (>=) nested zeta sum, folded over _step from
+    the innermost exponent out; a level is indexed by one index's value."""
     depth = cfg.depth
-    level = _powers(s[-1], depth)
-    for j in range(len(s) - 2, -1, -1):
-        prefix = np.cumsum(level)
-        if strict:
-            prefix = np.concatenate(([0.0], prefix[:-1]))
-        level = _powers(s[j], depth) * prefix
+    level = None
+    for x in reversed(s):
+        level = _step(kernel, x, level, depth)
     value = _fsum(level)
-    inner_bound = 1.0
-    for sj in s[1:]:
-        partial = float(_powers(sj, depth).sum())
-        inner_bound *= partial + depth ** (1.0 - sj) / (sj - 1.0)
-    tail = depth ** (1.0 - s[0]) / (s[0] - 1.0) * inner_bound
+    inner_bound = math.prod(_tail_factor(kernel, sj, depth, False) for sj in s[1:])
+    tail = _tail_factor(kernel, s[0], depth, True) * inner_bound
     return SeriesValue(value, tail + _noise(value, depth, len(s)))
 
 
@@ -262,7 +279,7 @@ def multiple_zeta(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesVa
 
     sum over n_1 > n_2 > ... > n_r >= 1 (all <= depth) of prod n_i^(-s_i).
     """
-    return _nested_monotone(*_setup(s, cfg), strict=True)
+    return _nested_monotone("strict", *_setup(s, cfg))
 
 
 def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -270,25 +287,28 @@ def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> Ser
 
     sum over n_1 >= n_2 >= ... >= n_r >= 1 (all <= depth) of prod n_i^(-s_i).
     """
-    return _nested_monotone(*_setup(s, cfg), strict=False)
+    return _nested_monotone("S", *_setup(s, cfg))
 
 
-def _chain_final_level(s: list[float], depth: int) -> np.ndarray:
-    """Final-level array of the parity-chained alternating sum.
-
-    Entry n of the returned array is the signed sum over all chains
-    n_1 >=' n_2 >=' ... >=' n_r = n inside {1..depth}, where a >=' b
-    means a >= b with equality permitted only at even a.  Summing a
-    suffix of the array bounds the innermost index from below.
+def _chain_final_level(s: list[float], depth: int) -> np.ndarray | None:
+    """Final-level array of the parity-chained alternating sum, folded
+    over _step from the outermost exponent in; None for no exponents.
+    Entry n is the signed sum over all chains n_1 >=' ... >=' n_r = n in
+    {1..depth}, where a >=' b means a >= b with equality only at even a.
+    Summing a suffix of the array bounds the innermost index from below.
     """
-    import numpy as np
-    level = _signed_powers(s[0], depth)
-    for j in range(1, len(s)):
-        suffix = np.cumsum(level[::-1])[::-1]
-        # drop the equal-index term where the shared value is odd
-        suffix[0::2] -= level[0::2]
-        level = _signed_powers(s[j], depth) * suffix
+    level = None
+    for x in s:
+        level = _step("T", x, level, depth)
     return level
+
+
+def _tail_family(final: np.ndarray | None, half: int) -> np.ndarray:
+    """Entry k-1 is the chained sum with n_r >= 2k, k = 1..half; all 1 if final is None."""
+    import numpy as np
+    if final is None:
+        return np.ones(half, dtype=np.float64)
+    return np.cumsum(final[::-1])[::-1][1 : 2 * half : 2]
 
 
 def _chain_from(s: list[float], depth: int, base: int) -> SeriesValue:
@@ -297,11 +317,11 @@ def _chain_from(s: list[float], depth: int, base: int) -> SeriesValue:
     import numpy as np
     final = _chain_final_level(s, depth)[base - 1 :]
     value = _fsum(final)
-    est = 2.0 * float(depth + 1) ** (-s[0])
+    est = _tail_factor("T", s[0], depth, True)
     if len(s) > 1:
         est *= float(base) ** (-sum(s[1:]))
         for sj in s[1:]:
-            est *= 1.0 + 2.0 ** (-sj)
+            est *= _tail_factor("T", sj, depth, False)
     l1 = float(np.abs(final).sum())
     return SeriesValue(value, est + _noise(l1, depth, len(s)))
 
@@ -345,47 +365,23 @@ def alternating_chain_tail_family(
     at the same truncation depth as alternating_chain_tail would use.
     For the empty exponent list every entry is exactly 1.
     """
-    import numpy as np
     sl, cfg = _setup(s, cfg, empty_ok=True)
-    half = cfg.depth // 2
-    if not sl:
-        return np.ones(half, dtype=np.float64)
-    final = _chain_final_level(sl, cfg.depth)
-    suffix = np.cumsum(final[::-1])[::-1]
-    return suffix[1 : 2 * half : 2].copy()
+    return _tail_family(_chain_final_level(sl, cfg.depth), cfg.depth // 2).copy()
 
 
-def distinct_orderings(s: Sequence[float]) -> int:
-    """Number of distinct orderings of the exponents, r! / prod m_i!.
-
-    Raises ValueError unless symmetrize accepts that many: at least one
-    exponent and at most MAX_SYMMETRIZE_ORDERINGS distinct orderings.
-    """
-    sl = list(s)
-    if not sl:
+def check_symmetrize_size(s: Sequence[float]) -> int:
+    """The number prod (m_i + 1) of sub-multisets of the exponents, m_i
+    their multiplicities; ValueError unless symmetrize accepts them: at
+    least one exponent and at most MAX_SYMMETRIZE_SUBSETS sub-multisets."""
+    if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
-    count = factorial(len(sl))
-    for mult in Counter(sl).values():
-        count //= factorial(mult)
-    if count > MAX_SYMMETRIZE_ORDERINGS:
+    count = math.prod(m + 1 for m in Counter(s).values())
+    if count > MAX_SYMMETRIZE_SUBSETS:
         raise ValueError(
-            f"symmetrize supports at most {MAX_SYMMETRIZE_ORDERINGS} distinct "
-            f"orderings of the exponents, got {count} for {len(sl)} exponents"
+            f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
+            f"the exponents, got {count} for {len(s)} exponents"
         )
     return count
-
-
-def _multiset_permutations(counts: dict[float, int], r: int) -> Iterator[list[float]]:
-    """Each distinct ordering of the multiset {x: count} of size r, once."""
-    if r == 0:
-        yield []
-        return
-    for x in counts:
-        if counts[x]:
-            counts[x] -= 1
-            for rest in _multiset_permutations(counts, r - 1):
-                yield [x, *rest]
-            counts[x] += 1
 
 
 def symmetrize(
@@ -394,34 +390,54 @@ def symmetrize(
     """Sum a kernel over all r! orderings of the exponents, repeats included.
 
     Kernels: "T" is the parity-chained alternating sum, "S" the
-    non-strict multiple zeta, "strict" the strict multiple zeta.  Each
-    distinct ordering is evaluated once; it stands for prod m_i! of the
-    r! permutations, where m_i are the multiplicities of the exponents.
-    The value is the exactly rounded sum of multiplicity times kernel
-    value, bit for bit what math.fsum over all r! terms gives, and the
-    error bound the same sum of the per-ordering bounds.  At most
-    MAX_SYMMETRIZE_ORDERINGS distinct orderings are accepted (see
-    distinct_orderings), so [2.0] * 8 is one evaluation while seven
-    distinct exponents raise ValueError.
+    non-strict multiple zeta, "strict" the strict multiple zeta.  Steps
+    are linear in the level below, so over a sub-multiset M the final
+    levels of the distinct orderings sum to A[M] = sum over distinct x in
+    M of _step(x, A[M - x]).  A DP builds one array per M (see
+    check_symmetrize_size), layer by layer in |M|, and frees each once
+    its steps are taken.  A distinct ordering stands for prod m_i!
+    permutations, m_i the multiplicities, so the value is the exactly
+    rounded sum of A[all] times prod m_i!.
+
+    The bound is at least the sum of the per-ordering bounds: m_i (r-1)!
+    permutations start with x_i, and the l1 norm of A[all] is the sum of
+    theirs, since no entry cancels across orderings.  For "T" entry n of
+    each is (-1)^n times a nonnegative number: if a level is (-1)^m a_m
+    with a_m >= 0 non-increasing, the suffix sum a_n - a_(n+1) + ... is
+    >= 0 at even n and equals its value at n+1 at odd n, so the next
+    level has the same form.  Merging a layer's steps counts as one more
+    noise level, and the bound is rounded up by 4r ulps, more than the
+    roundings of any one product in it or in a per-ordering bound.
     """
-    kernels: dict[str, Callable[[Sequence[float], EvalConfig], SeriesValue]] = {
-        "T": alternating_chain_sum,
-        "S": multiple_zeta_star,
-        "strict": multiple_zeta,
-    }
-    if kernel not in kernels:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {sorted(kernels)}")
-    sl = list(s)
-    mult = factorial(len(sl)) // distinct_orderings(sl)  # permutations per ordering
-    cfg = cfg or default_config(len(sl))
-    fn = kernels[kernel]
-    value = Fraction(0)
-    error = Fraction(0)
-    for ordering in _multiset_permutations(Counter(sl), len(sl)):
-        sv = fn(ordering, cfg)
-        value += Fraction(sv.value)
-        error += Fraction(sv.err_bound)
-    return SeriesValue(float(value * mult), float(error * mult))
+    import numpy as np
+    if kernel not in ("T", "S", "strict"):
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of ['S', 'T', 'strict']")
+    check_symmetrize_size(s)
+    sl, cfg = _setup(s, cfg)
+    depth, r = cfg.depth, len(sl)
+    counts = Counter(sl)
+    xs, top = list(counts), tuple(counts.values())
+    # a sub-multiset is the tuple of its multiplicities, indexed like xs
+    layer: dict[tuple[int, ...], np.ndarray | None] = {(0,) * len(xs): None}
+    for _ in range(r):
+        above: dict[tuple[int, ...], np.ndarray | None] = {}
+        for sub in list(layer):
+            for i, x in enumerate(xs):
+                if sub[i] < top[i]:
+                    up = sub[:i] + (sub[i] + 1,) + sub[i + 1 :]
+                    if up in above:
+                        above[up] += _step(kernel, x, layer[sub], depth)
+                    else:
+                        above[up] = _step(kernel, x, layer[sub], depth)
+            del layer[sub]
+        layer = above
+    final = layer[top]
+    mult = math.prod(map(factorial, top))
+    f = {x: _tail_factor(kernel, x, depth, False) for x in xs}
+    ratio = math.fsum(m * _tail_factor(kernel, x, depth, True) / f[x] for x, m in zip(xs, top))
+    trunc = ratio * math.prod(f[x] ** m for x, m in zip(xs, top)) * factorial(r - 1)
+    noise = _noise(float(np.abs(final).sum()) * mult, depth, r + 1)
+    return SeriesValue(_fsum(final) * mult, (trunc + noise) * (1.0 + 4 * r * _EPS))
 
 
 def innermost_peel_residual(
@@ -442,20 +458,13 @@ def innermost_peel_residual(
     """
     import numpy as np
     sl, cfg = _setup(s, cfg)
-    lhs = alternating_chain_sum(sl, cfg).value
     depth = cfg.depth
-    if len(sl) == 1:
-        # the empty-prefix tail is identically 1 at every lower bound
-        fam = np.ones((depth + 1) // 2, dtype=np.float64)
-    else:
-        fam = alternating_chain_tail_family(sl[:-1], cfg)
-    # iterate the innermost value directly so odd depths stay exact
-    weights = _signed_powers(sl[-1], depth)
-    k_of_n = (np.arange(1, depth + 1) + 1) // 2  # 1-based tail index for each n_r
-    fam_padded = np.concatenate(([0.0], fam, [0.0]))
-    terms = weights * fam_padded[k_of_n]
-    rhs = _fsum(terms)
-    return lhs, rhs
+    prefix = _chain_final_level(sl[:-1], depth)
+    lhs = _fsum(_step("T", sl[-1], prefix, depth))
+    # tail_k(prefix) for n_r = 2k-1 and 2k; at an odd depth the last n_r
+    # has k past the family, where the empty-prefix tail is still 1
+    fam = np.append(_tail_family(prefix, depth // 2), float(prefix is None))
+    return lhs, _fsum(_step("T", sl[-1], None, depth) * np.repeat(fam, 2)[:depth])
 
 
 def bottom_block_residual(
@@ -482,7 +491,6 @@ def bottom_block_residual(
         raise ValueError("k must be at least 1")
     sl, cfg = _setup(s, cfg)
     depth = cfg.depth
-    lhs = alternating_chain_tail(k, sl, cfg).value
     half = depth // 2
     # the terms are grouped by l = k..half; the powers come from Python's
     # float pow, whose rounding numpy's vectorised pow does not match on
@@ -494,16 +502,14 @@ def bottom_block_residual(
         return np.fromiter(map(pow, base, repeat(exp)), np.float64, len(base))
 
     parts: list[float] = []
-    for j in range(1, len(sl) + 1):
-        prefix = sl[: j - 1]
-        fam = alternating_chain_tail_family(prefix, cfg)  # entry t-1 = tail_t(prefix)
+    level = None  # final level of the chain over the prefix s_1..s_{j-1}
+    for j, sj in enumerate(sl, 1):
         # tail_{l+1}(prefix); past the family's end (l = half) it is 1 for
         # the empty prefix (identically 1 at any bound) and 0 otherwise
-        rest = np.append(fam[k:], float(not prefix))[: len(even)]
+        rest = np.append(_tail_family(level, half)[k:], float(level is None))[: len(even)]
         suffix_exp = sum(sl[j:])  # s_{j+1} + ... + s_r
-        sj = sl[j - 1]
         common = powers(even, -suffix_exp) if suffix_exp else np.ones(len(even))
         parts += _exact_parts((common * powers(even, -sj)) * rest)
         parts += _exact_parts((-common[: len(odd)] * powers(odd, -sj)) * rest[: len(odd)])
-    rhs = math.fsum(parts)
-    return lhs, rhs
+        level = _step("T", sj, level, depth)
+    return _fsum(level[2 * k - 1 :]), math.fsum(parts)

@@ -65,11 +65,12 @@ from .series import (
     DEFAULT_MARGIN,
     DEFAULT_TOL,
     EvalConfig,
+    SeriesValue,
     alternating_chain_sum,
     alternating_chain_tail,
     bottom_block_residual,
+    check_symmetrize_size,
     default_config,
-    distinct_orderings,
     innermost_peel_residual,
     symmetrize,
     zeta,
@@ -160,6 +161,12 @@ def _count_check(name: str, bad: int, total: int) -> CheckResult:
     return _exact_check(name, bad == 0, f"{total - bad}/{total}", f"{total}/{total}", str(bad))
 
 
+def _sign_check(name: str, sv: SeriesValue, side: str) -> CheckResult:
+    """sv is on the given side of 0, farther from it than its error bound."""
+    ok = (sv.value < 0 if side == "<0" else sv.value > 0) and abs(sv.value) > sv.err_bound
+    return CheckResult(name, ok, _flt(sv.value), side, _flt(abs(sv.value)), _flt(sv.err_bound))
+
+
 def _identity_check(name: str, rep: IdentityReport) -> CheckResult:
     if rep.ok:
         return _exact_check(name, True, "match", "match", "0")
@@ -196,7 +203,7 @@ def _genus_checks(
     zetas (S), whose 1/N outer tails need a large depth, and (2 pi)^(-2k).
     Without a depth, each partition uses the default for its r.
     """
-    if max_k > MAX_SERIES_DEGREE:  # `verify main --k 12` takes about 78 s
+    if max_k > MAX_SERIES_DEGREE:  # `verify main --k 12` takes about 11 s
         raise ValueError(f"degree {max_k} is past the main and ahat table cap {MAX_SERIES_DEGREE}")
     genus = genus_of(max_k)
     for k in range(1, max_k + 1):
@@ -232,7 +239,7 @@ def _sampled_tuples(
     for r in range(1, max_r + 1):
         for i in range(samples):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
-            distinct_orderings(s)
+            check_symmetrize_size(s)
             out.append((i, s))
     return out
 
@@ -312,23 +319,9 @@ def _positivity_checks(
         s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
         k = rng.randint(1, TAIL_K_HIGH)
         sv = alternating_chain_sum(s, cfg)
-        yield CheckResult(
-            f"chain-negative[{i:02d}:{_tuple_label(s)}]",
-            sv.value < 0 and abs(sv.value) > sv.err_bound,
-            _flt(sv.value),
-            "<0",
-            _flt(abs(sv.value)),
-            _flt(sv.err_bound),
-        )
+        yield _sign_check(f"chain-negative[{i:02d}:{_tuple_label(s)}]", sv, "<0")
         sv = alternating_chain_tail(k, s, cfg)
-        yield CheckResult(
-            f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]",
-            sv.value > 0 and sv.value > sv.err_bound,
-            _flt(sv.value),
-            ">0",
-            _flt(abs(sv.value)),
-            _flt(sv.err_bound),
-        )
+        yield _sign_check(f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]", sv, ">0")
     for i in range(recurrence_samples):
         r = 1 + i % 3
         s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))

@@ -262,6 +262,14 @@ def test_custom_genus_with_insufficient_order_fails_cleanly(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_genus_file_with_a_zero_denominator_fails_cleanly(runner, tmp_path):
+    gpath = tmp_path / "zero.json"
+    gpath.write_text('{"name": "x", "coefficients": [{"num": "1", "den": "0"}]}')
+    result = _invoke(runner, ["coeff", "--genus", str(gpath), "--partition", "1"])
+    assert result.exit_code == 2
+    assert "cannot load genus from" in result.output
+
+
 def test_malformed_genus_file_fails_cleanly(runner, tmp_path):
     gpath = tmp_path / "bad.json"
     gpath.write_text('{"name": "x"}')
@@ -334,11 +342,23 @@ def test_verify_rejects_unknown_suite_and_bad_config(runner):
 
 
 def test_verify_rejects_too_many_orderings_before_summing(runner):
-    # seven distinct exponents have 5040 orderings, past the symmetrize cap
+    # eight distinct exponents have 256 sub-multisets, past the symmetrize cap
     for suite in ("hoffman", "multiple-eta"):
-        result = runner.invoke(cli, ["verify", suite, "--max-r", "7"])
+        start = time.perf_counter()
+        result = runner.invoke(cli, ["verify", suite, "--max-r", "8"])
+        assert time.perf_counter() - start < 0.5
         assert result.exit_code == 2
-        assert "distinct orderings" in result.output
+        assert "symmetrize supports at most 128 sub-multisets" in result.output
+
+
+def test_verify_runs_seven_distinct_exponents(runner):
+    for suite, checks in (("hoffman", 28), ("multiple-eta", 14)):
+        result = _invoke(
+            runner, ["verify", suite, "--max-r", "7", "--samples", "2", "--depth", "2000"]
+        )
+        assert result.exit_code == 0
+        assert f"RESULT {suite} PASS {checks}/{checks}" in result.output
+        assert re.search(r"\[01:(\d\.\d{3},){6}\d\.\d{3}\] PASS", result.output)
 
 
 _EXACT_CAP = "degree 21 is past the exact-layer cap 20"
