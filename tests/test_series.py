@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from zetagenus import series, verify
 from zetagenus.series import (
     DEFAULT_MARGIN,
+    MAX_DEPTH,
     MAX_SYMMETRIZE_SUBSETS,
     EvalConfig,
     SeriesValue,
@@ -493,6 +494,15 @@ def _wide_signed(rng, n, low, high):
     return [rng.choice((-1.0, 1.0)) * rng.random() * 2.0 ** rng.randint(low, high) for _ in range(n)]
 
 
+BLOCK = series._BLOCK
+
+
+def _wide_array(n, seed):
+    # both signs over 120 binades, so each block takes its own sigma
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
+
+
 def test_fsum_of_empty_and_zero_arrays():
     assert _same_sum([]) == 0.0
     for zeros in ([0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0] * 5):
@@ -545,24 +555,27 @@ def test_fsum_builds_no_list_without_overflow():
     rng = random.Random(13)
     arr = np.array(_wide_signed(rng, 5000, -1000, 1000)).view(_NoList)
     assert series._fsum(arr) == _list_fsum(arr.view(np.ndarray))
+    arr = _wide_array(3 * BLOCK + 7, 14).view(_NoList)
+    assert series._fsum(arr).hex() == _list_fsum(arr.view(np.ndarray)).hex()
     assert series._fsum(np.zeros(3).view(_NoList)) == 0.0
     assert series._fsum(np.zeros(0).view(_NoList)) == 0.0
 
 
+class _Listing(np.ndarray):
+    calls: list[int] = []
+
+    def tolist(self):
+        self.calls.append(len(self))
+        return super().tolist()
+
+
 def test_fsum_falls_back_to_the_list_near_overflow():
-    calls = []
-
-    class Listing(np.ndarray):
-        def tolist(self):
-            calls.append(len(self))
-            return super().tolist()
-
     for values in ([1e308, -1e308, 1.0], [1.7e308, 3.0, -1.6e308, 2.0**-1000], [8.9e307] * 2):
-        arr = np.array(values).view(Listing)
-        before = len(calls)
-        got = series._fsum(arr)
-        assert len(calls) == before + 1  # sigma would overflow: the fallback ran
-        assert got.hex() == _list_fsum(arr.view(np.ndarray)).hex()
+        arr = np.array(values)
+        _Listing.calls.clear()
+        got = series._fsum(arr.view(_Listing))
+        assert _Listing.calls == [len(arr)]  # sigma would overflow: the fallback ran
+        assert got.hex() == _list_fsum(arr).hex()
     # where math.fsum itself overflows, so does the fallback
     with pytest.raises(OverflowError):
         series._fsum(np.array([1e308, 1e308, -1e308]))
@@ -575,6 +588,54 @@ def test_fsum_of_non_finite_values_follows_math_fsum():
         series._fsum(np.array([math.inf, -math.inf]))
 
 
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_fsum_across_block_edges(n):
+    _same_sum(_wide_array(n, n))
+    _same_sum(series._step("T", 2.0, None, n))  # (-1)^n n^(-2)
+    # the blocks cancel each other but for one term
+    half = _wide_array(n // 2, n + 1)
+    _same_sum(np.concatenate((half, [2.0**-70] * (n % 2), -half[::-1])))
+
+
+def test_fsum_with_a_zero_block_between_nonzero_blocks():
+    arr = _wide_array(3 * BLOCK + 7, 15)
+    arr[BLOCK : 2 * BLOCK] = 0.0
+    _same_sum(arr)
+    arr[2 * BLOCK :] = -0.0
+    _same_sum(arr)
+
+
+@pytest.mark.parametrize("last", [1e308, -1.7e308, math.inf, -math.inf, math.nan])
+def test_fsum_falls_back_to_the_list_once_for_the_last_block(last):
+    arr = _wide_array(2 * BLOCK + 5, 16)
+    arr[-1] = last
+    _Listing.calls.clear()
+    got = series._fsum(arr.view(_Listing))
+    assert _Listing.calls == [len(arr)]  # the whole array, listed once
+    want = _list_fsum(arr)
+    assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
+
+
+def test_fsum_falls_back_to_the_list_when_the_sigmas_add_up_past_the_range():
+    # each full block's sigma is 2^1021, short of 2^1022, but three pass it
+    arr = np.full(3 * BLOCK + 7, 4e302)
+    _Listing.calls.clear()
+    assert series._fsum(arr.view(_Listing)).hex() == _list_fsum(arr).hex()
+    assert _Listing.calls == [len(arr)]
+    # where math.fsum itself overflows, so does the fallback
+    with pytest.raises(OverflowError):
+        series._fsum(np.full(3 * BLOCK + 7, 1e304))
+
+
+def test_fsum_leaves_a_read_only_input_unchanged():
+    arr = _wide_array(2 * BLOCK + 3, 17)
+    arr.flags.writeable = False
+    for a in (arr, series._powers(2.0, 3 * BLOCK + 7)):  # the cached powers are read-only too
+        before = a.tobytes()
+        _same_sum(a)
+        assert a.tobytes() == before
+
+
 SUITE_OPTIONS = {
     "main": {"max_k": 3},
     "ahat": {"max_k": 3},
@@ -584,7 +645,7 @@ SUITE_OPTIONS = {
 }
 
 
-@pytest.mark.parametrize("depth", [1001, 1200])
+@pytest.mark.parametrize("depth", [1001, 1200, 3 * BLOCK + 1])
 @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
 def test_reports_do_not_depend_on_the_reduction(monkeypatch, suite, depth):
     report = run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines()
@@ -711,6 +772,9 @@ def test_default_config_depths_by_rank():
 def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(1)
+    assert EvalConfig(MAX_DEPTH).depth == MAX_DEPTH
+    with pytest.raises(ValueError, match="past the depth cap"):
+        EvalConfig(MAX_DEPTH + 1)
     with pytest.raises(ValueError):
         EvalConfig(100, min_exponent_margin=float("nan"))
     with pytest.raises(ValueError):
