@@ -19,7 +19,6 @@ from zetagenus.partitions import IntegerPartition
 from zetagenus.render import parse_table_json, read_cache
 from zetagenus import genus as genus_module
 from zetagenus import partitions, series, verify
-from zetagenus.series import MAX_DEPTH
 from zetagenus.verify import available_suites, run_suite
 
 F = Fraction
@@ -349,12 +348,12 @@ def test_verify_refuses_a_depth_past_the_cap_before_any_array(runner, monkeypatc
     monkeypatch.setattr(series, "_powers", no_array)
     monkeypatch.setattr(series, "_step", no_array)
     for suite in ("main", "ahat", "hoffman", "multiple-eta", "positivity"):
-        for depth in (MAX_DEPTH + 1, 100_000_000):
+        for depth in (series.MAX_DEPTH + 1, 100_000_000):
             start = time.perf_counter()
             result = _invoke(runner, ["verify", suite, "--depth", str(depth)])
             assert time.perf_counter() - start < 0.5
             assert result.exit_code == 2
-            assert f"depth {depth} is past the depth cap {MAX_DEPTH}" in result.output
+            assert f"depth {depth} is past the depth cap {series.MAX_DEPTH}" in result.output
 
 
 def test_verify_rejects_too_many_orderings_before_summing(runner):
