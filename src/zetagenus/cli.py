@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from typing import Optional
 
 import click
 
 from .genus import GenusSpec, check_table_degree, coefficient_closed_form, coefficient_table
 from .render import (
+    decode_rational,
     render_poly_json,
     render_poly_latex,
     render_poly_text,
@@ -79,9 +79,7 @@ def _load_genus(name: str, order: int) -> GenusSpec:
     try:
         with open(name, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        coeffs = [
-            Fraction(int(e["num"]), int(e["den"])) for e in doc["coefficients"]
-        ]
+        coeffs = [decode_rational(e) for e in doc["coefficients"]]
         genus = GenusSpec.from_coefficients(str(doc["name"]), coeffs)
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot load genus from {name}: {exc}")

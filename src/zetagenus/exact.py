@@ -1,9 +1,9 @@
-"""Exact rational scalars, truncated power series, and Bernoulli numbers.
+"""Truncated power series and Bernoulli numbers, in exact arithmetic.
 
 Everything in this module is exact: scalars are ``fractions.Fraction``
 (always in lowest terms with a positive denominator), and series are
-truncated polynomials whose arithmetic never invents coefficients beyond
-the truncation order.  The two characteristic series at the bottom of the
+truncated polynomials with a product and a reciprocal, neither of which
+invents coefficients beyond the truncation order.  The two characteristic series at the bottom of the
 file are the generating data for the genus computations in
 :mod:`zetagenus.genus`.
 """
@@ -16,7 +16,6 @@ from math import comb, factorial
 from typing import Iterable, Union
 
 __all__ = [
-    "Rational",
     "PowerSeries",
     "standard_bernoulli",
     "bernoulli",
@@ -24,18 +23,14 @@ __all__ = [
     "a_hat_series",
 ]
 
-# Canonical exact scalar.  Fraction already guarantees gcd(num, den) == 1
-# and den > 0 after every operation, which is exactly the contract needed.
-Rational = Fraction
-
 _Coeff = Union[Fraction, int]
 
 
 class PowerSeries:
     """A truncated power series c_0 + c_1 z + ... + c_order z^order.
 
-    Coefficients are exact rationals.  Binary operations insist that both
-    operands carry the same truncation order, so an accidental mix of
+    Coefficients are exact rationals.  The product insists that both
+    factors carry the same truncation order, so an accidental mix of
     truncation depths fails loudly instead of silently dropping terms.
     """
 
@@ -47,13 +42,6 @@ class PowerSeries:
             raise ValueError("a power series needs at least a constant term")
         self._coeffs = coeffs
 
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        """The constant series 1 truncated at the given order."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        return cls((1,) + (0,) * order)
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -64,12 +52,6 @@ class PowerSeries:
 
     def __getitem__(self, k: int) -> Fraction:
         return self._coeffs[k]
-
-    def __iter__(self):
-        return iter(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSeries):
@@ -85,39 +67,12 @@ class PowerSeries:
             shown += ", ..."
         return f"PowerSeries([{shown}]; order={self.order})"
 
-    def _same_order(self, other: "PowerSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}; "
-                "truncate explicitly before combining"
-            )
-
-    def truncate(self, order: int) -> "PowerSeries":
-        """Drop terms above ``order`` (must not exceed the current order)."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order-{self.order} series to {order}")
-        return PowerSeries(self._coeffs[: order + 1])
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self._coeffs))
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._same_order(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self._coeffs, other._coeffs)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._same_order(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self._coeffs, other._coeffs)))
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         """Cauchy product truncated at the shared order."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        self._same_order(other)
+        if self.order != other.order:
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
         a, b = self._coeffs, other._coeffs
         n = len(a)
         out = [Fraction(0)] * n
@@ -129,10 +84,6 @@ class PowerSeries:
                 if bj:
                     out[i + j] += ai * bj
         return PowerSeries(out)
-
-    def scale(self, c: _Coeff) -> "PowerSeries":
-        c = Fraction(c)
-        return PowerSeries(tuple(c * x for x in self._coeffs))
 
     def reciprocal(self) -> "PowerSeries":
         """Multiplicative inverse mod z^(order+1); constant term must be nonzero."""

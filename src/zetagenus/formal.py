@@ -58,9 +58,6 @@ class FormalPolynomial:
     terms: Mapping[Monomial, Fraction]
     level_cap: int
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "FormalPolynomial") -> "FormalPolynomial":
         if self.level_cap != other.level_cap:
             raise ValueError("level caps differ")
@@ -73,9 +70,6 @@ class FormalPolynomial:
                 out.pop(mono, None)
         return FormalPolynomial(out, self.level_cap)
 
-    def __sub__(self, other: "FormalPolynomial") -> "FormalPolynomial":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "FormalPolynomial":
         c = Fraction(c)
         if not c:
@@ -83,22 +77,6 @@ class FormalPolynomial:
         return FormalPolynomial(
             {mono: c * v for mono, v in self.terms.items()}, self.level_cap
         )
-
-    def __mul__(self, other: "FormalPolynomial") -> "FormalPolynomial":
-        if self.level_cap != other.level_cap:
-            raise ValueError("level caps differ")
-        if len(self.terms) * len(other.terms) > TERM_BUDGET:
-            raise ValueError(
-                f"product would exceed the {TERM_BUDGET:,}-term budget"
-            )
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = tuple(sorted(ma + mb))
-                prev = out.get(key)
-                prod = ca * cb
-                out[key] = prod if prev is None else prev + prod
-        return FormalPolynomial({m: c for m, c in out.items() if c}, self.level_cap)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalPolynomial):

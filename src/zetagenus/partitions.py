@@ -91,9 +91,6 @@ class IntegerPartition:
     def __hash__(self) -> int:
         return hash(self._parts)
 
-    def __lt__(self, other: "IntegerPartition") -> bool:
-        return self._parts < other._parts
-
     def __str__(self) -> str:
         return "+".join(str(p) for p in self._parts)
 
@@ -107,7 +104,7 @@ def as_integer_partition(parts: PartitionLike) -> IntegerPartition:
     return IntegerPartition(parts)
 
 
-def integer_partitions(k: int, max_part: Optional[int] = None) -> list[IntegerPartition]:
+def integer_partitions(k: int) -> list[IntegerPartition]:
     """All partitions of k in descending lexicographic order.
 
     integer_partitions(4) lists (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
@@ -116,7 +113,6 @@ def integer_partitions(k: int, max_part: Optional[int] = None) -> list[IntegerPa
         raise ValueError("weight must be nonnegative")
     if k == 0:
         return [IntegerPartition()]
-    cap = k if max_part is None else min(max_part, k)
     out: list[IntegerPartition] = []
     prefix: list[int] = []
 
@@ -129,7 +125,7 @@ def integer_partitions(k: int, max_part: Optional[int] = None) -> list[IntegerPa
             rec(remaining - p, p)
             prefix.pop()
 
-    rec(k, cap)
+    rec(k, k)
     return out
 
 
@@ -188,9 +184,6 @@ class SetPartition:
                 groups[b].append(elem)
             self._blocks = tuple(tuple(g) for g in groups)
         return self._blocks
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SetPartition):

@@ -1,8 +1,9 @@
 """Rendering and serialization: polynomial text, tables, and the cache.
 
 Exact rationals always serialize as decimal strings {"num": ..., "den":
-...}; floats never appear in exact outputs, since table denominators
-outgrow 64-bit range quickly.  All emitted orders are deterministic
+...}, written by encode_rational and read by decode_rational; floats
+never appear in exact outputs, since table denominators outgrow 64-bit
+range quickly.  All emitted orders are deterministic
 (degree ascending, partitions in the descending lexicographic order of
 integer_partitions), so reruns with the same inputs are byte-identical.
 """
@@ -13,7 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .genus import CoefficientTable, GenusSpec, check_table_degree, coefficient_table
 from .partitions import IntegerPartition, integer_partitions
@@ -22,7 +23,8 @@ __all__ = [
     "render_poly_text",
     "render_poly_latex",
     "render_poly_json",
-    "table_rows",
+    "encode_rational",
+    "decode_rational",
     "render_table_csv",
     "render_table_json",
     "parse_table_json",
@@ -35,6 +37,14 @@ __all__ = [
 
 CSV_HEADER = "k,partition,coefficient_num,coefficient_den,sign,r"
 CACHE_VERSION = 1
+
+
+def encode_rational(c: Fraction) -> dict[str, str]:
+    return {"num": str(c.numerator), "den": str(c.denominator)}
+
+
+def decode_rational(entry: Mapping[str, str]) -> Fraction:
+    return Fraction(int(entry["num"]), int(entry["den"]))
 
 
 def _ordered_terms(table: CoefficientTable) -> list[tuple[IntegerPartition, Fraction]]:
@@ -116,59 +126,32 @@ def render_poly_latex(table: Optional[CoefficientTable]) -> str:
 
 def render_poly_json(genus_name: str, k: int, table: Optional[CoefficientTable]) -> str:
     """One-line JSON polynomial; rationals as decimal strings."""
-    if table is None:
-        terms = [{"partition": [], "num": "1", "den": "1"}]
-    else:
-        terms = [
-            {
-                "partition": list(J.parts),
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-            }
-            for J, c in _ordered_terms(table)
-        ]
+    pairs = [((), Fraction(1))] if table is None else _ordered_terms(table)
+    terms = [{"partition": list(J), **encode_rational(c)} for J, c in pairs]
     return json.dumps({"genus": genus_name, "k": k, "terms": terms})
 
 
-def table_rows(tables: Mapping[int, CoefficientTable]) -> list[dict]:
-    """Flat row dicts for export, degree ascending, partitions in table order."""
-    rows = []
+def _table_rows(
+    tables: Mapping[int, CoefficientTable]
+) -> Iterator[tuple[int, IntegerPartition, Fraction, int]]:
+    """(k, partition, coefficient, sign) for export, degree ascending,
+    partitions in table order."""
     for k in sorted(tables):
         for J, c in _ordered_terms(tables[k]):
-            rows.append(
-                {
-                    "k": k,
-                    "partition": J,
-                    "num": c.numerator,
-                    "den": c.denominator,
-                    "sign": 1 if c > 0 else (-1 if c < 0 else 0),
-                    "r": len(J),
-                }
-            )
-    return rows
+            yield k, J, c, 1 if c > 0 else (-1 if c < 0 else 0)
 
 
 def render_table_csv(tables: Mapping[int, CoefficientTable]) -> str:
     lines = [CSV_HEADER]
-    for row in table_rows(tables):
-        lines.append(
-            f"{row['k']},{row['partition']},{row['num']},{row['den']},"
-            f"{row['sign']},{row['r']}"
-        )
+    for k, J, c, sign in _table_rows(tables):
+        lines.append(f"{k},{J},{c.numerator},{c.denominator},{sign},{len(J)}")
     return "\n".join(lines) + "\n"
 
 
 def render_table_json(genus_name: str, max_k: int, tables: Mapping[int, CoefficientTable]) -> str:
     rows = [
-        {
-            "k": row["k"],
-            "partition": list(row["partition"].parts),
-            "num": str(row["num"]),
-            "den": str(row["den"]),
-            "sign": row["sign"],
-            "r": row["r"],
-        }
-        for row in table_rows(tables)
+        {"k": k, "partition": list(J), **encode_rational(c), "sign": sign, "r": len(J)}
+        for k, J, c, sign in _table_rows(tables)
     ]
     doc = {"genus": genus_name, "max_k": max_k, "rows": rows}
     return json.dumps(doc, indent=1) + "\n"
@@ -180,15 +163,8 @@ def parse_table_json(text: str) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     out = {}
     for row in doc["rows"]:
         key = (int(row["k"]), tuple(int(p) for p in row["partition"]))
-        out[key] = Fraction(int(row["num"]), int(row["den"]))
+        out[key] = decode_rational(row)
     return out
-
-
-def _series_fingerprint(genus: GenusSpec) -> list[dict[str, str]]:
-    return [
-        {"num": str(c.numerator), "den": str(c.denominator)}
-        for c in genus.series.coefficients
-    ]
 
 
 def _partition_key(J: IntegerPartition) -> str:
@@ -204,11 +180,10 @@ def write_cache(path: str, genus: GenusSpec, tables: Mapping[int, CoefficientTab
     doc = {
         "version": CACHE_VERSION,
         "genus": genus.name,
-        "b_coeffs": _series_fingerprint(genus),
+        "b_coeffs": [encode_rational(c) for c in genus.series.coefficients],
         "tables": {
             str(k): {
-                _partition_key(J): {"num": str(c.numerator), "den": str(c.denominator)}
-                for J, c in tables[k].items()
+                _partition_key(J): encode_rational(c) for J, c in tables[k].items()
             }
             for k in sorted(tables)
         },
@@ -237,9 +212,7 @@ def read_cache(path: str, genus: GenusSpec) -> dict[int, CoefficientTable]:
     try:
         if doc["version"] != CACHE_VERSION or doc["genus"] != genus.name:
             return {}
-        stored = [
-            Fraction(int(e["num"]), int(e["den"])) for e in doc["b_coeffs"]
-        ]
+        stored = [decode_rational(e) for e in doc["b_coeffs"]]
         current = list(genus.series.coefficients)
         shared = min(len(stored), len(current))
         if stored[:shared] != current[:shared]:
@@ -250,12 +223,11 @@ def read_cache(path: str, genus: GenusSpec) -> dict[int, CoefficientTable]:
             if k >= shared:  # stored series does not pin b_k
                 continue
             parsed = {
-                _parse_partition_key(pk): Fraction(int(e["num"]), int(e["den"]))
-                for pk, e in entries.items()
+                _parse_partition_key(pk): decode_rational(e) for pk, e in entries.items()
             }
             out[k] = CoefficientTable(k, parsed)
         return out
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         print(f"warning: cache {path}: malformed ({exc}); recomputing", file=sys.stderr)
         return {}
 

@@ -28,7 +28,7 @@ math.fsum rounds the exact total of all of them once.  Level sums are
 sequential cumulative sums in fixed index order, so runs are bitwise
 reproducible.  numpy loads when a series is first evaluated, never for
 exact commands.  MAX_DEPTH caps the depth, and with it the size of
-every array.
+every array; MAX_WORKING_SET caps the arrays one symmetrize may hold.
 
 For even integer arguments the exact values are rational multiples of
 powers of pi (zeta_even_exact, dirichlet_eta_even_exact); verification
@@ -77,6 +77,10 @@ DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
 MAX_DEPTH = 20_000_000  # 160 MB per level array; `verify ahat` here: 3.3 s, 790 MB
 MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.7 s, 70 MB at depth 2e5; 8 take 2x
+_POWERS_CACHE = 8  # arrays the _powers cache keeps
+# bytes of the arrays one symmetrize plans to hold at its peak; at the
+# depth cap, `verify hoffman --max-r 2` plans 1.8 GiB and peaked at 1.5 GiB
+MAX_WORKING_SET = 2 * 2**30
 
 _EPS = sys.float_info.epsilon
 # Terms per block of an exact reduction.  The block and its two scratch
@@ -149,7 +153,7 @@ def _setup(
     return out, cfg
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_POWERS_CACHE)
 def _powers(s: float, depth: int) -> np.ndarray:
     """n^(-s) for n = 1..depth, cached read-only."""
     import numpy as np
@@ -400,17 +404,35 @@ def alternating_chain_tail_family(
     return _tail_family(_chain_final_level(sl, cfg.depth), cfg.depth // 2).copy()
 
 
-def check_symmetrize_size(s: Sequence[float]) -> int:
+def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
     """The number prod (m_i + 1) of sub-multisets of the exponents, m_i
-    their multiplicities; ValueError unless symmetrize accepts them: at
-    least one exponent and at most MAX_SYMMETRIZE_SUBSETS sub-multisets."""
+    their multiplicities; ValueError unless symmetrize accepts them at
+    this depth (by default the one for their count): at least one
+    exponent, at most MAX_SYMMETRIZE_SUBSETS sub-multisets, and a plan
+    whose peak of live arrays, times depth times 8 bytes, fits
+    MAX_WORKING_SET.  While the DP builds the layer of size j + 1 from
+    that of size j, both can be live, with the step in flight and the
+    _powers cache; the layer widths are the coefficients of
+    prod (1 + t + ... + t^m_i)."""
     if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
-    count = math.prod(m + 1 for m in Counter(s).values())
+    mults = Counter(s).values()
+    count = math.prod(m + 1 for m in mults)
     if count > MAX_SYMMETRIZE_SUBSETS:
         raise ValueError(
             f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
             f"the exponents, got {count} for {len(s)} exponents"
+        )
+    widths = [1]
+    for m in mults:
+        widths = [sum(widths[max(0, j - m) : j + 1]) for j in range(len(widths) + m)]
+    arrays = max(map(sum, zip(widths, widths[1:]))) + 1 + _POWERS_CACHE
+    depth = default_config(len(s)).depth if depth is None else depth
+    if arrays * depth * 8 > MAX_WORKING_SET:
+        raise ValueError(
+            f"symmetrize over {len(s)} exponents at depth {depth} would hold up to "
+            f"{arrays} arrays ({arrays * depth * 8 / 2**30:.1f} GiB), past the "
+            f"working-set budget of {MAX_WORKING_SET / 2**30:g} GiB"
         )
     return count
 
@@ -443,7 +465,7 @@ def symmetrize(
     import numpy as np
     if kernel not in ("T", "S", "strict"):
         raise ValueError(f"unknown kernel {kernel!r}; expected one of ['S', 'T', 'strict']")
-    check_symmetrize_size(s)
+    check_symmetrize_size(s, None if cfg is None else cfg.depth)
     sl, cfg = _setup(s, cfg)
     depth, r = cfg.depth, len(sl)
     counts = Counter(sl)

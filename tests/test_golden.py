@@ -1,6 +1,8 @@
 """Golden sha256 hashes of the CLI's exact outputs.
 
-Only outputs made of exact arithmetic are pinned here: coefficient tables,
+The cases run each exact route below and at its cap: tables and
+polynomials at degrees 12 and 20, signs at 12 and 20, the oracle at 6, 8
+and 12.  Only outputs made of exact arithmetic are pinned here: coefficient tables,
 polynomials and single coefficients (reduced fractions), and the reports
 of the formal, oracle and signs suites (exact matches and counts).  Float
 reports are left out, since the last digit of a float can differ between
@@ -46,6 +48,14 @@ CASES = {
     "verify-oracle": ["verify", "oracle"],
     "verify-oracle-k8": ["verify", "oracle", "--k", "8"],
     "verify-signs": ["verify", "signs"],
+    "table-L-csv-20": ["table", "--genus", "L", "--max-k", "20", "--format", "csv", "--cache", "{cache}"],
+    "table-L-json-20": ["table", "--genus", "L", "--max-k", "20", "--format", "json"],
+    "table-Ahat-csv-20": ["table", "--genus", "Ahat", "--max-k", "20", "--format", "csv", "--cache", "{cache}"],
+    "table-Ahat-json-20": ["table", "--genus", "Ahat", "--max-k", "20", "--format", "json"],
+    "poly-L-text-20": ["poly", "--genus", "L", "--k", "20", "--format", "text"],
+    "poly-Ahat-text-20": ["poly", "--genus", "Ahat", "--k", "20", "--format", "text"],
+    "verify-oracle-k12": ["verify", "oracle", "--k", "12"],
+    "verify-signs-k20": ["verify", "signs", "--k", "20"],
 }
 
 GOLDEN = {
@@ -70,6 +80,17 @@ GOLDEN = {
     "verify-oracle": "f7430d5831eb1ae0b35c4b7a119125b262bf6ecbbe07dd022eaf81d4a9c1494f",
     "verify-oracle-k8": "32f6cc89a39fc23cc48e1da93a3c0aa2d364c28d1284a3620d9424d34c9ec100",
     "verify-signs": "a01e999919b6d888d5f36e6bc89818d81cfc5126510a854d69982864c59db01c",
+    "verify-signs": "a01e999919b6d888d5f36e6bc89818d81cfc5126510a854d69982864c59db01c",
+    "table-L-csv-20": "efb1fb6b9de41ac806dd7d8d24f722e769004e946c839f9ea495c5526f245676",
+    "table-L-csv-20.cache": "f45351356e4aaf4f5fab23062787da572b1b0baef6c5d2baef7c77b5799dc3e2",
+    "table-L-json-20": "18ab7d3a5cdf600345a333785719559eb449fd2126765da4fe6d561f1cf99352",
+    "table-Ahat-csv-20": "5af2d32fd228c46485af613a4ff64fcc8a30afd21b9842de547582d60e4bc117",
+    "table-Ahat-csv-20.cache": "b17f704e98978bb55ca8f6bb49dd3f59adcb1231449fea6c5bd6a436cd2a92ef",
+    "table-Ahat-json-20": "d58ea908925b0afbf34b822f38258444d2d3e0a8d02bfc914dcbc21f72677277",
+    "poly-L-text-20": "9b4e85eb9fa810ecfca4a1567a1ba0bbfecc627908dd3bffc67eba70065c947f",
+    "poly-Ahat-text-20": "83e1904116fac3214354f5e7743999cfafb8863d849efe05b892639f65d4801a",
+    "verify-oracle-k12": "fed77f886fc697a3637ac723660c245a01d2f1cef54506d0750401c88dbc2734",
+    "verify-signs-k20": "5832a6be363c8124d5828d796a9f84702a47cc3b4e3fa00d9d0f3607a23e8c45",
 }
 
 

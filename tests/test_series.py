@@ -12,6 +12,8 @@ import dataclasses
 import itertools
 import math
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetagenus import series, verify
+from zetagenus.partitions import integer_partitions
 from zetagenus.series import (
     DEFAULT_MARGIN,
     MAX_DEPTH,
@@ -349,6 +352,67 @@ def test_symmetrize_guards():
         symmetrize("T", eight, SMALL)
     same = symmetrize("T", (2.0,) * 8, SMALL)
     assert same.value == 40320 * alternating_chain_sum((2.0,) * 8, SMALL).value
+
+
+def _plan_peak(s):
+    """Widest two adjacent layers of the sub-multiset lattice of s, counted
+    by brute force, plus the step in flight."""
+    mults = list(Counter(s).values())
+    widths = Counter(sum(sub) for sub in itertools.product(*(range(m + 1) for m in mults)))
+    return max(widths[j] + widths[j + 1] for j in range(len(s))) + 1
+
+
+_PLANS = [(2.5,), (2.0, 2.0, 2.0), (4.0, 3.0, 2.0, 2.0, 2.0), (8.0, 6.0, 4.0, 2.0, 2.0, 2.0),
+          tuple(2.0 + 0.5 * i for i in range(7))]
+
+
+@pytest.mark.parametrize("kernel", ["T", "S", "strict"])
+@pytest.mark.parametrize("s", _PLANS, ids=str)
+def test_symmetrize_holds_no_more_arrays_than_its_plan(kernel, s, monkeypatch):
+    # count the step arrays alive at each step, the one it makes included;
+    # the read-only cached powers belong to the _powers cache instead
+    refs, peak = [], [0]
+    step = series._step
+
+    def counting_step(*args):
+        out = step(*args)
+        if out.flags.writeable:
+            refs.append(weakref.ref(out))
+        peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
+        return out
+
+    monkeypatch.setattr(series, "_step", counting_step)
+    symmetrize(kernel, s, SMALL)
+    assert peak[0] <= _plan_peak(s)
+    assert peak[0] > 0 or (len(s) == 1 and kernel != "T")
+
+
+@pytest.mark.parametrize("s", _PLANS, ids=str)
+def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
+    arrays = _plan_peak(s) + series._POWERS_CACHE
+    fits = series.MAX_WORKING_SET // (8 * arrays)
+    assert check_symmetrize_size(s, fits) == math.prod(m + 1 for m in Counter(s).values())
+    with pytest.raises(ValueError, match=f"up to {arrays} arrays.*working-set budget"):
+        check_symmetrize_size(s, fits + 1)
+
+    def no_array(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(series, "_powers", no_array)
+    monkeypatch.setattr(series, "_step", no_array)
+    if fits < MAX_DEPTH:
+        with pytest.raises(ValueError, match="working-set budget"):
+            symmetrize("T", s, EvalConfig(fits + 1))
+
+
+def test_working_set_budget_admits_every_suite_default():
+    # main at its default depths and ahat at AHAT_DEPTH, to the degree cap;
+    # the sampled suites with seven distinct exponents at SAMPLE_DEPTH
+    for k in range(1, verify.MAX_SERIES_DEGREE + 1):
+        for part in integer_partitions(k):
+            check_symmetrize_size(part.parts)
+            check_symmetrize_size(part.parts, verify.AHAT_DEPTH)
+    check_symmetrize_size(_PLANS[-1], verify.SAMPLE_DEPTH)
 
 
 _KERNELS = {
