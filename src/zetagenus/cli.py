@@ -195,40 +195,13 @@ def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> N
 )
 @click.option("--depth", type=int, default=None, help="Series truncation depth.")
 @click.option("--tol", type=float, default=None, help="Comparison tolerance.")
-@click.option(
-    "--delta", "margin", type=float, default=None, help="Exponent margin above 1."
-)
 @click.option("--seed", type=int, default=None, help="Seed for sampled suites.")
 @click.option("--out", default=None, help="Also determines report destination.")
 @click.pass_context
-def verify(
-    ctx: click.Context,
-    suite: str,
-    max_k: Optional[int],
-    max_r: Optional[int],
-    level_cap: Optional[int],
-    samples: Optional[int],
-    recurrence_samples: Optional[int],
-    depth: Optional[int],
-    tol: Optional[float],
-    margin: Optional[float],
-    seed: Optional[int],
-    out: Optional[str],
-) -> None:
+def verify(ctx: click.Context, suite: str, out: Optional[str], **options: object) -> None:
     """Run one verification suite; exit 1 iff any check fails."""
     try:
-        report = run_suite(
-            suite,
-            max_k=max_k,
-            max_r=max_r,
-            level_cap=level_cap,
-            samples=samples,
-            recurrence_samples=recurrence_samples,
-            depth=depth,
-            tol=tol,
-            margin=margin,
-            seed=seed,
-        )
+        report = run_suite(suite, **options)
     except ValueError as exc:
         raise ConfigError(str(exc))
     _emit(report.render(), out)

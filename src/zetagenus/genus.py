@@ -77,7 +77,6 @@ __all__ = [
 MAX_EXACT_DEGREE = 20  # tables, polynomials, signs and single coefficients
 # `verify oracle --k 12` takes about 1 s; each degree costs the oracle 2.5x the last
 MAX_ORACLE_DEGREE = 12
-MAX_MONOMIAL_WEIGHT = 12
 
 
 @dataclass(frozen=True)
@@ -268,15 +267,12 @@ def monomial_to_power_sum(partition: PartitionLike) -> dict[IntegerPartition, Fr
         of (-1)^(r - len(P)) * prod (|B|-1)! * p_{J(P)}
 
     where J(P) collects the per-block sums of I.  Returned as a map from
-    integer partition J to the exact coefficient of p_J.
+    integer partition J to the exact coefficient of p_J.  The sum runs
+    over Bell(r) partitions, so r is capped by partitions.MAX_GROUND_SIZE.
     """
     I = as_integer_partition(partition)
     if len(I) == 0:
         raise ValueError("partition must have at least one part")
-    if I.weight > MAX_MONOMIAL_WEIGHT:
-        raise ValueError(
-            f"weight {I.weight} exceeds the supported cap {MAX_MONOMIAL_WEIGHT}"
-        )
     weights: dict[tuple[int, ...], int] = {}
 
     def add(w: int, sums: list[int]) -> None:

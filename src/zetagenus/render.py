@@ -167,14 +167,6 @@ def parse_table_json(text: str) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     return out
 
 
-def _partition_key(J: IntegerPartition) -> str:
-    return str(J)
-
-
-def _parse_partition_key(key: str) -> IntegerPartition:
-    return IntegerPartition(int(x) for x in key.split("+"))
-
-
 def write_cache(path: str, genus: GenusSpec, tables: Mapping[int, CoefficientTable]) -> None:
     """Write the versioned cache document, deterministically serialized."""
     doc = {
@@ -182,9 +174,7 @@ def write_cache(path: str, genus: GenusSpec, tables: Mapping[int, CoefficientTab
         "genus": genus.name,
         "b_coeffs": [encode_rational(c) for c in genus.series.coefficients],
         "tables": {
-            str(k): {
-                _partition_key(J): encode_rational(c) for J, c in tables[k].items()
-            }
+            str(k): {str(J): encode_rational(c) for J, c in tables[k].items()}
             for k in sorted(tables)
         },
     }
@@ -223,7 +213,8 @@ def read_cache(path: str, genus: GenusSpec) -> dict[int, CoefficientTable]:
             if k >= shared:  # stored series does not pin b_k
                 continue
             parsed = {
-                _parse_partition_key(pk): decode_rational(e) for pk, e in entries.items()
+                IntegerPartition(int(x) for x in pk.split("+")): decode_rational(e)
+                for pk, e in entries.items()
             }
             out[k] = CoefficientTable(k, parsed)
         return out

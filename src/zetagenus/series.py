@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MARGIN = 0.05
+MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
 MAX_DEPTH = 20_000_000  # 160 MB per level array; `verify ahat` here: 3.3 s, 790 MB
@@ -92,24 +92,15 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation depth plus the admissible exponent range.
+    """The truncation depth: it caps every summation index, and MAX_DEPTH caps it."""
 
-    ``depth`` caps every summation index, and MAX_DEPTH caps ``depth``.
-    ``min_exponent_margin`` is the delta in the requirement s >= 1 + delta
-    on every exponent, which keeps the truncation bounds finite and
-    meaningful.
-    """
-
-    depth: int = DEPTH_HIGH_RANK
-    min_exponent_margin: float = DEFAULT_MARGIN
+    depth: int
 
     def __post_init__(self) -> None:
         if self.depth < 2:
             raise ValueError("depth must be at least 2")
         if self.depth > MAX_DEPTH:
             raise ValueError(f"depth {self.depth} is past the depth cap {MAX_DEPTH}")
-        if not self.min_exponent_margin > 0:
-            raise ValueError("min_exponent_margin must be positive")
 
 
 def default_config(parts: int) -> EvalConfig:
@@ -130,24 +121,20 @@ class SeriesValue:
         if not self.err_bound >= 0:
             raise ValueError("err_bound must be nonnegative")
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _setup(
     s: Sequence[float], cfg: EvalConfig | None, empty_ok: bool = False
 ) -> tuple[list[float], EvalConfig]:
     """The exponents as floats and the config, by default the one for
-    their count; every exponent must be at least 1 + margin."""
+    their count; every exponent must be at least MIN_EXPONENT."""
     out = [float(x) for x in s]
     cfg = cfg or default_config(max(len(out), 1))
     if not out and not empty_ok:
         raise ValueError("need at least one exponent")
-    floor = 1.0 + cfg.min_exponent_margin
     for x in out:
-        if not x >= floor:
+        if not x >= MIN_EXPONENT:
             raise ValueError(
-                f"exponent {x} below 1 + margin = {floor}; the truncated sum "
+                f"exponent {x} below the floor {MIN_EXPONENT}; the truncated sum "
                 "would not be meaningful"
             )
     return out, cfg

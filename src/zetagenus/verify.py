@@ -62,7 +62,6 @@ from .partitions import (
     signed_block_sums,
 )
 from .series import (
-    DEFAULT_MARGIN,
     DEFAULT_TOL,
     EvalConfig,
     SeriesValue,
@@ -191,7 +190,6 @@ def _genus_checks(
     max_k: int,
     depth: Optional[int],
     tol: float,
-    margin: float,
 ) -> Checks:
     """Exact genus coefficients against pi-normalized symmetrized sums.
 
@@ -207,7 +205,7 @@ def _genus_checks(
         raise ValueError(f"degree {max_k} is past the main and ahat table cap {MAX_SERIES_DEGREE}")
 
     def config(r: int) -> EvalConfig:
-        return EvalConfig(default_config(r).depth if depth is None else depth, margin)
+        return EvalConfig(default_config(r).depth if depth is None else depth)
 
     for k in range(1, max_k + 1):  # refuse an oversized plan before any sum
         for part in integer_partitions(k):
@@ -263,7 +261,7 @@ def _weighted_products(
 
 
 def _hoffman_checks(
-    max_r: int, samples: int, seed: int, depth: int, tol: float, margin: float
+    max_r: int, samples: int, seed: int, depth: int, tol: float
 ) -> Checks:
     """Symmetrized nested zetas against set-partition products of zetas.
 
@@ -277,7 +275,7 @@ def _hoffman_checks(
     decompositions of the finite index box, so residuals are pure float
     noise and the tolerance is easily met.
     """
-    cfg = EvalConfig(depth, margin)
+    cfg = EvalConfig(depth)
     for i, s in _sampled_tuples(seed, samples, max_r, depth):
         products = _weighted_products(s, lambda x: zeta(x, cfg).value)
         label = f"{i:02d}:{_tuple_label(s)}"
@@ -290,7 +288,7 @@ def _hoffman_checks(
 
 
 def _multiple_eta_checks(
-    max_r: int, samples: int, seed: int, depth: int, tol: float, margin: float
+    max_r: int, samples: int, seed: int, depth: int, tol: float
 ) -> Checks:
     """The alternating analogue: eta products against chained sums.
 
@@ -300,7 +298,7 @@ def _multiple_eta_checks(
     index is truncated at exactly the same depth, which again makes the
     identity exact on the finite box.
     """
-    cfg = EvalConfig(depth, margin)
+    cfg = EvalConfig(depth)
     for i, s in _sampled_tuples(seed, samples, max_r, depth):
         products = _weighted_products(s, lambda x: -alternating_chain_sum((x,), cfg).value)
         lhs = math.fsum(w * p for w, p in products)
@@ -309,7 +307,7 @@ def _multiple_eta_checks(
 
 
 def _positivity_checks(
-    samples: int, recurrence_samples: int, seed: int, depth: int, tol: float, margin: float
+    samples: int, recurrence_samples: int, seed: int, depth: int, tol: float
 ) -> Checks:
     """Sign separation for chained sums plus both peeling recurrences.
 
@@ -319,7 +317,7 @@ def _positivity_checks(
     checks the two recurrences that peel the innermost index and the
     terminal block, to absolute tolerance.
     """
-    cfg = EvalConfig(depth, margin)
+    cfg = EvalConfig(depth)
     rng = random.Random(seed)
     for i in range(samples):
         r = 1 + i % 3
@@ -435,18 +433,13 @@ def _signs_checks(max_k: int) -> Checks:
 
 @dataclass(frozen=True)
 class _Suite:
-    """A suite's check builder and its options with their defaults.
-
-    config lists, in CONFIG-line order, the options the report header
-    shows; hidden options reach the builder but stay out of the header.
-    """
+    """A suite's check builder and its options with their defaults, in
+    the order of the CONFIG line."""
 
     build: Callable[..., Checks]
     config: tuple[tuple[str, object], ...]
-    hidden: tuple[tuple[str, object], ...] = ()
 
 
-_MARGIN = (("margin", DEFAULT_MARGIN),)
 _SAMPLED = (
     ("max_r", 3),
     ("samples", 20),
@@ -459,15 +452,13 @@ _SUITES: dict[str, _Suite] = {
     "main": _Suite(
         partial(_genus_checks, GenusSpec.l_genus, "T", "h", _main_scale),
         (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)),
-        _MARGIN,
     ),
     "ahat": _Suite(
         partial(_genus_checks, GenusSpec.a_hat, "S", "a", _ahat_scale),
         (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)),
-        _MARGIN,
     ),
-    "hoffman": _Suite(_hoffman_checks, _SAMPLED, _MARGIN),
-    "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED, _MARGIN),
+    "hoffman": _Suite(_hoffman_checks, _SAMPLED),
+    "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED),
     "positivity": _Suite(
         _positivity_checks,
         (
@@ -477,13 +468,12 @@ _SUITES: dict[str, _Suite] = {
             ("depth", SAMPLE_DEPTH),
             ("tol", DEFAULT_TOL),
         ),
-        _MARGIN,
     ),
     "formal": _Suite(_formal_checks, (("max_r", 3), ("level_cap", 4))),
     "oracle": _Suite(_oracle_checks, (("max_k", 6),)),
     "signs": _Suite(_signs_checks, (("max_k", 12),)),
 }
-_OPTIONS = {key for suite in _SUITES.values() for key, _ in suite.config + suite.hidden}
+_OPTIONS = {key for suite in _SUITES.values() for key, _ in suite.config}
 
 
 def _config_text(value: object) -> str:
@@ -516,9 +506,9 @@ def run_suite(name: str, **options: object) -> SuiteReport:
         raise ValueError(f"unknown suite option(s): {', '.join(unknown)}")
     values = {
         key: default if options.get(key) is None else options[key]
-        for key, default in suite.config + suite.hidden
+        for key, default in suite.config
     }
     if "tol" in values and not values["tol"] > 0:
         raise ValueError("tol must be positive")
-    config = tuple((key, _config_text(values[key])) for key, _ in suite.config)
+    config = tuple((key, _config_text(value)) for key, value in values.items())
     return SuiteReport(name, config, tuple(suite.build(**values)))

@@ -352,6 +352,14 @@ def test_verify_rejects_unknown_suite_and_bad_config(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("suite", ["main", "ahat", "hoffman", "multiple-eta", "positivity"])
+def test_the_exponent_margin_is_no_option(runner, suite):
+    # the exponent floor is fixed in series; no flag or suite option sets it
+    assert _invoke(runner, ["verify", suite, "--delta", "0.1"]).exit_code == 2
+    with pytest.raises(ValueError, match=r"unknown suite option\(s\): margin"):
+        run_suite(suite, margin=0.1)
+
+
 def test_verify_refuses_a_depth_past_the_cap_before_any_array(runner, monkeypatch):
     def no_array(*args):
         raise AssertionError("an array was built")
@@ -550,7 +558,7 @@ def test_oracle_suite_counts_a_disagreeing_route(monkeypatch, route):
 
 
 _SAMPLED_CONFIG = "CONFIG max_r=3 samples=20 seed=1729 depth=50000 tol=1e-06"
-_NUMERIC = ("tol", "margin")
+_NUMERIC = ("tol",)
 
 
 @pytest.mark.parametrize(
@@ -585,8 +593,6 @@ def test_default_config_lines(runner, monkeypatch, suite, config, options):
     assert result.exit_code == 0
     assert result.output.splitlines()[1] == config
     assert sorted(received) == sorted(options)
-    if "margin" in received:
-        assert received["margin"] == 0.05
 
 
 def test_config_line_with_explicit_depth(runner):

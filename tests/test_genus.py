@@ -13,7 +13,6 @@ from zetagenus import partitions as partitions_module
 from zetagenus.exact import bernoulli
 from zetagenus.genus import (
     MAX_EXACT_DEGREE,
-    MAX_MONOMIAL_WEIGHT,
     MAX_ORACLE_DEGREE,
     CoefficientTable,
     GenusSpec,
@@ -329,8 +328,10 @@ def test_monomial_expansion_matches_direct_enumeration(parts):
 def test_monomial_expansion_guards():
     with pytest.raises(ValueError):
         monomial_to_power_sum(())
-    with pytest.raises(ValueError):
-        monomial_to_power_sum((MAX_MONOMIAL_WEIGHT + 1,))
+    # one part has one set partition, whatever its weight
+    assert monomial_to_power_sum((13,)) == {IntegerPartition((13,)): 1}
+    with pytest.raises(ValueError, match="ground size 13"):
+        monomial_to_power_sum((1,) * 13)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from zetagenus import series, verify
 from zetagenus.partitions import integer_partitions
 from zetagenus.series import (
-    DEFAULT_MARGIN,
     MAX_DEPTH,
     MAX_SYMMETRIZE_SUBSETS,
     EvalConfig,
@@ -170,8 +169,8 @@ _HONESTY_CASES = [
 
 @pytest.mark.parametrize("fn,args", _HONESTY_CASES)
 def test_error_bounds_survive_depth_doubling(fn, args):
-    lo = EvalConfig(20_000, min_exponent_margin=0.2)
-    hi = EvalConfig(40_000, min_exponent_margin=0.2)
+    lo = EvalConfig(20_000)
+    hi = EvalConfig(40_000)
     shallow = fn(*args, lo)
     deep = fn(*args, hi)
     assert abs(deep.value - shallow.value) <= shallow.err_bound
@@ -221,7 +220,7 @@ def test_rank_one_chain_is_negated_eta():
 def test_eta_sums_every_index_up_to_an_odd_depth(s):
     # The depth caps every index: at an odd depth the last term is
     # summed too, so eta is minus the one-level chained sum exactly.
-    cfg = EvalConfig(1001, min_exponent_margin=0.2)
+    cfg = EvalConfig(1001)
     eta = dirichlet_eta(s, cfg)
     assert eta.value == -alternating_chain_sum([s], cfg).value
     assert eta.err_bound >= 1002.0 ** (-s)  # at least the first omitted term
@@ -827,39 +826,53 @@ def test_default_config_depths_by_rank():
     assert default_config(1).depth == default_config(2).depth
     assert default_config(3).depth == default_config(4).depth
     assert default_config(1).depth > default_config(3).depth
-    assert [f.name for f in dataclasses.fields(EvalConfig)] == ["depth", "min_exponent_margin"]
-    assert default_config(1).min_exponent_margin == DEFAULT_MARGIN
+    assert [f.name for f in dataclasses.fields(EvalConfig)] == ["depth"]
     with pytest.raises(ValueError):
         default_config(0)
 
 
 def test_config_validation():
+    with pytest.raises(TypeError):
+        EvalConfig()  # no default depth; default_config(parts) is the default
     with pytest.raises(ValueError):
         EvalConfig(1)
     assert EvalConfig(MAX_DEPTH).depth == MAX_DEPTH
     with pytest.raises(ValueError, match="past the depth cap"):
         EvalConfig(MAX_DEPTH + 1)
-    with pytest.raises(ValueError):
-        EvalConfig(100, min_exponent_margin=float("nan"))
-    with pytest.raises(ValueError):
-        EvalConfig(100, min_exponent_margin=0.0)
 
 
 def test_series_value_basics():
-    v = SeriesValue(1.5, 0.25)
-    assert float(v) == 1.5
     with pytest.raises(ValueError):
         SeriesValue(1.0, -0.1)
 
 
-def test_exponent_margin_is_enforced():
-    # Default margin 0.05 rejects exponents at or below 1.05.
-    with pytest.raises(ValueError):
-        zeta(1.04, _cfg(1000))
-    with pytest.raises(ValueError):
-        multiple_zeta((2.0, 1.0), _cfg(1000))
-    loose = EvalConfig(1000, min_exponent_margin=0.03)
-    assert zeta(1.04, loose).value > 0
+# each public numeric entry point, called with one exponent x
+_ENTRY_POINTS = {
+    "zeta": zeta,
+    "dirichlet_eta": dirichlet_eta,
+    "multiple_zeta": lambda x, cfg: multiple_zeta((2.0, x), cfg),
+    "multiple_zeta_star": lambda x, cfg: multiple_zeta_star((2.0, x), cfg),
+    "alternating_chain_sum": lambda x, cfg: alternating_chain_sum((2.0, x), cfg),
+    "alternating_chain_tail": lambda x, cfg: alternating_chain_tail(2, (2.0, x), cfg),
+    "alternating_chain_tail_family": lambda x, cfg: alternating_chain_tail_family((x,), cfg),
+    "symmetrize-T": lambda x, cfg: symmetrize("T", (2.0, x), cfg),
+    "symmetrize-S": lambda x, cfg: symmetrize("S", (2.0, x), cfg),
+    "symmetrize-strict": lambda x, cfg: symmetrize("strict", (2.0, x), cfg),
+    "innermost_peel_residual": lambda x, cfg: innermost_peel_residual((2.0, x), cfg),
+    "bottom_block_residual": lambda x, cfg: bottom_block_residual(2, (2.0, x), cfg),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_exponent_floor_is_enforced(name):
+    # every exponent must be at least 1.05
+    call = _ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="below the floor 1.05"):
+        call(1.04, _cfg(1000))
+    call(1.06, _cfg(1000))
+
+
+def test_monotone_sums_need_an_exponent():
     with pytest.raises(ValueError):
         multiple_zeta((), _cfg(1000))
 
