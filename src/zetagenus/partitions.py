@@ -9,28 +9,26 @@ Enumeration is in lexicographic order of these strings, so for r = 3:
     (0,0,0) (0,0,1) (0,1,0) (0,1,1) (0,1,2)
 
 The partial order is refinement: pi <= rho when every block of pi sits
-inside a single block of rho.  The witness for comparability is itself a
-set partition, of the block index set of pi, and the Mobius function of
-an interval is read off that witness.  signed_block_sums walks the same
-enumeration without building SetPartition objects, handing each
-partition's Mobius weight and block sums to a callback.
+inside a single block of rho, and the interval [pi, top] is the lattice
+on pi's blocks.  signed_block_sums is the one walk over set partitions:
+it hands each partition's Mobius weight and block sums to a callback.
+Walked over singletons it enumerates the lattice; walked over the blocks
+of pi it gives every coarsening of pi with its weight mu(pi, rho).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "IntegerPartition",
     "integer_partitions",
     "SetPartition",
-    "iter_set_partitions",
     "enumerate_set_partitions",
     "signed_block_sums",
     "coarsenings",
-    "refinement_witness",
     "mobius",
     "stirling2",
     "bell_number",
@@ -135,14 +133,14 @@ class SetPartition:
     __slots__ = ("_rgs", "_blocks")
 
     def __init__(self, rgs: Iterable[int]):
-        tup = tuple(int(a) for a in rgs)
+        tup = tuple(map(int, rgs))
         if not tup:
             raise ValueError("ground set must be nonempty")
         mx = -1
         for a in tup:
-            if a < 0 or a > mx + 1:
+            if not 0 <= a <= mx + 1:
                 raise ValueError(f"not a restricted growth string: {tup}")
-            if a == mx + 1:
+            if a > mx:
                 mx = a
         self._rgs = tup
         self._blocks: Optional[tuple[tuple[int, ...], ...]] = None
@@ -206,34 +204,14 @@ def _check_ground_size(r: int) -> None:
         )
 
 
-def iter_set_partitions(r: int) -> Iterator[SetPartition]:
-    """Yield all set partitions of {1..r} in lexicographic RGS order."""
-    _check_ground_size(r)
-    rgs = [0] * r
-
-    def rec(i: int, mx: int) -> Iterator[SetPartition]:
-        if i == r:
-            yield SetPartition(tuple(rgs))
-            return
-        for v in range(mx + 2):
-            rgs[i] = v
-            yield from rec(i + 1, mx if v <= mx else v)
-
-    yield from rec(1, 0)
-
-
-def enumerate_set_partitions(r: int) -> list[SetPartition]:
-    return list(iter_set_partitions(r))
-
-
 def signed_block_sums(values: Sequence, visit: Callable[[int, list], None]) -> None:
     """Call visit(w, sums) once per set partition P of the positions of values.
 
     w is the Mobius weight mu(bottom, P) = (-1)^(r - len(P)) * prod over
     blocks of (|B| - 1)!, and sums holds each block's values added left to
-    right, blocks in order of first appearance.  Partitions come in the
-    lexicographic RGS order of iter_set_partitions.  The sums list is
-    reused between calls, so visit must copy whatever it keeps.
+    right, blocks in order of first appearance.  Partitions come in
+    lexicographic RGS order.  The sums list is reused between calls, so
+    visit must copy whatever it keeps.
 
     This is the signed set-partition sum behind the monomial expansion
     and the Hoffman-type identities; it builds no SetPartition, which
@@ -275,43 +253,30 @@ def signed_block_sums(values: Sequence, visit: Callable[[int, list], None]) -> N
     rec(0, 1)
 
 
-def merge_blocks(pi: SetPartition, grouping: SetPartition) -> SetPartition:
-    """Coarsen pi by uniting its blocks according to a partition of the block indices."""
-    if grouping.ground_size != pi.length:
-        raise ValueError("grouping must partition the block index set of pi")
-    blocks = pi.blocks
-    merged = [
-        sorted(x for j in group for x in blocks[j - 1]) for group in grouping.blocks
-    ]
-    return SetPartition.from_blocks(merged)
+def coarsenings(pi: SetPartition) -> list[tuple[SetPartition, int]]:
+    """(rho, mobius(pi, rho)) for every rho >= pi, in lexicographic RGS
+    order of the grouping of pi's blocks that unites them into rho."""
+    r = pi.ground_size
+    out: list[tuple[SetPartition, int]] = []
+
+    # Each sum is a union of pi-blocks (elements counted from 0 here),
+    # ordered by the smallest element of its first pi-block, which is
+    # its own smallest element.
+    def visit(w: int, unions: list) -> None:
+        rgs = [0] * r
+        for b, union in enumerate(unions):
+            for x in union:
+                rgs[x] = b
+        out.append((SetPartition(rgs), w))
+
+    signed_block_sums([tuple(x - 1 for x in block) for block in pi.blocks], visit)
+    return out
 
 
-def coarsenings(pi: SetPartition) -> Iterator[tuple[SetPartition, SetPartition]]:
-    """Yield (rho, grouping) for every rho >= pi, where rho = merge_blocks(pi, grouping)."""
-    for grouping in iter_set_partitions(pi.length):
-        yield merge_blocks(pi, grouping), grouping
-
-
-def refinement_witness(pi: SetPartition, rho: SetPartition) -> Optional[SetPartition]:
-    """The witness that pi refines rho, or None when it does not.
-
-    When pi <= rho there is a unique partition P of {1..length(pi)} with
-    rho_i equal to the union of the pi-blocks indexed by the i-th block
-    of P; that P is returned.  Ground sets must agree.
-    """
-    if pi.ground_size != rho.ground_size:
-        raise ValueError(
-            f"ground sets differ: {pi.ground_size} vs {rho.ground_size}"
-        )
-    rho_index = rho.rgs
-    groups: list[list[int]] = [[] for _ in range(rho.length)]
-    for j, block in enumerate(pi.blocks, start=1):
-        targets = {rho_index[x - 1] for x in block}
-        if len(targets) != 1:
-            return None
-        groups[targets.pop()].append(j)
-    # every rho-block is a union of pi-blocks, so no group can be empty
-    return SetPartition.from_blocks(groups)
+def enumerate_set_partitions(r: int) -> list[SetPartition]:
+    """All set partitions of {1..r} in lexicographic RGS order."""
+    _check_ground_size(r)
+    return [rho for rho, _ in coarsenings(SetPartition(range(r)))]
 
 
 def mobius(pi: SetPartition, rho: SetPartition) -> int:
@@ -319,15 +284,20 @@ def mobius(pi: SetPartition, rho: SetPartition) -> int:
 
     Equals (-1)^(length(pi) - length(rho)) * prod_i (b_i - 1)! where b_i
     counts the pi-blocks merged into the i-th block of rho.  Raises when
-    the two partitions are not comparable.
+    the ground sets differ or pi does not refine rho.  This is the
+    independent reference for the weights coarsenings reads off the walk.
     """
-    witness = refinement_witness(pi, rho)
-    if witness is None:
-        raise ValueError(f"{pi!r} does not refine {rho!r}")
-    sign = -1 if (pi.length - rho.length) % 2 else 1
-    acc = sign
-    for group in witness.blocks:
-        acc *= factorial(len(group) - 1)
+    if pi.ground_size != rho.ground_size:
+        raise ValueError(f"ground sets differ: {pi.ground_size} vs {rho.ground_size}")
+    merged = [0] * rho.length
+    for block in pi.blocks:
+        targets = {rho.rgs[x - 1] for x in block}
+        if len(targets) != 1:
+            raise ValueError(f"{pi!r} does not refine {rho!r}")
+        merged[targets.pop()] += 1
+    acc = -1 if (pi.length - rho.length) % 2 else 1
+    for count in merged:  # every rho-block is a union of pi-blocks: count >= 1
+        acc *= factorial(count - 1)
     return acc
 
 

@@ -365,9 +365,9 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
                 "0" if diff is None else f"at={diff}",
             )
             yield _identity_check(f"mobius[{label}]", check_mobius_inversion(pi, level_cap))
-            rep = check_chain_inversion(pi, level_cap)
-            bad = rep.signed_from_chain if rep.chain_from_signed.ok else rep.chain_from_signed
-            yield _identity_check(f"chain-inversion[{label}]", bad)
+            yield _identity_check(
+                f"chain-inversion[{label}]", check_chain_inversion(pi, level_cap)
+            )
     for n in range(1, 10):
         by_sum = alternating_length_sum(n)
         lengths: list[int] = []
@@ -392,8 +392,7 @@ def _oracle_checks(max_k: int) -> Checks:
     agreement of all three on every partition is a genuine cross-check.
     A partition counts as bad when either route differs from the oracle.
     """
-    if max_k >= 1:
-        check_oracle_degree(max_k)  # refuse before the first table is built
+    check_oracle_degree(max_k)  # refuse before the first table is built
     for name, genus in _genera(max_k):
         for k in range(1, max_k + 1):
             table = coefficient_table(genus, k)
@@ -474,6 +473,8 @@ _SUITES: dict[str, _Suite] = {
     "signs": _Suite(_signs_checks, (("max_k", 12),)),
 }
 _OPTIONS = {key for suite in _SUITES.values() for key, _ in suite.config}
+# smallest accepted values; a size of 0 would pass with no checks run
+_LEAST = {"max_k": 1, "max_r": 1, "samples": 1, "recurrence_samples": 0}
 
 
 def _config_text(value: object) -> str:
@@ -510,5 +511,8 @@ def run_suite(name: str, **options: object) -> SuiteReport:
     }
     if "tol" in values and not values["tol"] > 0:
         raise ValueError("tol must be positive")
+    for key, least in _LEAST.items():
+        if key in values and values[key] < least:
+            raise ValueError(f"{key} must be at least {least}, got {values[key]}")
     config = tuple((key, _config_text(value)) for key, value in values.items())
     return SuiteReport(name, config, tuple(suite.build(**values)))

@@ -476,6 +476,36 @@ def test_nonpositive_tol_fails_before_any_work(runner, monkeypatch, suite, tol):
     assert "tol must be positive" in result.output
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["main", "--k", "0"], "max_k must be at least 1, got 0"),
+        (["ahat", "--k", "0"], "max_k must be at least 1, got 0"),
+        (["oracle", "--k", "0"], "max_k must be at least 1, got 0"),
+        (["signs", "--k", "-3"], "max_k must be at least 1, got -3"),
+        (["hoffman", "--max-r", "0"], "max_r must be at least 1, got 0"),
+        (["multiple-eta", "--max-r", "-1"], "max_r must be at least 1, got -1"),
+        (["formal", "--max-r", "0"], "max_r must be at least 1, got 0"),
+        (["hoffman", "--samples", "0"], "samples must be at least 1, got 0"),
+        (
+            ["positivity", "--samples", "0", "--recurrence-samples", "0"],
+            "samples must be at least 1, got 0",
+        ),
+        (
+            ["positivity", "--recurrence-samples", "-1"],
+            "recurrence_samples must be at least 0, got -1",
+        ),
+    ],
+)
+def test_sizes_that_would_run_no_check_fail_before_any_work(runner, args, message):
+    # a report of 0/0 checks would pass without testing anything
+    start = time.perf_counter()
+    result = runner.invoke(cli, ["verify", *args])
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_verify_has_no_threads_option(runner):
     result = runner.invoke(cli, ["verify", "main", "--threads", "2"])
     assert result.exit_code == 2
@@ -645,10 +675,9 @@ def _no_set_partitions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("set partitions were enumerated")
 
+    # every enumeration of set partitions runs through this one walk
     for module in (partitions, genus_module, verify):
-        for name in ("signed_block_sums", "iter_set_partitions"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(module, "signed_block_sums", refuse)
 
 
 @pytest.mark.parametrize(

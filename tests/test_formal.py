@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from zetagenus import formal
 from zetagenus.formal import (
     MAX_CHAIN_BLOCKS,
     TERM_BUDGET,
@@ -167,9 +168,28 @@ def test_mobius_inversion_is_exact(n, cap):
 def test_chain_inversion_is_exact_in_both_directions(n, cap):
     for pi in enumerate_set_partitions(n):
         report = check_chain_inversion(pi, cap)
-        assert report.ok
-        assert report.chain_from_signed.ok, report.chain_from_signed.describe()
-        assert report.signed_from_chain.ok, report.signed_from_chain.describe()
+        # a pass reports direction two, which runs only after direction one passed
+        assert report.ok, report.describe()
+        assert report.name == f"signed-from-chain[{pi!r},N={cap}]"
+
+
+@pytest.mark.parametrize("failing", ["chain-from-signed", "signed-from-chain"])
+def test_chain_inversion_reports_the_failing_direction(monkeypatch, failing):
+    pi = _pi((1,), (2,))
+    real = chain_sum_poly_symmetrized
+
+    # Direction one builds the chained sum of pi alone, direction two that
+    # of every coarsening; doubling only the coarser ones breaks direction two.
+    def doubled(rho, cap):
+        broken = failing == "chain-from-signed" or rho.length < pi.length
+        return real(rho, cap).scale(2 if broken else 1)
+
+    monkeypatch.setattr(formal, "chain_sum_poly_symmetrized", doubled)
+    report = check_chain_inversion(pi, 3)
+    assert not report.ok
+    assert report.name == f"{failing}[{pi!r},N=3]"
+    assert report.first_diff is not None
+    assert report.lhs_coeff != report.rhs_coeff
 
 
 def test_identity_report_describes_the_first_mismatch():

@@ -1,7 +1,7 @@
 """Tests for integer partitions and the set-partition lattice."""
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -17,10 +17,7 @@ from zetagenus.partitions import (
     coarsenings,
     enumerate_set_partitions,
     integer_partitions,
-    iter_set_partitions,
-    merge_blocks,
     mobius,
-    refinement_witness,
     signed_block_sums,
     stirling2,
 )
@@ -79,8 +76,21 @@ def test_integer_partitions_cover_each_weight(k):
 
 
 def test_set_partition_enumeration_order_for_three_elements():
-    got = [sp.rgs for sp in iter_set_partitions(3)]
+    got = [sp.rgs for sp in enumerate_set_partitions(3)]
     assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+
+
+def _lex_rgs(r):
+    """Restricted growth strings of length r in lexicographic order:
+    product yields a_i <= i in that order, and the filter keeps each
+    a_i at most one past the largest entry before it."""
+    strings = product(*(range(i + 1) for i in range(r)))
+    return [a for a in strings if all(a[i] <= max(a[:i], default=-1) + 1 for i in range(r))]
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_enumeration_is_the_lexicographic_rgs_list(r):
+    assert [sp.rgs for sp in enumerate_set_partitions(r)] == _lex_rgs(r)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -91,9 +101,9 @@ def test_enumeration_counts_match_bell_numbers():
 
 def test_enumeration_refuses_oversized_ground_sets():
     with pytest.raises(ValueError):
-        list(iter_set_partitions(MAX_GROUND_SIZE + 1))
+        enumerate_set_partitions(MAX_GROUND_SIZE + 1)
     with pytest.raises(ValueError):
-        list(iter_set_partitions(0))
+        enumerate_set_partitions(0)
 
 
 def test_from_blocks_round_trip():
@@ -124,41 +134,46 @@ def test_rgs_validation():
 
 
 # ---------------------------------------------------------------------------
-# Refinement order, merging, Moebius function
+# Refinement order, coarsenings, Moebius function
 # ---------------------------------------------------------------------------
 
 
-def test_refinement_witness_example():
+def _refines(pi, rho):
+    """pi <= rho: every block of pi sits inside one block of rho."""
+    return all(len({rho.rgs[x - 1] for x in block}) == 1 for block in pi.blocks)
+
+
+def _merge(pi, grouping):
+    """Unite the blocks of pi as grouping groups their indices 1..len(pi)."""
+    return SetPartition.from_blocks(
+        [x for j in group for x in pi.blocks[j - 1]] for group in grouping.blocks
+    )
+
+
+def test_coarsenings_of_a_two_block_partition():
     pi = SetPartition.from_blocks([(1, 2), (3,)])
     top = SetPartition.from_blocks([(1, 2, 3)])
-    witness = refinement_witness(pi, top)
-    assert witness is not None
-    # Both blocks of pi fall into the single block of top.
-    assert witness.blocks == ((1, 2),)
-    assert merge_blocks(pi, witness) == top
+    assert coarsenings(pi) == [(top, -1), (pi, 1)]
 
 
-def test_refinement_witness_detects_incomparable_pairs():
-    pi = SetPartition.from_blocks([(1, 2), (3,)])
-    rho = SetPartition.from_blocks([(1, 3), (2,)])
-    assert refinement_witness(pi, rho) is None
-    assert refinement_witness(rho, pi) is None
-
-
-def test_refinement_witness_requires_matching_ground_sets():
-    with pytest.raises(ValueError):
-        refinement_witness(SetPartition((0, 0)), SetPartition((0, 0, 0)))
+@pytest.mark.parametrize("r", range(1, 7))
+def test_coarsenings_merge_each_grouping_in_order(r):
+    for pi in enumerate_set_partitions(r):
+        expected = [_merge(pi, SetPartition(g)) for g in _lex_rgs(pi.length)]
+        got = coarsenings(pi)
+        assert [rho for rho, _ in got] == expected
+        for rho, weight in got:
+            assert weight == mobius(pi, rho)
 
 
 def test_coarsenings_enumerate_the_upper_interval():
     pi = SetPartition.from_blocks([(1,), (2, 3), (4,)])
-    seen = set()
-    for rho, grouping in coarsenings(pi):
-        assert merge_blocks(pi, grouping) == rho
-        assert refinement_witness(pi, rho) == grouping
-        seen.add(rho)
+    pairs = coarsenings(pi)
+    assert all(_refines(pi, rho) for rho, _ in pairs)
     # The interval above pi is isomorphic to the lattice on pi's blocks.
-    assert len(seen) == bell_number(pi.length)
+    uppers = {rho for rho in enumerate_set_partitions(4) if _refines(pi, rho)}
+    assert {rho for rho, _ in pairs} == uppers
+    assert len(pairs) == bell_number(pi.length)
 
 
 def test_mobius_values_on_small_lattices():
@@ -181,13 +196,25 @@ def test_mobius_of_full_interval_is_signed_factorial():
 def test_mobius_rejects_incomparable_arguments():
     pi = SetPartition.from_blocks([(1, 2), (3,)])
     rho = SetPartition.from_blocks([(1, 3), (2,)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not refine"):
         mobius(pi, rho)
+    with pytest.raises(ValueError, match="does not refine"):
+        mobius(rho, pi)
+    # the top refines nothing but itself
+    with pytest.raises(ValueError, match="does not refine"):
+        mobius(SetPartition((0, 0, 0)), pi)
+
+
+def test_mobius_requires_matching_ground_sets():
+    with pytest.raises(ValueError, match="ground sets differ"):
+        mobius(SetPartition((0, 0)), SetPartition((0, 0, 0)))
+    with pytest.raises(ValueError, match="ground sets differ"):
+        mobius(SetPartition((0, 1, 2)), SetPartition((0, 0)))
 
 
 def _interval(pi, rho):
     for sigma, _ in coarsenings(pi):
-        if refinement_witness(sigma, rho) is not None:
+        if _refines(sigma, rho):
             yield sigma
 
 
@@ -250,7 +277,7 @@ def test_refinement_is_transitive():
     for pi in enumerate_set_partitions(4):
         for sigma, _ in coarsenings(pi):
             for rho, _ in coarsenings(sigma):
-                assert refinement_witness(pi, rho) is not None
+                assert _refines(pi, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +303,7 @@ def test_stirling_rejects_out_of_range_arguments():
 def test_stirling_counts_match_enumeration():
     for n in range(1, 8):
         by_length = {}
-        for sp in iter_set_partitions(n):
+        for sp in enumerate_set_partitions(n):
             by_length[sp.length] = by_length.get(sp.length, 0) + 1
         assert by_length == {k: stirling2(n, k) for k in range(1, n + 1)}
 
@@ -291,7 +318,7 @@ def test_alternating_length_sum_values_and_guard():
     for n in range(1, 10):
         direct = sum(
             (-1) ** sp.length * math.factorial(sp.length)
-            for sp in iter_set_partitions(n)
+            for sp in enumerate_set_partitions(n)
         )
         assert alternating_length_sum(n) == direct == (-1) ** n
     with pytest.raises(ValueError):
@@ -335,6 +362,6 @@ def test_block_order_does_not_matter(sp):
 
 @given(_set_partitions(max_n=5))
 def test_every_partition_refines_its_coarsenings(sp):
-    for rho, grouping in coarsenings(sp):
-        assert grouping.ground_size == sp.length
-        assert refinement_witness(sp, rho) is not None
+    pairs = coarsenings(sp)
+    assert len(pairs) == bell_number(sp.length)
+    assert all(_refines(sp, rho) for rho, _ in pairs)
