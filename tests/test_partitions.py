@@ -198,11 +198,21 @@ def test_mobius_rejects_incomparable_arguments():
     rho = SetPartition.from_blocks([(1, 3), (2,)])
     with pytest.raises(ValueError, match="does not refine"):
         mobius(pi, rho)
-    with pytest.raises(ValueError, match="does not refine"):
-        mobius(rho, pi)
     # the top refines nothing but itself
     with pytest.raises(ValueError, match="does not refine"):
         mobius(SetPartition((0, 0, 0)), pi)
+
+
+def test_refinement_witness_detects_incomparable_pairs():
+    # Neither of two incomparable partitions refines the other, and mobius,
+    # the one comparability check left, says so in both orders.
+    pi = SetPartition.from_blocks([(1, 2), (3,)])
+    rho = SetPartition.from_blocks([(1, 3), (2,)])
+    assert not _refines(pi, rho)
+    assert not _refines(rho, pi)
+    for a, b in ((pi, rho), (rho, pi)):
+        with pytest.raises(ValueError, match="does not refine"):
+            mobius(a, b)
 
 
 def test_mobius_requires_matching_ground_sets():
