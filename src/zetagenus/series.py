@@ -2,11 +2,12 @@
 
 All evaluators share the same truncation semantics: a depth N caps every
 summation index, so an r-fold sum runs over the part of its index region
-inside the box {1..N}^r.  Every kernel folds one level step, _step, over
-its exponents: zeta is the one-level case of the monotone nested sum
-behind multiple_zeta and multiple_zeta_star, the chained sum is its own
-tail from the first index on, and symmetrize sums a kernel over all
-orderings by a DP over sub-multisets of the exponents on the same step.
+inside the box {1..N}^r.  Every kernel folds one level step over its
+exponents, a carry (a prefix or suffix sum, made in place in a level
+read no more) times n^(-x): zeta is the one-level case of the monotone
+nested sum behind multiple_zeta and multiple_zeta_star, the chained sum
+is its own tail from the first index on, and symmetrize sums a kernel
+over all orderings by a DP over sub-multisets of the exponents.
 Values are plain float64; each comes with an err_bound field holding a
 truncation estimate:
 
@@ -28,7 +29,8 @@ math.fsum rounds the exact total of all of them once.  Level sums are
 sequential cumulative sums in fixed index order, so runs are bitwise
 reproducible.  numpy loads when a series is first evaluated, never for
 exact commands.  MAX_DEPTH caps the depth, and with it the size of
-every array; MAX_WORKING_SET caps the arrays one symmetrize may hold.
+every array.  The powers are cached read-only, at most 8 arrays and
+16 MiB; MAX_WORKING_SET caps those plus the arrays a symmetrize holds.
 
 For even integer arguments the exact values are rational multiples of
 powers of pi (zeta_even_exact, dirichlet_eta_even_exact); verification
@@ -42,7 +44,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from math import factorial
 from typing import TYPE_CHECKING, Sequence
@@ -77,10 +78,10 @@ DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
 MAX_DEPTH = 20_000_000  # 160 MB per level array; `verify ahat` here: 3.3 s, 790 MB
 MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.7 s, 70 MB at depth 2e5; 8 take 2x
-_POWERS_CACHE = 8  # arrays the _powers cache keeps
-# bytes of the arrays one symmetrize plans to hold at its peak; at the
-# depth cap, `verify hoffman --max-r 2` plans 1.8 GiB and peaked at 1.5 GiB
-MAX_WORKING_SET = 2 * 2**30
+_POWERS_CACHE = 8  # arrays the _powers cache keeps: all 8 at depths to 2^18,
+_POWERS_BYTES = 16 * 2**20  # 2 at 10^6, 1 at 2*10^6 and none at the depth cap
+_powers_cache: dict[tuple[float, int], np.ndarray] = {}  # least recently used first
+MAX_WORKING_SET = 2 * 2**30  # bytes one symmetrize may plan to hold, the cache included
 
 _EPS = sys.float_info.epsilon
 # Terms per block of an exact reduction.  The block and its two scratch
@@ -140,13 +141,17 @@ def _setup(
     return out, cfg
 
 
-@lru_cache(maxsize=_POWERS_CACHE)
 def _powers(s: float, depth: int) -> np.ndarray:
-    """n^(-s) for n = 1..depth, cached read-only."""
-    import numpy as np
-    n = np.arange(1, depth + 1, dtype=np.float64)
-    p = n ** (-s)
-    p.flags.writeable = False
+    """n^(-s) for n = 1..depth, read-only; the cache keeps the last used."""
+    p = _powers_cache.pop((s, depth), None)
+    if p is None:
+        import numpy as np
+        n = np.arange(1, depth + 1, dtype=np.float64)
+        p = n ** (-s)
+        p.flags.writeable = False
+    _powers_cache[s, depth] = p
+    while len(_powers_cache) > _POWERS_CACHE or sum(a.nbytes for a in _powers_cache.values()) > _POWERS_BYTES:
+        del _powers_cache[next(iter(_powers_cache))]
     return p
 
 
@@ -247,29 +252,24 @@ def dirichlet_eta_even_exact(k: int) -> Fraction:
     return Fraction(2 ** (2 * k - 1) - 1, factorial(2 * k)) * bernoulli(k)
 
 
-def _step(kernel: str, x: float, level: np.ndarray | None, depth: int) -> np.ndarray:
-    """The level after `level` (or the first) for exponent x, in a fresh
-    array but for the monotone first level, the cached read-only powers.
-    "S" and "strict" add an outer index: n^(-x) times the prefix sum of
-    level, shifted by one for strict.  "T" adds an inner index: (-1)^n
-    n^(-x) times the suffix sum less, at odd n, the equal term."""
+def _carry(kernel: str, level: np.ndarray | None, depth: int) -> np.ndarray:
+    """The step after `level` before its exponent enters, in place in a
+    writable level: "S" the prefix sum, "strict" that shifted by one, "T"
+    (-1)^n times the suffix sum less, at odd n, the equal term."""
     import numpy as np
-    if level is None and kernel != "T":
-        return _powers(x, depth)
-    out = np.empty(depth)
-    if level is None:
-        out.fill(1.0)
-    elif kernel == "T":
-        np.cumsum(level[::-1], out=out[::-1])
-        out[0::2] -= level[0::2]
-    elif kernel == "S":
-        np.cumsum(level, out=out)
-    else:
+    if level is None:  # "T" before its first step: (-1)^n
+        return np.tile([-1.0, 1.0], (depth + 1) // 2)[:depth]
+    if kernel == "T":  # its levels are never the read-only powers
+        even, rev = level[0::2].copy(), level[::-1]
+        np.cumsum(rev, out=rev)  # one view as input and output: numpy makes no copy
+        level[0::2] -= even
+        np.negative(level[0::2], out=level[0::2])
+        return level
+    out = level if level.flags.writeable else np.empty(depth)
+    np.cumsum(level, out=out)
+    if kernel == "strict":
+        out[1:] = out[:-1]
         out[0] = 0.0
-        np.cumsum(level[:-1], out=out[1:])
-    out *= _powers(x, depth)
-    if kernel == "T":
-        np.negative(out[0::2], out=out[0::2])
     return out
 
 
@@ -284,13 +284,10 @@ def _tail_factor(kernel: str, x: float, depth: int, first: bool) -> float:
 
 
 def _nested_monotone(kernel: str, s: list[float], cfg: EvalConfig) -> SeriesValue:
-    """The "strict" (>) or "S" (>=) nested zeta sum, folded over _step from
-    the innermost exponent out; a level is indexed by one index's value."""
+    """The "strict" (>) or "S" (>=) nested zeta sum, folded from the
+    innermost exponent out; a level is indexed by one index's value."""
     depth = cfg.depth
-    level = None
-    for x in reversed(s):
-        level = _step(kernel, x, level, depth)
-    value = _fsum(level)
+    value = _fsum(_fold(kernel, s[::-1], depth))
     inner_bound = math.prod(_tail_factor(kernel, sj, depth, False) for sj in s[1:])
     tail = _tail_factor(kernel, s[0], depth, True) * inner_bound
     return SeriesValue(value, tail + _noise(value, depth, len(s)))
@@ -312,16 +309,19 @@ def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> Ser
     return _nested_monotone("S", *_setup(s, cfg))
 
 
-def _chain_final_level(s: list[float], depth: int) -> np.ndarray | None:
-    """Final-level array of the parity-chained alternating sum, folded
-    over _step from the outermost exponent in; None for no exponents.
-    Entry n is the signed sum over all chains n_1 >=' ... >=' n_r = n in
+def _fold(kernel: str, s: list[float], depth: int, level: np.ndarray | None = None) -> np.ndarray | None:
+    """The level after the steps for s in order from `level` (None: before
+    the first), but the read-only powers for the monotone first level.
+    For the chained sum ("T", from the outermost exponent in) entry n of
+    the last is the signed sum over all chains n_1 >=' ... >=' n_r = n in
     {1..depth}, where a >=' b means a >= b with equality only at even a.
-    Summing a suffix of the array bounds the innermost index from below.
-    """
-    level = None
+    Summing a suffix of it bounds the innermost index from below."""
     for x in s:
-        level = _step("T", x, level, depth)
+        if level is None and kernel != "T":
+            level = _powers(x, depth)
+        else:
+            level = _carry(kernel, level, depth)
+            level *= _powers(x, depth)
     return level
 
 
@@ -337,14 +337,14 @@ def _chain_from(s: list[float], depth: int, base: int) -> SeriesValue:
     """The chained sum over n_r >= base, with the first-omitted-outer-term
     estimate as its error."""
     import numpy as np
-    final = _chain_final_level(s, depth)[base - 1 :]
+    final = _fold("T", s, depth)[base - 1 :]
     value = _fsum(final)
     est = _tail_factor("T", s[0], depth, True)
     if len(s) > 1:
         est *= float(base) ** (-sum(s[1:]))
         for sj in s[1:]:
             est *= _tail_factor("T", sj, depth, False)
-    l1 = float(np.abs(final).sum())
+    l1 = float(np.abs(final, out=final).sum())  # after the sum: final is done with
     return SeriesValue(value, est + _noise(l1, depth, len(s)))
 
 
@@ -388,7 +388,21 @@ def alternating_chain_tail_family(
     For the empty exponent list every entry is exactly 1.
     """
     sl, cfg = _setup(s, cfg, empty_ok=True)
-    return _tail_family(_chain_final_level(sl, cfg.depth), cfg.depth // 2).copy()
+    return _tail_family(_fold("T", sl, cfg.depth), cfg.depth // 2).copy()
+
+
+def _schedule(top: tuple[int, ...]):
+    """Layer by layer, each sub-multiset M (its multiplicities) and its
+    steps (i, M + x_i, whether M + x_i is new), the new first."""
+    layer = [(0,) * len(top)]
+    for _ in range(sum(top)):
+        above: dict[tuple[int, ...], None] = {}
+        for sub in layer:
+            ups = [(i, sub[:i] + (m + 1,) + sub[i + 1 :]) for i, m in enumerate(sub) if m < top[i]]
+            steps = sorted(((i, up, up not in above) for i, up in ups), key=lambda st: not st[2])
+            above.update(dict.fromkeys(up for _, up, _ in steps))
+            yield sub, steps
+        layer = list(above)
 
 
 def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
@@ -396,48 +410,48 @@ def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
     their multiplicities; ValueError unless symmetrize accepts them at
     this depth (by default the one for their count): at least one
     exponent, at most MAX_SYMMETRIZE_SUBSETS sub-multisets, and a plan
-    whose peak of live arrays, times depth times 8 bytes, fits
-    MAX_WORKING_SET.  While the DP builds the layer of size j + 1 from
-    that of size j, both can be live, with the step in flight and the
-    _powers cache; the layer widths are the coefficients of
-    prod (1 + t + ... + t^m_i)."""
+    that fits MAX_WORKING_SET: a full _powers cache, the powers (and n
+    while one is made), and the peak of what "T", the largest, holds
+    along the schedule: live arrays with the carry's even entries or the
+    steps in flight, or at the end _fsum's buffers."""
     if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
-    mults = Counter(s).values()
-    count = math.prod(m + 1 for m in mults)
+    top = tuple(Counter(s).values())
+    count = math.prod(m + 1 for m in top)
     if count > MAX_SYMMETRIZE_SUBSETS:
         raise ValueError(
             f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
             f"the exponents, got {count} for {len(s)} exponents"
         )
-    widths = [1]
-    for m in mults:
-        widths = [sum(widths[max(0, j - m) : j + 1]) for j in range(len(widths) + m)]
-    arrays = max(map(sum, zip(widths, widths[1:]))) + 1 + _POWERS_CACHE
     depth = default_config(len(s)).depth if depth is None else depth
-    if arrays * depth * 8 > MAX_WORKING_SET:
+    size, live, peak = 8 * depth, 8 * depth, 0  # the first carry is a fresh array
+    for sub, steps in _schedule(top):
+        new = sum(st[2] for st in steps)  # in fresh arrays but a last one, or in scratch
+        fresh = new - steps[-1][2] + (len(steps) - new > 1)
+        peak = max(peak, live + max(fresh * size, 8 * ((depth + 1) // 2) if any(sub) else 0))
+        live += (new - 1) * size
+    plan = len(top) * size + max(peak, size + 16 * min(depth, _BLOCK)) + _POWERS_BYTES
+    if plan > MAX_WORKING_SET:
         raise ValueError(
-            f"symmetrize over {len(s)} exponents at depth {depth} would hold up to "
-            f"{arrays} arrays ({arrays * depth * 8 / 2**30:.1f} GiB), past the "
-            f"working-set budget of {MAX_WORKING_SET / 2**30:g} GiB"
+            f"symmetrize over {len(s)} exponents at depth {depth} would hold {plan / 2**30:.2f} GiB, "
+            f"past the working-set budget of {MAX_WORKING_SET / 2**30:g} GiB"
         )
     return count
 
 
-def symmetrize(
-    kernel: str, s: Sequence[float], cfg: EvalConfig | None = None
-) -> SeriesValue:
+def symmetrize(kernel: str, s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
     """Sum a kernel over all r! orderings of the exponents, repeats included.
 
     Kernels: "T" is the parity-chained alternating sum, "S" the
     non-strict multiple zeta, "strict" the strict multiple zeta.  Steps
     are linear in the level below, so over a sub-multiset M the final
     levels of the distinct orderings sum to A[M] = sum over distinct x in
-    M of _step(x, A[M - x]).  A DP builds one array per M (see
-    check_symmetrize_size), layer by layer in |M|, and frees each once
-    its steps are taken.  A distinct ordering stands for prod m_i!
-    permutations, m_i the multiplicities, so the value is the exactly
-    rounded sum of A[all] times prod m_i!.
+    M of the step for x from A[M - x].  A DP builds one array per M in
+    the order of _schedule: A[M] turns into its carry and M's last step
+    into the carry itself, the others into fresh arrays or, added to an
+    A[M + x], into a scratch one.  A distinct ordering stands for
+    prod m_i! permutations, m_i the multiplicities, so the value is the
+    exactly rounded sum of A[all] times prod m_i!.
 
     The bound is at least the sum of the per-ordering bounds: m_i (r-1)!
     permutations start with x_i, and the l1 norm of A[all] is the sum of
@@ -457,27 +471,31 @@ def symmetrize(
     depth, r = cfg.depth, len(sl)
     counts = Counter(sl)
     xs, top = list(counts), tuple(counts.values())
-    # a sub-multiset is the tuple of its multiplicities, indexed like xs
-    layer: dict[tuple[int, ...], np.ndarray | None] = {(0,) * len(xs): None}
-    for _ in range(r):
-        above: dict[tuple[int, ...], np.ndarray | None] = {}
-        for sub in list(layer):
-            for i, x in enumerate(xs):
-                if sub[i] < top[i]:
-                    up = sub[:i] + (sub[i] + 1,) + sub[i + 1 :]
-                    if up in above:
-                        above[up] += _step(kernel, x, layer[sub], depth)
-                    else:
-                        above[up] = _step(kernel, x, layer[sub], depth)
-            del layer[sub]
-        layer = above
-    final = layer[top]
+    f, powers = {}, []
+    for x in xs:  # the tail factor puts x's powers in the cache, if they fit
+        f[x] = _tail_factor(kernel, x, depth, False)
+        powers.append(_powers(x, depth))
+    arrays: dict[tuple[int, ...], np.ndarray] = {}
+    for sub, steps in _schedule(top):
+        if not any(sub) and kernel != "T":  # the first level is the powers
+            arrays.update((up, powers[i]) for i, up, _ in steps)
+            continue
+        carry, scratch = _carry(kernel, arrays.pop(sub, None), depth), None
+        for j, (i, up, new) in enumerate(steps, 1 - len(steps)):  # j = 0: the last
+            step = np.multiply(carry, powers[i], out=carry if j == 0 else None if new else scratch)
+            if new:
+                arrays[up] = step
+            else:
+                arrays[up] += step
+                scratch = step
+        del carry, scratch, step  # before the next carry
+    final = arrays[top]
     mult = math.prod(map(factorial, top))
-    f = {x: _tail_factor(kernel, x, depth, False) for x in xs}
     ratio = math.fsum(m * _tail_factor(kernel, x, depth, True) / f[x] for x, m in zip(xs, top))
     trunc = ratio * math.prod(f[x] ** m for x, m in zip(xs, top)) * factorial(r - 1)
-    noise = _noise(float(np.abs(final).sum()) * mult, depth, r + 1)
-    return SeriesValue(_fsum(final) * mult, (trunc + noise) * (1.0 + 4 * r * _EPS))
+    value = _fsum(final)
+    l1 = float((np.abs(final, out=final) if kernel == "T" else final).sum())  # else all >= 0
+    return SeriesValue(value * mult, (trunc + _noise(l1 * mult, depth, r + 1)) * (1.0 + 4 * r * _EPS))
 
 
 def innermost_peel_residual(
@@ -499,12 +517,12 @@ def innermost_peel_residual(
     import numpy as np
     sl, cfg = _setup(s, cfg)
     depth = cfg.depth
-    prefix = _chain_final_level(sl[:-1], depth)
-    lhs = _fsum(_step("T", sl[-1], prefix, depth))
+    prefix = _fold("T", sl[:-1], depth)
     # tail_k(prefix) for n_r = 2k-1 and 2k; at an odd depth the last n_r
     # has k past the family, where the empty-prefix tail is still 1
     fam = np.append(_tail_family(prefix, depth // 2), float(prefix is None))
-    return lhs, _fsum(_step("T", sl[-1], None, depth) * np.repeat(fam, 2)[:depth])
+    lhs = _fsum(_fold("T", sl[-1:], depth, prefix))  # the step takes prefix in place
+    return lhs, _fsum(_fold("T", sl[-1:], depth) * np.repeat(fam, 2)[:depth])
 
 
 def bottom_block_residual(
@@ -551,5 +569,5 @@ def bottom_block_residual(
         common = powers(even, -suffix_exp) if suffix_exp else np.ones(len(even))
         parts += _exact_parts((common * powers(even, -sj)) * rest)
         parts += _exact_parts((-common[: len(odd)] * powers(odd, -sj)) * rest[: len(odd)])
-        level = _step("T", sj, level, depth)
+        level = _fold("T", [sj], depth, level)
     return _fsum(level[2 * k - 1 :]), math.fsum(parts)

@@ -473,8 +473,8 @@ _SUITES: dict[str, _Suite] = {
     "signs": _Suite(_signs_checks, (("max_k", 12),)),
 }
 _OPTIONS = {key for suite in _SUITES.values() for key, _ in suite.config}
-# smallest accepted values; a size of 0 would pass with no checks run
-_LEAST = {"max_k": 1, "max_r": 1, "samples": 1, "recurrence_samples": 0}
+# a size of 0 would pass with no checks run; `hoffman --samples 1000` takes 18 s
+_SIZES = {"max_k": (1, math.inf), "max_r": (1, math.inf), "samples": (1, 1000), "recurrence_samples": (0, 1000)}
 
 
 def _config_text(value: object) -> str:
@@ -509,10 +509,11 @@ def run_suite(name: str, **options: object) -> SuiteReport:
         key: default if options.get(key) is None else options[key]
         for key, default in suite.config
     }
-    if "tol" in values and not values["tol"] > 0:
-        raise ValueError("tol must be positive")
-    for key, least in _LEAST.items():
-        if key in values and values[key] < least:
-            raise ValueError(f"{key} must be at least {least}, got {values[key]}")
+    if "tol" in values and not 0 < values["tol"] < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {values['tol']}")
+    for key, (least, most) in _SIZES.items():
+        if key in values and not least <= values[key] <= most:
+            bound = f"at least {least}" if values[key] < least else f"at most {most}"
+            raise ValueError(f"{key} must be {bound}, got {values[key]}")
     config = tuple((key, _config_text(value)) for key, value in values.items())
     return SuiteReport(name, config, tuple(suite.build(**values)))

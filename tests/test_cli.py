@@ -365,7 +365,7 @@ def test_verify_refuses_a_depth_past_the_cap_before_any_array(runner, monkeypatc
         raise AssertionError("an array was built")
 
     monkeypatch.setattr(series, "_powers", no_array)
-    monkeypatch.setattr(series, "_step", no_array)
+    monkeypatch.setattr(series, "_carry", no_array)
     for suite in ("main", "ahat", "hoffman", "multiple-eta", "positivity"):
         for depth in (series.MAX_DEPTH + 1, 100_000_000):
             start = time.perf_counter()
@@ -380,15 +380,16 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
         raise AssertionError("an array was built")
 
     monkeypatch.setattr(series, "_powers", no_array)
-    monkeypatch.setattr(series, "_step", no_array)
+    monkeypatch.setattr(series, "_carry", no_array)
     depth = str(series.MAX_DEPTH)
     # main and ahat refuse before their first sum, although the plans of
-    # their lower degrees fit
+    # their lower degrees fit; at this depth the first plans past the
+    # budget are those of five distinct exponents and of degree 11
     for args in (
-        ["hoffman", "--max-r", "7"],
-        ["multiple-eta", "--max-r", "7"],
-        ["main", "--k", "6"],
-        ["ahat", "--k", "8"],
+        ["hoffman", "--max-r", "5"],
+        ["multiple-eta", "--max-r", "5"],
+        ["main", "--k", "11"],
+        ["ahat", "--k", "11"],
     ):
         start = time.perf_counter()
         result = _invoke(runner, ["verify", *args, "--depth", depth])
@@ -463,7 +464,7 @@ def test_out_of_range_inputs_fail_before_any_work(runner, tmp_path, args, messag
     assert message in result.output
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-06"])
+@pytest.mark.parametrize("tol", ["0", "-1e-06", "inf", "nan"])
 @pytest.mark.parametrize("suite", ["main", "ahat", "hoffman", "multiple-eta", "positivity"])
 def test_nonpositive_tol_fails_before_any_work(runner, monkeypatch, suite, tol):
     def build(**kwargs):
@@ -473,7 +474,7 @@ def test_nonpositive_tol_fails_before_any_work(runner, monkeypatch, suite, tol):
     monkeypatch.setitem(verify._SUITES, suite, entry)
     result = runner.invoke(cli, ["verify", suite, "--tol", tol])
     assert result.exit_code == 2
-    assert "tol must be positive" in result.output
+    assert f"tol must be positive and finite, got {float(tol)}" in result.output
 
 
 @pytest.mark.parametrize(
@@ -504,6 +505,24 @@ def test_sizes_that_would_run_no_check_fail_before_any_work(runner, args, messag
     assert time.perf_counter() - start < 0.5
     assert result.exit_code == 2
     assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "suite,option",
+    [("hoffman", "samples"), ("multiple-eta", "samples"), ("positivity", "samples"),
+     ("positivity", "recurrence_samples")],
+)
+def test_sample_counts_past_the_cap_fail_before_any_work(runner, monkeypatch, suite, option):
+    # sampled suites run linearly in their samples; 1000 is the most
+    built = []
+    entry = dataclasses.replace(verify._SUITES[suite], build=lambda **kw: built.append(kw) or iter(()))
+    monkeypatch.setitem(verify._SUITES, suite, entry)
+    result = runner.invoke(cli, ["verify", suite, "--" + option.replace("_", "-"), "1001"])
+    assert result.exit_code == 2
+    assert f"{option} must be at most 1000, got 1001" in result.output
+    assert not built
+    run_suite(suite, **{option: 1000})
+    assert built[0][option] == 1000
 
 
 def test_verify_has_no_threads_option(runner):

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -363,45 +364,118 @@ def _plan_peak(s):
 
 _PLANS = [(2.5,), (2.0, 2.0, 2.0), (4.0, 3.0, 2.0, 2.0, 2.0), (8.0, 6.0, 4.0, 2.0, 2.0, 2.0),
           tuple(2.0 + 0.5 * i for i in range(7))]
+# the most step arrays each plan holds at once: of a layer being taken,
+# its rest and the next layer so far, and a scratch array; for seven
+# distinct exponents 45, where the two middle layers have 70
+_PEAKS = [1, 1, 6, 10, 45]
 
 
 @pytest.mark.parametrize("kernel", ["T", "S", "strict"])
 @pytest.mark.parametrize("s", _PLANS, ids=str)
 def test_symmetrize_holds_no_more_arrays_than_its_plan(kernel, s, monkeypatch):
-    # count the step arrays alive at each step, the one it makes included;
-    # the read-only cached powers belong to the _powers cache instead
+    # count the writable arrays the DP makes (carries and steps) alive at
+    # each carry and step, the one made included; the read-only powers
+    # belong to the _powers cache instead
     refs, peak = [], [0]
-    step = series._step
+    carry, multiply = series._carry, np.multiply
 
-    def counting_step(*args):
-        out = step(*args)
-        if out.flags.writeable:
-            refs.append(weakref.ref(out))
-        peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
-        return out
+    def tracked(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out.flags.writeable and all(ref() is not out for ref in refs):
+                refs.append(weakref.ref(out))
+            peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
+            return out
+        return call
 
-    monkeypatch.setattr(series, "_step", counting_step)
+    monkeypatch.setattr(series, "_carry", tracked(carry))
+    monkeypatch.setattr(np, "multiply", tracked(multiply))
     symmetrize(kernel, s, SMALL)
-    assert peak[0] <= _plan_peak(s)
-    assert peak[0] > 0 or (len(s) == 1 and kernel != "T")
+    want = _PEAKS[_PLANS.index(s)] if kernel == "T" or len(s) > 1 else 0  # else only the powers
+    assert peak[0] == want <= _plan_peak(s)
+
+
+def _fitting_depth(s):
+    """The largest depth whose symmetrize plan the guard accepts."""
+    lo, hi = 2, MAX_DEPTH
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            check_symmetrize_size(s, mid)
+            lo = mid
+        except ValueError:
+            hi = mid - 1
+    return lo
 
 
 @pytest.mark.parametrize("s", _PLANS, ids=str)
 def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
-    arrays = _plan_peak(s) + series._POWERS_CACHE
-    fits = series.MAX_WORKING_SET // (8 * arrays)
+    # 64 MiB beside the cache: every plan stops short of half the depth cap
+    monkeypatch.setattr(series, "MAX_WORKING_SET", series._POWERS_BYTES + 2**26)
+    fits = _fitting_depth(s)
+    assert fits < MAX_DEPTH // 2
     assert check_symmetrize_size(s, fits) == math.prod(m + 1 for m in Counter(s).values())
-    with pytest.raises(ValueError, match=f"up to {arrays} arrays.*working-set budget"):
+    with pytest.raises(ValueError, match=r"would hold 0\.08 GiB, past the working-set budget of 0\.078125 GiB"):
         check_symmetrize_size(s, fits + 1)
 
     def no_array(*args):
         raise AssertionError("an array was built")
 
-    monkeypatch.setattr(series, "_powers", no_array)
-    monkeypatch.setattr(series, "_step", no_array)
-    if fits < MAX_DEPTH:
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_powers", no_array)
+        patch.setattr(series, "_carry", no_array)
         with pytest.raises(ValueError, match="working-set budget"):
             symmetrize("T", s, EvalConfig(fits + 1))
+    # the plan is about linear in the depth: twice the room, twice the depth
+    monkeypatch.setattr(series, "MAX_WORKING_SET", series._POWERS_BYTES + 2**27)
+    assert 1.9 < _fitting_depth(s) / fits < 2.1
+
+
+@pytest.mark.parametrize("kernel", ["T", "S", "strict"])
+@pytest.mark.parametrize("s", [(8.0, 4.0, 4.0), *_PLANS], ids=str)
+def test_symmetrize_traced_peak_is_within_its_plan(kernel, s, monkeypatch):
+    # numpy reports its buffers to tracemalloc, so the peak is exact; the
+    # cache starts empty, so the call's own powers are traced too.  Beyond
+    # its arrays a call holds a few KiB of dicts and tuples.
+    depth, objects = 100_000, 64 * 1024
+    series._powers_cache.clear()
+    tracemalloc.start()
+    try:
+        symmetrize(kernel, s, EvalConfig(depth))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cache = series._POWERS_BYTES
+    # the guard refuses a budget below the peak and accepts 1.5 times it
+    monkeypatch.setattr(series, "MAX_WORKING_SET", cache + peak - objects)
+    with pytest.raises(ValueError, match="working-set budget"):
+        check_symmetrize_size(s, depth)
+    monkeypatch.setattr(series, "MAX_WORKING_SET", cache + int(1.5 * peak))
+    check_symmetrize_size(s, depth)
+
+
+def test_powers_cache_is_capped_in_entries_and_bytes():
+    series._powers_cache.clear()
+
+    def held():
+        return len(series._powers_cache), sum(a.nbytes for a in series._powers_cache.values())
+
+    for i in range(12):  # 12 small arrays: the 8 used last stay
+        p = series._powers(2.0 + i, 1000)
+        assert p.tobytes() == (np.arange(1.0, 1001.0) ** -(2.0 + i)).tobytes()
+    assert list(series._powers_cache) == [(2.0 + i, 1000) for i in range(4, 12)]
+    series._powers(6.0, 1000)  # a hit moves to the end
+    assert list(series._powers_cache)[-1] == (6.0, 1000)
+    for depth, kept in ((10**6, 2), (2 * 10**6, 1), (2**21 + 1, 0)):
+        for x in (2.0, 3.0, 4.0):
+            p = series._powers(x, depth)
+            assert not p.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p[0] = 0.0
+            count, size = held()
+            assert count <= series._POWERS_CACHE and size <= series._POWERS_BYTES
+        assert [key[1] for key in series._powers_cache].count(depth) == kept
+    series._powers_cache.clear()
 
 
 def test_working_set_budget_admits_every_suite_default():
@@ -446,7 +520,7 @@ def _permutation_noise(kernel, s, cfg):
     for perm in itertools.permutations(s):
         if perm not in memo:
             if kernel == "T":
-                l1 = float(np.abs(series._chain_final_level(list(perm), cfg.depth)).sum())
+                l1 = float(np.abs(series._fold("T", list(perm), cfg.depth)).sum())
             else:
                 l1 = _KERNELS[kernel](list(perm), cfg).value  # every term is positive
             memo[perm] = series._noise(l1, cfg.depth, len(perm))
@@ -474,6 +548,61 @@ def _seeded_multisets(seed, count):
     return out
 
 
+def _step_by_step(kernel, s, cfg):
+    """symmetrize as the DP was before carries: each step from its level
+    in a fresh array, added into the layer above in layer order."""
+    depth = cfg.depth
+
+    def step(x, level):
+        if level is None and kernel != "T":
+            return series._powers(x, depth)
+        out = np.empty(depth)
+        if level is None:
+            out.fill(1.0)
+        elif kernel == "T":
+            np.cumsum(level[::-1], out=out[::-1])
+            out[0::2] -= level[0::2]
+        elif kernel == "S":
+            np.cumsum(level, out=out)
+        else:
+            out[0] = 0.0
+            np.cumsum(level[:-1], out=out[1:])
+        out *= series._powers(x, depth)
+        if kernel == "T":
+            np.negative(out[0::2], out=out[0::2])
+        return out
+
+    counts = Counter(float(x) for x in s)
+    xs, top, r = list(counts), tuple(counts.values()), len(s)
+    layer = {(0,) * len(xs): None}
+    for _ in range(r):
+        above = {}
+        for sub, level in layer.items():
+            for i, x in enumerate(xs):
+                if sub[i] < top[i]:
+                    up = sub[:i] + (sub[i] + 1,) + sub[i + 1 :]
+                    if up in above:
+                        above[up] += step(x, level)
+                    else:
+                        above[up] = step(x, level)
+        layer = above
+    final, mult = layer[top], math.prod(map(math.factorial, top))
+    f = {x: series._tail_factor(kernel, x, depth, False) for x in xs}
+    ratio = math.fsum(m * series._tail_factor(kernel, x, depth, True) / f[x] for x, m in zip(xs, top))
+    trunc = ratio * math.prod(f[x] ** m for x, m in zip(xs, top)) * math.factorial(r - 1)
+    noise = series._noise(float(np.abs(final).sum()) * mult, depth, r + 1)
+    return SeriesValue(series._fsum(final) * mult, (trunc + noise) * (1.0 + 4 * r * series._EPS))
+
+
+@pytest.mark.parametrize("kernel", ["T", "S", "strict"])
+def test_symmetrize_matches_the_step_by_step_dp_bit_for_bit(kernel):
+    # one carry per sub-multiset, turned into its last step, changes no bit
+    for depth in (41, 2000, 98_305):
+        for s in [*_PLANS, *_seeded_multisets(seed=1913, count=8 if depth > 2000 else 16)]:
+            got, want = symmetrize(kernel, s, EvalConfig(depth)), _step_by_step(kernel, s, EvalConfig(depth))
+            assert (got.value.hex(), got.err_bound.hex()) == (want.value.hex(), want.err_bound.hex()), (depth, s)
+
+
 @pytest.mark.parametrize("kernel", ["T", "S", "strict"])
 def test_symmetrize_matches_the_permutation_sum_within_its_noise(kernel):
     for cfg in (_cfg(2000), _cfg(41)):
@@ -490,20 +619,21 @@ def test_symmetrize_matches_the_permutation_sum_within_its_noise(kernel):
     [((2.0,) * 6, 6), ((2.0, 4.0, 6.0, 2.0, 2.0), 28), ((2.0, 2.0, 4.0, 4.0), 12), ((3.0, 2.5, 2.0), 12)],
 )
 def test_symmetrize_takes_one_level_step_per_sub_multiset_and_value(monkeypatch, s, steps):
-    real = series._step
+    # one carry per sub-multiset below the top, and one product with the
+    # powers per step; the monotone first level is the powers themselves
+    carry, multiply = series._carry, np.multiply
     for fn in _KERNELS.values():
         monkeypatch.setattr(series, fn.__name__, None)  # symmetrize runs no kernel
+    subs = math.prod(m + 1 for m in Counter(s).values())
     for kernel in _KERNELS:
-        seen = []
-
-        def counting(kernel, x, level, depth, seen=seen):
-            seen.append(x)
-            return real(kernel, x, level, depth)
-
-        monkeypatch.setattr(series, "_step", counting)
+        carries, products = [], []
+        monkeypatch.setattr(series, "_carry", lambda *a: carries.append(a) or carry(*a))
+        monkeypatch.setattr(np, "multiply", lambda a, p, **kw: products.append(p) or multiply(a, p, **kw))
         symmetrize(kernel, s, SMALL)
-        assert len(seen) == steps
-        assert sorted(set(seen)) == sorted(set(s))
+        first = 0 if kernel == "T" else len(set(s))
+        assert len(carries) == subs - 1 - (first > 0)
+        assert len(products) == steps - first
+        assert {x for x in s for p in products if p is series._powers(x, SMALL.depth)} == set(s)
 
 
 def _without_delta(line):
@@ -610,7 +740,7 @@ def test_fsum_matches_math_fsum_bit_for_bit(values):
 
 @pytest.mark.parametrize("s", [1.06, 2.0, 3.7, 14.0])
 def test_fsum_of_series_terms(s):
-    _same_sum(series._step("T", s, None, 50_000))  # (-1)^n n^(-s)
+    _same_sum(series._fold("T", [s], 50_000))  # (-1)^n n^(-s)
     _same_sum(series._powers(s, 50_000))
 
 
@@ -654,7 +784,7 @@ def test_fsum_of_non_finite_values_follows_math_fsum():
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_fsum_across_block_edges(n):
     _same_sum(_wide_array(n, n))
-    _same_sum(series._step("T", 2.0, None, n))  # (-1)^n n^(-2)
+    _same_sum(series._fold("T", [2.0], n))  # (-1)^n n^(-2)
     # the blocks cancel each other but for one term
     half = _wide_array(n // 2, n + 1)
     _same_sum(np.concatenate((half, [2.0**-70] * (n % 2), -half[::-1])))
