@@ -8,80 +8,56 @@ zeta-type series the coefficients are known to equal, and machine-checks
 the identities tying the two worlds together, both numerically and as
 exact truncated-polynomial statements.  The package namespace holds
 what the demos and the README use; the rest is in the submodules.
+Importing the package loads no submodule: each exported name imports
+its home module on first access.
 """
 
-from .formal import (
-    chain_sum_poly_symmetrized,
-    check_chain_inversion,
-    check_mobius_inversion,
-    monomial_poly,
-    power_sum_poly,
-    substitute_exact,
-    substitute_float,
-)
-from .genus import (
-    GenusSpec,
-    coefficient_closed_form,
-    coefficient_table,
-    coefficient_table_oracle,
-    leading_coefficients,
-)
-from .partitions import (
-    SetPartition,
-    alternating_length_sum,
-    bell_number,
-    coarsenings,
-    enumerate_set_partitions,
-    integer_partitions,
-    mobius,
-    stirling2,
-)
-from .render import render_poly_latex, render_poly_text
-from .series import (
-    EvalConfig,
-    alternating_chain_sum,
-    alternating_chain_tail,
-    dirichlet_eta,
-    multiple_zeta,
-    multiple_zeta_star,
-    symmetrize,
-    zeta,
-)
-from .verify import run_suite
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "SetPartition",
-    "integer_partitions",
-    "enumerate_set_partitions",
-    "coarsenings",
-    "mobius",
-    "stirling2",
-    "bell_number",
-    "alternating_length_sum",
-    "GenusSpec",
-    "leading_coefficients",
-    "coefficient_closed_form",
-    "coefficient_table",
-    "coefficient_table_oracle",
-    "EvalConfig",
-    "zeta",
-    "dirichlet_eta",
-    "multiple_zeta",
-    "multiple_zeta_star",
-    "alternating_chain_sum",
-    "alternating_chain_tail",
-    "symmetrize",
-    "power_sum_poly",
-    "monomial_poly",
-    "chain_sum_poly_symmetrized",
-    "check_mobius_inversion",
-    "check_chain_inversion",
-    "substitute_exact",
-    "substitute_float",
-    "render_poly_text",
-    "render_poly_latex",
-    "run_suite",
-]
+# every exported name and the submodule that defines it
+_EXPORTS = {
+    "SetPartition": "partitions",
+    "integer_partitions": "partitions",
+    "enumerate_set_partitions": "partitions",
+    "coarsenings": "partitions",
+    "mobius": "partitions",
+    "stirling2": "partitions",
+    "bell_number": "partitions",
+    "alternating_length_sum": "partitions",
+    "GenusSpec": "genus",
+    "leading_coefficients": "genus",
+    "coefficient_closed_form": "genus",
+    "coefficient_table": "genus",
+    "coefficient_table_oracle": "genus",
+    "EvalConfig": "series",
+    "zeta": "series",
+    "dirichlet_eta": "series",
+    "multiple_zeta": "series",
+    "multiple_zeta_star": "series",
+    "alternating_chain_sum": "series",
+    "alternating_chain_tail": "series",
+    "symmetrize": "series",
+    "power_sum_poly": "formal",
+    "monomial_poly": "formal",
+    "chain_sum_poly_symmetrized": "formal",
+    "check_mobius_inversion": "formal",
+    "check_chain_inversion": "formal",
+    "substitute_exact": "formal",
+    "substitute_float": "formal",
+    "render_poly_text": "render",
+    "render_poly_latex": "render",
+    "run_suite": "verify",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> object:
+    """Import an exported name's home module on first access (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -13,7 +13,8 @@ Exit codes: 0 all good, 1 a mathematical check failed, 2 usage or
 configuration error.  An input past a supported range (degree, ground
 size, term budget) exits 2 before any work.  Every flag can also be set
 through an environment variable ZETAGENUS_<COMMAND>_<FLAG>, e.g.
-ZETAGENUS_VERIFY_DEPTH.
+ZETAGENUS_VERIFY_DEPTH.  Each command imports the modules it runs in its
+own body, so a launch loads (and, without bytecode, compiles) only those.
 
 A genus is named "L" or "Ahat", or is a path to a JSON file of the form
 {"name": ..., "coefficients": [{"num": "1", "den": "1"}, ...]} listing
@@ -25,21 +26,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
-from .genus import GenusSpec, check_table_degree, coefficient_closed_form, coefficient_table
-from .render import (
-    decode_rational,
-    render_poly_json,
-    render_poly_latex,
-    render_poly_text,
-    render_table_csv,
-    render_table_json,
-    tables_with_cache,
-)
-from .verify import available_suites, run_suite
+if TYPE_CHECKING:
+    from .genus import GenusSpec
 
 __all__ = ["cli", "main", "ConfigError"]
 
@@ -64,6 +56,7 @@ def _load_genus(name: str, order: int) -> GenusSpec:
     """Resolve a genus name or a custom-series JSON path for degrees up to
     order.  An order past the cap is refused first, before any series is
     built; after this, the exact routes the commands call raise no ValueError."""
+    from .genus import GenusSpec, check_table_degree
     try:
         check_table_degree(order)
     except ValueError as exc:
@@ -76,6 +69,7 @@ def _load_genus(name: str, order: int) -> GenusSpec:
         raise ConfigError(
             f"unknown genus {name!r}: expected L, Ahat, or a JSON file path"
         )
+    from .render import decode_rational
     try:
         with open(name, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -115,6 +109,7 @@ def cli() -> None:
 @click.option("--out", default=None, help="Write to file instead of stdout.")
 def coeff(genus: str, partition: str, out: Optional[str]) -> None:
     """Print one exact coefficient as a reduced fraction."""
+    from .genus import coefficient_closed_form
     parts = _parse_partition(partition)
     spec = _load_genus(genus, sum(parts))
     _emit(str(coefficient_closed_form(spec, parts)), out)
@@ -133,6 +128,8 @@ def coeff(genus: str, partition: str, out: Optional[str]) -> None:
 @click.option("--out", default=None, help="Write to file instead of stdout.")
 def poly(genus: str, k: int, fmt: str, out: Optional[str]) -> None:
     """Print the whole degree-k polynomial in power-sum variables."""
+    from .genus import coefficient_table
+    from .render import render_poly_json, render_poly_latex, render_poly_text
     if k < 0:
         raise ConfigError("k must be nonnegative")
     spec = _load_genus(genus, max(k, 1))
@@ -160,6 +157,7 @@ def poly(genus: str, k: int, fmt: str, out: Optional[str]) -> None:
 @click.option("--cache", default=None, help="JSON cache file reused across runs.")
 def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> None:
     """Export every coefficient for degrees 1..max-k to a file."""
+    from .render import render_table_csv, render_table_json, tables_with_cache
     if max_k < 1:
         raise ConfigError("max-k must be at least 1")
     spec = _load_genus(genus, max_k)
@@ -177,8 +175,22 @@ def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> N
         raise ConfigError(f"cannot write {out}: {exc}")
 
 
+class _SuiteChoice(click.Choice):
+    """click.Choice over verify.available_suites(), read only when click
+    asks for the names (to check a value or print help), so that no other
+    command imports verify."""
+
+    def __init__(self) -> None:
+        self.case_sensitive = True
+
+    @property
+    def choices(self) -> tuple[str, ...]:
+        from .verify import available_suites
+        return available_suites()
+
+
 @cli.command()
-@click.argument("suite", type=click.Choice(available_suites()))
+@click.argument("suite", type=_SuiteChoice())
 @click.option(
     "--k",
     "--max-k",
@@ -200,6 +212,7 @@ def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> N
 @click.pass_context
 def verify(ctx: click.Context, suite: str, out: Optional[str], **options: object) -> None:
     """Run one verification suite; exit 1 iff any check fails."""
+    from .verify import run_suite
     try:
         report = run_suite(suite, **options)
     except ValueError as exc:

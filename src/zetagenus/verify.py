@@ -89,6 +89,7 @@ DEFAULT_SEED = 1729
 SAMPLE_DEPTH = 50_000  # matched-truncation identity checks
 AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
 MAX_SERIES_DEGREE = 12  # the degree cap of main and ahat
+FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 2 s
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8
 
@@ -201,7 +202,7 @@ def _genus_checks(
     zetas (S), whose 1/N outer tails need a large depth, and (2 pi)^(-2k).
     Without a depth, each partition uses the default for its r.
     """
-    if max_k > MAX_SERIES_DEGREE:  # `verify main --k 12` takes about 7.5 s
+    if max_k > MAX_SERIES_DEGREE:  # `verify main --k 12` takes about 6.3 s
         raise ValueError(f"degree {max_k} is past the main and ahat table cap {MAX_SERIES_DEGREE}")
 
     def config(r: int) -> EvalConfig:
@@ -351,6 +352,9 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
         # the partition of n into singletons is the largest one of size n;
         # refuse it before any work, as the first check to reach it would
         check_size(n, level_cap, chained=True)
+    if level_cap**max_r > FORMAL_SIZE_CAP:
+        size = f"{level_cap}^{max_r} = {level_cap**max_r:,}"
+        raise ValueError(f"level_cap^max_r = {size} is past the formal cap {FORMAL_SIZE_CAP:,}")
     for n in range(1, max_r + 1):
         for pi in enumerate_set_partitions(n):
             label = _partition_label(pi)

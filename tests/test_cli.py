@@ -452,6 +452,12 @@ _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
         pytest.param(
             ["coeff", "--genus", "L", "--partition", "150"], _DEEP_CAP, id="args12-deep coeff"
         ),
+        # inside the term budget, but it would run for close to a minute
+        pytest.param(
+            ["verify", "formal", "--max-r", "4", "--n", "31"],
+            "level_cap^max_r = 31^4 = 923,521 is past the formal cap 20,000",
+            id="args13-formal cap",
+        ),
     ],
 )
 def test_out_of_range_inputs_fail_before_any_work(runner, tmp_path, args, message):
@@ -786,3 +792,52 @@ def test_only_numeric_suites_load_numpy(tmp_path):
     loaded = json.loads(result.stdout.splitlines()[-1])
     assert loaded.pop("verify main") is True
     assert len(loaded) == 9 and not any(loaded.values()), loaded
+
+
+_COMMAND_SCRIPT = r"""
+import json
+import sys
+
+import zetagenus
+loaded = {"import zetagenus": sorted(m for m in sys.modules if m.startswith("zetagenus."))}
+from zetagenus import cli
+assert cli.cli.main(sys.argv[1:], standalone_mode=False) in (None, 0)
+loaded["command"] = sorted(m.removeprefix("zetagenus.") for m in sys.modules if m.startswith("zetagenus."))
+loaded["numpy"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+_EXACT_MODULES = ["cli", "exact", "genus", "partitions"]
+_SUITE_MODULES = ["cli", "exact", "formal", "genus", "partitions", "series", "verify"]
+
+
+@pytest.mark.parametrize(
+    "args,modules",
+    [
+        (["--help"], ["cli"]),
+        (["coeff", "--genus", "L", "--partition", "2,1"], _EXACT_MODULES),
+        (["poly", "--genus", "Ahat", "--k", "3"], _EXACT_MODULES + ["render"]),
+        (["table", "--genus", "L", "--max-k", "4", "--out", "{out}"], _EXACT_MODULES + ["render"]),
+        (["verify", "signs"], _SUITE_MODULES),
+        (["verify", "main", "--k", "1", "--depth", "1000"], _SUITE_MODULES),
+    ],
+    ids=["help", "coeff", "poly", "table", "signs", "main"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
+    # each command in a fresh interpreter: the package namespace loads no
+    # submodule, and the exact commands load neither verify, formal,
+    # series nor numpy
+    src = Path(__file__).resolve().parents[1] / "src"
+    args = [a.format(out=tmp_path / "t.csv") for a in args]
+    result = subprocess.run(
+        [sys.executable, "-c", _COMMAND_SCRIPT, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == {
+        "import zetagenus": [],
+        "command": sorted(modules),
+        "numpy": args[:2] == ["verify", "main"],
+    }

@@ -1,5 +1,6 @@
 """The package namespace and the demo scripts that import from it."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -17,6 +18,17 @@ def test_every_exported_name_resolves():
     missing = [name for name in zetagenus.__all__ if not hasattr(zetagenus, name)]
     assert missing == []
     assert len(zetagenus.__all__) == len(set(zetagenus.__all__))
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    # the namespace imports each name's home module on first access
+    assert zetagenus.__all__ == ["__version__", *zetagenus._EXPORTS]
+    for name, home in zetagenus._EXPORTS.items():
+        module = importlib.import_module(f"zetagenus.{home}")
+        assert getattr(zetagenus, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        zetagenus.nosuch
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

@@ -9,6 +9,9 @@ reports are left out, since the last digit of a float can differ between
 CPUs whose vectorised pow rounds differently.  Every command runs in
 process through click's CliRunner and writes its output to a file, whose
 bytes are hashed; a table run with --cache also pins the cache file.
+The CLI's own help and usage errors run as `python -m zetagenus` in a
+fresh interpreter, which pins their stdout and stderr apart, with the
+exit code each must give.
 
 A hash that changes means a printed byte changed.  If that is intended,
 print the new hashes with
@@ -19,6 +22,8 @@ and say in the change log which outputs moved and why.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -58,6 +63,15 @@ CASES = {
     "verify-signs-k20": ["verify", "signs", "--k", "20"],
 }
 
+# the suite names in these usage lines and messages are read from verify
+# only when click asks for them
+TEXT_CASES = {
+    "text-help": (["--help"], 0),
+    "text-verify-help": (["verify", "--help"], 0),
+    "text-verify-no-suite": (["verify"], 2),
+    "text-verify-nosuch": (["verify", "nosuch"], 2),
+}
+
 GOLDEN = {
     "table-L-csv": "1771ea2691e29c5aff174ace865da7e4ada180c1cdf045f9b89205e70027e5f3",
     "table-L-csv.cache": "b19a524d831f948b098c48268443a7aa43c5978bf957424ccdbd5718918579de",
@@ -80,7 +94,6 @@ GOLDEN = {
     "verify-oracle": "f7430d5831eb1ae0b35c4b7a119125b262bf6ecbbe07dd022eaf81d4a9c1494f",
     "verify-oracle-k8": "32f6cc89a39fc23cc48e1da93a3c0aa2d364c28d1284a3620d9424d34c9ec100",
     "verify-signs": "a01e999919b6d888d5f36e6bc89818d81cfc5126510a854d69982864c59db01c",
-    "verify-signs": "a01e999919b6d888d5f36e6bc89818d81cfc5126510a854d69982864c59db01c",
     "table-L-csv-20": "efb1fb6b9de41ac806dd7d8d24f722e769004e946c839f9ea495c5526f245676",
     "table-L-csv-20.cache": "f45351356e4aaf4f5fab23062787da572b1b0baef6c5d2baef7c77b5799dc3e2",
     "table-L-json-20": "18ab7d3a5cdf600345a333785719559eb449fd2126765da4fe6d561f1cf99352",
@@ -91,6 +104,14 @@ GOLDEN = {
     "poly-Ahat-text-20": "83e1904116fac3214354f5e7743999cfafb8863d849efe05b892639f65d4801a",
     "verify-oracle-k12": "fed77f886fc697a3637ac723660c245a01d2f1cef54506d0750401c88dbc2734",
     "verify-signs-k20": "5832a6be363c8124d5828d796a9f84702a47cc3b4e3fa00d9d0f3607a23e8c45",
+    "text-help.stdout": "e93fcccfd37d5ef874d946f7ce25dbc6d04fc8452115eae7911d36c600d64222",
+    "text-help.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-verify-help.stdout": "7045f6855f7268427960c523339caf7411a94f1858d9c946582bf308fac0263f",
+    "text-verify-help.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-verify-no-suite.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-verify-no-suite.stderr": "0fb06f528093c9ac54bb2415c30b392d983eb8cfd26ea4a545eec57aa28fc616",
+    "text-verify-nosuch.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-verify-nosuch.stderr": "877a0e1e1f53c6ff910305b027ae74711d87201fafebc6170c3f615c008f7485",
 }
 
 
@@ -102,6 +123,26 @@ def _hashes(name: str, workdir: Path) -> dict[str, str]:
     assert result.exit_code == 0, result.output
     files = {name: out, f"{name}.cache": cache}
     return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items() if path.exists()}
+
+
+def _text_hashes(name: str) -> dict[str, str]:
+    """Run one text case and return the sha256 of its stdout and stderr."""
+    args, code = TEXT_CASES[name]
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "zetagenus", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == code, result.stderr
+    streams = {f"{name}.stdout": result.stdout, f"{name}.stderr": result.stderr}
+    return {key: hashlib.sha256(data).hexdigest() for key, data in streams.items()}
+
+
+@pytest.mark.parametrize("name", list(TEXT_CASES))
+def test_cli_text_matches_its_golden_hashes(name):
+    got = _text_hashes(name)
+    assert got == {key: GOLDEN[key] for key in got}
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -116,3 +157,6 @@ if __name__ == "__main__":
         for case in CASES:
             for key, digest in _hashes(case, Path(tmp)).items():
                 print(f'    "{key}": "{digest}",', file=sys.stdout)
+    for case in TEXT_CASES:
+        for key, digest in _text_hashes(case).items():
+            print(f'    "{key}": "{digest}",', file=sys.stdout)
