@@ -17,6 +17,7 @@ from zetagenus.cli import cli
 from zetagenus.genus import GenusSpec
 from zetagenus.partitions import IntegerPartition
 from zetagenus.render import parse_table_json, read_cache
+from zetagenus import cli as cli_module
 from zetagenus import genus as genus_module
 from zetagenus import partitions, series, verify
 from zetagenus.verify import available_suites, run_suite
@@ -382,20 +383,21 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
     monkeypatch.setattr(series, "_powers", no_array)
     monkeypatch.setattr(series, "_carry", no_array)
     depth = str(series.MAX_DEPTH)
-    # main and ahat refuse before their first sum, although the plans of
-    # their lower degrees fit; at this depth the first plans past the
-    # budget are those of five distinct exponents and of degree 11
-    for args in (
-        ["hoffman", "--max-r", "5"],
-        ["multiple-eta", "--max-r", "5"],
-        ["main", "--k", "11"],
-        ["ahat", "--k", "11"],
+    # main refuses before its first sum, although the plans of its lower
+    # degrees fit; at this depth the first plans past the budget are those
+    # of five distinct exponents and of degree 11, which is past ahat's
+    # degree cap, so ahat is refused by that first
+    for args, message in (
+        (["hoffman", "--max-r", "5"], "past the working-set budget"),
+        (["multiple-eta", "--max-r", "5"], "past the working-set budget"),
+        (["main", "--k", "11"], "past the working-set budget"),
+        (["ahat", "--k", "11"], "degree 11 is past the ahat table cap 8"),
     ):
         start = time.perf_counter()
         result = _invoke(runner, ["verify", *args, "--depth", depth])
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
-        assert "past the working-set budget" in result.output
+        assert message in result.output
 
 
 def test_verify_rejects_too_many_orderings_before_summing(runner):
@@ -419,7 +421,8 @@ def test_verify_runs_seven_distinct_exponents(runner):
 
 
 _EXACT_CAP = "degree 21 is past the exact-layer cap 20"
-_SERIES_CAP = "degree 13 is past the main and ahat table cap 12"
+_MAIN_CAP = "degree 13 is past the main table cap 12"
+_AHAT_CAP = "degree 9 is past the ahat table cap 8"
 _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
 
 
@@ -428,7 +431,7 @@ _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
     [
         # explicit ids: the message would make the test names over-long
         pytest.param(["table", "--genus", "L", "--max-k", "21"], _EXACT_CAP, id="args0-table cap"),
-        pytest.param(["verify", "main", "--k", "13"], _SERIES_CAP, id="args1-table cap"),
+        pytest.param(["verify", "main", "--k", "13"], _MAIN_CAP, id="args1-table cap"),
         pytest.param(["verify", "signs", "--k", "21"], _EXACT_CAP, id="args2-table cap"),
         pytest.param(["poly", "--genus", "L", "--k", "21"], _EXACT_CAP, id="args3-table cap"),
         pytest.param(
@@ -437,7 +440,7 @@ _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
         ),
         (["verify", "formal", "--max-r", "4", "--n", "40"], "cap^blocks = 40^4 exceeds"),
         (["verify", "formal", "--max-r", "5"], "supports at most 4 blocks"),
-        pytest.param(["verify", "ahat", "--k", "13"], _SERIES_CAP, id="args7-table cap"),
+        pytest.param(["verify", "ahat", "--k", "9"], _AHAT_CAP, id="args7-table cap"),
         # coeff is capped by weight, however few its parts
         pytest.param(
             ["coeff", "--genus", "L", "--partition", ",".join(["1"] * 21)], _EXACT_CAP,
@@ -751,6 +754,66 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "coeff" in result.stdout and "verify" in result.stdout
+
+
+def test_main_pins_openblas_to_one_thread_unless_set(monkeypatch):
+    # no command calls BLAS, so numpy's OpenBLAS gets no worker pool; the
+    # variable is set before dispatch, so before any command imports numpy
+    seen = []
+
+    def record(**kwargs):
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+    monkeypatch.setattr(cli_module, "cli", record)
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    monkeypatch.setattr(os, "environ", environ)
+    cli_module.main()
+    assert seen == ["1"]
+    environ["OPENBLAS_NUM_THREADS"] = "3"
+    cli_module.main()
+    assert seen == ["1", "3"]
+
+
+_LIBRARY_SCRIPT = r"""
+import os
+
+before = dict(os.environ)
+import zetagenus
+from zetagenus import series
+series.multiple_zeta_star([2.0, 2.0], series.EvalConfig(1000))
+series.symmetrize("T", [2.0, 4.0], series.EvalConfig(1000))
+print(dict(os.environ) == before)
+"""
+
+
+def test_library_imports_leave_the_environment_alone():
+    # only the CLI owns its process; a library caller's numpy keeps its threads
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
+
+
+def test_reports_do_not_depend_on_openblas_threads():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        result = subprocess.run(
+            [sys.executable, "-m", "zetagenus", "verify", "main", "--k", "4", "--depth", "20000"],
+            capture_output=True,
+            env={**env, **extra, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"RESULT main PASS" in outputs[0]
 
 
 _STARTUP_SCRIPT = r"""

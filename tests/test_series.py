@@ -479,11 +479,13 @@ def test_powers_cache_is_capped_in_entries_and_bytes():
 
 
 def test_working_set_budget_admits_every_suite_default():
-    # main at its default depths and ahat at AHAT_DEPTH, to the degree cap;
-    # the sampled suites with seven distinct exponents at SAMPLE_DEPTH
-    for k in range(1, verify.MAX_SERIES_DEGREE + 1):
+    # main at its default depths and ahat at AHAT_DEPTH, each to its degree
+    # cap; the sampled suites with seven distinct exponents at SAMPLE_DEPTH
+    for k in range(1, verify.MAIN_DEGREE_CAP + 1):
         for part in integer_partitions(k):
             check_symmetrize_size(part.parts)
+    for k in range(1, verify.AHAT_DEGREE_CAP + 1):
+        for part in integer_partitions(k):
             check_symmetrize_size(part.parts, verify.AHAT_DEPTH)
     check_symmetrize_size(_PLANS[-1], verify.SAMPLE_DEPTH)
 
