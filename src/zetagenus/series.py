@@ -28,9 +28,10 @@ two reused scratch buffers, into a few float64 partial sums, and
 math.fsum rounds the exact total of all of them once.  Level sums are
 sequential cumulative sums in fixed index order, so runs are bitwise
 reproducible.  numpy loads when a series is first evaluated, never for
-exact commands.  MAX_DEPTH caps the depth, and with it the size of
-every array.  The powers are cached read-only, at most 8 arrays and
-16 MiB; MAX_WORKING_SET caps those plus the arrays a symmetrize holds.
+exact commands.  MAX_DEPTH caps the depth, and with it the arrays of
+the kernels; symmetrize sweeps it in blocks of _SWEEP terms (one to
+depth 10^5), so its arrays stay at 800 kB.  The powers are cached
+read-only by exponent and index range, at most 8 exponents and 16 MiB.
 
 For even integer arguments the exact values are rational multiples of
 powers of pi (zeta_even_exact, dirichlet_eta_even_exact); verification
@@ -54,21 +55,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "EvalConfig",
-    "SeriesValue",
-    "default_config",
-    "zeta",
-    "zeta_even_exact",
-    "dirichlet_eta",
-    "dirichlet_eta_even_exact",
-    "multiple_zeta",
-    "multiple_zeta_star",
-    "alternating_chain_sum",
-    "alternating_chain_tail",
-    "alternating_chain_tail_family",
-    "symmetrize",
-    "check_symmetrize_size",
-    "innermost_peel_residual",
+    "EvalConfig", "SeriesValue", "default_config", "zeta", "zeta_even_exact",
+    "dirichlet_eta", "dirichlet_eta_even_exact", "multiple_zeta", "multiple_zeta_star",
+    "alternating_chain_sum", "alternating_chain_tail", "alternating_chain_tail_family",
+    "symmetrize", "check_symmetrize_size", "innermost_peel_residual",
     "bottom_block_residual",
 ]
 
@@ -76,11 +66,11 @@ DEFAULT_TOL = 1e-6
 MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
-MAX_DEPTH = 20_000_000  # 160 MB per level array; `verify ahat` here: 3.3 s, 790 MB
-MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.7 s, 70 MB at depth 2e5; 8 take 2x
-_POWERS_CACHE = 8  # arrays the _powers cache keeps: all 8 at depths to 2^18,
+MAX_DEPTH = 20_000_000  # 160 MB per kernel level; `verify ahat` here: 2.5 s, 49 MB
+MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.5 s, 48 MB at depth 2e5; 8 take 2x
+_POWERS_CACHE = 8  # exponents the _powers cache keeps: all 8 at depths to 2^18,
 _POWERS_BYTES = 16 * 2**20  # 2 at 10^6, 1 at 2*10^6 and none at the depth cap
-_powers_cache: dict[tuple[float, int], np.ndarray] = {}  # least recently used first
+_powers_cache: dict[tuple[float, int, int], np.ndarray] = {}  # least recently used first
 MAX_WORKING_SET = 2 * 2**30  # bytes one symmetrize may plan to hold, the cache included
 
 _EPS = sys.float_info.epsilon
@@ -89,6 +79,7 @@ _EPS = sys.float_info.epsilon
 # 5e4, 1e6 and 2e6, 2^15 and 2^16 were fastest and within noise of each
 # other; 2^13 and 2^17 were up to 1.5x slower at depth 1e6.
 _BLOCK = 1 << 15
+_SWEEP = 100_000  # terms per block of a symmetrize sweep (800 kB); even, see _carry
 
 
 @dataclass(frozen=True)
@@ -123,9 +114,7 @@ class SeriesValue:
             raise ValueError("err_bound must be nonnegative")
 
 
-def _setup(
-    s: Sequence[float], cfg: EvalConfig | None, empty_ok: bool = False
-) -> tuple[list[float], EvalConfig]:
+def _setup(s: Sequence[float], cfg: EvalConfig | None, empty_ok: bool = False) -> tuple[list[float], EvalConfig]:
     """The exponents as floats and the config, by default the one for
     their count; every exponent must be at least MIN_EXPONENT."""
     out = [float(x) for x in s]
@@ -141,21 +130,24 @@ def _setup(
     return out, cfg
 
 
-def _powers(s: float, depth: int) -> np.ndarray:
-    """n^(-s) for n = 1..depth, read-only; the cache keeps the last used."""
-    p = _powers_cache.pop((s, depth), None)
+def _powers(s: float, hi: int, lo: int = 0) -> np.ndarray:
+    """n^(-s) for n = lo+1..hi, read-only; the cache keeps the last used,
+    an exponent's index ranges together."""
+    p = _powers_cache.pop((s, lo, hi), None)
     if p is None:
         import numpy as np
-        n = np.arange(1, depth + 1, dtype=np.float64)
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         p = n ** (-s)
         p.flags.writeable = False
-    _powers_cache[s, depth] = p
-    while len(_powers_cache) > _POWERS_CACHE or sum(a.nbytes for a in _powers_cache.values()) > _POWERS_BYTES:
+    for key in [key for key in _powers_cache if key[0] == s]:  # s's blocks stay together
+        _powers_cache[key] = _powers_cache.pop(key)
+    _powers_cache[s, lo, hi] = p
+    while len({key[0] for key in _powers_cache}) > _POWERS_CACHE or sum(a.nbytes for a in _powers_cache.values()) > _POWERS_BYTES:
         del _powers_cache[next(iter(_powers_cache))]
     return p
 
 
-def _exact_parts(arr: np.ndarray) -> list[float]:
+def _exact_parts(arr: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> list[float]:
     """A few floats per block of _BLOCK terms whose exact sum is the
     exact sum of arr.
 
@@ -171,7 +163,7 @@ def _exact_parts(arr: np.ndarray) -> list[float]:
     maximum, so it holds block by block, and a block's sigma follows
     its own magnitude instead of the largest term of the whole array,
     which takes fewer passes.  The passes write only two block-sized
-    buffers, made once per call, never arr.
+    buffers, made once per call or passed in as scratch, never arr.
 
     A block's first sigma bounds every partial sum of its terms, and
     each sigma bounds its pass's part.  So while all the sigmas add up
@@ -183,8 +175,7 @@ def _exact_parts(arr: np.ndarray) -> list[float]:
     import numpy as np
     parts: list[float] = []
     budget = math.ldexp(1.0, 1022)  # for the sum of all the sigmas
-    q = np.empty(min(arr.size, _BLOCK))
-    rem = np.empty_like(q)
+    q, rem = scratch or (np.empty(min(arr.size, _BLOCK)), np.empty(min(arr.size, _BLOCK)))
     for start in range(0, arr.size, _BLOCK):
         r = arr[start : start + _BLOCK]
         k = r.size
@@ -252,35 +243,40 @@ def dirichlet_eta_even_exact(k: int) -> Fraction:
     return Fraction(2 ** (2 * k - 1) - 1, factorial(2 * k)) * bernoulli(k)
 
 
-def _carry(kernel: str, level: np.ndarray | None, depth: int) -> np.ndarray:
+def _carry(kernel: str, level: np.ndarray | None, size: int, run: list | None = None) -> np.ndarray:
     """The step after `level` before its exponent enters, in place in a
-    writable level: "S" the prefix sum, "strict" that shifted by one, "T"
-    (-1)^n times the suffix sum less, at odd n, the equal term."""
+    writable level or else a copy: "S" the prefix sum, "strict" that
+    shifted by one, "T" (-1)^n times the suffix sum less, at odd n, the
+    equal term.  run[0], the running total of the blocks swept before
+    (-0.0, which adds nothing, at first), starts the sum, so each entry is
+    the whole range's bit for bit, and takes this block's total."""
     import numpy as np
-    if level is None:  # "T" before its first step: (-1)^n
-        return np.tile([-1.0, 1.0], (depth + 1) // 2)[:depth]
-    if kernel == "T":  # its levels are never the read-only powers
-        even, rev = level[0::2].copy(), level[::-1]
-        np.cumsum(rev, out=rev)  # one view as input and output: numpy makes no copy
-        level[0::2] -= even
-        np.negative(level[0::2], out=level[0::2])
-        return level
-    out = level if level.flags.writeable else np.empty(depth)
-    np.cumsum(level, out=out)
-    if kernel == "strict":
+    if level is None:  # "T" before its first step: (-1)^n; its blocks start at odd n
+        return np.tile([-1.0, 1.0], (size + 1) // 2)[:size]
+    out = level if level.flags.writeable else level.copy()
+    even = out[0::2].copy() if kernel == "T" else None
+    seq, run = out[::-1] if kernel == "T" else out, run or [-0.0]  # "T" sums from the top
+    total = run[0]
+    seq[0] += total
+    np.cumsum(seq, out=seq)  # one view as input and output: numpy makes no copy
+    run[0] = float(seq[-1])
+    if kernel == "T":
+        out[0::2] -= even
+        np.negative(out[0::2], out=out[0::2])
+    elif kernel == "strict":
         out[1:] = out[:-1]
-        out[0] = 0.0
+        out[0] = total + 0.0  # 0.0 in the first block
     return out
 
 
-def _tail_factor(kernel: str, x: float, depth: int, first: bool) -> float:
+def _tail_factor(kernel: str, x: float, depth: int, first: bool, head: float | None = None) -> float:
     """x's factor in an ordering's truncation estimate, a product over its
     exponents: first, the outer index's integral tail bound ("T": twice the
-    first omitted term); later, partial sum plus tail ("T": 1 + 2^(-x))."""
+    first omitted term); later, partial sum (or head) plus tail ("T": 1 + 2^(-x))."""
     if kernel == "T":
         return 2.0 * float(depth + 1) ** (-x) if first else 1.0 + 2.0 ** (-x)
     tail = depth ** (1.0 - x) / (x - 1.0)
-    return tail if first else float(_powers(x, depth).sum()) + tail
+    return tail if first else (float(_powers(x, depth).sum()) if head is None else head) + tail
 
 
 def _nested_monotone(kernel: str, s: list[float], cfg: EvalConfig) -> SeriesValue:
@@ -360,9 +356,7 @@ def alternating_chain_sum(s: Sequence[float], cfg: EvalConfig | None = None) -> 
     return _chain_from(sl, cfg.depth, 1)
 
 
-def alternating_chain_tail(
-    k: int, s: Sequence[float], cfg: EvalConfig | None = None
-) -> SeriesValue:
+def alternating_chain_tail(k: int, s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
     """Chained alternating sum with the innermost index bounded by n_r >= 2k.
 
     The empty exponent list is the empty product, identically 1, which
@@ -378,9 +372,7 @@ def alternating_chain_tail(
     return _chain_from(sl, cfg.depth, 2 * k)
 
 
-def alternating_chain_tail_family(
-    s: Sequence[float], cfg: EvalConfig | None = None
-) -> np.ndarray:
+def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = None) -> np.ndarray:
     """All tail values for k = 1..depth//2 in one pass.
 
     Returns an array whose entry k-1 is the chained sum with n_r >= 2k,
@@ -413,7 +405,8 @@ def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
     that fits MAX_WORKING_SET: a full _powers cache, the powers (and n
     while one is made), and the peak of what "T", the largest, holds
     along the schedule: live arrays with the carry's even entries or the
-    steps in flight, or at the end _fsum's buffers."""
+    steps in flight, or at the end _fsum's buffers.  Past one _SWEEP block
+    the plan is an upper bound on memory and, linear in the depth, bounds work."""
     if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
     top = tuple(Counter(s).values())
@@ -453,6 +446,11 @@ def symmetrize(kernel: str, s: Sequence[float], cfg: EvalConfig | None = None) -
     prod m_i! permutations, m_i the multiplicities, so the value is the
     exactly rounded sum of A[all] times prod m_i!.
 
+    The DP sweeps blocks of _SWEEP indices, up for "S" and "strict" and
+    down for "T", with a running total per M for its carry (see _carry):
+    each entry is the whole-range DP's, bit for bit.  Each block's A[all]
+    adds its exact parts, l1 norm and power sums to those of the call.
+
     The bound is at least the sum of the per-ordering bounds: m_i (r-1)!
     permutations start with x_i, and the l1 norm of A[all] is the sum of
     theirs, since no entry cancels across orderings.  For "T" entry n of
@@ -471,36 +469,41 @@ def symmetrize(kernel: str, s: Sequence[float], cfg: EvalConfig | None = None) -
     depth, r = cfg.depth, len(sl)
     counts = Counter(sl)
     xs, top = list(counts), tuple(counts.values())
-    f, powers = {}, []
-    for x in xs:  # the tail factor puts x's powers in the cache, if they fit
-        f[x] = _tail_factor(kernel, x, depth, False)
-        powers.append(_powers(x, depth))
-    arrays: dict[tuple[int, ...], np.ndarray] = {}
-    for sub, steps in _schedule(top):
-        if not any(sub) and kernel != "T":  # the first level is the powers
-            arrays.update((up, powers[i]) for i, up, _ in steps)
-            continue
-        carry, scratch = _carry(kernel, arrays.pop(sub, None), depth), None
-        for j, (i, up, new) in enumerate(steps, 1 - len(steps)):  # j = 0: the last
-            step = np.multiply(carry, powers[i], out=carry if j == 0 else None if new else scratch)
-            if new:
-                arrays[up] = step
-            else:
-                arrays[up] += step
-                scratch = step
-        del carry, scratch, step  # before the next carry
-    final = arrays[top]
+    plan = list(_schedule(top))
+    runs = {sub: [-0.0] for sub, _ in plan}  # each carry's running total
+    heads = [0.0] * len(xs)  # the partial power sums, for "S" and "strict"
+    parts, l1, buffers = [], 0.0, None
+    starts = range(0, depth, _SWEEP)
+    for lo in reversed(starts) if kernel == "T" else starts:
+        powers = [_powers(x, min(lo + _SWEEP, depth), lo) for x in xs]
+        heads = [h + float(p.sum()) for h, p in zip(heads, powers)] if kernel != "T" else heads
+        arrays: dict[tuple[int, ...], np.ndarray] = {}
+        for sub, steps in plan:
+            if not any(sub) and kernel != "T":  # the first level is the powers
+                arrays.update((up, powers[i]) for i, up, _ in steps)
+                continue
+            carry, scratch = _carry(kernel, arrays.pop(sub, None), powers[0].size, runs[sub]), None
+            for j, (i, up, new) in enumerate(steps, 1 - len(steps)):  # j = 0: the last
+                step = np.multiply(carry, powers[i], out=carry if j == 0 else None if new else scratch)
+                if new:
+                    arrays[up] = step
+                else:
+                    arrays[up] += step
+                    scratch = step
+            del carry, scratch, step  # before the next carry
+        final = arrays.pop(top)
+        buffers = buffers or (np.empty(min(depth, _BLOCK)), np.empty(min(depth, _BLOCK)))  # after the first DP
+        parts += _exact_parts(final, buffers)
+        l1 += float((np.abs(final, out=final) if kernel == "T" else final).sum())  # else all >= 0
+        del final, powers
+    f = {x: _tail_factor(kernel, x, depth, False, h) for x, h in zip(xs, heads)}
     mult = math.prod(map(factorial, top))
     ratio = math.fsum(m * _tail_factor(kernel, x, depth, True) / f[x] for x, m in zip(xs, top))
     trunc = ratio * math.prod(f[x] ** m for x, m in zip(xs, top)) * factorial(r - 1)
-    value = _fsum(final)
-    l1 = float((np.abs(final, out=final) if kernel == "T" else final).sum())  # else all >= 0
-    return SeriesValue(value * mult, (trunc + _noise(l1 * mult, depth, r + 1)) * (1.0 + 4 * r * _EPS))
+    return SeriesValue(math.fsum(parts) * mult, (trunc + _noise(l1 * mult, depth, r + 1)) * (1.0 + 4 * r * _EPS))
 
 
-def innermost_peel_residual(
-    s: Sequence[float], cfg: EvalConfig | None = None
-) -> tuple[float, float]:
+def innermost_peel_residual(s: Sequence[float], cfg: EvalConfig | None = None) -> tuple[float, float]:
     """Both sides of the recurrence that peels off the innermost exponent.
 
     The chained sum satisfies
@@ -525,9 +528,7 @@ def innermost_peel_residual(
     return lhs, _fsum(_fold("T", sl[-1:], depth) * np.repeat(fam, 2)[:depth])
 
 
-def bottom_block_residual(
-    k: int, s: Sequence[float], cfg: EvalConfig | None = None
-) -> tuple[float, float]:
+def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = None) -> tuple[float, float]:
     """Both sides of the recurrence that strips the terminal constant block.
 
     A chain counted by the k-th tail ends in a maximal run at some even

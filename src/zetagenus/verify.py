@@ -88,8 +88,8 @@ __all__ = [
 DEFAULT_SEED = 1729
 SAMPLE_DEPTH = 50_000  # matched-truncation identity checks
 AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
-MAIN_DEGREE_CAP = 12  # `verify main --k 12` takes about 6.5 s and 73 MB
-AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 7.2 s and 167 MB, `--k 9` 12.7 s
+MAIN_DEGREE_CAP = 12  # `verify main --k 12` takes about 7 s and 54 MB
+AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 7 s and 51 MB, `--k 9` 12.7 s
 FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 2 s
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8

@@ -463,9 +463,9 @@ def test_powers_cache_is_capped_in_entries_and_bytes():
     for i in range(12):  # 12 small arrays: the 8 used last stay
         p = series._powers(2.0 + i, 1000)
         assert p.tobytes() == (np.arange(1.0, 1001.0) ** -(2.0 + i)).tobytes()
-    assert list(series._powers_cache) == [(2.0 + i, 1000) for i in range(4, 12)]
+    assert list(series._powers_cache) == [(2.0 + i, 0, 1000) for i in range(4, 12)]
     series._powers(6.0, 1000)  # a hit moves to the end
-    assert list(series._powers_cache)[-1] == (6.0, 1000)
+    assert list(series._powers_cache)[-1] == (6.0, 0, 1000)
     for depth, kept in ((10**6, 2), (2 * 10**6, 1), (2**21 + 1, 0)):
         for x in (2.0, 3.0, 4.0):
             p = series._powers(x, depth)
@@ -474,7 +474,28 @@ def test_powers_cache_is_capped_in_entries_and_bytes():
                 p[0] = 0.0
             count, size = held()
             assert count <= series._POWERS_CACHE and size <= series._POWERS_BYTES
-        assert [key[1] for key in series._powers_cache].count(depth) == kept
+        assert [key[2] for key in series._powers_cache].count(depth) == kept
+    series._powers_cache.clear()
+
+
+def test_powers_cache_keeps_an_exponents_blocks_together(monkeypatch):
+    # a hit moves all of the exponent's index ranges to the end, so a new
+    # exponent takes the blocks of the least recently used one first
+    series._powers_cache.clear()
+    whole = {x: np.arange(1.0, 41.0) ** -x for x in (2.0, 3.0)}
+    for lo in range(0, 40, 10):
+        for x in (2.0, 3.0):
+            assert series._powers(x, lo + 10, lo).tobytes() == whole[x][lo : lo + 10].tobytes()
+    assert [key[0] for key in series._powers_cache] == [2.0] * 4 + [3.0] * 4
+    series._powers(2.0, 20, 10)
+    assert list(series._powers_cache)[:5] == [(3.0, lo, lo + 10) for lo in range(0, 40, 10)] + [(2.0, 0, 10)]
+    monkeypatch.setattr(series, "_POWERS_BYTES", 6 * 80)  # six blocks of ten: 3.0 goes first
+    series._powers(4.0, 10)
+    twos = [(2.0, lo, lo + 10) for lo in (0, 20, 30, 10)]
+    assert list(series._powers_cache) == [(3.0, 30, 40), *twos, (4.0, 0, 10)]
+    monkeypatch.setattr(series, "_POWERS_CACHE", 1)  # one exponent: the rest go, block by block
+    series._powers(4.0, 20, 10)
+    assert list(series._powers_cache) == [(4.0, 0, 10), (4.0, 10, 20)]
     series._powers_cache.clear()
 
 
@@ -613,6 +634,53 @@ def test_symmetrize_matches_the_permutation_sum_within_its_noise(kernel):
             want = _symmetrize_by_permutations(kernel, s, cfg)
             assert abs(got.value - want.value) <= _permutation_noise(kernel, s, cfg), s
             assert got.err_bound >= want.err_bound, s
+
+
+# (depth, sweep block): at depth 41 the top block holds 1 or 5 indices,
+# and 98,305 = 24 * 4096 + 1 leaves a top block of one index
+_SWEEPS = [(41, 2), (41, 6), (2000, 64), (98_305, 4096)]
+
+
+@pytest.mark.parametrize("kernel", ["T", "S", "strict"])
+@pytest.mark.parametrize("depth,block", _SWEEPS)
+def test_symmetrize_is_the_same_swept_in_small_blocks(kernel, depth, block, monkeypatch):
+    # each carry starts from the running total of the blocks swept, so the
+    # value is the one-block value bit for bit; the bound adds up its power
+    # sums and l1 norm block by block, and still covers the reference's
+    plans = [*_PLANS, *_seeded_multisets(seed=1913, count=8 if depth > 2000 else 16)]
+    one = [symmetrize(kernel, s, EvalConfig(depth)) for s in plans]
+    monkeypatch.setattr(series, "_SWEEP", block)
+    for s, want in zip(plans, one):
+        got = symmetrize(kernel, s, EvalConfig(depth))
+        assert got.value.hex() == want.value.hex(), s
+        if _orderings_by_formula(list(s)) <= 24:  # the reference evaluates each ordering
+            assert got.err_bound >= _symmetrize_by_permutations(kernel, s, EvalConfig(depth)).err_bound, s
+
+
+def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
+    # numpy's SIMD pow may round differently on another CPU, so the reports
+    # are compared within one process, not with a stored hash
+    runs = {"ahat": dict(max_k=4, depth=1_000_000), "main": dict(max_k=6)}
+    swept = {name: run_suite(name, **options).lines() for name, options in runs.items()}
+    monkeypatch.setattr(series, "_SWEEP", 2 * 10**6)  # one block past every depth here
+    assert {name: run_suite(name, **options).lines() for name, options in runs.items()} == swept
+
+
+@pytest.mark.parametrize("kernel", ["T", "S", "strict"])
+def test_symmetrize_traced_peak_does_not_grow_with_the_depth(kernel, monkeypatch):
+    # with nothing cached, a call holds only its block-sized arrays and
+    # the reduction's buffers, at 4 blocks as at 16
+    monkeypatch.setattr(series, "_POWERS_BYTES", 0)
+    series._powers_cache.clear()
+    peaks = []
+    for blocks in (4, 16):
+        tracemalloc.start()
+        try:
+            symmetrize(kernel, (4.0, 2.0, 2.0), EvalConfig(blocks * series._SWEEP))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 8 * series._SWEEP  # one block's array
 
 
 @pytest.mark.parametrize(
