@@ -30,8 +30,9 @@ sequential cumulative sums in fixed index order, so runs are bitwise
 reproducible.  numpy loads when a series is first evaluated, never for
 exact commands.  MAX_DEPTH caps the depth, and with it the arrays of
 the kernels; symmetrize sweeps it in blocks of _SWEEP terms (one to
-depth 10^5), so its arrays stay at 800 kB.  The powers are cached
-read-only by exponent and index range, at most 8 exponents and 16 MiB.
+depth 10^5), so its arrays stay at 800 kB, and MAX_SYMMETRIZE_WORK caps
+the level-step terms of its DP.  The powers are cached read-only by
+exponent and index range, at most 8 exponents and 16 MiB.
 
 For even integer arguments the exact values are rational multiples of
 powers of pi (zeta_even_exact, dirichlet_eta_even_exact); verification
@@ -71,7 +72,7 @@ MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.5 s, 48 MB at depth 2e5;
 _POWERS_CACHE = 8  # exponents the _powers cache keeps: all 8 at depths to 2^18,
 _POWERS_BYTES = 16 * 2**20  # 2 at 10^6, 1 at 2*10^6 and none at the depth cap
 _powers_cache: dict[tuple[float, int, int], np.ndarray] = {}  # least recently used first
-MAX_WORKING_SET = 2 * 2**30  # bytes one symmetrize may plan to hold, the cache included
+MAX_SYMMETRIZE_WORK = 800_000_000  # level-step terms one symmetrize may take: about 3.4 s
 
 _EPS = sys.float_info.epsilon
 # Terms per block of an exact reduction.  The block and its two scratch
@@ -398,18 +399,18 @@ def _schedule(top: tuple[int, ...]):
 
 
 def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
-    """The number prod (m_i + 1) of sub-multisets of the exponents, m_i
-    their multiplicities; ValueError unless symmetrize accepts them at
+    """The number count = prod (m_i + 1) of sub-multisets of the exponents,
+    m_i their multiplicities; ValueError unless symmetrize accepts them at
     this depth (by default the one for their count): at least one
-    exponent, at most MAX_SYMMETRIZE_SUBSETS sub-multisets, and a plan
-    that fits MAX_WORKING_SET: a full _powers cache, the powers (and n
-    while one is made), and the peak of what "T", the largest, holds
-    along the schedule: live arrays with the carry's even entries or the
-    steps in flight, or at the end _fsum's buffers.  Past one _SWEEP block
-    the plan is an upper bound on memory and, linear in the depth, bounds work."""
+    exponent, at most MAX_SYMMETRIZE_SUBSETS sub-multisets, and at most
+    MAX_SYMMETRIZE_WORK level-step terms.  The DP makes
+    sum_i m_i count / (m_i + 1) steps per index: one for every
+    sub-multiset with fewer than m_i of x_i.  Memory needs no check: the
+    DP holds _SWEEP-term blocks, at most two layers of sub-multisets and
+    a power block per exponent, beside the capped _powers cache."""
     if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
-    top = tuple(Counter(s).values())
+    top = Counter(s).values()
     count = math.prod(m + 1 for m in top)
     if count > MAX_SYMMETRIZE_SUBSETS:
         raise ValueError(
@@ -417,17 +418,11 @@ def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
             f"the exponents, got {count} for {len(s)} exponents"
         )
     depth = default_config(len(s)).depth if depth is None else depth
-    size, live, peak = 8 * depth, 8 * depth, 0  # the first carry is a fresh array
-    for sub, steps in _schedule(top):
-        new = sum(st[2] for st in steps)  # in fresh arrays but a last one, or in scratch
-        fresh = new - steps[-1][2] + (len(steps) - new > 1)
-        peak = max(peak, live + max(fresh * size, 8 * ((depth + 1) // 2) if any(sub) else 0))
-        live += (new - 1) * size
-    plan = len(top) * size + max(peak, size + 16 * min(depth, _BLOCK)) + _POWERS_BYTES
-    if plan > MAX_WORKING_SET:
+    work = depth * sum(m * count // (m + 1) for m in top)
+    if work > MAX_SYMMETRIZE_WORK:
         raise ValueError(
-            f"symmetrize over {len(s)} exponents at depth {depth} would hold {plan / 2**30:.2f} GiB, "
-            f"past the working-set budget of {MAX_WORKING_SET / 2**30:g} GiB"
+            f"symmetrize over {len(s)} exponents at depth {depth} takes {work:,} level-step terms, "
+            f"past the work budget of {MAX_SYMMETRIZE_WORK:,}"
         )
     return count
 

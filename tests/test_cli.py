@@ -382,19 +382,22 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
 
     monkeypatch.setattr(series, "_powers", no_array)
     monkeypatch.setattr(series, "_carry", no_array)
-    depth = str(series.MAX_DEPTH)
-    # main refuses before its first sum, although the plans of its lower
-    # degrees fit; at this depth the first plans past the budget are those
-    # of five distinct exponents and of degree 11, which is past ahat's
-    # degree cap, so ahat is refused by that first
+    cap = ["--depth", str(series.MAX_DEPTH)]
+    # main refuses before its first sum, although its lower degrees fit; at
+    # the depth cap the first sums past the work budget are those of five
+    # distinct exponents and of degree 10, through the multiplicities
+    # (5, 1, 1) and (3, 2, 1), which is past ahat's degree cap, so ahat is
+    # refused by that first.  Seven distinct exponents stop at 1,785,714
     for args, message in (
-        (["hoffman", "--max-r", "5"], "past the working-set budget"),
-        (["multiple-eta", "--max-r", "5"], "past the working-set budget"),
-        (["main", "--k", "11"], "past the working-set budget"),
-        (["ahat", "--k", "11"], "degree 11 is past the ahat table cap 8"),
+        (["hoffman", "--max-r", "5", *cap], "past the work budget"),
+        (["multiple-eta", "--max-r", "5", *cap], "past the work budget"),
+        (["hoffman", "--max-r", "7", "--depth", "3000000"], "past the work budget"),
+        (["main", "--k", "10", *cap], "past the work budget"),
+        (["main", "--k", "11", *cap], "past the work budget"),
+        (["ahat", "--k", "11", *cap], "degree 11 is past the ahat table cap 8"),
     ):
         start = time.perf_counter()
-        result = _invoke(runner, ["verify", *args, "--depth", depth])
+        result = _invoke(runner, ["verify", *args])
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert message in result.output

@@ -395,27 +395,17 @@ def test_symmetrize_holds_no_more_arrays_than_its_plan(kernel, s, monkeypatch):
     assert peak[0] == want <= _plan_peak(s)
 
 
-def _fitting_depth(s):
-    """The largest depth whose symmetrize plan the guard accepts."""
-    lo, hi = 2, MAX_DEPTH
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        try:
-            check_symmetrize_size(s, mid)
-            lo = mid
-        except ValueError:
-            hi = mid - 1
-    return lo
-
-
 @pytest.mark.parametrize("s", _PLANS, ids=str)
 def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
-    # 64 MiB beside the cache: every plan stops short of half the depth cap
-    monkeypatch.setattr(series, "MAX_WORKING_SET", series._POWERS_BYTES + 2**26)
-    fits = _fitting_depth(s)
+    # the budget counts level-step terms, the steps of the DP's schedule
+    # per index times the depth, so the boundary is exactly W // steps
+    monkeypatch.setattr(series, "MAX_SYMMETRIZE_WORK", 10**6)
+    steps = sum(len(st) for _, st in series._schedule(tuple(Counter(s).values())))
+    fits = 10**6 // steps
     assert fits < MAX_DEPTH // 2
     assert check_symmetrize_size(s, fits) == math.prod(m + 1 for m in Counter(s).values())
-    with pytest.raises(ValueError, match=r"would hold 0\.08 GiB, past the working-set budget of 0\.078125 GiB"):
+    work = f"{(fits + 1) * steps:,}"
+    with pytest.raises(ValueError, match=f"takes {work} level-step terms, past the work budget of 1,000,000"):
         check_symmetrize_size(s, fits + 1)
 
     def no_array(*args):
@@ -424,34 +414,48 @@ def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(series, "_powers", no_array)
         patch.setattr(series, "_carry", no_array)
-        with pytest.raises(ValueError, match="working-set budget"):
+        with pytest.raises(ValueError, match="work budget"):
             symmetrize("T", s, EvalConfig(fits + 1))
-    # the plan is about linear in the depth: twice the room, twice the depth
-    monkeypatch.setattr(series, "MAX_WORKING_SET", series._POWERS_BYTES + 2**27)
-    assert 1.9 < _fitting_depth(s) / fits < 2.1
+
+
+def test_symmetrize_size_verdict_is_the_same_in_every_order():
+    # the work depends on the multiplicities (2, 1, 1, 1) alone, 52 steps
+    # per index; a plan walked in the exponents' order refused
+    # (2, 2, 4, 6, 8) at depth 18,000,000 and accepted (8, 6, 4, 2, 2)
+    def accepts(s, depth):
+        try:
+            check_symmetrize_size(s, depth)
+        except ValueError:
+            return False
+        return True
+
+    orders = set(itertools.permutations((2.0, 2.0, 4.0, 6.0, 8.0)))
+    fits = series.MAX_SYMMETRIZE_WORK // 52
+    for depth in (fits, fits + 1, 18_000_000):
+        assert {accepts(s, depth) for s in orders} == {depth == fits}
 
 
 @pytest.mark.parametrize("kernel", ["T", "S", "strict"])
 @pytest.mark.parametrize("s", [(8.0, 4.0, 4.0), *_PLANS], ids=str)
-def test_symmetrize_traced_peak_is_within_its_plan(kernel, s, monkeypatch):
+def test_symmetrize_traced_peak_is_within_its_plan(kernel, s):
     # numpy reports its buffers to tracemalloc, so the peak is exact; the
-    # cache starts empty, so the call's own powers are traced too.  Beyond
-    # its arrays a call holds a few KiB of dicts and tuples.
-    depth, objects = 100_000, 64 * 1024
+    # cache starts empty, so the call's own powers are traced too.  At any
+    # depth a call holds at most two layers and a step in flight, a power
+    # block per exponent and one more block (n while a power block is
+    # made, or a carry's even entries), each of _SWEEP terms, beside a
+    # full cache, _fsum's buffers and a few KiB of dicts and tuples
+    arrays = _plan_peak(s) + len(set(s)) + 1
+    bound = arrays * 8 * series._SWEEP + series._POWERS_BYTES + 16 * series._BLOCK + 64 * 1024
+    for blocks in (1, 4):
+        series._powers_cache.clear()
+        tracemalloc.start()
+        try:
+            symmetrize(kernel, s, EvalConfig(blocks * series._SWEEP))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
     series._powers_cache.clear()
-    tracemalloc.start()
-    try:
-        symmetrize(kernel, s, EvalConfig(depth))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    cache = series._POWERS_BYTES
-    # the guard refuses a budget below the peak and accepts 1.5 times it
-    monkeypatch.setattr(series, "MAX_WORKING_SET", cache + peak - objects)
-    with pytest.raises(ValueError, match="working-set budget"):
-        check_symmetrize_size(s, depth)
-    monkeypatch.setattr(series, "MAX_WORKING_SET", cache + int(1.5 * peak))
-    check_symmetrize_size(s, depth)
 
 
 def test_powers_cache_is_capped_in_entries_and_bytes():
@@ -509,6 +513,20 @@ def test_working_set_budget_admits_every_suite_default():
         for part in integer_partitions(k):
             check_symmetrize_size(part.parts, verify.AHAT_DEPTH)
     check_symmetrize_size(_PLANS[-1], verify.SAMPLE_DEPTH)
+
+
+def test_main_at_the_depth_cap_stops_at_degree_10():
+    # below degree 10 every partition fits the work budget at the depth
+    # cap; at 10 the multiplicities (5, 1, 1) and (3, 2, 1) take 44 and 46
+    # steps per index, past it
+    refused = set()
+    for k in range(1, 11):
+        for part in integer_partitions(k):
+            try:
+                check_symmetrize_size(part.parts, MAX_DEPTH)
+            except ValueError:
+                refused.add((k, tuple(sorted(Counter(part.parts).values(), reverse=True))))
+    assert refused == {(10, (5, 1, 1)), (10, (3, 2, 1))}
 
 
 _KERNELS = {
@@ -704,6 +722,12 @@ def test_symmetrize_takes_one_level_step_per_sub_multiset_and_value(monkeypatch,
         assert len(carries) == subs - 1 - (first > 0)
         assert len(products) == steps - first
         assert {x for x in s for p in products if p is series._powers(x, SMALL.depth)} == set(s)
+    # the guard counts the same steps: their terms at this depth fit a
+    # budget of exactly that many, and one index more does not
+    monkeypatch.setattr(series, "MAX_SYMMETRIZE_WORK", steps * SMALL.depth)
+    check_symmetrize_size(s, SMALL.depth)
+    with pytest.raises(ValueError, match="work budget"):
+        check_symmetrize_size(s, SMALL.depth + 1)
 
 
 def _without_delta(line):
