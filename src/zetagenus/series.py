@@ -6,8 +6,9 @@ inside the box {1..N}^r.  Every kernel folds one level step over its
 exponents, a carry (a prefix or suffix sum, made in place in a level
 read no more) times n^(-x): zeta is the one-level case of the monotone
 nested sum behind multiple_zeta and multiple_zeta_star, the chained sum
-is its own tail from the first index on, and symmetrize sums a kernel
-over all orderings by a DP over sub-multisets of the exponents.
+is its own tail from the first index on, and symmetrize_family sums a
+kernel over all orderings of each multiset of a family by one DP over
+their sub-multisets (symmetrize: one multiset).
 Values are plain float64; each comes with an err_bound field holding a
 truncation estimate:
 
@@ -21,18 +22,18 @@ truncation estimate:
 
 A small floating-point noise allowance is folded into every bound.
 Final reductions are exactly rounded, bit for bit math.fsum over the
-terms: error-free extraction (Rump, Ogita and Oishi, "Accurate
-floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008)
-splits each cache-sized block of the array, with its own sigma and in
-two reused scratch buffers, into a few float64 partial sums, and
-math.fsum rounds the exact total of all of them once.  Level sums are
+terms, by error-free extraction in numpy (_exact_parts; Rump, Ogita and
+Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
+Comput. 31(1), 2008).  Level sums are
 sequential cumulative sums in fixed index order, so runs are bitwise
 reproducible.  numpy loads when a series is first evaluated, never for
 exact commands.  MAX_DEPTH caps the depth, and with it the arrays of
-the kernels; symmetrize sweeps it in blocks of _SWEEP terms (one to
-depth 10^5), so its arrays stay at 800 kB, and MAX_SYMMETRIZE_WORK caps
-the level-step terms of its DP.  The powers are cached read-only by
-exponent and index range, at most 8 exponents and 16 MiB.
+the kernels; the DP sweeps it in blocks of _SWEEP terms (one to depth
+10^5), so it holds an 800 kB array per live sub-multiset (`verify main
+--k 12`, two DPs over 271 partitions: 2 s, 82 MB), and
+MAX_SYMMETRIZE_WORK caps its level-step terms.  One multiset's powers are
+cached read-only by exponent and index range, at most 8 exponents and
+16 MiB.
 
 For even integer arguments the exact values are rational multiples of
 powers of pi (zeta_even_exact, dirichlet_eta_even_exact); verification
@@ -46,9 +47,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import pairwise, product, repeat
 from math import factorial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .exact import bernoulli
 
@@ -59,7 +60,7 @@ __all__ = [
     "EvalConfig", "SeriesValue", "default_config", "zeta", "zeta_even_exact",
     "dirichlet_eta", "dirichlet_eta_even_exact", "multiple_zeta", "multiple_zeta_star",
     "alternating_chain_sum", "alternating_chain_tail", "alternating_chain_tail_family",
-    "symmetrize", "check_symmetrize_size", "innermost_peel_residual",
+    "symmetrize", "symmetrize_family", "check_symmetrize_size", "innermost_peel_residual",
     "bottom_block_residual",
 ]
 
@@ -67,12 +68,12 @@ DEFAULT_TOL = 1e-6
 MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
-MAX_DEPTH = 20_000_000  # 160 MB per kernel level; `verify ahat` here: 2.5 s, 49 MB
+MAX_DEPTH = 20_000_000  # 160 MB per kernel level; `verify ahat` here: 3 s, 36 MB
 MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.5 s, 48 MB at depth 2e5; 8 take 2x
 _POWERS_CACHE = 8  # exponents the _powers cache keeps: all 8 at depths to 2^18,
 _POWERS_BYTES = 16 * 2**20  # 2 at 10^6, 1 at 2*10^6 and none at the depth cap
 _powers_cache: dict[tuple[float, int, int], np.ndarray] = {}  # least recently used first
-MAX_SYMMETRIZE_WORK = 800_000_000  # level-step terms one symmetrize may take: about 3.4 s
+MAX_SYMMETRIZE_WORK = 800_000_000  # level-step terms of one DP: about 3.4 s, 6 s for a family
 
 _EPS = sys.float_info.epsilon
 # Terms per block of an exact reduction.  The block and its two scratch
@@ -131,15 +132,16 @@ def _setup(s: Sequence[float], cfg: EvalConfig | None, empty_ok: bool = False) -
     return out, cfg
 
 
-def _powers(s: float, hi: int, lo: int = 0) -> np.ndarray:
+def _powers(s: float, hi: int, lo: int = 0, keep: bool = True) -> np.ndarray:
     """n^(-s) for n = lo+1..hi, read-only; the cache keeps the last used,
-    an exponent's index ranges together."""
-    p = _powers_cache.pop((s, lo, hi), None)
+    an exponent's index ranges together, unless keep is false."""
+    p = _powers_cache.pop((s, lo, hi), None) if keep else _powers_cache.get((s, lo, hi))
     if p is None:
         import numpy as np
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        p = n ** (-s)
+        p = np.arange(lo + 1, hi + 1, dtype=np.float64) ** (-s)
         p.flags.writeable = False
+    if not keep:
+        return p
     for key in [key for key in _powers_cache if key[0] == s]:  # s's blocks stay together
         _powers_cache[key] = _powers_cache.pop(key)
     _powers_cache[s, lo, hi] = p
@@ -384,67 +386,59 @@ def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = N
     return _tail_family(_fold("T", sl, cfg.depth), cfg.depth // 2).copy()
 
 
-def _schedule(top: tuple[int, ...]):
-    """Layer by layer, each sub-multiset M (its multiplicities) and its
-    steps (i, M + x_i, whether M + x_i is new), the new first."""
-    layer = [(0,) * len(top)]
-    for _ in range(sum(top)):
-        above: dict[tuple[int, ...], None] = {}
-        for sub in layer:
-            ups = [(i, sub[:i] + (m + 1,) + sub[i + 1 :]) for i, m in enumerate(sub) if m < top[i]]
-            steps = sorted(((i, up, up not in above) for i, up in ups), key=lambda st: not st[2])
-            above.update(dict.fromkeys(up for _, up, _ in steps))
-            yield sub, steps
-        layer = list(above)
-
-
 def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
     """The number count = prod (m_i + 1) of sub-multisets of the exponents,
     m_i their multiplicities; ValueError unless symmetrize accepts them at
     this depth (by default the one for their count): at least one
     exponent, at most MAX_SYMMETRIZE_SUBSETS sub-multisets, and at most
-    MAX_SYMMETRIZE_WORK level-step terms.  The DP makes
-    sum_i m_i count / (m_i + 1) steps per index: one for every
-    sub-multiset with fewer than m_i of x_i.  Memory needs no check: the
-    DP holds _SWEEP-term blocks, at most two layers of sub-multisets and
-    a power block per exponent, beside the capped _powers cache."""
+    MAX_SYMMETRIZE_WORK level-step terms, sum_i m_i count / (m_i + 1) per
+    index.  Memory needs no check: the DP holds _SWEEP-term blocks."""
     if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
     top = Counter(s).values()
     count = math.prod(m + 1 for m in top)
     if count > MAX_SYMMETRIZE_SUBSETS:
-        raise ValueError(
-            f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
-            f"the exponents, got {count} for {len(s)} exponents"
-        )
+        raise ValueError(f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
+                         f"the exponents, got {count} for {len(s)} exponents")
     depth = default_config(len(s)).depth if depth is None else depth
-    work = depth * sum(m * count // (m + 1) for m in top)
-    if work > MAX_SYMMETRIZE_WORK:
-        raise ValueError(
-            f"symmetrize over {len(s)} exponents at depth {depth} takes {work:,} level-step terms, "
-            f"past the work budget of {MAX_SYMMETRIZE_WORK:,}"
-        )
+    _check_work(f"{len(s)} exponents", depth, sum(m * count // (m + 1) for m in top))
     return count
 
 
-def symmetrize(kernel: str, s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
-    """Sum a kernel over all r! orderings of the exponents, repeats included.
+def _check_work(what: str, depth: int, steps: int) -> None:
+    if depth * steps > MAX_SYMMETRIZE_WORK:
+        raise ValueError(f"symmetrize over {what} at depth {depth} takes {depth * steps:,} level-step terms, "
+                         f"past the work budget of {MAX_SYMMETRIZE_WORK:,}")
 
-    Kernels: "T" is the parity-chained alternating sum, "S" the
-    non-strict multiple zeta, "strict" the strict multiple zeta.  Steps
-    are linear in the level below, so over a sub-multiset M the final
-    levels of the distinct orderings sum to A[M] = sum over distinct x in
-    M of the step for x from A[M - x].  A DP builds one array per M in
-    the order of _schedule: A[M] turns into its carry and M's last step
-    into the carry itself, the others into fresh arrays or, added to an
-    A[M + x], into a scratch one.  A distinct ordering stands for
-    prod m_i! permutations, m_i the multiplicities, so the value is the
-    exactly rounded sum of A[all] times prod m_i!.
+
+def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig) -> Iterator[SeriesValue]:
+    """symmetrize of each member of a family, by one DP over the union of
+    their sub-multisets M: an iterator of the members' values.  Each
+    member's check and the family's against MAX_SYMMETRIZE_WORK (a step per
+    M and distinct value in M) run at the call; the sums when it is read.
+
+    Kernels: "T" is the parity-chained alternating sum, "S" the non-strict
+    and "strict" the strict multiple zeta.  Steps are linear in the level
+    below, so over M the final levels of the distinct orderings sum to
+    A[M] = sum over distinct x in M of the step for x from A[M - x]; a
+    member's value is its A's exact sum times prod m_i!, m_i its multiplicities.
+
+    Order: the exponents are ranked so that each member lists its values
+    in rank order (a ValueError if no ranking does), and M is held as the
+    sorted tuple of its ranks.  The DP visits the M by size, then
+    ascending; A[M], complete by then, is reduced if M is a member and
+    turns into its carry, whose products with x's powers go into the
+    A[M + x], new ones first, the last made in the carry itself.  So
+    A[M] takes its terms from the M - x by descending rank of x, an order
+    set by how the ranks order M's own values, as a member alone ranks
+    them.  By induction over the sizes, every A[M] below a member, its
+    carry and running total, and so its value and bound, are bit for bit
+    those of symmetrize on it alone (not so if ranked by first appearance).
 
     The DP sweeps blocks of _SWEEP indices, up for "S" and "strict" and
-    down for "T", with a running total per M for its carry (see _carry):
-    each entry is the whole-range DP's, bit for bit.  Each block's A[all]
-    adds its exact parts, l1 norm and power sums to those of the call.
+    down for "T", with a running total per M for its carry (see _carry),
+    so each entry is the whole-range DP's bit for bit; a member's exact
+    parts, l1 norm and power sums add up block by block.
 
     The bound is at least the sum of the per-ordering bounds: m_i (r-1)!
     permutations start with x_i, and the l1 norm of A[all] is the sum of
@@ -456,46 +450,80 @@ def symmetrize(kernel: str, s: Sequence[float], cfg: EvalConfig | None = None) -
     noise level, and the bound is rounded up by 4r ulps, more than the
     roundings of any one product in it or in a per-ordering bound.
     """
-    import numpy as np
     if kernel not in ("T", "S", "strict"):
         raise ValueError(f"unknown kernel {kernel!r}; expected one of ['S', 'T', 'strict']")
-    check_symmetrize_size(s, None if cfg is None else cfg.depth)
-    sl, cfg = _setup(s, cfg)
-    depth, r = cfg.depth, len(sl)
-    counts = Counter(sl)
-    xs, top = list(counts), tuple(counts.values())
-    plan = list(_schedule(top))
-    runs = {sub: [-0.0] for sub, _ in plan}  # each carry's running total
-    heads = [0.0] * len(xs)  # the partial power sums, for "S" and "strict"
-    parts, l1, buffers = [], 0.0, None
-    starts = range(0, depth, _SWEEP)
-    for lo in reversed(starts) if kernel == "T" else starts:
-        powers = [_powers(x, min(lo + _SWEEP, depth), lo) for x in xs]
-        heads = [h + float(p.sum()) for h, p in zip(heads, powers)] if kernel != "T" else heads
-        arrays: dict[tuple[int, ...], np.ndarray] = {}
-        for sub, steps in plan:
-            if not any(sub) and kernel != "T":  # the first level is the powers
-                arrays.update((up, powers[i]) for i, up, _ in steps)
-                continue
-            carry, scratch = _carry(kernel, arrays.pop(sub, None), powers[0].size, runs[sub]), None
-            for j, (i, up, new) in enumerate(steps, 1 - len(steps)):  # j = 0: the last
-                step = np.multiply(carry, powers[i], out=carry if j == 0 else None if new else scratch)
-                if new:
-                    arrays[up] = step
-                else:
-                    arrays[up] += step
-                    scratch = step
-            del carry, scratch, step  # before the next carry
-        final = arrays.pop(top)
-        buffers = buffers or (np.empty(min(depth, _BLOCK)), np.empty(min(depth, _BLOCK)))  # after the first DP
-        parts += _exact_parts(final, buffers)
-        l1 += float((np.abs(final, out=final) if kernel == "T" else final).sum())  # else all >= 0
-        del final, powers
-    f = {x: _tail_factor(kernel, x, depth, False, h) for x, h in zip(xs, heads)}
-    mult = math.prod(map(factorial, top))
-    ratio = math.fsum(m * _tail_factor(kernel, x, depth, True) / f[x] for x, m in zip(xs, top))
-    trunc = ratio * math.prod(f[x] ** m for x, m in zip(xs, top)) * factorial(r - 1)
-    return SeriesValue(math.fsum(parts) * mult, (trunc + _noise(l1 * mult, depth, r + 1)) * (1.0 + 4 * r * _EPS))
+    depth = cfg.depth
+    for s in family:
+        check_symmetrize_size(s, depth)
+    members = [_setup(s, cfg)[0] for s in family]
+    before = {(a, b) for s in members for a, b in pairwise(dict.fromkeys(s))}  # a member lists a, then b
+    height = dict.fromkeys((x for s in members for x in s), 0)  # of the longest such chain below x
+    for _, (a, b) in product(height, before):  # as many passes as values: enough without a cycle
+        height[b] = max(height[b], height[a] + 1)
+    if any(height[a] >= height[b] for a, b in before):
+        raise ValueError("the members of a family list their common exponents in different orders")
+    rank = {x: i for i, x in enumerate(sorted(height, key=height.get))}  # ties by first appearance
+    tops = [tuple(sorted(rank[x] for x in s)) for s in members]
+    subs, below = set(tops), set(tops)
+    while below:  # drop one exponent at a time
+        below = {M[:i] + M[i + 1 :] for M in below for i in range(len(M))} - subs
+        subs |= below
+    order = sorted(subs, key=lambda M: (len(M), M))
+    ups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {M: [] for M in order}
+    for up in order:
+        for x in dict.fromkeys(up):
+            ups[up[: up.index(x)] + up[up.index(x) + 1 :]].append((x, up))
+    _check_work(f"{len(family)} multisets", depth, sum(map(len, ups.values())))
+
+    def sums() -> Iterator[SeriesValue]:
+        import numpy as np
+        runs = {M: [-0.0] for M in order}  # each carry's running total
+        parts, l1 = {M: [] for M in tops}, dict.fromkeys(tops, 0.0)
+        heads = [0.0] * len(rank)  # the partial power sums, for "S" and "strict"
+        buffers, starts = None, range(0, depth, _SWEEP)
+        for lo in reversed(starts) if kernel == "T" else starts:
+            # a family uses each power block once; one multiset's serve the next call
+            powers = [_powers(x, min(lo + _SWEEP, depth), lo, len(family) == 1) for x in rank]
+            heads = [h + float(p.sum()) for h, p in zip(heads, powers)] if kernel != "T" else heads
+            arrays: dict[tuple[int, ...], np.ndarray] = {}
+            for M in order:
+                level, steps = arrays.pop(M, None), ups[M]
+                if M in l1:
+                    buffers = buffers or (np.empty(min(depth, _BLOCK)), np.empty(min(depth, _BLOCK)))
+                    parts[M] += _exact_parts(level, buffers)
+                    l1[M] += float((np.abs(level, out=None if steps else level) if kernel == "T" else level).sum())
+                if not steps:
+                    continue
+                if not M and kernel != "T":  # the first level is the powers
+                    arrays.update((up, powers[x]) for x, up in steps)
+                    continue
+                carry, scratch = _carry(kernel, level, powers[0].size, runs[M]), None
+                for j, (x, up) in enumerate(sorted(steps, key=lambda st: st[1] in arrays), 1 - len(steps)):  # j = 0: the last
+                    new = up not in arrays
+                    step = np.multiply(carry, powers[x], out=carry if j == 0 else None if new else scratch)
+                    if new:
+                        arrays[up] = step
+                    else:
+                        arrays[up] += step
+                        scratch = step
+                del level, carry, scratch, step  # before the next carry
+            level = powers = None  # before the next block's
+        f = [_tail_factor(kernel, x, depth, False, h) for x, h in zip(rank, heads)]
+        for s, top in zip(members, tops):
+            counts, r = Counter(s), len(s)
+            mult = math.prod(map(factorial, counts.values()))
+            ratio = math.fsum(m * _tail_factor(kernel, x, depth, True) / f[rank[x]] for x, m in counts.items())
+            trunc = ratio * math.prod(f[rank[x]] ** m for x, m in counts.items()) * factorial(r - 1)
+            bound = (trunc + _noise(l1[top] * mult, depth, r + 1)) * (1.0 + 4 * r * _EPS)
+            yield SeriesValue(math.fsum(parts[top]) * mult, bound)
+
+    return sums()
+
+
+def symmetrize(kernel: str, s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
+    """Sum a kernel over all r! orderings of the exponents, repeats included,
+    at cfg or the default depth for r: symmetrize_family of one member."""
+    return next(symmetrize_family(kernel, [s], cfg or default_config(max(len(s), 1))))
 
 
 def innermost_peel_residual(s: Sequence[float], cfg: EvalConfig | None = None) -> tuple[float, float]:

@@ -62,34 +62,19 @@ from .partitions import (
     signed_block_sums,
 )
 from .series import (
-    DEFAULT_TOL,
-    EvalConfig,
-    SeriesValue,
-    alternating_chain_sum,
-    alternating_chain_tail,
-    bottom_block_residual,
-    check_symmetrize_size,
-    default_config,
-    innermost_peel_residual,
-    symmetrize,
-    zeta,
+    DEFAULT_TOL, EvalConfig, SeriesValue, alternating_chain_sum, alternating_chain_tail, bottom_block_residual,
+    check_symmetrize_size, default_config, innermost_peel_residual, symmetrize, symmetrize_family, zeta,
 )
 
 __all__ = [
-    "CheckResult",
-    "SuiteReport",
-    "available_suites",
-    "run_suite",
-    "DEFAULT_SEED",
-    "SAMPLE_DEPTH",
-    "AHAT_DEPTH",
+    "CheckResult", "SuiteReport", "available_suites", "run_suite", "DEFAULT_SEED", "SAMPLE_DEPTH", "AHAT_DEPTH",
 ]
 
 DEFAULT_SEED = 1729
 SAMPLE_DEPTH = 50_000  # matched-truncation identity checks
 AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
-MAIN_DEGREE_CAP = 12  # `verify main --k 12` takes about 7 s and 54 MB
-AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 7 s and 51 MB, `--k 9` 12.7 s
+MAIN_DEGREE_CAP = 12  # `verify main --k 12` takes about 2 s and 82 MB
+AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 2 s and 51 MB, `--k 9` 2.5 s
 FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 2 s
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8
@@ -185,14 +170,8 @@ def _partition_label(pi: SetPartition) -> str:
 
 
 def _genus_checks(
-    genus_of: Callable[[int], GenusSpec],
-    kernel: str,
-    label: str,
-    scale: Callable[[float, int, float], float],
-    suite: str, cap: int,
-    max_k: int,
-    depth: Optional[int],
-    tol: float,
+    genus_of: Callable[[int], GenusSpec], kernel: str, label: str, scale: Callable[[float, int, float], float],
+    suite: str, cap: int, max_k: int, depth: Optional[int], tol: float,
 ) -> Checks:
     """Exact genus coefficients against pi-normalized symmetrized sums.
 
@@ -202,26 +181,25 @@ def _genus_checks(
     (2 j_1, ..., 2 j_r))): for main the L genus, chained alternating sums
     (T) and 2^(2k) / pi^(2k); for ahat the A-hat genus, non-strict nested
     zetas (S), whose 1/N outer tails need a large depth, and (2 pi)^(-2k).
-    Without a depth, each partition uses the default for its r.
+    Without a depth, each partition uses the default for its r.  The
+    partitions of one depth share one symmetrize_family.
     """
     if max_k > cap:  # each suite's cap is set from its own cost
         raise ValueError(f"degree {max_k} is past the {suite} table cap {cap}")
-
-    def config(r: int) -> EvalConfig:
-        return EvalConfig(default_config(r).depth if depth is None else depth)
-
-    for k in range(1, max_k + 1):  # refuse an oversized plan before any sum
+    classes: dict[int, list] = {}
+    for k in range(1, max_k + 1):
         for part in integer_partitions(k):
-            check_symmetrize_size(part.parts, config(len(part)).depth)
+            classes.setdefault(default_config(len(part)).depth if depth is None else depth, []).append(part)
+    # each family checks its work at the call, so every class before any sum
+    runs = [(parts, symmetrize_family(kernel, [[2.0 * j for j in p.parts] for p in parts], EvalConfig(d)))
+            for d, parts in classes.items()]
+    sums = {part: sv.value for parts, run in runs for part, sv in zip(parts, run)}
     genus = genus_of(max_k)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
-            r = len(part)
-            cfg = config(r)
-            sym = symmetrize(kernel, [2.0 * j for j in part.parts], cfg)
-            sign = -1.0 if r % 2 else 1.0
-            approx = scale(sign / part.symmetry_factor(), k, sym.value)
+            sign = -1.0 if len(part) % 2 else 1.0
+            approx = scale(sign / part.symmetry_factor(), k, sums[part])
             yield _relative_check(f"{label}[{part}]", table[part], approx, tol)
 
 

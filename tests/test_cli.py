@@ -383,17 +383,22 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
     monkeypatch.setattr(series, "_powers", no_array)
     monkeypatch.setattr(series, "_carry", no_array)
     cap = ["--depth", str(series.MAX_DEPTH)]
-    # main refuses before its first sum, although its lower degrees fit; at
-    # the depth cap the first sums past the work budget are those of five
-    # distinct exponents and of degree 10, through the multiplicities
-    # (5, 1, 1) and (3, 2, 1), which is past ahat's degree cap, so ahat is
-    # refused by that first.  Seven distinct exponents stop at 1,785,714
+    # main and ahat count one DP over every partition of weight <= k per
+    # depth and refuse before their first sum, although their lower degrees
+    # fit; at the depth cap the first past the work budget is degree 6 (45
+    # steps per index), and ahat --k 8 takes 120, 2.4e9 step terms, though
+    # every partition of weight <= 8 fits alone.  Sampled suites
+    # count each tuple: at the depth cap five distinct exponents are past
+    # it, and seven stop at 1,785,714.  Past ahat's degree cap, ahat is
+    # refused by that first
     for args, message in (
         (["hoffman", "--max-r", "5", *cap], "past the work budget"),
         (["multiple-eta", "--max-r", "5", *cap], "past the work budget"),
         (["hoffman", "--max-r", "7", "--depth", "3000000"], "past the work budget"),
+        (["main", "--k", "6", *cap], "past the work budget"),
         (["main", "--k", "10", *cap], "past the work budget"),
         (["main", "--k", "11", *cap], "past the work budget"),
+        (["ahat", "--k", "8", *cap], "past the work budget"),
         (["ahat", "--k", "11", *cap], "degree 11 is past the ahat table cap 8"),
     ):
         start = time.perf_counter()

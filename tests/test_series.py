@@ -41,6 +41,7 @@ from zetagenus.series import (
     multiple_zeta,
     multiple_zeta_star,
     symmetrize,
+    symmetrize_family,
     zeta,
     zeta_even_exact,
 )
@@ -354,6 +355,13 @@ def test_symmetrize_guards():
     assert same.value == 40320 * alternating_chain_sum((2.0,) * 8, SMALL).value
 
 
+def _steps(s):
+    """Level steps per index, counted by brute force: one for each
+    nonempty sub-multiset M of s and distinct value in M."""
+    mults = list(Counter(s).values())
+    return sum(sum(m > 0 for m in sub) for sub in itertools.product(*(range(m + 1) for m in mults)))
+
+
 def _plan_peak(s):
     """Widest two adjacent layers of the sub-multiset lattice of s, counted
     by brute force, plus the step in flight."""
@@ -397,10 +405,10 @@ def test_symmetrize_holds_no_more_arrays_than_its_plan(kernel, s, monkeypatch):
 
 @pytest.mark.parametrize("s", _PLANS, ids=str)
 def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
-    # the budget counts level-step terms, the steps of the DP's schedule
-    # per index times the depth, so the boundary is exactly W // steps
+    # the budget counts level-step terms, the DP's steps per index times
+    # the depth, so the boundary is exactly W // steps
     monkeypatch.setattr(series, "MAX_SYMMETRIZE_WORK", 10**6)
-    steps = sum(len(st) for _, st in series._schedule(tuple(Counter(s).values())))
+    steps = _steps(s)
     fits = 10**6 // steps
     assert fits < MAX_DEPTH // 2
     assert check_symmetrize_size(s, fits) == math.prod(m + 1 for m in Counter(s).values())
@@ -503,30 +511,45 @@ def test_powers_cache_keeps_an_exponents_blocks_together(monkeypatch):
     series._powers_cache.clear()
 
 
+def _weight_family(w):
+    """Every partition of weight at most w as exponents 2j, parts
+    descending, as main and ahat sum them."""
+    return [[2.0 * j for j in p.parts] for k in range(1, w + 1) for p in integer_partitions(k)]
+
+
+def _family_steps(family):
+    """Level steps per index of one DP over a family, counted by brute
+    force: one for each nonempty sub-multiset M of a member and distinct
+    value in M, each M counted once."""
+    subs = {tuple(sorted(c)) for s in family for r in range(1, len(s) + 1) for c in itertools.combinations(s, r)}
+    return sum(len(set(m)) for m in subs)
+
+
 def test_working_set_budget_admits_every_suite_default():
     # main at its default depths and ahat at AHAT_DEPTH, each to its degree
-    # cap; the sampled suites with seven distinct exponents at SAMPLE_DEPTH
-    for k in range(1, verify.MAIN_DEGREE_CAP + 1):
-        for part in integer_partitions(k):
-            check_symmetrize_size(part.parts)
-    for k in range(1, verify.AHAT_DEGREE_CAP + 1):
-        for part in integer_partitions(k):
-            check_symmetrize_size(part.parts, verify.AHAT_DEPTH)
+    # cap, one family per depth as the suites sum them (symmetrize_family
+    # checks at the call and sums nothing unread); the sampled suites with
+    # seven distinct exponents at SAMPLE_DEPTH
+    for kernel, cap, depth in (("T", verify.MAIN_DEGREE_CAP, None), ("S", verify.AHAT_DEGREE_CAP, verify.AHAT_DEPTH)):
+        classes = {}
+        for s in _weight_family(cap):
+            classes.setdefault(default_config(len(s)).depth if depth is None else depth, []).append(s)
+        for d, family in classes.items():
+            symmetrize_family(kernel, family, EvalConfig(d))
     check_symmetrize_size(_PLANS[-1], verify.SAMPLE_DEPTH)
 
 
-def test_main_at_the_depth_cap_stops_at_degree_10():
-    # below degree 10 every partition fits the work budget at the depth
-    # cap; at 10 the multiplicities (5, 1, 1) and (3, 2, 1) take 44 and 46
-    # steps per index, past it
-    refused = set()
-    for k in range(1, 11):
-        for part in integer_partitions(k):
-            try:
-                check_symmetrize_size(part.parts, MAX_DEPTH)
-            except ValueError:
-                refused.add((k, tuple(sorted(Counter(part.parts).values(), reverse=True))))
-    assert refused == {(10, (5, 1, 1)), (10, (3, 2, 1))}
+def test_main_at_the_depth_cap_stops_at_degree_6():
+    # the budget counts one DP over every partition of weight <= k: at the
+    # depth cap its 26 steps per index fit at k = 5 and its 45 at k = 6 do
+    # not, though every partition of weight <= 9 fits alone
+    cap = EvalConfig(MAX_DEPTH)
+    assert [_family_steps(_weight_family(k)) for k in (5, 6)] == [26, 45]
+    symmetrize_family("T", _weight_family(5), cap)
+    with pytest.raises(ValueError, match="takes 900,000,000 level-step terms, past the work budget"):
+        symmetrize_family("T", _weight_family(6), cap)
+    for s in _weight_family(9):
+        check_symmetrize_size(s, MAX_DEPTH)
 
 
 _KERNELS = {
@@ -701,6 +724,33 @@ def test_symmetrize_traced_peak_does_not_grow_with_the_depth(kernel, monkeypatch
     assert abs(peaks[1] - peaks[0]) < 8 * series._SWEEP  # one block's array
 
 
+def _scrambled(s):
+    """s in one fixed order of its values, neither ascending nor descending."""
+    return tuple(sorted(s, key=lambda x: ((10 * x) % 7, x)))
+
+
+@pytest.mark.parametrize("kernel", ["T", "S", "strict"])
+def test_symmetrize_family_is_each_member_alone_bit_for_bit(kernel):
+    # several sweep blocks, the last one short and odd.  A[M] takes its
+    # terms in an order set by the ranks of M's values, so a family must
+    # rank them as each member lists them: descending, ascending or
+    # neither.  Ranked by first appearance in the family, the scrambled
+    # six distinct exponents came out two ulps off
+    cfg = EvalConfig(2 * series._SWEEP + 3)
+    families = [
+        _weight_family(6),
+        [s[::-1] for s in _weight_family(6)],
+        [_scrambled(s) for s in (_PLANS[3], _PLANS[2], (1.5, 2.0, 2.5, 3.0, 4.0, 6.0), (6.0, 4.0, 2.0), (2.5, 4.0))],
+    ]
+    for family in families:
+        for s, got in zip(family, symmetrize_family(kernel, family, cfg), strict=True):
+            want = symmetrize(kernel, s, cfg)
+            assert (got.value.hex(), got.err_bound.hex()) == (want.value.hex(), want.err_bound.hex()), s
+    # no ranks fit members that list two values in opposite orders
+    with pytest.raises(ValueError, match="different orders"):
+        symmetrize_family(kernel, [(2.0, 4.0), (4.0, 2.0)], cfg)
+
+
 @pytest.mark.parametrize(
     "s,steps",
     # sum over the nonempty sub-multisets M of the distinct values in M
@@ -746,6 +796,10 @@ def test_reports_match_the_permutation_reference(monkeypatch):
     }
     dp = {name: run_suite(name, **opts).lines() for name, opts in options.items()}
     monkeypatch.setattr(verify, "symmetrize", _symmetrize_by_permutations)
+    # main and ahat sum one family per depth: the reference takes each member alone
+    monkeypatch.setattr(
+        verify, "symmetrize_family", lambda kernel, family, cfg: (_symmetrize_by_permutations(kernel, s, cfg) for s in family)
+    )
     ref = {name: run_suite(name, **opts).lines() for name, opts in options.items()}
     for name in ("main", "ahat", "positivity"):
         assert dp[name] == ref[name], name
