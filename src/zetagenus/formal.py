@@ -4,7 +4,7 @@ The numeric modules can only check identities up to truncation estimates.
 Here the same identities are established exactly: attach to each ground
 element a of a set partition a family of commuting indeterminates
 a_1, ..., a_N (one per summation level), build the four sum types as
-honest polynomials with Fraction coefficients, and compare them term by
+honest polynomials with integer coefficients, and compare them term by
 term.  Truncation at level N is innocuous because every identity in play
 is an identity of formal series in these indeterminates; setting all
 levels above N to zero preserves it.  A failure therefore pinpoints a
@@ -15,7 +15,9 @@ sorted tuple of (element, level) pairs.  All four sums go through one
 routine, _level_sum, that adds a monomial for each assignment of levels
 to the blocks; they differ only in which assignments they pass (free,
 pairwise distinct, or chained) and in the sign.  Each identity's
-right-hand side is added up in one dict by sum_over_coarsenings.
+right-hand side is added up in one dict by sum_over_coarsenings.  A
+suite run passes the checks a memo it owns, so that each polynomial is
+built once per run, not once per partition below it.
 """
 
 from __future__ import annotations
@@ -23,38 +25,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import fsum
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .partitions import SetPartition, coarsenings
 
 __all__ = [
-    "FormalPolynomial",
-    "TERM_BUDGET",
-    "check_size",
-    "power_sum_poly",
-    "monomial_poly",
-    "chain_sum_poly_symmetrized",
-    "sum_over_coarsenings",
-    "IdentityReport",
-    "check_mobius_inversion",
-    "check_chain_inversion",
-    "substitute_exact",
-    "substitute_float",
+    "FormalPolynomial", "TERM_BUDGET", "check_size", "power_sum_poly", "monomial_poly", "chain_sum_poly_symmetrized",
+    "sum_over_coarsenings", "memoized", "IdentityReport", "check_mobius_inversion", "check_chain_inversion",
+    "substitute_exact", "substitute_float",
 ]
 
 TERM_BUDGET = 10**6
 MAX_CHAIN_BLOCKS = 4
 
 Monomial = tuple[tuple[int, int], ...]
+Builder = Callable[[SetPartition, int], "FormalPolynomial"]
 
 
 @dataclass(frozen=True)
 class FormalPolynomial:
-    """A polynomial in indeterminates tagged (element, level)."""
+    """A polynomial in indeterminates tagged (element, level), with integer
+    coefficients (rational after a scale by a Fraction)."""
 
-    terms: Mapping[Monomial, Fraction]
+    terms: Mapping[Monomial, int | Fraction]
     level_cap: int
 
     def __add__(self, other: "FormalPolynomial") -> "FormalPolynomial":
@@ -62,7 +56,7 @@ class FormalPolynomial:
             raise ValueError("level caps differ")
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            nv = out.get(mono, Fraction(0)) + c
+            nv = out.get(mono, 0) + c
             if nv:
                 out[mono] = nv
             else:
@@ -70,7 +64,6 @@ class FormalPolynomial:
         return FormalPolynomial(out, self.level_cap)
 
     def scale(self, c) -> "FormalPolynomial":
-        c = Fraction(c)
         if not c:
             return FormalPolynomial({}, self.level_cap)
         return FormalPolynomial(
@@ -86,11 +79,13 @@ class FormalPolynomial:
 
     def first_difference(self, other: "FormalPolynomial") -> Optional[Monomial]:
         """Smallest monomial on which the two polynomials disagree, if any."""
+        if self.terms == other.terms:
+            return None
         keys = set(self.terms) | set(other.terms)
         diffs = sorted(
             m
             for m in keys
-            if self.terms.get(m, Fraction(0)) != other.terms.get(m, Fraction(0))
+            if self.terms.get(m, 0) != other.terms.get(m, 0)
         )
         return diffs[0] if diffs else None
 
@@ -130,7 +125,7 @@ def _level_sum(
     for levels in assignments:
         mono = tuple(sorted(p for at, n in zip(pairs, levels) for p in at[n]))
         counts[mono] = counts.get(mono, 0) + (-1 if signed and sum(levels) % 2 else 1)
-    return FormalPolynomial({m: Fraction(c) for m, c in counts.items() if c}, level_cap)
+    return FormalPolynomial({m: c for m, c in counts.items() if c}, level_cap)
 
 
 def power_sum_poly(pi: SetPartition, level_cap: int, signed: bool = False) -> FormalPolynomial:
@@ -171,23 +166,38 @@ def chain_sum_poly_symmetrized(pi: SetPartition, level_cap: int) -> FormalPolyno
     series.symmetrize("T", ...).
     """
     check_size(pi.length, level_cap, chained=True)
-    levels = (
-        perm
-        for chain in _chains(pi.length, level_cap + 1)
-        for perm in itertools.permutations(chain)
-    )
+    levels = (perm for chain in _chains(pi.length, level_cap + 1) for perm in itertools.permutations(chain))
     return _level_sum(pi, levels, level_cap, signed=True)
+
+
+def _signed_power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial:
+    return power_sum_poly(pi, level_cap, signed=True)
+
+
+def memoized(build: Builder, polys: Optional[dict]) -> Builder:
+    """build, through polys, a memo keyed by (build, partition, level cap)
+    that the caller owns; build itself when polys is None."""
+    if polys is None:
+        return build
+
+    def built(pi: SetPartition, level_cap: int) -> FormalPolynomial:
+        key = (build, pi, level_cap)
+        if key not in polys:
+            polys[key] = build(pi, level_cap)
+        return polys[key]
+
+    return built
 
 
 def sum_over_coarsenings(
     pi: SetPartition,
     level_cap: int,
-    build: Callable[[SetPartition, int], FormalPolynomial],
+    build: Builder,
     weight: Callable[[SetPartition, int], int] = lambda rho, mu: 1,
 ) -> FormalPolynomial:
     """sum over rho >= pi of weight(rho, mu(pi, rho)) * build(rho, level_cap),
     added into one dict."""
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int] = {}
     for rho, mu in coarsenings(pi):
         w = weight(rho, mu)
         for mono, c in build(rho, level_cap).terms.items():
@@ -202,8 +212,8 @@ class IdentityReport:
     name: str
     ok: bool
     first_diff: Optional[Monomial] = None
-    lhs_coeff: Optional[Fraction] = None
-    rhs_coeff: Optional[Fraction] = None
+    lhs_coeff: Optional[int | Fraction] = None
+    rhs_coeff: Optional[int | Fraction] = None
 
     def describe(self) -> str:
         if self.ok:
@@ -218,26 +228,21 @@ def _compare(name: str, lhs: FormalPolynomial, rhs: FormalPolynomial) -> Identit
     diff = lhs.first_difference(rhs)
     if diff is None:
         return IdentityReport(name, True)
-    return IdentityReport(
-        name,
-        False,
-        diff,
-        lhs.terms.get(diff, Fraction(0)),
-        rhs.terms.get(diff, Fraction(0)),
-    )
+    return IdentityReport(name, False, diff, lhs.terms.get(diff, 0), rhs.terms.get(diff, 0))
 
 
-def check_mobius_inversion(pi: SetPartition, level_cap: int) -> IdentityReport:
+def check_mobius_inversion(pi: SetPartition, level_cap: int, polys: Optional[dict] = None) -> IdentityReport:
     """Distinct-level sums from free sums by Mobius inversion, exactly.
 
-    Verifies  monomial(pi) = sum over rho >= pi of mu(pi, rho) * power_sum(rho).
+    Verifies  monomial(pi) = sum over rho >= pi of mu(pi, rho) * power_sum(rho),
+    building each polynomial through the memo polys when one is given.
     """
-    lhs = monomial_poly(pi, level_cap)
-    rhs = sum_over_coarsenings(pi, level_cap, power_sum_poly, lambda rho, mu: mu)
+    lhs = memoized(monomial_poly, polys)(pi, level_cap)
+    rhs = sum_over_coarsenings(pi, level_cap, memoized(power_sum_poly, polys), lambda rho, mu: mu)
     return _compare(f"mobius-inversion[{pi!r},N={level_cap}]", lhs, rhs)
 
 
-def check_chain_inversion(pi: SetPartition, level_cap: int) -> IdentityReport:
+def check_chain_inversion(pi: SetPartition, level_cap: int, polys: Optional[dict] = None) -> IdentityReport:
     """Both exact inversions tying chained sums to signed free sums.
 
     Direction one expresses the symmetrized chained sum through signed
@@ -252,23 +257,19 @@ def check_chain_inversion(pi: SetPartition, level_cap: int) -> IdentityReport:
 
     Both sides are exact polynomials.  The report is the first direction
     that fails, with its first differing monomial, or else the passing
-    report of direction two.
+    report of direction two.  Polynomials are built through polys, as in
+    check_mobius_inversion.
     """
-    lhs1 = chain_sum_poly_symmetrized(pi, level_cap).scale((-1) ** pi.length)
-    rhs1 = sum_over_coarsenings(
-        pi,
-        level_cap,
-        partial(power_sum_poly, signed=True),
-        lambda rho, mu: (-1) ** rho.length * mu,
-    )
+    chain = memoized(chain_sum_poly_symmetrized, polys)
+    signed = memoized(_signed_power_sum_poly, polys)
+    lhs1 = chain(pi, level_cap).scale((-1) ** pi.length)
+    rhs1 = sum_over_coarsenings(pi, level_cap, signed, lambda rho, mu: (-1) ** rho.length * mu)
     first = _compare(f"chain-from-signed[{pi!r},N={level_cap}]", lhs1, rhs1)
     if not first.ok:
         return first
 
-    lhs2 = power_sum_poly(pi, level_cap, signed=True).scale((-1) ** pi.length)
-    rhs2 = sum_over_coarsenings(
-        pi, level_cap, chain_sum_poly_symmetrized, lambda rho, mu: (-1) ** rho.length
-    )
+    lhs2 = signed(pi, level_cap).scale((-1) ** pi.length)
+    rhs2 = sum_over_coarsenings(pi, level_cap, chain, lambda rho, mu: (-1) ** rho.length)
     return _compare(f"signed-from-chain[{pi!r},N={level_cap}]", lhs2, rhs2)
 
 

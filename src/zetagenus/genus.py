@@ -12,8 +12,9 @@ prod_i Q(x_i) in the elementary symmetric functions e_j of the x_i, with
 e_j renamed p_j.  There are three routes:
 
 * ``coefficient_table``, the production route, is the log/exp
-  recurrence.  With log Q(z) = sum_j c_j z^j the product is
-  exp(sum_j c_j P_j) over the power sums P_j of the x_i, and
+  recurrence, run in integers over one denominator per degree.  With
+  log Q(z) = sum_j c_j z^j the product is exp(sum_j c_j P_j) over the
+  power sums P_j of the x_i, and
   j c_j = (-1)^(j-1) lambda_j for the leading coefficients lambda_k
   (Newton's identities on the b_k).  With N_j = (-1)^(j-1) P_j written
   in the elementary basis (genus-independent), each degree follows from
@@ -63,15 +64,8 @@ from .partitions import (
 )
 
 __all__ = [
-    "GenusSpec",
-    "CoefficientTable",
-    "leading_coefficients",
-    "coefficient_closed_form",
-    "coefficient_table",
-    "coefficient_table_oracle",
-    "monomial_to_power_sum",
-    "check_table_degree",
-    "check_oracle_degree",
+    "GenusSpec", "CoefficientTable", "leading_coefficients", "coefficient_closed_form", "coefficient_table",
+    "coefficient_table_oracle", "monomial_to_power_sum", "check_table_degree", "check_oracle_degree",
 ]
 
 MAX_EXACT_DEGREE = 20  # tables, polynomials, signs and single coefficients
@@ -161,8 +155,8 @@ def check_table_degree(k: int) -> None:
     """Refuse a table, or a coefficient of weight k, past MAX_EXACT_DEGREE.
 
     The cap is set from cost: the tables of degrees 1..20 take about
-    0.7 s, each further degree about 1.5 times as long as the last, and
-    the closed form rechecks all 627 entries of degree 20 in about 2 s.
+    0.2 s in integers (1..24 0.5 s, 1..28 1.9 s), and the closed form
+    rechecks all 627 entries of degree 20 in about 1.7 s.
     """
     if k > MAX_EXACT_DEGREE:
         raise ValueError(
@@ -178,11 +172,28 @@ def check_oracle_degree(k: int) -> None:
         raise ValueError(f"oracle supports degrees 1..{MAX_ORACLE_DEGREE}, got {k}")
 
 
+@lru_cache(maxsize=None)
+def _grid(alpha: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The genus-independent part of the grid recurrence for multiplicities
+    alpha: each nonzero point beta, in mixed radix (last coordinate fastest,
+    so beta - gamma is idx(beta) - idx(gamma)), with its weight
+    (-1)^(n-1) (n-1)! / beta!, beta_i for i its first nonzero coordinate,
+    and the (idx(gamma), gamma_i) of every gamma <= beta with gamma_i >= 1."""
+    stride = [math.prod(a + 1 for a in alpha[i + 1 :]) for i in range(len(alpha))]
+    points = []
+    for beta in list(product(*(range(a + 1) for a in alpha)))[1:]:
+        n, i = sum(beta), next(j for j, x in enumerate(beta) if x)
+        w = Fraction((-1) ** (n - 1) * math.factorial(n - 1), math.prod(map(math.factorial, beta)))
+        ranges = [range(1, x + 1) if j == i else range(x + 1) for j, x in enumerate(beta)]
+        steps = tuple((sum(map(math.prod, zip(gamma, stride))), gamma[i]) for gamma in product(*ranges))
+        points.append((beta, w, beta[i], steps))
+    return tuple(points)
+
+
 def coefficient_closed_form(genus: GenusSpec, partition: PartitionLike) -> Fraction:
     """lambda_J = F_alpha for F = exp(G), by the grid recurrence
-    beta_i F_beta = sum_{gamma <= beta, gamma_i >= 1} gamma_i G_gamma F_{beta-gamma},
-    i the first nonzero coordinate of beta.  Points are numbered in mixed
-    radix, last coordinate fastest, so beta - gamma is idx(beta) - idx(gamma)."""
+    beta_i F_beta = sum_{gamma <= beta, gamma_i >= 1} gamma_i G_gamma F_{beta-gamma}
+    on the points of _grid(alpha)."""
     J = as_integer_partition(partition)
     if len(J) == 0:
         raise ValueError("partition must have at least one part")
@@ -192,24 +203,11 @@ def coefficient_closed_form(genus: GenusSpec, partition: PartitionLike) -> Fract
         raise ValueError(f"genus series order {genus.order} too small for weight {k}")
     lam = _leading_from_series(genus.series, k)
     mult = J.multiplicities()
-    ell, alpha = tuple(mult), tuple(mult.values())
-    grid = list(product(*(range(a + 1) for a in alpha)))
-    stride = [math.prod(a + 1 for a in alpha[i + 1 :]) for i in range(len(alpha))]
-    G = [Fraction(0)]  # each G_beta once, before any product uses it
-    for beta in grid[1:]:
-        n = sum(beta)
-        weight = sum(x * l for x, l in zip(beta, ell))
-        w = (-1) ** (n - 1) * math.factorial(n - 1)
-        G.append(lam[weight - 1] * Fraction(w, math.prod(map(math.factorial, beta))))
+    points = _grid(tuple(mult.values()))
+    G = [0] + [lam[sum(map(math.prod, zip(beta, mult))) - 1] * w for beta, w, _, _ in points]
     F = [Fraction(1)]
-    for b, beta in enumerate(grid[1:], 1):
-        i = next(j for j, x in enumerate(beta) if x)
-        ranges = [range(1, x + 1) if j == i else range(x + 1) for j, x in enumerate(beta)]
-        acc = Fraction(0)
-        for gamma in product(*ranges):
-            g = sum(x * s for x, s in zip(gamma, stride))
-            acc += gamma[i] * G[g] * F[b - g]
-        F.append(acc / beta[i])
+    for b, (_, _, bi, steps) in enumerate(points, 1):
+        F.append(sum(gi * G[g] * F[b - g] for g, gi in steps) / bi)
     return F[-1]
 
 
@@ -226,23 +224,29 @@ def _newton(j: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _level(series: PowerSeries, k: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """F_k, the degree-k part of prod_i Q(x_i), in the elementary basis:
-    (parts of e_mu, coefficient) pairs, zeros included, so every partition
-    of k is present (N_k alone has them all).  Cached, so building degrees
+def _level(series: PowerSeries, k: int) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """F_k, the degree-k part of prod_i Q(x_i), in the elementary basis, as
+    one denominator D_k and (parts of e_mu, integer numerator) pairs, zeros
+    included, so every partition of k is present (N_k alone has them all).
+    With lambda_j = a_j / d_j, the j-sums are put over L = lcm_j(d_j D_{k-j}),
+    divided by k, and reduced by one gcd.  Cached, so building degrees
     1..K computes each level once."""
     if k == 0:
-        return (((), Fraction(1)),)
+        return 1, (((), 1),)
     lam = _leading_from_series(series, k)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    lower = [_level(series, k - j) for j in range(1, k + 1)]
+    common = math.lcm(*(lam[j - 1].denominator * lower[j - 1][0] for j in range(1, k + 1)))
+    acc: dict[tuple[int, ...], int] = {}
     for j in range(1, k + 1):
-        lower = _level(series, k - j)
+        den, terms = lower[j - 1]
+        scale = lam[j - 1].numerator * (common // (lam[j - 1].denominator * den))
         for nu, n in _newton(j):
-            w = lam[j - 1] * n
-            for mu, c in lower:
+            w = scale * n
+            for mu, c in terms:
                 key = tuple(sorted(nu + mu, reverse=True))
                 acc[key] = acc.get(key, 0) + w * c
-    return tuple((mu, c / k) for mu, c in acc.items())
+    g = math.gcd(k * common, *acc.values())
+    return k * common // g, tuple((mu, c // g) for mu, c in acc.items())
 
 
 def coefficient_table(genus: GenusSpec, degree: int) -> CoefficientTable:
@@ -252,8 +256,9 @@ def coefficient_table(genus: GenusSpec, degree: int) -> CoefficientTable:
     check_table_degree(degree)
     if genus.order < degree:
         raise ValueError(f"genus series order {genus.order} too small for weight {degree}")
-    level = dict(_level(genus.series, degree))
-    return CoefficientTable(degree, {J: level[J.parts] for J in integer_partitions(degree)})
+    den, terms = _level(genus.series, degree)
+    level = dict(terms)
+    return CoefficientTable(degree, {J: Fraction(level[J.parts], den) for J in integer_partitions(degree)})
 
 
 def monomial_to_power_sum(partition: PartitionLike) -> dict[IntegerPartition, Fraction]:

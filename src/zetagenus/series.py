@@ -60,11 +60,10 @@ __all__ = [
     "EvalConfig", "SeriesValue", "default_config", "zeta", "zeta_even_exact",
     "dirichlet_eta", "dirichlet_eta_even_exact", "multiple_zeta", "multiple_zeta_star",
     "alternating_chain_sum", "alternating_chain_tail", "alternating_chain_tail_family",
-    "symmetrize", "symmetrize_family", "check_symmetrize_size", "innermost_peel_residual",
+    "symmetrize", "symmetrize_family", "check_symmetrize_size", "symmetrize_steps", "innermost_peel_residual",
     "bottom_block_residual",
 ]
 
-DEFAULT_TOL = 1e-6
 MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
@@ -391,18 +390,25 @@ def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
     m_i their multiplicities; ValueError unless symmetrize accepts them at
     this depth (by default the one for their count): at least one
     exponent, at most MAX_SYMMETRIZE_SUBSETS sub-multisets, and at most
-    MAX_SYMMETRIZE_WORK level-step terms, sum_i m_i count / (m_i + 1) per
-    index.  Memory needs no check: the DP holds _SWEEP-term blocks."""
+    MAX_SYMMETRIZE_WORK level-step terms, symmetrize_steps(s) per index.
+    Memory needs no check: the DP holds _SWEEP-term blocks."""
     if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
-    top = Counter(s).values()
-    count = math.prod(m + 1 for m in top)
+    count = math.prod(m + 1 for m in Counter(s).values())
     if count > MAX_SYMMETRIZE_SUBSETS:
         raise ValueError(f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
                          f"the exponents, got {count} for {len(s)} exponents")
     depth = default_config(len(s)).depth if depth is None else depth
-    _check_work(f"{len(s)} exponents", depth, sum(m * count // (m + 1) for m in top))
+    _check_work(f"{len(s)} exponents", depth, symmetrize_steps(s))
     return count
+
+
+def symmetrize_steps(s: Sequence[float]) -> int:
+    """symmetrize's level steps per index on the exponents s, one per
+    sub-multiset and distinct value in it: sum_i m_i count / (m_i + 1), with
+    m_i the multiplicities and count = prod (m_i + 1) the sub-multisets."""
+    top = Counter(s).values()
+    return sum(m * math.prod(n + 1 for n in top) // (m + 1) for m in top)
 
 
 def _check_work(what: str, depth: int, steps: int) -> None:
@@ -584,14 +590,15 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
         return np.fromiter(map(pow, base, repeat(exp)), np.float64, len(base))
 
     parts: list[float] = []
-    level = None  # final level of the chain over the prefix s_1..s_{j-1}
+    level = common = None  # final level of the chain over the prefix s_1..s_{j-1}
     for j, sj in enumerate(sl, 1):
         # tail_{l+1}(prefix); past the family's end (l = half) it is 1 for
         # the empty prefix (identically 1 at any bound) and 0 otherwise
         rest = np.append(_tail_family(level, half)[k:], float(level is None))[: len(even)]
+        own = common if j == len(sl) > 1 else powers(even, -sj)  # j = r - 1's common is (2l)^(-s_r)
         suffix_exp = sum(sl[j:])  # s_{j+1} + ... + s_r
         common = powers(even, -suffix_exp) if suffix_exp else np.ones(len(even))
-        parts += _exact_parts((common * powers(even, -sj)) * rest)
+        parts += _exact_parts((common * own) * rest)
         parts += _exact_parts((-common[: len(odd)] * powers(odd, -sj)) * rest[: len(odd)])
         level = _fold("T", [sj], depth, level)
     return _fsum(level[2 * k - 1 :]), math.fsum(parts)

@@ -7,7 +7,8 @@ its options with their defaults, in the order of the CONFIG header line.
 run_suite fills in the defaults, writes that line, and hands each
 builder only its own options.  Builders check their largest degree or
 size before any work, so an input past the supported range fails at
-once.
+once, and each imports the layers it runs in its own body, so a suite
+loads only those.
 
 The eight suites:
 
@@ -32,50 +33,35 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import factorial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .formal import (
-    IdentityReport,
-    check_chain_inversion,
-    check_mobius_inversion,
-    check_size,
-    monomial_poly,
-    power_sum_poly,
-    sum_over_coarsenings,
-)
-from .genus import (
-    GenusSpec,
-    check_oracle_degree,
-    check_table_degree,
-    coefficient_closed_form,
-    coefficient_table,
-    coefficient_table_oracle,
-)
 from .partitions import (
-    SetPartition,
-    alternating_length_sum,
-    enumerate_set_partitions,
-    integer_partitions,
-    signed_block_sums,
+    SetPartition, alternating_length_sum, enumerate_set_partitions, integer_partitions, signed_block_sums,
 )
-from .series import (
-    DEFAULT_TOL, EvalConfig, SeriesValue, alternating_chain_sum, alternating_chain_tail, bottom_block_residual,
-    check_symmetrize_size, default_config, innermost_peel_residual, symmetrize, symmetrize_family, zeta,
-)
+
+if TYPE_CHECKING:  # each check builder imports the layers it runs in its own body
+    from fractions import Fraction
+
+    from .formal import IdentityReport
+    from .genus import GenusSpec
+    from .series import SeriesValue
 
 __all__ = [
     "CheckResult", "SuiteReport", "available_suites", "run_suite", "DEFAULT_SEED", "SAMPLE_DEPTH", "AHAT_DEPTH",
 ]
 
 DEFAULT_SEED = 1729
+DEFAULT_TOL = 1e-6
 SAMPLE_DEPTH = 50_000  # matched-truncation identity checks
 AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
 MAIN_DEGREE_CAP = 12  # `verify main --k 12` takes about 2 s and 82 MB
 AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 2 s and 51 MB, `--k 9` 2.5 s
-FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 2 s
+FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 0.5 s
+# level-step terms of all the symmetrized sums of one hoffman or multiple-eta
+# run: `hoffman --max-r 7` takes 1.54e9 in about 9 s, and `--samples 26` 2.0e9 in 12 s
+MAX_SUITE_WORK = 2_000_000_000
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8
 
@@ -156,9 +142,7 @@ def _sign_check(name: str, sv: SeriesValue, side: str) -> CheckResult:
 def _identity_check(name: str, rep: IdentityReport) -> CheckResult:
     if rep.ok:
         return _exact_check(name, True, "match", "match", "0")
-    return _exact_check(
-        name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}"
-    )
+    return _exact_check(name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}")
 
 
 def _tuple_label(s: Sequence[float]) -> str:
@@ -170,7 +154,7 @@ def _partition_label(pi: SetPartition) -> str:
 
 
 def _genus_checks(
-    genus_of: Callable[[int], GenusSpec], kernel: str, label: str, scale: Callable[[float, int, float], float],
+    genus_name: str, kernel: str, label: str, scale: Callable[[float, int, float], float],
     suite: str, cap: int, max_k: int, depth: Optional[int], tol: float,
 ) -> Checks:
     """Exact genus coefficients against pi-normalized symmetrized sums.
@@ -184,6 +168,8 @@ def _genus_checks(
     Without a depth, each partition uses the default for its r.  The
     partitions of one depth share one symmetrize_family.
     """
+    from .genus import coefficient_table
+    from .series import EvalConfig, default_config, symmetrize_family
     if max_k > cap:  # each suite's cap is set from its own cost
         raise ValueError(f"degree {max_k} is past the {suite} table cap {cap}")
     classes: dict[int, list] = {}
@@ -194,7 +180,7 @@ def _genus_checks(
     runs = [(parts, symmetrize_family(kernel, [[2.0 * j for j in p.parts] for p in parts], EvalConfig(d)))
             for d, parts in classes.items()]
     sums = {part: sv.value for parts, run in runs for part, sv in zip(parts, run)}
-    genus = genus_of(max_k)
+    genus = _genus(genus_name, max_k)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
@@ -212,27 +198,30 @@ def _ahat_scale(c: float, k: int, value: float) -> float:
     return c * value / (2.0 * math.pi) ** (2 * k)
 
 
-def _sampled_tuples(
-    seed: int, samples: int, max_r: int, depth: int
-) -> list[tuple[int, tuple[float, ...]]]:
+def _sampled_tuples(seed: int, samples: int, max_r: int, depth: int, kernels: int) -> list[tuple[int, tuple]]:
     """(index, exponents) with r cycling 1..max_r, reproducible from seed.
 
     Every tuple is checked here against the symmetrize guard at this
-    depth, so an oversized max_r or depth is refused before any sum runs.
+    depth, and then the level-step terms of all of them, each summed by
+    this many kernels, against MAX_SUITE_WORK, so an oversized max_r,
+    samples or depth is refused before any sum runs.
     """
+    from .series import check_symmetrize_size, symmetrize_steps
     rng = random.Random(seed)
-    out = []
+    out, work = [], 0
     for r in range(1, max_r + 1):
         for i in range(samples):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
             check_symmetrize_size(s, depth)
+            work += kernels * depth * symmetrize_steps(s)
             out.append((i, s))
+    if work > MAX_SUITE_WORK:
+        raise ValueError(f"the symmetrized sums at depth {depth} take {work:,} level-step terms in all, "
+                         f"past the suite work budget of {MAX_SUITE_WORK:,}")
     return out
 
 
-def _weighted_products(
-    s: Sequence[float], f: Callable[[float], float]
-) -> list[tuple[int, float]]:
+def _weighted_products(s: Sequence[float], f: Callable[[float], float]) -> list[tuple[int, float]]:
     """(Mobius weight, product of f over the block sums) for every set
     partition of the positions of s; f runs once per distinct block sum."""
     terms: list[tuple[int, tuple[float, ...]]] = []
@@ -241,9 +230,7 @@ def _weighted_products(
     return [(w, math.prod(values[x] for x in sums)) for w, sums in terms]
 
 
-def _hoffman_checks(
-    max_r: int, samples: int, seed: int, depth: int, tol: float
-) -> Checks:
+def _hoffman_checks(max_r: int, samples: int, seed: int, depth: int, tol: float) -> Checks:
     """Symmetrized nested zetas against set-partition products of zetas.
 
     Strict form:      sum over permutations of the strict nested sum
@@ -256,8 +243,9 @@ def _hoffman_checks(
     decompositions of the finite index box, so residuals are pure float
     noise and the tolerance is easily met.
     """
+    from .series import EvalConfig, symmetrize, zeta
     cfg = EvalConfig(depth)
-    for i, s in _sampled_tuples(seed, samples, max_r, depth):
+    for i, s in _sampled_tuples(seed, samples, max_r, depth, 2):
         products = _weighted_products(s, lambda x: zeta(x, cfg).value)
         label = f"{i:02d}:{_tuple_label(s)}"
         lhs = symmetrize("strict", s, cfg).value
@@ -268,9 +256,7 @@ def _hoffman_checks(
         yield _absolute_check(f"star[{label}]", lhs, rhs, tol)
 
 
-def _multiple_eta_checks(
-    max_r: int, samples: int, seed: int, depth: int, tol: float
-) -> Checks:
+def _multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: float) -> Checks:
     """The alternating analogue: eta products against chained sums.
 
     sum over set partitions of (-1)^(r-blocks) * prod (|B|-1)! * prod
@@ -279,17 +265,16 @@ def _multiple_eta_checks(
     index is truncated at exactly the same depth, which again makes the
     identity exact on the finite box.
     """
+    from .series import EvalConfig, alternating_chain_sum, symmetrize
     cfg = EvalConfig(depth)
-    for i, s in _sampled_tuples(seed, samples, max_r, depth):
+    for i, s in _sampled_tuples(seed, samples, max_r, depth, 1):
         products = _weighted_products(s, lambda x: -alternating_chain_sum((x,), cfg).value)
         lhs = math.fsum(w * p for w, p in products)
         rhs = (-1.0 if len(s) % 2 else 1.0) * symmetrize("T", s, cfg).value
         yield _absolute_check(f"eta[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
 
 
-def _positivity_checks(
-    samples: int, recurrence_samples: int, seed: int, depth: int, tol: float
-) -> Checks:
+def _positivity_checks(samples: int, recurrence_samples: int, seed: int, depth: int, tol: float) -> Checks:
     """Sign separation for chained sums plus both peeling recurrences.
 
     For sampled exponent tuples (r cycling 1..3): the chained sum is
@@ -298,6 +283,9 @@ def _positivity_checks(
     checks the two recurrences that peel the innermost index and the
     terminal block, to absolute tolerance.
     """
+    from .series import (
+        EvalConfig, alternating_chain_sum, alternating_chain_tail, bottom_block_residual, innermost_peel_residual,
+    )
     cfg = EvalConfig(depth)
     rng = random.Random(seed)
     for i in range(samples):
@@ -327,7 +315,13 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
     and both directions of the chained-sum inversion hold.  Also checks
     that the signed length statistic of the whole lattice equals
     (-1)^n, by direct enumeration and by the alternating Stirling sum.
+    Each polynomial is built once per ground size, through a memo of this
+    run: the coarsenings of a partition keep its ground set.
     """
+    from .formal import (
+        check_chain_inversion, check_mobius_inversion, check_size, memoized, monomial_poly, power_sum_poly,
+        sum_over_coarsenings,
+    )
     for n in range(1, max_r + 1):
         # the partition of n into singletons is the largest one of size n;
         # refuse it before any work, as the first check to reach it would
@@ -336,35 +330,32 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
         size = f"{level_cap}^{max_r} = {level_cap**max_r:,}"
         raise ValueError(f"level_cap^max_r = {size} is past the formal cap {FORMAL_SIZE_CAP:,}")
     for n in range(1, max_r + 1):
+        polys: dict = {}
         for pi in enumerate_set_partitions(n):
             label = _partition_label(pi)
-            lhs = power_sum_poly(pi, level_cap)
-            rhs = sum_over_coarsenings(pi, level_cap, monomial_poly)
+            lhs = memoized(power_sum_poly, polys)(pi, level_cap)
+            rhs = sum_over_coarsenings(pi, level_cap, memoized(monomial_poly, polys))
             diff = lhs.first_difference(rhs)
-            yield _exact_check(
-                f"free-sum[{label}]",
-                diff is None,
-                f"terms={len(lhs.terms)}",
-                f"terms={len(rhs.terms)}",
-                "0" if diff is None else f"at={diff}",
-            )
-            yield _identity_check(f"mobius[{label}]", check_mobius_inversion(pi, level_cap))
-            yield _identity_check(
-                f"chain-inversion[{label}]", check_chain_inversion(pi, level_cap)
-            )
+            yield _exact_check(f"free-sum[{label}]", diff is None, f"terms={len(lhs.terms)}", f"terms={len(rhs.terms)}",
+                               "0" if diff is None else f"at={diff}")
+            yield _identity_check(f"mobius[{label}]", check_mobius_inversion(pi, level_cap, polys))
+            yield _identity_check(f"chain-inversion[{label}]", check_chain_inversion(pi, level_cap, polys))
     for n in range(1, 10):
         by_sum = alternating_length_sum(n)
         lengths: list[int] = []
         signed_block_sums(range(n), lambda w, sums: lengths.append(len(sums)))
         by_enum = sum((-1 if m % 2 else 1) * factorial(m) for m in lengths)
         ok = by_sum == by_enum == (-1 if n % 2 else 1)
-        yield _exact_check(
-            f"length-parity[n={n}]", ok, str(by_enum), str(by_sum), "0" if ok else "1"
-        )
+        yield _exact_check(f"length-parity[n={n}]", ok, str(by_enum), str(by_sum), "0" if ok else "1")
+
+
+def _genus(name: str, max_k: int) -> GenusSpec:
+    from .genus import GenusSpec
+    return GenusSpec.l_genus(max_k) if name == "L" else GenusSpec.a_hat(max_k)
 
 
 def _genera(max_k: int) -> tuple[tuple[str, GenusSpec], ...]:
-    return (("L", GenusSpec.l_genus(max_k)), ("Ahat", GenusSpec.a_hat(max_k)))
+    return tuple((name, _genus(name, max_k)) for name in ("L", "Ahat"))
 
 
 def _oracle_checks(max_k: int) -> Checks:
@@ -376,6 +367,7 @@ def _oracle_checks(max_k: int) -> Checks:
     agreement of all three on every partition is a genuine cross-check.
     A partition counts as bad when either route differs from the oracle.
     """
+    from .genus import check_oracle_degree, coefficient_closed_form, coefficient_table, coefficient_table_oracle
     check_oracle_degree(max_k)  # refuse before the first table is built
     for name, genus in _genera(max_k):
         for k in range(1, max_k + 1):
@@ -398,19 +390,14 @@ def _signs_checks(max_k: int) -> Checks:
     k <= max_k, in exact arithmetic.  One aggregated check per
     (genus, k).
     """
+    from .genus import check_table_degree, coefficient_table
     check_table_degree(max_k)
     for name, genus in _genera(max_k):
         offset = 1 if name == "L" else 0
         for k in range(1, max_k + 1):
             table = coefficient_table(genus, k)
             parts = integer_partitions(k)
-            bad = 0
-            for p in parts:
-                expected = -1 if (len(p) + offset) % 2 else 1
-                q = table[p]
-                actual = 1 if q > 0 else (-1 if q < 0 else 0)
-                if actual != expected:
-                    bad += 1
+            bad = sum((table[p] > 0) - (table[p] < 0) != (-1 if (len(p) + offset) % 2 else 1) for p in parts)
             yield _count_check(f"signs[{name},k={k}]", bad, len(parts))
 
 
@@ -433,25 +420,19 @@ _SAMPLED = (
 
 _SUITES: dict[str, _Suite] = {
     "main": _Suite(
-        partial(_genus_checks, GenusSpec.l_genus, "T", "h", _main_scale, "main", MAIN_DEGREE_CAP),
+        partial(_genus_checks, "L", "T", "h", _main_scale, "main", MAIN_DEGREE_CAP),
         (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)),
     ),
     "ahat": _Suite(
-        partial(_genus_checks, GenusSpec.a_hat, "S", "a", _ahat_scale, "ahat", AHAT_DEGREE_CAP),
+        partial(_genus_checks, "Ahat", "S", "a", _ahat_scale, "ahat", AHAT_DEGREE_CAP),
         (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)),
     ),
     "hoffman": _Suite(_hoffman_checks, _SAMPLED),
     "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED),
-    "positivity": _Suite(
-        _positivity_checks,
-        (
-            ("samples", 100),
-            ("recurrence_samples", 10),
-            ("seed", DEFAULT_SEED),
-            ("depth", SAMPLE_DEPTH),
-            ("tol", DEFAULT_TOL),
-        ),
-    ),
+    "positivity": _Suite(_positivity_checks, (
+        ("samples", 100), ("recurrence_samples", 10), ("seed", DEFAULT_SEED), ("depth", SAMPLE_DEPTH),
+        ("tol", DEFAULT_TOL),
+    )),
     "formal": _Suite(_formal_checks, (("max_r", 3), ("level_cap", 4))),
     "oracle": _Suite(_oracle_checks, (("max_k", 6),)),
     "signs": _Suite(_signs_checks, (("max_k", 12),)),

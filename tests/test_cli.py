@@ -400,12 +400,46 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
         (["main", "--k", "11", *cap], "past the work budget"),
         (["ahat", "--k", "8", *cap], "past the work budget"),
         (["ahat", "--k", "11", *cap], "degree 11 is past the ahat table cap 8"),
+        # every tuple fits alone, but 20 samples of r <= 7 past the suite's budget
+        (["hoffman", "--max-r", "7", "--depth", "1700000"], "past the suite work budget"),
+        (["multiple-eta", "--max-r", "7", "--depth", "1700000"], "past the suite work budget"),
+        (["hoffman", "--max-r", "4", "--samples", "1000"], "past the suite work budget"),
     ):
         start = time.perf_counter()
         result = _invoke(runner, ["verify", *args])
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == 2
         assert message in result.output
+
+
+@pytest.mark.parametrize("suite,kernels", [("hoffman", 2), ("multiple-eta", 1)])
+def test_sampled_suites_refuse_past_the_suite_work_budget(monkeypatch, suite, kernels):
+    # two samples each of r = 1, 2 and 3 distinct exponents take 1 + 4 + 12
+    # level steps per index, for each kernel the suite sums: a budget of
+    # exactly that work accepts the run, one term less refuses it before any sum
+    options, work = dict(samples=2, max_r=3, depth=1_000), kernels * 2 * (1 + 4 + 12) * 1_000
+    monkeypatch.setattr(verify, "MAX_SUITE_WORK", work)
+    assert run_suite(suite, **options).passed
+    monkeypatch.setattr(verify, "MAX_SUITE_WORK", work - 1)
+
+    def no_array(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(series, "_powers", no_array)
+    monkeypatch.setattr(series, "_carry", no_array)
+    message = f"take {work:,} level-step terms in all, past the suite work budget of {work - 1:,}"
+    with pytest.raises(ValueError, match=message):
+        run_suite(suite, **options)
+
+
+def test_suite_work_budget_admits_the_defaults_and_max_r_7():
+    # hoffman --max-r 7 at its default depth: 769 steps per index for 20
+    # samples and two kernels, 1.54e9 terms; and --samples 1000 at max_r 3
+    for samples, max_r in ((20, 7), (1000, 3)):
+        tuples = verify._sampled_tuples(verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
+        assert len(tuples) == samples * max_r
+    with pytest.raises(ValueError, match="past the suite work budget"):
+        verify._sampled_tuples(verify.DEFAULT_SEED, 27, 7, verify.SAMPLE_DEPTH, 2)
 
 
 def test_verify_rejects_too_many_orderings_before_summing(runner):
@@ -596,7 +630,7 @@ def test_oracle_suite_counts_a_disagreeing_route(monkeypatch, route):
     # The oracle checks both the production tables and the paper's formula:
     # shifting either route's 1+1+1 coefficient fails exactly the k=3 checks.
     plain = run_suite("oracle", max_k=3).lines()
-    real = getattr(verify, route)
+    real = getattr(genus_module, route)  # verify imports it from its home module when it runs
     ones = IntegerPartition((1, 1, 1))
 
     def shifted_table(genus, k):
@@ -611,7 +645,7 @@ def test_oracle_suite_counts_a_disagreeing_route(monkeypatch, route):
         return real(genus, partition) + (IntegerPartition(partition) == ones)
 
     shifted = shifted_table if route == "coefficient_table" else shifted_closed_form
-    monkeypatch.setattr(verify, route, shifted)
+    monkeypatch.setattr(genus_module, route, shifted)
     lines = run_suite("oracle", max_k=3).lines()
     assert [line for line in lines if "FAIL" in line] == [
         "CHECK oracle[L,k=3] FAIL 2/3 3/3 1 exact",
@@ -669,13 +703,13 @@ def test_config_line_with_explicit_depth(runner):
 
 def _count_calls(monkeypatch, name):
     seen = []
-    real = getattr(verify, name)
+    real = getattr(series, name)  # verify imports it from its home module when it runs
 
     def counting(*args):
         seen.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(verify, name, counting)
+    monkeypatch.setattr(series, name, counting)
     return seen
 
 
@@ -878,7 +912,9 @@ loaded["numpy"] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
 _EXACT_MODULES = ["cli", "exact", "genus", "partitions"]
-_SUITE_MODULES = ["cli", "exact", "formal", "genus", "partitions", "series", "verify"]
+# each suite loads its own layers: the exact suites no series, the numeric no formal
+_EXACT_SUITE_MODULES = _EXACT_MODULES + ["verify"]
+_NUMERIC_SUITE_MODULES = ["cli", "exact", "partitions", "series", "verify"]
 
 
 @pytest.mark.parametrize(
@@ -888,10 +924,12 @@ _SUITE_MODULES = ["cli", "exact", "formal", "genus", "partitions", "series", "ve
         (["coeff", "--genus", "L", "--partition", "2,1"], _EXACT_MODULES),
         (["poly", "--genus", "Ahat", "--k", "3"], _EXACT_MODULES + ["render"]),
         (["table", "--genus", "L", "--max-k", "4", "--out", "{out}"], _EXACT_MODULES + ["render"]),
-        (["verify", "signs"], _SUITE_MODULES),
-        (["verify", "main", "--k", "1", "--depth", "1000"], _SUITE_MODULES),
+        (["verify", "signs"], _EXACT_SUITE_MODULES),
+        (["verify", "main", "--k", "1", "--depth", "1000"], _EXACT_SUITE_MODULES + ["series"]),
+        (["verify", "formal"], ["cli", "formal", "partitions", "verify"]),
+        (["verify", "hoffman", "--samples", "1", "--depth", "1000"], _NUMERIC_SUITE_MODULES),
     ],
-    ids=["help", "coeff", "poly", "table", "signs", "main"],
+    ids=["help", "coeff", "poly", "table", "signs", "main", "formal", "hoffman"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
     # each command in a fresh interpreter: the package namespace loads no
@@ -910,5 +948,5 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
     assert loaded == {
         "import zetagenus": [],
         "command": sorted(modules),
-        "numpy": args[:2] == ["verify", "main"],
+        "numpy": args[:2] in (["verify", "main"], ["verify", "hoffman"]),
     }

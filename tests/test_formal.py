@@ -3,7 +3,7 @@
 The formal layer replaces each index variable with a polynomial over the
 finite level set {1..N}.  All identities checked here are exact lattice
 statements with no analytic content, so equality is literal term-by-term
-agreement of Fraction coefficients.
+agreement of integer coefficients.
 """
 
 from fractions import Fraction
@@ -29,6 +29,7 @@ from zetagenus.partitions import (
     enumerate_set_partitions,
 )
 from zetagenus.series import EvalConfig, alternating_chain_sum, symmetrize
+from zetagenus.verify import run_suite
 
 F = Fraction
 
@@ -212,6 +213,44 @@ def test_polynomial_ring_operations():
     assert not (a + a.scale(-1)).terms
     assert a.scale(F(1, 2)) == _poly({((1, 1),): 1}, 3)
     assert not a.scale(0).terms
+
+
+def test_builders_yield_integer_coefficients():
+    pi = _pi((1, 3), (2,))
+    built = [
+        power_sum_poly(pi, 3),
+        power_sum_poly(pi, 3, signed=True),
+        monomial_poly(pi, 3),
+        chain_sum_poly_symmetrized(pi, 3),
+        formal.sum_over_coarsenings(pi, 3, power_sum_poly, lambda rho, mu: mu),
+    ]
+    for poly in built:
+        assert poly.terms and all(type(c) is int for c in poly.terms.values())
+        assert all(type(c) is int for c in (poly + poly).scale(-3).terms.values())
+    # a Fraction scale still gives the exact rationals
+    half = built[0].scale(F(1, 2))
+    assert all(c == F(1, 2) and type(c) is F for c in half.terms.values())
+    assert half + half == built[0]
+
+
+def test_formal_suite_builds_each_polynomial_once(monkeypatch):
+    # four kinds (free, signed, distinct-level, chained) for each of the
+    # 1 + 2 + 5 + 15 set partitions of ground sizes 1..4, one memo per run
+    plain = run_suite("formal", max_r=4, level_cap=5).render()
+    calls = []
+    real = formal._level_sum
+
+    def counting(pi, assignments, level_cap, signed=False):
+        calls.append(pi)
+        return real(pi, assignments, level_cap, signed)
+
+    monkeypatch.setattr(formal, "_level_sum", counting)
+    assert run_suite("formal", max_r=4, level_cap=5).render() == plain
+    assert len(calls) == 4 * (1 + 2 + 5 + 15)
+    assert all(calls.count(pi) == 4 for pi in set(calls))
+    # nothing outlives the run: a second run builds them all again
+    run_suite("formal", max_r=4, level_cap=5)
+    assert len(calls) == 2 * 4 * (1 + 2 + 5 + 15)
 
 
 def test_mixed_level_caps_are_rejected():

@@ -160,6 +160,43 @@ def test_each_recurrence_level_is_computed_once():
     assert genus_module._level.cache_info().misses - before == 8  # levels 0..7
 
 
+def _fraction_level(series, k, memo):
+    """The recurrence as it ran in Fractions, the reference for _level:
+    F_k = (1/k) sum_j lambda_j N_j F_{k-j}, one Fraction per entry."""
+    if k == 0:
+        return {(): F(1)}
+    if k not in memo:
+        lam = genus_module._leading_from_series(series, k)
+        acc = {}
+        for j in range(1, k + 1):
+            for nu, n in genus_module._newton(j):
+                for mu, c in _fraction_level(series, k - j, memo).items():
+                    key = tuple(sorted(nu + mu, reverse=True))
+                    acc[key] = acc.get(key, 0) + lam[j - 1] * n * c
+        memo[k] = {mu: c / k for mu, c in acc.items()}
+    return memo[k]
+
+
+# negative, zero and non-unit-denominator coefficients, to degree 20
+CUSTOM_COEFFICIENTS = (1, F(-1, 3), 0, F(5, 7), F(-2, 9), 0, 3, F(-11, 4), F(1, 6), 0, -2, F(7, 25), 0,
+                       F(-1, 8), 5, 0, F(13, 27), F(-3, 10), 0, F(2, 49), -1)
+
+
+@pytest.mark.parametrize("genus", [
+    GenusSpec.l_genus(20), GenusSpec.a_hat(20), GenusSpec.from_coefficients("custom", CUSTOM_COEFFICIENTS),
+], ids=["L", "Ahat", "custom"])
+def test_integer_levels_match_the_fraction_recurrence(genus):
+    # each level is one denominator over integer numerators, reduced by one
+    # gcd, and equal to the Fraction recurrence at every entry of degrees 1..20
+    memo = {}
+    for k in range(1, MAX_EXACT_DEGREE + 1):
+        den, terms = genus_module._level(genus.series, k)
+        assert type(den) is int and den > 0 and all(type(c) is int for _, c in terms)
+        assert math.gcd(den, *(c for _, c in terms)) == 1
+        assert {mu: F(c, den) for mu, c in terms} == _fraction_level(genus.series, k, memo)
+        assert {J.parts: c for J, c in coefficient_table(genus, k).items()} == memo[k]
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle
 # ---------------------------------------------------------------------------

@@ -795,10 +795,11 @@ def test_reports_match_the_permutation_reference(monkeypatch):
         "multiple-eta": {},
     }
     dp = {name: run_suite(name, **opts).lines() for name, opts in options.items()}
-    monkeypatch.setattr(verify, "symmetrize", _symmetrize_by_permutations)
+    # verify imports them from series when a suite runs
+    monkeypatch.setattr(series, "symmetrize", _symmetrize_by_permutations)
     # main and ahat sum one family per depth: the reference takes each member alone
     monkeypatch.setattr(
-        verify, "symmetrize_family", lambda kernel, family, cfg: (_symmetrize_by_permutations(kernel, s, cfg) for s in family)
+        series, "symmetrize_family", lambda kernel, family, cfg: (_symmetrize_by_permutations(kernel, s, cfg) for s in family)
     )
     ref = {name: run_suite(name, **opts).lines() for name, opts in options.items()}
     for name in ("main", "ahat", "positivity"):
@@ -1070,6 +1071,23 @@ def test_block_rhs_is_bit_identical_to_the_term_loop(seed):
     for depth, k, s in _seeded_recurrence_cases(seed):
         cfg = _cfg(depth)
         assert bottom_block_residual(k, s, cfg)[1] == _block_rhs_by_loop(k, s, cfg)
+
+
+def test_bottom_block_makes_one_python_pow_pass_fewer(monkeypatch):
+    # per j: the common suffix powers (none at j = r) and the own even and
+    # odd powers, but j = r - 1's common is j = r's own even powers
+    passes = []
+    real = np.fromiter
+
+    def counting(*args, **kwargs):
+        passes.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromiter", counting)
+    for s, made in (((2.5,), 2), ((2.5, 3.5), 4), ((2.5, 3.5, 1.5), 7), ((2.5, 2.5, 2.5), 7)):
+        passes.clear()
+        lhs, rhs = bottom_block_residual(1, s, _cfg(41))
+        assert len(passes) == made and abs(lhs - rhs) < 1e-12
 
 
 def test_bottom_block_guard():
