@@ -31,9 +31,18 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from .partitions import SetPartition, coarsenings
 
 __all__ = [
-    "FormalPolynomial", "TERM_BUDGET", "check_size", "power_sum_poly", "monomial_poly", "chain_sum_poly_symmetrized",
-    "sum_over_coarsenings", "memoized", "IdentityReport", "check_mobius_inversion", "check_chain_inversion",
-    "substitute_exact", "substitute_float",
+    "FormalPolynomial",
+    "TERM_BUDGET",
+    "check_size",
+    "power_sum_poly",
+    "monomial_poly",
+    "chain_sum_poly_symmetrized",
+    "sum_over_coarsenings",
+    "IdentityReport",
+    "check_mobius_inversion",
+    "check_chain_inversion",
+    "substitute_exact",
+    "substitute_float",
 ]
 
 TERM_BUDGET = 10**6
@@ -64,6 +73,7 @@ class FormalPolynomial:
         return FormalPolynomial(out, self.level_cap)
 
     def scale(self, c) -> "FormalPolynomial":
+        c = c if type(c) is int else Fraction(c)
         if not c:
             return FormalPolynomial({}, self.level_cap)
         return FormalPolynomial(
@@ -166,7 +176,11 @@ def chain_sum_poly_symmetrized(pi: SetPartition, level_cap: int) -> FormalPolyno
     series.symmetrize("T", ...).
     """
     check_size(pi.length, level_cap, chained=True)
-    levels = (perm for chain in _chains(pi.length, level_cap + 1) for perm in itertools.permutations(chain))
+    levels = (
+        perm
+        for chain in _chains(pi.length, level_cap + 1)
+        for perm in itertools.permutations(chain)
+    )
     return _level_sum(pi, levels, level_cap, signed=True)
 
 
@@ -174,11 +188,9 @@ def _signed_power_sum_poly(pi: SetPartition, level_cap: int) -> FormalPolynomial
     return power_sum_poly(pi, level_cap, signed=True)
 
 
-def memoized(build: Builder, polys: Optional[dict]) -> Builder:
+def _memoized(build: Builder, polys: dict) -> Builder:
     """build, through polys, a memo keyed by (build, partition, level cap)
-    that the caller owns; build itself when polys is None."""
-    if polys is None:
-        return build
+    that the caller owns."""
 
     def built(pi: SetPartition, level_cap: int) -> FormalPolynomial:
         key = (build, pi, level_cap)
@@ -228,17 +240,25 @@ def _compare(name: str, lhs: FormalPolynomial, rhs: FormalPolynomial) -> Identit
     diff = lhs.first_difference(rhs)
     if diff is None:
         return IdentityReport(name, True)
-    return IdentityReport(name, False, diff, lhs.terms.get(diff, 0), rhs.terms.get(diff, 0))
+    return IdentityReport(
+        name,
+        False,
+        diff,
+        lhs.terms.get(diff, 0),
+        rhs.terms.get(diff, 0),
+    )
 
 
 def check_mobius_inversion(pi: SetPartition, level_cap: int, polys: Optional[dict] = None) -> IdentityReport:
     """Distinct-level sums from free sums by Mobius inversion, exactly.
 
     Verifies  monomial(pi) = sum over rho >= pi of mu(pi, rho) * power_sum(rho),
-    building each polynomial through the memo polys when one is given.
+    building each polynomial once through the memo polys (by default, one
+    of this call alone).
     """
-    lhs = memoized(monomial_poly, polys)(pi, level_cap)
-    rhs = sum_over_coarsenings(pi, level_cap, memoized(power_sum_poly, polys), lambda rho, mu: mu)
+    polys = {} if polys is None else polys
+    lhs = _memoized(monomial_poly, polys)(pi, level_cap)
+    rhs = sum_over_coarsenings(pi, level_cap, _memoized(power_sum_poly, polys), lambda rho, mu: mu)
     return _compare(f"mobius-inversion[{pi!r},N={level_cap}]", lhs, rhs)
 
 
@@ -260,8 +280,9 @@ def check_chain_inversion(pi: SetPartition, level_cap: int, polys: Optional[dict
     report of direction two.  Polynomials are built through polys, as in
     check_mobius_inversion.
     """
-    chain = memoized(chain_sum_poly_symmetrized, polys)
-    signed = memoized(_signed_power_sum_poly, polys)
+    polys = {} if polys is None else polys
+    chain = _memoized(chain_sum_poly_symmetrized, polys)
+    signed = _memoized(_signed_power_sum_poly, polys)
     lhs1 = chain(pi, level_cap).scale((-1) ** pi.length)
     rhs1 = sum_over_coarsenings(pi, level_cap, signed, lambda rho, mu: (-1) ** rho.length * mu)
     first = _compare(f"chain-from-signed[{pi!r},N={level_cap}]", lhs1, rhs1)

@@ -64,8 +64,15 @@ from .partitions import (
 )
 
 __all__ = [
-    "GenusSpec", "CoefficientTable", "leading_coefficients", "coefficient_closed_form", "coefficient_table",
-    "coefficient_table_oracle", "monomial_to_power_sum", "check_table_degree", "check_oracle_degree",
+    "GenusSpec",
+    "CoefficientTable",
+    "leading_coefficients",
+    "coefficient_closed_form",
+    "coefficient_table",
+    "coefficient_table_oracle",
+    "monomial_to_power_sum",
+    "check_table_degree",
+    "check_oracle_degree",
 ]
 
 MAX_EXACT_DEGREE = 20  # tables, polynomials, signs and single coefficients

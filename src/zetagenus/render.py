@@ -20,9 +20,19 @@ from .genus import CoefficientTable, GenusSpec, check_table_degree, coefficient_
 from .partitions import IntegerPartition, integer_partitions
 
 __all__ = [
-    "render_poly_text", "render_poly_latex", "render_poly_json", "encode_rational", "decode_rational",
-    "render_table_csv", "render_table_json", "parse_table_json", "read_cache", "write_cache", "tables_with_cache",
-    "CSV_HEADER", "CACHE_VERSION",
+    "render_poly_text",
+    "render_poly_latex",
+    "render_poly_json",
+    "encode_rational",
+    "decode_rational",
+    "render_table_csv",
+    "render_table_json",
+    "parse_table_json",
+    "read_cache",
+    "write_cache",
+    "tables_with_cache",
+    "CSV_HEADER",
+    "CACHE_VERSION",
 ]
 
 CSV_HEADER = "k,partition,coefficient_num,coefficient_den,sign,r"

@@ -38,7 +38,11 @@ from math import factorial
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .partitions import (
-    SetPartition, alternating_length_sum, enumerate_set_partitions, integer_partitions, signed_block_sums,
+    SetPartition,
+    alternating_length_sum,
+    enumerate_set_partitions,
+    integer_partitions,
+    signed_block_sums,
 )
 
 if TYPE_CHECKING:  # each check builder imports the layers it runs in its own body
@@ -142,7 +146,9 @@ def _sign_check(name: str, sv: SeriesValue, side: str) -> CheckResult:
 def _identity_check(name: str, rep: IdentityReport) -> CheckResult:
     if rep.ok:
         return _exact_check(name, True, "match", "match", "0")
-    return _exact_check(name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}")
+    return _exact_check(
+        name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}"
+    )
 
 
 def _tuple_label(s: Sequence[float]) -> str:
@@ -198,7 +204,9 @@ def _ahat_scale(c: float, k: int, value: float) -> float:
     return c * value / (2.0 * math.pi) ** (2 * k)
 
 
-def _sampled_tuples(seed: int, samples: int, max_r: int, depth: int, kernels: int) -> list[tuple[int, tuple]]:
+def _sampled_tuples(
+    seed: int, samples: int, max_r: int, depth: int, kernels: int
+) -> list[tuple[int, tuple[float, ...]]]:
     """(index, exponents) with r cycling 1..max_r, reproducible from seed.
 
     Every tuple is checked here against the symmetrize guard at this
@@ -221,7 +229,9 @@ def _sampled_tuples(seed: int, samples: int, max_r: int, depth: int, kernels: in
     return out
 
 
-def _weighted_products(s: Sequence[float], f: Callable[[float], float]) -> list[tuple[int, float]]:
+def _weighted_products(
+    s: Sequence[float], f: Callable[[float], float]
+) -> list[tuple[int, float]]:
     """(Mobius weight, product of f over the block sums) for every set
     partition of the positions of s; f runs once per distinct block sum."""
     terms: list[tuple[int, tuple[float, ...]]] = []
@@ -230,7 +240,9 @@ def _weighted_products(s: Sequence[float], f: Callable[[float], float]) -> list[
     return [(w, math.prod(values[x] for x in sums)) for w, sums in terms]
 
 
-def _hoffman_checks(max_r: int, samples: int, seed: int, depth: int, tol: float) -> Checks:
+def _hoffman_checks(
+    max_r: int, samples: int, seed: int, depth: int, tol: float
+) -> Checks:
     """Symmetrized nested zetas against set-partition products of zetas.
 
     Strict form:      sum over permutations of the strict nested sum
@@ -256,7 +268,9 @@ def _hoffman_checks(max_r: int, samples: int, seed: int, depth: int, tol: float)
         yield _absolute_check(f"star[{label}]", lhs, rhs, tol)
 
 
-def _multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: float) -> Checks:
+def _multiple_eta_checks(
+    max_r: int, samples: int, seed: int, depth: int, tol: float
+) -> Checks:
     """The alternating analogue: eta products against chained sums.
 
     sum over set partitions of (-1)^(r-blocks) * prod (|B|-1)! * prod
@@ -274,7 +288,9 @@ def _multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: f
         yield _absolute_check(f"eta[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
 
 
-def _positivity_checks(samples: int, recurrence_samples: int, seed: int, depth: int, tol: float) -> Checks:
+def _positivity_checks(
+    samples: int, recurrence_samples: int, seed: int, depth: int, tol: float
+) -> Checks:
     """Sign separation for chained sums plus both peeling recurrences.
 
     For sampled exponent tuples (r cycling 1..3): the chained sum is
@@ -319,7 +335,7 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
     run: the coarsenings of a partition keep its ground set.
     """
     from .formal import (
-        check_chain_inversion, check_mobius_inversion, check_size, memoized, monomial_poly, power_sum_poly,
+        _memoized, check_chain_inversion, check_mobius_inversion, check_size, monomial_poly, power_sum_poly,
         sum_over_coarsenings,
     )
     for n in range(1, max_r + 1):
@@ -333,20 +349,29 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
         polys: dict = {}
         for pi in enumerate_set_partitions(n):
             label = _partition_label(pi)
-            lhs = memoized(power_sum_poly, polys)(pi, level_cap)
-            rhs = sum_over_coarsenings(pi, level_cap, memoized(monomial_poly, polys))
+            lhs = _memoized(power_sum_poly, polys)(pi, level_cap)
+            rhs = sum_over_coarsenings(pi, level_cap, _memoized(monomial_poly, polys))
             diff = lhs.first_difference(rhs)
-            yield _exact_check(f"free-sum[{label}]", diff is None, f"terms={len(lhs.terms)}", f"terms={len(rhs.terms)}",
-                               "0" if diff is None else f"at={diff}")
+            yield _exact_check(
+                f"free-sum[{label}]",
+                diff is None,
+                f"terms={len(lhs.terms)}",
+                f"terms={len(rhs.terms)}",
+                "0" if diff is None else f"at={diff}",
+            )
             yield _identity_check(f"mobius[{label}]", check_mobius_inversion(pi, level_cap, polys))
-            yield _identity_check(f"chain-inversion[{label}]", check_chain_inversion(pi, level_cap, polys))
+            yield _identity_check(
+                f"chain-inversion[{label}]", check_chain_inversion(pi, level_cap, polys)
+            )
     for n in range(1, 10):
         by_sum = alternating_length_sum(n)
         lengths: list[int] = []
         signed_block_sums(range(n), lambda w, sums: lengths.append(len(sums)))
         by_enum = sum((-1 if m % 2 else 1) * factorial(m) for m in lengths)
         ok = by_sum == by_enum == (-1 if n % 2 else 1)
-        yield _exact_check(f"length-parity[n={n}]", ok, str(by_enum), str(by_sum), "0" if ok else "1")
+        yield _exact_check(
+            f"length-parity[n={n}]", ok, str(by_enum), str(by_sum), "0" if ok else "1"
+        )
 
 
 def _genus(name: str, max_k: int) -> GenusSpec:
@@ -397,7 +422,13 @@ def _signs_checks(max_k: int) -> Checks:
         for k in range(1, max_k + 1):
             table = coefficient_table(genus, k)
             parts = integer_partitions(k)
-            bad = sum((table[p] > 0) - (table[p] < 0) != (-1 if (len(p) + offset) % 2 else 1) for p in parts)
+            bad = 0
+            for p in parts:
+                expected = -1 if (len(p) + offset) % 2 else 1
+                q = table[p]
+                actual = 1 if q > 0 else (-1 if q < 0 else 0)
+                if actual != expected:
+                    bad += 1
             yield _count_check(f"signs[{name},k={k}]", bad, len(parts))
 
 
@@ -429,10 +460,16 @@ _SUITES: dict[str, _Suite] = {
     ),
     "hoffman": _Suite(_hoffman_checks, _SAMPLED),
     "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED),
-    "positivity": _Suite(_positivity_checks, (
-        ("samples", 100), ("recurrence_samples", 10), ("seed", DEFAULT_SEED), ("depth", SAMPLE_DEPTH),
-        ("tol", DEFAULT_TOL),
-    )),
+    "positivity": _Suite(
+        _positivity_checks,
+        (
+            ("samples", 100),
+            ("recurrence_samples", 10),
+            ("seed", DEFAULT_SEED),
+            ("depth", SAMPLE_DEPTH),
+            ("tol", DEFAULT_TOL),
+        ),
+    ),
     "formal": _Suite(_formal_checks, (("max_r", 3), ("level_cap", 4))),
     "oracle": _Suite(_oracle_checks, (("max_k", 6),)),
     "signs": _Suite(_signs_checks, (("max_k", 12),)),

@@ -231,6 +231,10 @@ def test_builders_yield_integer_coefficients():
     half = built[0].scale(F(1, 2))
     assert all(c == F(1, 2) and type(c) is F for c in half.terms.values())
     assert half + half == built[0]
+    # and so does a float or a string scale, as exact rationals
+    for c in (0.5, "1/2"):
+        scaled = built[0].scale(c)
+        assert scaled == half and all(type(v) is F for v in scaled.terms.values())
 
 
 def test_formal_suite_builds_each_polynomial_once(monkeypatch):
@@ -251,6 +255,11 @@ def test_formal_suite_builds_each_polynomial_once(monkeypatch):
     # nothing outlives the run: a second run builds them all again
     run_suite("formal", max_r=4, level_cap=5)
     assert len(calls) == 2 * 4 * (1 + 2 + 5 + 15)
+    # one call without a memo of its own still builds each polynomial once:
+    # the chained and signed sums of each of the Bell(3) = 5 coarsenings
+    calls.clear()
+    assert check_chain_inversion(_pi((1,), (2,), (3,)), 3).ok
+    assert len(calls) == 2 * 5
 
 
 def test_mixed_level_caps_are_rejected():
