@@ -4,11 +4,12 @@ All evaluators share the same truncation semantics: a depth N caps every
 summation index, so an r-fold sum runs over the part of its index region
 inside the box {1..N}^r.  Every kernel folds one level step over its
 exponents, a carry (a prefix or suffix sum, made in place in a level
-read no more) times n^(-x): zeta is the one-level case of the monotone
-nested sum behind multiple_zeta and multiple_zeta_star, the chained sum
-is its own tail from the first index on, and symmetrize_family sums a
-kernel over all orderings of each multiset of a family by one DP over
-their sub-multisets (symmetrize: one multiset).
+read no more) times n^(-x), and one DP, _sweep, takes all the steps:
+zeta is the one-level case of the monotone nested sum behind
+multiple_zeta and multiple_zeta_star, the chained sum is its own tail
+from the first index on, each a DP along one ordering, and
+symmetrize_family sums a kernel over all orderings of each multiset of
+a family by one DP over their sub-multisets (symmetrize: one multiset).
 Values are plain float64; each comes with an err_bound field holding a
 truncation estimate:
 
@@ -27,17 +28,17 @@ Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
 Comput. 31(1), 2008).  Level sums are
 sequential cumulative sums in fixed index order, so runs are bitwise
 reproducible.  numpy loads when a series is first evaluated, never for
-exact commands.  MAX_DEPTH caps the depth, and with it the arrays of
-the kernels; the DP sweeps it in blocks of _SWEEP terms (one to depth
-10^5), so it holds an 800 kB array per live sub-multiset (`verify main
---k 12`, two DPs over 271 partitions: 2 s, 82 MB), and
-MAX_SYMMETRIZE_WORK caps its level-step terms.  One multiset's powers are
-cached read-only by exponent and index range, at most 8 exponents and
-16 MiB.
+exact commands.  MAX_DEPTH caps the depth, which the DP sweeps in
+blocks of _SWEEP terms (one to depth 10^5), so at any depth it holds an
+800 kB array per live node (`verify main --k 12`, two DPs over 271
+partitions: 2 s, 82 MB); only alternating_chain_tail_family returns
+depth/2 terms.  MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step
+terms.  The powers of one ordering or multiset are cached read-only by
+exponent and index range, at most 8 exponents and 16 MiB.
 
 For even integer arguments the exact values are rational multiples of
-powers of pi (zeta_even_exact, dirichlet_eta_even_exact); verification
-code prefers those where it can.
+powers of pi (zeta_even_exact, dirichlet_eta_even_exact), the exact
+references the tests check the kernels against.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ __all__ = [
 MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
-MAX_DEPTH = 20_000_000  # 160 MB per kernel level; `verify ahat` here: 3 s, 36 MB
+MAX_DEPTH = 20_000_000  # alternating_chain_tail_family returns 80 MB; `verify ahat` here: 3 s, 36 MB
 MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.5 s, 48 MB at depth 2e5; 8 take 2x
 _POWERS_CACHE = 8  # exponents the _powers cache keeps: all 8 at depths to 2^18,
 _POWERS_BYTES = 16 * 2**20  # 2 at 10^6, 1 at 2*10^6 and none at the depth cap
@@ -202,11 +203,6 @@ def _exact_parts(arr: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None 
     return parts
 
 
-def _fsum(arr: np.ndarray) -> float:
-    """The exactly rounded sum of arr, bit for bit math.fsum(arr.tolist())."""
-    return math.fsum(_exact_parts(arr))
-
-
 def _noise(l1_scale: float, depth: int, levels: int) -> float:
     # worst-case linear accumulation model for the per-level cumulative sums
     return _EPS * depth * max(levels, 1) * abs(l1_scale)
@@ -215,7 +211,7 @@ def _noise(l1_scale: float, depth: int, levels: int) -> float:
 def zeta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
     """Truncated zeta(s) = sum_{n<=N} n^(-s) with an integral tail bound:
     the one-level nested sum."""
-    return _nested_monotone("strict", *_setup([s], cfg))
+    return _ordered("strict", *_setup([s], cfg))
 
 
 def zeta_even_exact(k: int) -> Fraction:
@@ -271,24 +267,80 @@ def _carry(kernel: str, level: np.ndarray | None, size: int, run: list | None = 
     return out
 
 
-def _tail_factor(kernel: str, x: float, depth: int, first: bool, head: float | None = None) -> float:
+def _tail_factor(kernel: str, x: float, depth: int, first: bool, head: float = 0.0) -> float:
     """x's factor in an ordering's truncation estimate, a product over its
     exponents: first, the outer index's integral tail bound ("T": twice the
-    first omitted term); later, partial sum (or head) plus tail ("T": 1 + 2^(-x))."""
+    first omitted term); later, head, x's partial power sum, plus tail ("T": 1 + 2^(-x))."""
     if kernel == "T":
         return 2.0 * float(depth + 1) ** (-x) if first else 1.0 + 2.0 ** (-x)
     tail = depth ** (1.0 - x) / (x - 1.0)
-    return tail if first else (float(_powers(x, depth).sum()) if head is None else head) + tail
+    return tail if first else head + tail
 
 
-def _nested_monotone(kernel: str, s: list[float], cfg: EvalConfig) -> SeriesValue:
-    """The "strict" (>) or "S" (>=) nested zeta sum, folded from the
-    innermost exponent out; a level is indexed by one index's value."""
-    depth = cfg.depth
-    value = _fsum(_fold(kernel, s[::-1], depth))
-    inner_bound = math.prod(_tail_factor(kernel, sj, depth, False) for sj in s[1:])
-    tail = _tail_factor(kernel, s[0], depth, True) * inner_bound
-    return SeriesValue(value, tail + _noise(value, depth, len(s)))
+def _sweep(kernel: str, xs: list[float], ups: dict, depth: int, keep: bool) -> Iterator[tuple]:
+    """The DP behind every kernel.  ups[M] lists node M's level steps as
+    (x, M + x), x an index into xs; the first node, the root, has no level.
+    The DP sweeps blocks of _SWEEP indices, up for "S" and "strict" and
+    down for "T", and visits the nodes of each block in the order of ups:
+    it yields (lo, hi, powers, M, level), with M's level and the powers of
+    xs (_powers with keep) on the indices lo+1..hi, and then turns the
+    level into its carry, with a running total per M (see _carry), so each
+    entry is the whole-range DP's bit for bit.  The carry's products with
+    the powers go into the levels of the M + x, new ones first, the last
+    made in the carry itself.  A reader may change a level with no steps."""
+    import numpy as np
+    runs = {M: [-0.0] for M in ups}  # each carry's running total
+    starts = range(0, depth, _SWEEP)
+    for lo in reversed(starts) if kernel == "T" else starts:
+        hi = min(lo + _SWEEP, depth)
+        powers = [_powers(x, hi, lo, keep) for x in xs]
+        arrays: dict = {}
+        for M, steps in ups.items():
+            level = arrays.pop(M, None)
+            yield lo, hi, powers, M, level
+            if not steps:
+                continue
+            if level is None and kernel != "T":  # the first level is the powers
+                arrays.update((up, powers[x]) for x, up in steps)
+                continue
+            carry, scratch = _carry(kernel, level, hi - lo, runs[M]), None
+            for j, (x, up) in enumerate(sorted(steps, key=lambda st: st[1] in arrays), 1 - len(steps)):  # j = 0: the last
+                new = up not in arrays
+                step = np.multiply(carry, powers[x], out=carry if j == 0 else None if new else scratch)
+                if new:
+                    arrays[up] = step
+                else:
+                    arrays[up] += step
+                    scratch = step
+            del level, carry, scratch, step  # before the next carry
+        level = powers = None  # before the next block's
+
+
+def _path(r: int) -> dict[int, list[tuple[int, int]]]:
+    """The DP of one ordering: node i has taken the steps for xs[:i]."""
+    return {i: [(i, i + 1)] if i < r else [] for i in range(r + 1)}
+
+
+def _ordered(kernel: str, s: list[float], cfg: EvalConfig, base: int = 1) -> SeriesValue:
+    """The sum over one ordering: the "strict" (>) or "S" (>=) nested zeta
+    sum, swept from the innermost exponent out, or the chained sum ("T",
+    from the outermost in) over n_r >= base, whose estimate is the first
+    omitted outer term times a bound per inner index."""
+    import numpy as np
+    depth, r = cfg.depth, len(s)
+    parts, l1, heads = [], 0.0, [0.0] * (r - 1)  # heads: the inner partial power sums, innermost first
+    for lo, _, powers, i, level in _sweep(kernel, s if kernel == "T" else s[::-1], _path(r), depth, True):
+        if not i and kernel != "T":
+            heads = [h + float(p.sum()) for h, p in zip(heads, powers)]
+        if i == r:
+            level = level[max(base - 1 - lo, 0) :]
+            parts += _exact_parts(level)
+            l1 += float(np.abs(level, out=level).sum()) if kernel == "T" else 0.0
+    value, first = math.fsum(parts), _tail_factor(kernel, s[0], depth, True)
+    inner = [_tail_factor(kernel, x, depth, False, h) for x, h in zip(s[1:], heads[::-1])]
+    if kernel == "T":  # each inner index is at least base
+        return SeriesValue(value, math.prod(inner, start=first * float(base) ** (-sum(s[1:]))) + _noise(l1, depth, r))
+    return SeriesValue(value, first * math.prod(inner) + _noise(value, depth, r))  # all terms positive: l1 = value
 
 
 def multiple_zeta(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -296,7 +348,7 @@ def multiple_zeta(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesVa
 
     sum over n_1 > n_2 > ... > n_r >= 1 (all <= depth) of prod n_i^(-s_i).
     """
-    return _nested_monotone("strict", *_setup(s, cfg))
+    return _ordered("strict", *_setup(s, cfg))
 
 
 def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -304,46 +356,7 @@ def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> Ser
 
     sum over n_1 >= n_2 >= ... >= n_r >= 1 (all <= depth) of prod n_i^(-s_i).
     """
-    return _nested_monotone("S", *_setup(s, cfg))
-
-
-def _fold(kernel: str, s: list[float], depth: int, level: np.ndarray | None = None) -> np.ndarray | None:
-    """The level after the steps for s in order from `level` (None: before
-    the first), but the read-only powers for the monotone first level.
-    For the chained sum ("T", from the outermost exponent in) entry n of
-    the last is the signed sum over all chains n_1 >=' ... >=' n_r = n in
-    {1..depth}, where a >=' b means a >= b with equality only at even a.
-    Summing a suffix of it bounds the innermost index from below."""
-    for x in s:
-        if level is None and kernel != "T":
-            level = _powers(x, depth)
-        else:
-            level = _carry(kernel, level, depth)
-            level *= _powers(x, depth)
-    return level
-
-
-def _tail_family(final: np.ndarray | None, half: int) -> np.ndarray:
-    """Entry k-1 is the chained sum with n_r >= 2k, k = 1..half; all 1 if final is None."""
-    import numpy as np
-    if final is None:
-        return np.ones(half, dtype=np.float64)
-    return np.cumsum(final[::-1])[::-1][1 : 2 * half : 2]
-
-
-def _chain_from(s: list[float], depth: int, base: int) -> SeriesValue:
-    """The chained sum over n_r >= base, with the first-omitted-outer-term
-    estimate as its error."""
-    import numpy as np
-    final = _fold("T", s, depth)[base - 1 :]
-    value = _fsum(final)
-    est = _tail_factor("T", s[0], depth, True)
-    if len(s) > 1:
-        est *= float(base) ** (-sum(s[1:]))
-        for sj in s[1:]:
-            est *= _tail_factor("T", sj, depth, False)
-    l1 = float(np.abs(final, out=final).sum())  # after the sum: final is done with
-    return SeriesValue(value, est + _noise(l1, depth, len(s)))
+    return _ordered("S", *_setup(s, cfg))
 
 
 def alternating_chain_sum(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -354,8 +367,7 @@ def alternating_chain_sum(s: Sequence[float], cfg: EvalConfig | None = None) -> 
     even.  For r = 1 this is -eta(s).  The value is negative for
     admissible exponents, with magnitude shrinking as r grows.
     """
-    sl, cfg = _setup(s, cfg)
-    return _chain_from(sl, cfg.depth, 1)
+    return _ordered("T", *_setup(s, cfg))
 
 
 def alternating_chain_tail(k: int, s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -371,7 +383,7 @@ def alternating_chain_tail(k: int, s: Sequence[float], cfg: EvalConfig | None = 
     sl, cfg = _setup(s, cfg, empty_ok=True)
     if not sl:
         return SeriesValue(1.0, 0.0)
-    return _chain_from(sl, cfg.depth, 2 * k)
+    return _ordered("T", sl, cfg, 2 * k)
 
 
 def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = None) -> np.ndarray:
@@ -381,8 +393,13 @@ def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = N
     at the same truncation depth as alternating_chain_tail would use.
     For the empty exponent list every entry is exactly 1.
     """
+    import numpy as np
     sl, cfg = _setup(s, cfg, empty_ok=True)
-    return _tail_family(_fold("T", sl, cfg.depth), cfg.depth // 2).copy()
+    out, run = np.empty(cfg.depth // 2), [-0.0]
+    for lo, hi, _, i, level in _sweep("T", sl, _path(len(sl)), cfg.depth, True):
+        if i == len(sl):  # entry k-1 is the final level's carry at n = 2k, its suffix sum
+            out[lo // 2 : hi // 2] = _carry("T", level, hi - lo, run)[1::2]
+    return out
 
 
 def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
@@ -431,20 +448,15 @@ def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalC
 
     Order: the exponents are ranked so that each member lists its values
     in rank order (a ValueError if no ranking does), and M is held as the
-    sorted tuple of its ranks.  The DP visits the M by size, then
-    ascending; A[M], complete by then, is reduced if M is a member and
-    turns into its carry, whose products with x's powers go into the
-    A[M + x], new ones first, the last made in the carry itself.  So
-    A[M] takes its terms from the M - x by descending rank of x, an order
-    set by how the ranks order M's own values, as a member alone ranks
-    them.  By induction over the sizes, every A[M] below a member, its
-    carry and running total, and so its value and bound, are bit for bit
-    those of symmetrize on it alone (not so if ranked by first appearance).
-
-    The DP sweeps blocks of _SWEEP indices, up for "S" and "strict" and
-    down for "T", with a running total per M for its carry (see _carry),
-    so each entry is the whole-range DP's bit for bit; a member's exact
-    parts, l1 norm and power sums add up block by block.
+    sorted tuple of its ranks.  _sweep visits the M by size, then
+    ascending, and A[M], complete by then, is reduced if M is a member
+    before its carry's products go into the A[M + x].  So A[M] takes its
+    terms from the M - x by descending rank of x, an order set by how the
+    ranks order M's own values, as a member alone ranks them.  By
+    induction over the sizes, every A[M] below a member, its carry and
+    running total, and so its value and bound, are bit for bit those of
+    symmetrize on it alone (not so if ranked by first appearance).  A
+    member's exact parts, l1 norm and power sums add up block by block.
 
     The bound is at least the sum of the per-ordering bounds: m_i (r-1)!
     permutations start with x_i, and the l1 norm of A[all] is the sum of
@@ -483,37 +495,16 @@ def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalC
 
     def sums() -> Iterator[SeriesValue]:
         import numpy as np
-        runs = {M: [-0.0] for M in order}  # each carry's running total
         parts, l1 = {M: [] for M in tops}, dict.fromkeys(tops, 0.0)
-        heads = [0.0] * len(rank)  # the partial power sums, for "S" and "strict"
-        buffers, starts = None, range(0, depth, _SWEEP)
-        for lo in reversed(starts) if kernel == "T" else starts:
-            # a family uses each power block once; one multiset's serve the next call
-            powers = [_powers(x, min(lo + _SWEEP, depth), lo, len(family) == 1) for x in rank]
-            heads = [h + float(p.sum()) for h, p in zip(heads, powers)] if kernel != "T" else heads
-            arrays: dict[tuple[int, ...], np.ndarray] = {}
-            for M in order:
-                level, steps = arrays.pop(M, None), ups[M]
-                if M in l1:
-                    buffers = buffers or (np.empty(min(depth, _BLOCK)), np.empty(min(depth, _BLOCK)))
-                    parts[M] += _exact_parts(level, buffers)
-                    l1[M] += float((np.abs(level, out=None if steps else level) if kernel == "T" else level).sum())
-                if not steps:
-                    continue
-                if not M and kernel != "T":  # the first level is the powers
-                    arrays.update((up, powers[x]) for x, up in steps)
-                    continue
-                carry, scratch = _carry(kernel, level, powers[0].size, runs[M]), None
-                for j, (x, up) in enumerate(sorted(steps, key=lambda st: st[1] in arrays), 1 - len(steps)):  # j = 0: the last
-                    new = up not in arrays
-                    step = np.multiply(carry, powers[x], out=carry if j == 0 else None if new else scratch)
-                    if new:
-                        arrays[up] = step
-                    else:
-                        arrays[up] += step
-                        scratch = step
-                del level, carry, scratch, step  # before the next carry
-            level = powers = None  # before the next block's
+        heads, buffers = [0.0] * len(rank), None  # the partial power sums, for "S" and "strict"
+        # a family uses each power block once; one multiset's serve the next call
+        for _, _, powers, M, level in _sweep(kernel, list(rank), ups, depth, len(family) == 1):
+            if not M and kernel != "T":
+                heads = [h + float(p.sum()) for h, p in zip(heads, powers)]
+            if M in l1:
+                buffers = buffers or (np.empty(min(depth, _BLOCK)), np.empty(min(depth, _BLOCK)))
+                parts[M] += _exact_parts(level, buffers)
+                l1[M] += float((np.abs(level, out=None if ups[M] else level) if kernel == "T" else level).sum())
         f = [_tail_factor(kernel, x, depth, False, h) for x, h in zip(rank, heads)]
         for s, top in zip(members, tops):
             counts, r = Counter(s), len(s)
@@ -548,13 +539,17 @@ def innermost_peel_residual(s: Sequence[float], cfg: EvalConfig | None = None) -
     """
     import numpy as np
     sl, cfg = _setup(s, cfg)
-    depth = cfg.depth
-    prefix = _fold("T", sl[:-1], depth)
-    # tail_k(prefix) for n_r = 2k-1 and 2k; at an odd depth the last n_r
-    # has k past the family, where the empty-prefix tail is still 1
-    fam = np.append(_tail_family(prefix, depth // 2), float(prefix is None))
-    lhs = _fsum(_fold("T", sl[-1:], depth, prefix))  # the step takes prefix in place
-    return lhs, _fsum(_fold("T", sl[-1:], depth) * np.repeat(fam, 2)[:depth])
+    r, run, lhs, rhs = len(sl) - 1, [-0.0], [], []
+    for lo, hi, powers, i, level in _sweep("T", sl, _path(r), cfg.depth, True):
+        if i == r:  # the prefix s_1..s_{r-1}: its carry at n = 2k is tail_k(prefix)
+            carry = _carry("T", level, hi - lo, run)
+            lhs += _exact_parts(carry * powers[r])
+            # the weight of n_r = 2k-1 is tail_k too; at an odd depth the last
+            # n_r has k past the family, where the carry is -1 for the empty
+            # prefix and -0 otherwise, as the tail is 1 or 0
+            np.negative(carry[1::2], out=carry[0::2][: (hi - lo) // 2])
+            rhs += _exact_parts(np.multiply(carry, powers[r], out=carry))
+    return math.fsum(lhs), math.fsum(rhs)
 
 
 def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = None) -> tuple[float, float]:
@@ -578,27 +573,32 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
     if k < 1:
         raise ValueError("k must be at least 1")
     sl, cfg = _setup(s, cfg)
-    depth = cfg.depth
-    half = depth // 2
-    # the terms are grouped by l = k..half; the powers come from Python's
-    # float pow, whose rounding numpy's vectorised pow does not match on
-    # every CPU, and only the products and the sum run in numpy
-    even = np.arange(2 * k, 2 * half + 1, 2, dtype=np.float64).tolist()  # 2l
-    odd = np.arange(2 * k + 1, depth + 1, 2, dtype=np.float64).tolist()  # 2l + 1 <= depth
+    depth, r = cfg.depth, len(sl)
 
     def powers(base: list[float], exp: float) -> np.ndarray:
         return np.fromiter(map(pow, base, repeat(exp)), np.float64, len(base))
 
-    parts: list[float] = []
-    level = common = None  # final level of the chain over the prefix s_1..s_{j-1}
-    for j, sj in enumerate(sl, 1):
-        # tail_{l+1}(prefix); past the family's end (l = half) it is 1 for
-        # the empty prefix (identically 1 at any bound) and 0 otherwise
-        rest = np.append(_tail_family(level, half)[k:], float(level is None))[: len(even)]
-        own = common if j == len(sl) > 1 else powers(even, -sj)  # j = r - 1's common is (2l)^(-s_r)
-        suffix_exp = sum(sl[j:])  # s_{j+1} + ... + s_r
+    lhs, rhs, runs = [], [], [[-0.0] for _ in sl]
+    for lo, hi, _, i, level in _sweep("T", sl, _path(r), depth, True):
+        if i == r:
+            lhs += _exact_parts(level[max(2 * k - 1 - lo, 0) :])
+            continue
+        # the terms of the l >= k whose tail_{l+1}(s_1..s_i), the suffix sum
+        # from n = 2l + 2, falls in this block; the top block also takes
+        # l = depth // 2, past the family's end, where the tail is 1 for the
+        # empty prefix and 0 otherwise.  The powers come from Python's float
+        # pow, whose rounding numpy's vectorised pow does not match on every
+        # CPU, and only the products and the sums run in numpy.  rest is
+        # rebound, so the top block frees its suffix sums once appended
+        if not i:
+            first = max(k, lo // 2)
+            even = np.arange(2 * first, 2 * (hi // 2 + (hi == depth)), 2, dtype=np.float64)  # 2l
+            odd, even = (even[even < depth] + 1.0).tolist(), even.tolist()  # 2l + 1 <= depth
+        rest = _carry("S", level[::-1].copy(), hi - lo, runs[i])[::-1][1::2] if i else np.ones((hi - lo) // 2)
+        rest = (np.append(rest, float(not i)) if hi == depth else rest)[first - lo // 2 :]
+        own = common if i == r - 1 > 0 else powers(even, -sl[i])  # i = r - 2's common is (2l)^(-s_r)
+        suffix_exp = sum(sl[i + 1 :])  # s_{i+2} + ... + s_r
         common = powers(even, -suffix_exp) if suffix_exp else np.ones(len(even))
-        parts += _exact_parts((common * own) * rest)
-        parts += _exact_parts((-common[: len(odd)] * powers(odd, -sj)) * rest[: len(odd)])
-        level = _fold("T", [sj], depth, level)
-    return _fsum(level[2 * k - 1 :]), math.fsum(parts)
+        rhs += _exact_parts((common * own) * rest)
+        rhs += _exact_parts((-common[: len(odd)] * powers(odd, -sl[i])) * rest[: len(odd)])
+    return math.fsum(lhs), math.fsum(rhs)

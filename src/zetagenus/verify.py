@@ -223,10 +223,14 @@ def _sampled_tuples(
             check_symmetrize_size(s, depth)
             work += kernels * depth * symmetrize_steps(s)
             out.append((i, s))
-    if work > MAX_SUITE_WORK:
-        raise ValueError(f"the symmetrized sums at depth {depth} take {work:,} level-step terms in all, "
-                         f"past the suite work budget of {MAX_SUITE_WORK:,}")
+    _check_suite_work("symmetrized", depth, work)
     return out
+
+
+def _check_suite_work(what: str, depth: int, work: int) -> None:
+    if work > MAX_SUITE_WORK:
+        raise ValueError(f"the {what} sums at depth {depth} take {work:,} level-step terms in all, "
+                         f"past the suite work budget of {MAX_SUITE_WORK:,}")
 
 
 def _weighted_products(
@@ -297,12 +301,19 @@ def _positivity_checks(
     negative and the tail-bounded chained sum positive, each with
     magnitude exceeding its own error bound.  A further sampled batch
     checks the two recurrences that peel the innermost index and the
-    terminal block, to absolute tolerance.
+    terminal block, to absolute tolerance.  Their level steps per index,
+    r for each chained sum, r + 1 for the peel and 25 r for the block
+    residual (its r steps, and its Python float pows, up to 1.5 per index
+    and exponent at about 16 steps each), times the depth, are checked
+    against MAX_SUITE_WORK before any sum runs.
     """
     from .series import (
         EvalConfig, alternating_chain_sum, alternating_chain_tail, bottom_block_residual, innermost_peel_residual,
     )
     cfg = EvalConfig(depth)
+    work = sum(2 * (1 + i % 3) for i in range(samples))  # r cycles through 1..3, as below
+    work += sum(26 * (1 + i % 3) + 1 for i in range(recurrence_samples))
+    _check_suite_work("chained", depth, depth * work)
     rng = random.Random(seed)
     for i in range(samples):
         r = 1 + i % 3

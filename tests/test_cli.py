@@ -404,6 +404,9 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
         (["hoffman", "--max-r", "7", "--depth", "1700000"], "past the suite work budget"),
         (["multiple-eta", "--max-r", "7", "--depth", "1700000"], "past the suite work budget"),
         (["hoffman", "--max-r", "4", "--samples", "1000"], "past the suite work budget"),
+        # positivity counts the level steps of all its chained sums
+        (["positivity", *cap], "past the suite work budget"),
+        (["positivity", "--recurrence-samples", "1000", *cap], "past the suite work budget"),
     ):
         start = time.perf_counter()
         result = _invoke(runner, ["verify", *args])
@@ -430,6 +433,41 @@ def test_sampled_suites_refuse_past_the_suite_work_budget(monkeypatch, suite, ke
     message = f"take {work:,} level-step terms in all, past the suite work budget of {work - 1:,}"
     with pytest.raises(ValueError, match=message):
         run_suite(suite, **options)
+
+
+def test_positivity_refuses_past_the_suite_work_budget(runner, monkeypatch):
+    # three samples of r = 1, 2 and 3 take 2 (1 + 2 + 3) level steps per
+    # index, and one recurrence sample of r = 1 takes 2 for the peel and
+    # 25 for the block residual: a budget of exactly that work accepts the
+    # run, one term less refuses it before any sum, with exit code 2
+    args, work = ["--samples", "3", "--recurrence-samples", "1", "--depth", "1000"], (12 + 27) * 1_000
+    monkeypatch.setattr(verify, "MAX_SUITE_WORK", work)
+    assert _invoke(runner, ["verify", "positivity", *args]).exit_code == 0
+    monkeypatch.setattr(verify, "MAX_SUITE_WORK", work - 1)
+
+    def no_array(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(series, "_powers", no_array)
+    monkeypatch.setattr(series, "_carry", no_array)
+    result = _invoke(runner, ["verify", "positivity", *args])
+    assert result.exit_code == 2
+    assert f"take {work:,} level-step terms in all, past the suite work budget of {work - 1:,}" in result.output
+
+
+def test_positivity_work_budget_admits_the_defaults_and_the_benchmark_shapes(monkeypatch):
+    # the budget is checked first: each of these reaches its first sum
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(series, "alternating_chain_sum", reached)
+    at_the_cap = dict(samples=3, recurrence_samples=1, depth=series.MAX_DEPTH)
+    for options in ({}, dict(samples=120, recurrence_samples=12), at_the_cap):
+        with pytest.raises(Reached):
+            run_suite("positivity", **options)
 
 
 def test_suite_work_budget_admits_the_defaults_and_max_r_7():

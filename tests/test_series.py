@@ -451,7 +451,7 @@ def test_symmetrize_traced_peak_is_within_its_plan(kernel, s):
     # depth a call holds at most two layers and a step in flight, a power
     # block per exponent and one more block (n while a power block is
     # made, or a carry's even entries), each of _SWEEP terms, beside a
-    # full cache, _fsum's buffers and a few KiB of dicts and tuples
+    # full cache, the reduction's buffers and a few KiB of dicts and tuples
     arrays = _plan_peak(s) + len(set(s)) + 1
     bound = arrays * 8 * series._SWEEP + series._POWERS_BYTES + 16 * series._BLOCK + 64 * 1024
     for blocks in (1, 4):
@@ -584,7 +584,7 @@ def _permutation_noise(kernel, s, cfg):
     for perm in itertools.permutations(s):
         if perm not in memo:
             if kernel == "T":
-                l1 = float(np.abs(series._fold("T", list(perm), cfg.depth)).sum())
+                l1 = float(np.abs(_whole("T", perm, cfg.depth)).sum())
             else:
                 l1 = _KERNELS[kernel](list(perm), cfg).value  # every term is positive
             memo[perm] = series._noise(l1, cfg.depth, len(perm))
@@ -612,30 +612,77 @@ def _seeded_multisets(seed, count):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Whole-depth reference: every level in one array of the depth
+# ---------------------------------------------------------------------------
+
+
+def _fsum(arr):
+    # the exactly rounded sum, bit for bit math.fsum(arr.tolist())
+    return math.fsum(series._exact_parts(arr))
+
+
+def _step(kernel, x, level, depth):
+    """The level after the step for x from `level` (None: before the
+    first), in a fresh array of the whole depth, but the read-only powers
+    for the monotone first level."""
+    if level is None and kernel != "T":
+        return series._powers(x, depth)
+    out = np.empty(depth)
+    if level is None:
+        out.fill(1.0)
+    elif kernel == "T":
+        np.cumsum(level[::-1], out=out[::-1])
+        out[0::2] -= level[0::2]
+    elif kernel == "S":
+        np.cumsum(level, out=out)
+    else:
+        out[0] = 0.0
+        np.cumsum(level[:-1], out=out[1:])
+    out *= series._powers(x, depth)
+    if kernel == "T":
+        np.negative(out[0::2], out=out[0::2])
+    return out
+
+
+def _whole(kernel, xs, depth):
+    """The final level of the steps for xs in order (None for none); for "T"
+    (from the outermost exponent in) entry n is the signed sum over all
+    chains n_1 >=' ... >=' n_r = n, for "S" and "strict" (from the
+    innermost out) the sum over the nested indices with n_1 = n."""
+    level = None
+    for x in xs:
+        level = _step(kernel, x, level, depth)
+    return level
+
+
+def _whole_tails(final, half):
+    """Entry k-1 is the chained sum with n_r >= 2k, k = 1..half; all 1 if final is None."""
+    if final is None:
+        return np.ones(half)
+    return np.cumsum(final[::-1])[::-1][1 : 2 * half : 2]
+
+
+def _whole_ordered(kernel, s, depth, base=1):
+    """A single-ordering kernel as it was summed over whole-depth arrays,
+    the inner indices bounded by whole-depth power sums."""
+    s = [float(x) for x in s]
+    final = _whole(kernel, s if kernel == "T" else s[::-1], depth)[base - 1 :]
+    value, first = _fsum(final), series._tail_factor(kernel, s[0], depth, True)
+    if kernel == "T":
+        est = first * float(base) ** (-sum(s[1:]))
+        for x in s[1:]:
+            est *= series._tail_factor("T", x, depth, False)
+        return SeriesValue(value, est + series._noise(float(np.abs(final).sum()), depth, len(s)))
+    heads = [float(series._powers(x, depth).sum()) for x in s[1:]]
+    inner = math.prod(series._tail_factor(kernel, x, depth, False, h) for x, h in zip(s[1:], heads))
+    return SeriesValue(value, first * inner + series._noise(value, depth, len(s)))
+
+
 def _step_by_step(kernel, s, cfg):
     """symmetrize as the DP was before carries: each step from its level
     in a fresh array, added into the layer above in layer order."""
     depth = cfg.depth
-
-    def step(x, level):
-        if level is None and kernel != "T":
-            return series._powers(x, depth)
-        out = np.empty(depth)
-        if level is None:
-            out.fill(1.0)
-        elif kernel == "T":
-            np.cumsum(level[::-1], out=out[::-1])
-            out[0::2] -= level[0::2]
-        elif kernel == "S":
-            np.cumsum(level, out=out)
-        else:
-            out[0] = 0.0
-            np.cumsum(level[:-1], out=out[1:])
-        out *= series._powers(x, depth)
-        if kernel == "T":
-            np.negative(out[0::2], out=out[0::2])
-        return out
-
     counts = Counter(float(x) for x in s)
     xs, top, r = list(counts), tuple(counts.values()), len(s)
     layer = {(0,) * len(xs): None}
@@ -646,16 +693,16 @@ def _step_by_step(kernel, s, cfg):
                 if sub[i] < top[i]:
                     up = sub[:i] + (sub[i] + 1,) + sub[i + 1 :]
                     if up in above:
-                        above[up] += step(x, level)
+                        above[up] += _step(kernel, x, level, depth)
                     else:
-                        above[up] = step(x, level)
+                        above[up] = _step(kernel, x, level, depth)
         layer = above
     final, mult = layer[top], math.prod(map(math.factorial, top))
-    f = {x: series._tail_factor(kernel, x, depth, False) for x in xs}
+    f = {x: series._tail_factor(kernel, x, depth, False, float(series._powers(x, depth).sum())) for x in xs}
     ratio = math.fsum(m * series._tail_factor(kernel, x, depth, True) / f[x] for x, m in zip(xs, top))
     trunc = ratio * math.prod(f[x] ** m for x, m in zip(xs, top)) * math.factorial(r - 1)
     noise = series._noise(float(np.abs(final).sum()) * mult, depth, r + 1)
-    return SeriesValue(series._fsum(final) * mult, (trunc + noise) * (1.0 + 4 * r * series._EPS))
+    return SeriesValue(_fsum(final) * mult, (trunc + noise) * (1.0 + 4 * r * series._EPS))
 
 
 @pytest.mark.parametrize("kernel", ["T", "S", "strict"])
@@ -688,14 +735,17 @@ def test_symmetrize_is_the_same_swept_in_small_blocks(kernel, depth, block, monk
     # each carry starts from the running total of the blocks swept, so the
     # value is the one-block value bit for bit; the bound adds up its power
     # sums and l1 norm block by block, and still covers the reference's
+    # (the reference's kernels sweep too, so it is taken in one block)
     plans = [*_PLANS, *_seeded_multisets(seed=1913, count=8 if depth > 2000 else 16)]
     one = [symmetrize(kernel, s, EvalConfig(depth)) for s in plans]
+    few = [s for s in plans if _orderings_by_formula(list(s)) <= 24]
+    few = {s: _symmetrize_by_permutations(kernel, s, EvalConfig(depth)) for s in few}
     monkeypatch.setattr(series, "_SWEEP", block)
     for s, want in zip(plans, one):
         got = symmetrize(kernel, s, EvalConfig(depth))
         assert got.value.hex() == want.value.hex(), s
-        if _orderings_by_formula(list(s)) <= 24:  # the reference evaluates each ordering
-            assert got.err_bound >= _symmetrize_by_permutations(kernel, s, EvalConfig(depth)).err_bound, s
+        if s in few:  # the reference evaluates each ordering
+            assert got.err_bound >= few[s].err_bound, s
 
 
 def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
@@ -822,7 +872,7 @@ def _list_fsum(arr):
 
 def _same_sum(values):
     arr = np.asarray(values, dtype=np.float64)
-    got, want = series._fsum(arr), _list_fsum(arr)
+    got, want = _fsum(arr), _list_fsum(arr)
     assert got.hex() == want.hex()  # bit for bit, sign of zero included
     return got
 
@@ -889,18 +939,18 @@ def test_fsum_matches_math_fsum_bit_for_bit(values):
 
 @pytest.mark.parametrize("s", [1.06, 2.0, 3.7, 14.0])
 def test_fsum_of_series_terms(s):
-    _same_sum(series._fold("T", [s], 50_000))  # (-1)^n n^(-s)
+    _same_sum(_whole("T", [s], 50_000))  # (-1)^n n^(-s)
     _same_sum(series._powers(s, 50_000))
 
 
 def test_fsum_builds_no_list_without_overflow():
     rng = random.Random(13)
     arr = np.array(_wide_signed(rng, 5000, -1000, 1000)).view(_NoList)
-    assert series._fsum(arr) == _list_fsum(arr.view(np.ndarray))
+    assert _fsum(arr) == _list_fsum(arr.view(np.ndarray))
     arr = _wide_array(3 * BLOCK + 7, 14).view(_NoList)
-    assert series._fsum(arr).hex() == _list_fsum(arr.view(np.ndarray)).hex()
-    assert series._fsum(np.zeros(3).view(_NoList)) == 0.0
-    assert series._fsum(np.zeros(0).view(_NoList)) == 0.0
+    assert _fsum(arr).hex() == _list_fsum(arr.view(np.ndarray)).hex()
+    assert _fsum(np.zeros(3).view(_NoList)) == 0.0
+    assert _fsum(np.zeros(0).view(_NoList)) == 0.0
 
 
 class _Listing(np.ndarray):
@@ -915,25 +965,25 @@ def test_fsum_falls_back_to_the_list_near_overflow():
     for values in ([1e308, -1e308, 1.0], [1.7e308, 3.0, -1.6e308, 2.0**-1000], [8.9e307] * 2):
         arr = np.array(values)
         _Listing.calls.clear()
-        got = series._fsum(arr.view(_Listing))
+        got = _fsum(arr.view(_Listing))
         assert _Listing.calls == [len(arr)]  # sigma would overflow: the fallback ran
         assert got.hex() == _list_fsum(arr).hex()
     # where math.fsum itself overflows, so does the fallback
     with pytest.raises(OverflowError):
-        series._fsum(np.array([1e308, 1e308, -1e308]))
+        _fsum(np.array([1e308, 1e308, -1e308]))
 
 
 def test_fsum_of_non_finite_values_follows_math_fsum():
-    assert series._fsum(np.array([1.0, math.inf])) == math.inf
-    assert math.isnan(series._fsum(np.array([1.0, math.nan])))
+    assert _fsum(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(_fsum(np.array([1.0, math.nan])))
     with pytest.raises(ValueError):
-        series._fsum(np.array([math.inf, -math.inf]))
+        _fsum(np.array([math.inf, -math.inf]))
 
 
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_fsum_across_block_edges(n):
     _same_sum(_wide_array(n, n))
-    _same_sum(series._fold("T", [2.0], n))  # (-1)^n n^(-2)
+    _same_sum(_whole("T", [2.0], n))  # (-1)^n n^(-2)
     # the blocks cancel each other but for one term
     half = _wide_array(n // 2, n + 1)
     _same_sum(np.concatenate((half, [2.0**-70] * (n % 2), -half[::-1])))
@@ -952,7 +1002,7 @@ def test_fsum_falls_back_to_the_list_once_for_the_last_block(last):
     arr = _wide_array(2 * BLOCK + 5, 16)
     arr[-1] = last
     _Listing.calls.clear()
-    got = series._fsum(arr.view(_Listing))
+    got = _fsum(arr.view(_Listing))
     assert _Listing.calls == [len(arr)]  # the whole array, listed once
     want = _list_fsum(arr)
     assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
@@ -962,11 +1012,11 @@ def test_fsum_falls_back_to_the_list_when_the_sigmas_add_up_past_the_range():
     # each full block's sigma is 2^1021, short of 2^1022, but three pass it
     arr = np.full(3 * BLOCK + 7, 4e302)
     _Listing.calls.clear()
-    assert series._fsum(arr.view(_Listing)).hex() == _list_fsum(arr).hex()
+    assert _fsum(arr.view(_Listing)).hex() == _list_fsum(arr).hex()
     assert _Listing.calls == [len(arr)]
     # where math.fsum itself overflows, so does the fallback
     with pytest.raises(OverflowError):
-        series._fsum(np.full(3 * BLOCK + 7, 1e304))
+        _fsum(np.full(3 * BLOCK + 7, 1e304))
 
 
 def test_fsum_leaves_a_read_only_input_unchanged():
@@ -991,7 +1041,8 @@ SUITE_OPTIONS = {
 @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
 def test_reports_do_not_depend_on_the_reduction(monkeypatch, suite, depth):
     report = run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines()
-    monkeypatch.setattr(series, "_fsum", _list_fsum)
+    # each term its own part: the reduction is math.fsum over the list
+    monkeypatch.setattr(series, "_exact_parts", lambda arr, scratch=None: arr.tolist())
     assert run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines() == report
 
 
@@ -1021,7 +1072,7 @@ def _peel_rhs_by_list(s, cfg):
     if len(s) == 1:
         fam = np.ones((depth + 1) // 2)
     else:
-        fam = alternating_chain_tail_family(s[:-1], cfg)
+        fam = _whole_tails(_whole("T", s[:-1], depth), depth // 2)
     weights = series._powers(s[-1], depth) * np.where(np.arange(depth) % 2, 1.0, -1.0)
     k_of_n = (np.arange(1, depth + 1) + 1) // 2
     fam_padded = np.concatenate(([0.0], fam, np.zeros(depth)))
@@ -1035,7 +1086,7 @@ def _block_rhs_by_loop(k, s, cfg):
     terms = []
     for j in range(1, len(s) + 1):
         prefix = s[: j - 1]
-        fam = alternating_chain_tail_family(prefix, cfg)
+        fam = _whole_tails(_whole("T", prefix, depth), half)
         suffix_exp = sum(s[j:])
         sj = s[j - 1]
         for ell in range(k, half + 1):
@@ -1071,6 +1122,63 @@ def test_block_rhs_is_bit_identical_to_the_term_loop(seed):
     for depth, k, s in _seeded_recurrence_cases(seed):
         cfg = _cfg(depth)
         assert bottom_block_residual(k, s, cfg)[1] == _block_rhs_by_loop(k, s, cfg)
+
+
+def _edge_ks(depth, block):
+    # the first and the last tails, one past them, and a k whose 2k sits at
+    # each side of the first block edge
+    return sorted({1, 2, depth // 2, depth // 2 + 1} | ({block // 2, block // 2 + 1} if block else set()))
+
+
+@pytest.mark.parametrize("depth,block", [(2, None), (3, None), (41, None), (2000, None), *_SWEEPS])
+def test_every_single_ordering_kernel_is_the_whole_depth_reference_bit_for_bit(depth, block, monkeypatch):
+    # one DP sweeps every kernel in blocks; each carry starts from the
+    # running total of the blocks swept, so each value is the whole-depth
+    # one.  The bound adds up its power sums and l1 norm block by block,
+    # which moves it by a few ulps past one block
+    if block:
+        monkeypatch.setattr(series, "_SWEEP", block)
+    cfg = EvalConfig(depth)
+    for s in [(2.0,), (3.5, 1.06), (2.5, 2.0, 1.5), (4.0, 2.5, 1.3, 2.2)]:
+        cases = [(fn(s, cfg), _whole_ordered(kernel, s, depth)) for kernel, fn in _KERNELS.items()]
+        tails = {k: _whole_ordered("T", s, depth, 2 * k) for k in _edge_ks(depth, block)}
+        cases += [(alternating_chain_tail(k, s, cfg), tail) for k, tail in tails.items()]
+        for got, want in cases:
+            assert got.value.hex() == want.value.hex(), s
+            if block:
+                assert math.isclose(got.err_bound, want.err_bound, rel_tol=1e-15), s
+            else:
+                assert got.err_bound == want.err_bound, s
+        want_tails = _whole_tails(_whole("T", s, depth), depth // 2)
+        assert alternating_chain_tail_family(s, cfg).tobytes() == want_tails.tobytes()
+        lhs, rhs = innermost_peel_residual(s, cfg)  # the empty prefix at r = 1
+        assert (lhs.hex(), rhs.hex()) == (_whole_ordered("T", s, depth).value.hex(), _peel_rhs_by_list(s, cfg).hex())
+        for k, tail in tails.items():
+            lhs, rhs = bottom_block_residual(k, s, cfg)
+            assert (lhs.hex(), rhs.hex()) == (tail.value.hex(), _block_rhs_by_loop(k, s, cfg).hex())
+    assert alternating_chain_tail_family((), cfg).tobytes() == np.ones(depth // 2).tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda cfg: multiple_zeta((4.0, 2.0, 2.0), cfg), lambda cfg: alternating_chain_sum((4.0, 2.0, 2.0), cfg),
+     lambda cfg: bottom_block_residual(2, (3.0, 2.0), cfg)],
+    ids=["multiple_zeta", "alternating_chain_sum", "bottom_block_residual"],
+)
+def test_single_ordering_traced_peak_does_not_grow_with_the_depth(call, monkeypatch):
+    # with nothing cached, a call holds only its block-sized arrays and
+    # lists, at 2 blocks as at 6
+    monkeypatch.setattr(series, "_POWERS_BYTES", 0)
+    series._powers_cache.clear()
+    peaks = []
+    for blocks in (2, 6):
+        tracemalloc.start()
+        try:
+            call(EvalConfig(blocks * series._SWEEP))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 8 * series._SWEEP  # one block's array
 
 
 def test_bottom_block_makes_one_python_pow_pass_fewer(monkeypatch):
