@@ -80,13 +80,6 @@ class FormalPolynomial:
             {mono: c * v for mono, v in self.terms.items()}, self.level_cap
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalPolynomial):
-            return NotImplemented
-        return self.level_cap == other.level_cap and dict(self.terms) == dict(
-            other.terms
-        )
-
     def first_difference(self, other: "FormalPolynomial") -> Optional[Monomial]:
         """Smallest monomial on which the two polynomials disagree, if any."""
         if self.terms == other.terms:

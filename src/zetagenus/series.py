@@ -35,10 +35,6 @@ partitions: 2 s, 82 MB); only alternating_chain_tail_family returns
 depth/2 terms.  MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step
 terms.  The powers of one ordering or multiset are cached read-only by
 exponent and index range, at most 8 exponents and 16 MiB.
-
-For even integer arguments the exact values are rational multiples of
-powers of pi (zeta_even_exact, dirichlet_eta_even_exact), the exact
-references the tests check the kernels against.
 """
 
 from __future__ import annotations
@@ -47,21 +43,18 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import pairwise, product, repeat
 from math import factorial
 from typing import TYPE_CHECKING, Iterator, Sequence
-
-from .exact import bernoulli
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "EvalConfig", "SeriesValue", "default_config", "zeta", "zeta_even_exact",
-    "dirichlet_eta", "dirichlet_eta_even_exact", "multiple_zeta", "multiple_zeta_star",
+    "EvalConfig", "SeriesValue", "default_config", "zeta",
+    "dirichlet_eta", "multiple_zeta", "multiple_zeta_star",
     "alternating_chain_sum", "alternating_chain_tail", "alternating_chain_tail_family",
-    "symmetrize", "symmetrize_family", "check_symmetrize_size", "symmetrize_steps", "innermost_peel_residual",
+    "symmetrize", "symmetrize_family", "check_symmetrize_size", "innermost_peel_residual",
     "bottom_block_residual",
 ]
 
@@ -214,17 +207,6 @@ def zeta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
     return _ordered("strict", *_setup([s], cfg))
 
 
-def zeta_even_exact(k: int) -> Fraction:
-    """The rational q with zeta(2k) = q * pi^(2k).
-
-    Derived from the alternating-sum evaluation: eta(2k) is the rational
-    pi-multiple (2^(2k-1) - 1) B_k / (2k)! and zeta = eta / (1 - 2^(1-s)).
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return dirichlet_eta_even_exact(k) / (1 - Fraction(2) ** (1 - 2 * k))
-
-
 def dirichlet_eta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
     """Truncated eta(s) = sum_{n<=N} (-1)^(n-1) n^(-s): minus the one-level
     chained sum.  Its estimate 2 (N+1)^(-s) is twice the first omitted
@@ -232,13 +214,6 @@ def dirichlet_eta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
     terms."""
     sv = alternating_chain_sum([s], cfg)
     return SeriesValue(-sv.value, sv.err_bound)
-
-
-def dirichlet_eta_even_exact(k: int) -> Fraction:
-    """The rational q with eta(2k) = q * pi^(2k), via Bernoulli numbers."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return Fraction(2 ** (2 * k - 1) - 1, factorial(2 * k)) * bernoulli(k)
 
 
 def _carry(kernel: str, level: np.ndarray | None, size: int, run: list | None = None) -> np.ndarray:
@@ -403,29 +378,24 @@ def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = N
 
 
 def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
-    """The number count = prod (m_i + 1) of sub-multisets of the exponents,
-    m_i their multiplicities; ValueError unless symmetrize accepts them at
-    this depth (by default the one for their count): at least one
-    exponent, at most MAX_SYMMETRIZE_SUBSETS sub-multisets, and at most
-    MAX_SYMMETRIZE_WORK level-step terms, symmetrize_steps(s) per index.
-    Memory needs no check: the DP holds _SWEEP-term blocks."""
+    """symmetrize's level steps per index on the exponents s, one per
+    sub-multiset and distinct value in it: sum_i m_i count / (m_i + 1), with
+    m_i the multiplicities and count = prod (m_i + 1) the sub-multisets.
+    ValueError unless symmetrize accepts s at this depth (by default the one
+    for len(s)): at least one exponent, at most MAX_SYMMETRIZE_SUBSETS
+    sub-multisets, and at most MAX_SYMMETRIZE_WORK level-step terms, the
+    steps times the depth.  Memory needs no check: the DP holds _SWEEP-term blocks."""
     if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
-    count = math.prod(m + 1 for m in Counter(s).values())
+    top = Counter(s).values()
+    count = math.prod(m + 1 for m in top)
     if count > MAX_SYMMETRIZE_SUBSETS:
         raise ValueError(f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
                          f"the exponents, got {count} for {len(s)} exponents")
+    steps = sum(m * count // (m + 1) for m in top)
     depth = default_config(len(s)).depth if depth is None else depth
-    _check_work(f"{len(s)} exponents", depth, symmetrize_steps(s))
-    return count
-
-
-def symmetrize_steps(s: Sequence[float]) -> int:
-    """symmetrize's level steps per index on the exponents s, one per
-    sub-multiset and distinct value in it: sum_i m_i count / (m_i + 1), with
-    m_i the multiplicities and count = prod (m_i + 1) the sub-multisets."""
-    top = Counter(s).values()
-    return sum(m * math.prod(n + 1 for n in top) // (m + 1) for m in top)
+    _check_work(f"{len(s)} exponents", depth, steps)
+    return steps
 
 
 def _check_work(what: str, depth: int, steps: int) -> None:

@@ -214,14 +214,13 @@ def _sampled_tuples(
     this many kernels, against MAX_SUITE_WORK, so an oversized max_r,
     samples or depth is refused before any sum runs.
     """
-    from .series import check_symmetrize_size, symmetrize_steps
+    from .series import check_symmetrize_size
     rng = random.Random(seed)
     out, work = [], 0
     for r in range(1, max_r + 1):
         for i in range(samples):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
-            check_symmetrize_size(s, depth)
-            work += kernels * depth * symmetrize_steps(s)
+            work += kernels * depth * check_symmetrize_size(s, depth)
             out.append((i, s))
     _check_suite_work("symmetrized", depth, work)
     return out

@@ -896,6 +896,19 @@ def test_reports_do_not_depend_on_openblas_threads():
     assert b"RESULT main PASS" in outputs[0]
 
 
+def _last_json_line(script, *args):
+    """The last line a script prints in a fresh interpreter, as JSON."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 _STARTUP_SCRIPT = r"""
 import json
 import sys
@@ -924,15 +937,7 @@ def test_only_numeric_suites_load_numpy(tmp_path):
     # numpy serves only the series evaluators: importing the package and
     # running the exact commands leave it unloaded, and the first series
     # evaluation loads it.
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path / "table.csv")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout.splitlines()[-1])
+    loaded = _last_json_line(_STARTUP_SCRIPT, str(tmp_path / "table.csv"))
     assert loaded.pop("verify main") is True
     assert len(loaded) == 9 and not any(loaded.values()), loaded
 
@@ -947,12 +952,14 @@ from zetagenus import cli
 assert cli.cli.main(sys.argv[1:], standalone_mode=False) in (None, 0)
 loaded["command"] = sorted(m.removeprefix("zetagenus.") for m in sys.modules if m.startswith("zetagenus."))
 loaded["numpy"] = "numpy" in sys.modules
+loaded["rationals"] = sorted(m for m in ("decimal", "fractions") if m in sys.modules)
 print(json.dumps(loaded))
 """
 _EXACT_MODULES = ["cli", "exact", "genus", "partitions"]
-# each suite loads its own layers: the exact suites no series, the numeric no formal
+# each suite loads its own layers: the exact suites no series, the numeric
+# neither formal nor exact
 _EXACT_SUITE_MODULES = _EXACT_MODULES + ["verify"]
-_NUMERIC_SUITE_MODULES = ["cli", "exact", "partitions", "series", "verify"]
+_NUMERIC_SUITE_MODULES = ["cli", "partitions", "series", "verify"]
 
 
 @pytest.mark.parametrize(
@@ -966,25 +973,29 @@ _NUMERIC_SUITE_MODULES = ["cli", "exact", "partitions", "series", "verify"]
         (["verify", "main", "--k", "1", "--depth", "1000"], _EXACT_SUITE_MODULES + ["series"]),
         (["verify", "formal"], ["cli", "formal", "partitions", "verify"]),
         (["verify", "hoffman", "--samples", "1", "--depth", "1000"], _NUMERIC_SUITE_MODULES),
+        (["verify", "multiple-eta", "--samples", "1", "--depth", "1000"], _NUMERIC_SUITE_MODULES),
+        (
+            ["verify", "positivity", "--samples", "1", "--recurrence-samples", "1", "--depth", "1000"],
+            _NUMERIC_SUITE_MODULES,
+        ),
     ],
-    ids=["help", "coeff", "poly", "table", "signs", "main", "formal", "hoffman"],
+    ids=["help", "coeff", "poly", "table", "signs", "main", "formal", "hoffman", "multiple-eta", "positivity"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
     # each command in a fresh interpreter: the package namespace loads no
-    # submodule, and the exact commands load neither verify, formal,
-    # series nor numpy
-    src = Path(__file__).resolve().parents[1] / "src"
+    # submodule, the exact commands load neither verify, formal, series
+    # nor numpy, and the sampled suites, which compare floats with floats,
+    # load no rational or decimal arithmetic
     args = [a.format(out=tmp_path / "t.csv") for a in args]
-    result = subprocess.run(
-        [sys.executable, "-c", _COMMAND_SCRIPT, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout.splitlines()[-1])
-    assert loaded == {
+    assert _last_json_line(_COMMAND_SCRIPT, *args) == {
         "import zetagenus": [],
         "command": sorted(modules),
-        "numpy": args[:2] in (["verify", "main"], ["verify", "hoffman"]),
+        "numpy": "series" in modules,
+        "rationals": ["decimal", "fractions"] if {"exact", "formal"} & set(modules) else [],
     }
+
+
+def test_series_imports_no_other_package_module():
+    # series is a leaf: the numeric kernels need none of the exact layers
+    script = "import json, sys, zetagenus.series; print(json.dumps(sorted(m for m in sys.modules if 'zetagenus.' in m)))"
+    assert _last_json_line(script) == ["zetagenus.series"]

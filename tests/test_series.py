@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetagenus import series, verify
+from zetagenus.exact import bernoulli
 from zetagenus.partitions import integer_partitions
 from zetagenus.series import (
     MAX_DEPTH,
@@ -36,14 +37,12 @@ from zetagenus.series import (
     check_symmetrize_size,
     default_config,
     dirichlet_eta,
-    dirichlet_eta_even_exact,
     innermost_peel_residual,
     multiple_zeta,
     multiple_zeta_star,
     symmetrize,
     symmetrize_family,
     zeta,
-    zeta_even_exact,
 )
 from zetagenus.verify import run_suite
 
@@ -284,27 +283,34 @@ def test_known_constants(fn, target, tol):
     assert abs(got.value - target) <= got.err_bound
 
 
+def _eta_even(k):
+    """The rational q with eta(2k) = q * pi^(2k), via Bernoulli numbers:
+    (2^(2k-1) - 1) B_k / (2k)!."""
+    return Fraction(2 ** (2 * k - 1) - 1, math.factorial(2 * k)) * bernoulli(k)
+
+
+def _zeta_even(k):
+    """The rational q with zeta(2k) = q * pi^(2k): eta(2k) / (1 - 2^(1-2k))."""
+    return _eta_even(k) / (1 - Fraction(2) ** (1 - 2 * k))
+
+
 def test_exact_even_values():
-    assert zeta_even_exact(1) == Fraction(1, 6)
-    assert zeta_even_exact(2) == Fraction(1, 90)
-    assert zeta_even_exact(3) == Fraction(1, 945)
-    assert dirichlet_eta_even_exact(1) == Fraction(1, 12)
-    assert dirichlet_eta_even_exact(2) == Fraction(7, 720)
+    assert _zeta_even(1) == Fraction(1, 6)
+    assert _zeta_even(2) == Fraction(1, 90)
+    assert _zeta_even(3) == Fraction(1, 945)
+    assert _eta_even(1) == Fraction(1, 12)
+    assert _eta_even(2) == Fraction(7, 720)
     for k in range(1, 8):
-        z = float(zeta_even_exact(k)) * math.pi ** (2 * k)
-        e = float(dirichlet_eta_even_exact(k)) * math.pi ** (2 * k)
+        z = float(_zeta_even(k)) * math.pi ** (2 * k)
+        e = float(_eta_even(k)) * math.pi ** (2 * k)
         assert abs(zeta(2.0 * k, _cfg(200_000)).value - z) < 1e-5
         assert abs(dirichlet_eta(2.0 * k, _cfg(200_000)).value - e) < 1e-9
-    with pytest.raises(ValueError):
-        zeta_even_exact(0)
-    with pytest.raises(ValueError):
-        dirichlet_eta_even_exact(0)
 
 
 def test_eta_is_an_alternating_rescaling_of_zeta():
     for k in range(1, 8):
         factor = Fraction(1) - Fraction(2, 4**k)
-        assert dirichlet_eta_even_exact(k) == factor * zeta_even_exact(k)
+        assert _eta_even(k) == factor * _zeta_even(k)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +353,7 @@ def test_symmetrize_guards():
         symmetrize("T", (), SMALL)
     # the cap is on sub-multisets, not on the number of exponents
     eight = tuple(2.0 + 0.5 * i for i in range(8))
-    assert check_symmetrize_size(eight[:7]) == MAX_SYMMETRIZE_SUBSETS
+    assert check_symmetrize_size(eight[:7]) == 7 * MAX_SYMMETRIZE_SUBSETS // 2  # steps per index
     assert symmetrize("T", eight[:7], SMALL).value < 0
     with pytest.raises(ValueError, match="sub-multisets"):
         symmetrize("T", eight, SMALL)
@@ -411,7 +417,7 @@ def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
     steps = _steps(s)
     fits = 10**6 // steps
     assert fits < MAX_DEPTH // 2
-    assert check_symmetrize_size(s, fits) == math.prod(m + 1 for m in Counter(s).values())
+    assert check_symmetrize_size(s, fits) == steps
     work = f"{(fits + 1) * steps:,}"
     with pytest.raises(ValueError, match=f"takes {work} level-step terms, past the work budget of 1,000,000"):
         check_symmetrize_size(s, fits + 1)
