@@ -11,7 +11,6 @@ file are the generating data for the genus computations in
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Union
 
@@ -101,28 +100,25 @@ class PowerSeries:
         return PowerSeries(out)
 
 
-@lru_cache(maxsize=None)
-def _standard_bernoulli_upto(n: int) -> tuple[Fraction, ...]:
-    """B_0, ..., B_n in the convention B_1 = -1/2.
-
-    Built from the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0,
-    i.e. B_m = -(1/(m+1)) * sum_{j<m} C(m+1, j) B_j.
-    """
-    values = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            if values[j]:
-                acc += comb(m + 1, j) * values[j]
-        values.append(-acc / (m + 1))
-    return tuple(values)
+_BERNOULLI = [Fraction(1)]  # B_0, B_1, ... as far as asked for, each built once
 
 
 def standard_bernoulli(n: int) -> Fraction:
-    """The signed Bernoulli number B_n (convention B_1 = -1/2)."""
+    """The signed Bernoulli number B_n (convention B_1 = -1/2).
+
+    Built from the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0,
+    i.e. B_m = -(1/(m+1)) * sum_{j<m} C(m+1, j) B_j, onto the table of
+    the B_j already built, so B_0..B_n take one pass in all.
+    """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    return _standard_bernoulli_upto(n)[n]
+    for m in range(len(_BERNOULLI), n + 1):
+        acc = Fraction(0)
+        for j, b in enumerate(_BERNOULLI):
+            if b:
+                acc += comb(m + 1, j) * b
+        _BERNOULLI.append(-acc / (m + 1))
+    return _BERNOULLI[n]
 
 
 def bernoulli(k: int) -> Fraction:

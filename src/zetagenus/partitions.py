@@ -18,8 +18,9 @@ of pi it gives every coarsening of pi with its weight mu(pi, rho).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -69,17 +70,11 @@ class IntegerPartition:
         return self._parts[i]
 
     def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self._parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        return dict(Counter(self._parts))
 
     def symmetry_factor(self) -> int:
         """Product of factorials of the part multiplicities."""
-        acc = 1
-        for m in self.multiplicities().values():
-            acc *= factorial(m)
-        return acc
+        return prod(map(factorial, self.multiplicities().values()))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntegerPartition):
@@ -295,10 +290,8 @@ def mobius(pi: SetPartition, rho: SetPartition) -> int:
         if len(targets) != 1:
             raise ValueError(f"{pi!r} does not refine {rho!r}")
         merged[targets.pop()] += 1
-    acc = -1 if (pi.length - rho.length) % 2 else 1
-    for count in merged:  # every rho-block is a union of pi-blocks: count >= 1
-        acc *= factorial(count - 1)
-    return acc
+    # every rho-block is a union of pi-blocks: count >= 1
+    return (-1 if (pi.length - rho.length) % 2 else 1) * prod(factorial(count - 1) for count in merged)
 
 
 @lru_cache(maxsize=None)

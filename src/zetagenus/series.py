@@ -29,12 +29,15 @@ Comput. 31(1), 2008).  Level sums are
 sequential cumulative sums in fixed index order, so runs are bitwise
 reproducible.  numpy loads when a series is first evaluated, never for
 exact commands.  MAX_DEPTH caps the depth, which the DP sweeps in
-blocks of _SWEEP terms (one to depth 10^5), so at any depth it holds an
-800 kB array per live node (`verify main --k 12`, two DPs over 271
-partitions: 2 s, 82 MB); only alternating_chain_tail_family returns
-depth/2 terms.  MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step
-terms.  The powers of one ordering or multiset are cached read-only by
-exponent and index range, at most 8 exponents and 16 MiB.
+blocks of _SWEEP terms (one to depth 10^5), a family of multisets in
+blocks of _FAMILY_SWEEP (16,384), so at any depth it holds an 800 kB
+array per live node of one ordering or multiset and a 128 kB one per
+live node of a family (`verify main --k 12`, two DPs over 271
+partitions: 1.6 s, 41 MB, 91 MB in 800 kB blocks; `--k 16`, over 914:
+4.5 s, 57 MB); only alternating_chain_tail_family returns depth/2
+terms.  MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step terms.
+The powers of one ordering or multiset are cached read-only by exponent
+and index range, at most 8 exponents and 16 MiB; a family caches none.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ __all__ = [
     "dirichlet_eta", "multiple_zeta", "multiple_zeta_star",
     "alternating_chain_sum", "alternating_chain_tail", "alternating_chain_tail_family",
     "symmetrize", "symmetrize_family", "check_symmetrize_size", "innermost_peel_residual",
-    "bottom_block_residual",
+    "bottom_block_residual", "alternating_chain_and_tail",
 ]
 
 MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
@@ -74,7 +77,8 @@ _EPS = sys.float_info.epsilon
 # 5e4, 1e6 and 2e6, 2^15 and 2^16 were fastest and within noise of each
 # other; 2^13 and 2^17 were up to 1.5x slower at depth 1e6.
 _BLOCK = 1 << 15
-_SWEEP = 100_000  # terms per block of a symmetrize sweep (800 kB); even, see _carry
+_SWEEP = 100_000  # terms per block of a sweep (800 kB); even, see _carry
+_FAMILY_SWEEP = 1 << 14  # of a family's (128 kB a live node): 2^13 ran slower, 2^15 kept more memory
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ def _noise(l1_scale: float, depth: int, levels: int) -> float:
 def zeta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
     """Truncated zeta(s) = sum_{n<=N} n^(-s) with an integral tail bound:
     the one-level nested sum."""
-    return _ordered("strict", *_setup([s], cfg))
+    return _ordered("strict", *_setup([s], cfg))[0]
 
 
 def dirichlet_eta(s: float, cfg: EvalConfig | None = None) -> SeriesValue:
@@ -252,23 +256,25 @@ def _tail_factor(kernel: str, x: float, depth: int, first: bool, head: float = 0
     return tail if first else head + tail
 
 
-def _sweep(kernel: str, xs: list[float], ups: dict, depth: int, keep: bool) -> Iterator[tuple]:
+def _sweep(kernel: str, xs: list[float], ups: dict, depth: int, block: int = 0) -> Iterator[tuple]:
     """The DP behind every kernel.  ups[M] lists node M's level steps as
     (x, M + x), x an index into xs; the first node, the root, has no level.
-    The DP sweeps blocks of _SWEEP indices, up for "S" and "strict" and
-    down for "T", and visits the nodes of each block in the order of ups:
-    it yields (lo, hi, powers, M, level), with M's level and the powers of
-    xs (_powers with keep) on the indices lo+1..hi, and then turns the
-    level into its carry, with a running total per M (see _carry), so each
-    entry is the whole-range DP's bit for bit.  The carry's products with
-    the powers go into the levels of the M + x, new ones first, the last
-    made in the carry itself.  A reader may change a level with no steps."""
+    The DP sweeps blocks of `block` indices, or if 0 of _SWEEP, the ranges
+    the powers cache keys, up for "S" and "strict" and down for "T", and
+    visits the nodes of each block in the order of ups: it yields (lo, hi,
+    powers, M, level), with M's level and the powers of xs (_powers, kept
+    if block is 0) on the indices lo+1..hi, and then turns the level into
+    its carry, with a running total per M (see _carry), so each entry is
+    the whole-range DP's bit for bit.  The carry's products with the
+    powers go into the levels of the M + x, new ones first, the last made
+    in the carry itself.  A reader may change a level with no steps."""
     import numpy as np
     runs = {M: [-0.0] for M in ups}  # each carry's running total
-    starts = range(0, depth, _SWEEP)
+    size = block or _SWEEP
+    starts = range(0, depth, size)
     for lo in reversed(starts) if kernel == "T" else starts:
-        hi = min(lo + _SWEEP, depth)
-        powers = [_powers(x, hi, lo, keep) for x in xs]
+        hi = min(lo + size, depth)
+        powers = [_powers(x, hi, lo, not block) for x in xs]
         arrays: dict = {}
         for M, steps in ups.items():
             level = arrays.pop(M, None)
@@ -296,26 +302,31 @@ def _path(r: int) -> dict[int, list[tuple[int, int]]]:
     return {i: [(i, i + 1)] if i < r else [] for i in range(r + 1)}
 
 
-def _ordered(kernel: str, s: list[float], cfg: EvalConfig, base: int = 1) -> SeriesValue:
-    """The sum over one ordering: the "strict" (>) or "S" (>=) nested zeta
-    sum, swept from the innermost exponent out, or the chained sum ("T",
-    from the outermost in) over n_r >= base, whose estimate is the first
-    omitted outer term times a bound per inner index."""
+def _ordered(kernel: str, s: list[float], cfg: EvalConfig, base: int = 1) -> list[SeriesValue]:
+    """The sum over one ordering, and for "T" its tail over n_r >= base,
+    from one sweep that reduces its final level below base and from base
+    apart: the "strict" (>) or "S" (>=) nested zeta sum, swept from the
+    innermost exponent out, or the chained sum ("T", from the outermost
+    in), whose estimate is the first omitted outer term times a bound per
+    inner index."""
     import numpy as np
     depth, r = cfg.depth, len(s)
-    parts, l1, heads = [], 0.0, [0.0] * (r - 1)  # heads: the inner partial power sums, innermost first
-    for lo, _, powers, i, level in _sweep(kernel, s if kernel == "T" else s[::-1], _path(r), depth, True):
+    head, tail, l1, heads = [], [], [0.0, 0.0], [0.0] * (r - 1)  # heads: the inner partial power sums, innermost first
+    for lo, _, powers, i, level in _sweep(kernel, s if kernel == "T" else s[::-1], _path(r), depth):
         if not i and kernel != "T":
             heads = [h + float(p.sum()) for h, p in zip(heads, powers)]
         if i == r:
-            level = level[max(base - 1 - lo, 0) :]
-            parts += _exact_parts(level)
-            l1 += float(np.abs(level, out=level).sum()) if kernel == "T" else 0.0
-    value, first = math.fsum(parts), _tail_factor(kernel, s[0], depth, True)
+            cut = max(base - 1 - lo, 0)
+            head, tail = head + _exact_parts(level[:cut]), tail + _exact_parts(level[cut:])
+            if kernel == "T":  # both l1 norms from one np.abs
+                whole = float(np.abs(level, out=level).sum())
+                l1 = [l1[0] + whole, l1[1] + (float(level[cut:].sum()) if cut else whole)]
+    value, first = math.fsum(head + tail), _tail_factor(kernel, s[0], depth, True)
     inner = [_tail_factor(kernel, x, depth, False, h) for x, h in zip(s[1:], heads[::-1])]
-    if kernel == "T":  # each inner index is at least base
-        return SeriesValue(value, math.prod(inner, start=first * float(base) ** (-sum(s[1:]))) + _noise(l1, depth, r))
-    return SeriesValue(value, first * math.prod(inner) + _noise(value, depth, r))  # all terms positive: l1 = value
+    if kernel != "T":  # all terms positive: l1 = value
+        return [SeriesValue(value, first * math.prod(inner) + _noise(value, depth, r))]
+    return [SeriesValue(v, math.prod(inner, start=first * float(b) ** (-sum(s[1:]))) + _noise(n, depth, r))
+            for v, n, b in zip((value, math.fsum(tail)), l1, (1, base))]  # each inner index is at least 1, or base
 
 
 def multiple_zeta(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -323,7 +334,7 @@ def multiple_zeta(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesVa
 
     sum over n_1 > n_2 > ... > n_r >= 1 (all <= depth) of prod n_i^(-s_i).
     """
-    return _ordered("strict", *_setup(s, cfg))
+    return _ordered("strict", *_setup(s, cfg))[0]
 
 
 def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -331,7 +342,7 @@ def multiple_zeta_star(s: Sequence[float], cfg: EvalConfig | None = None) -> Ser
 
     sum over n_1 >= n_2 >= ... >= n_r >= 1 (all <= depth) of prod n_i^(-s_i).
     """
-    return _ordered("S", *_setup(s, cfg))
+    return _ordered("S", *_setup(s, cfg))[0]
 
 
 def alternating_chain_sum(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -342,7 +353,7 @@ def alternating_chain_sum(s: Sequence[float], cfg: EvalConfig | None = None) -> 
     even.  For r = 1 this is -eta(s).  The value is negative for
     admissible exponents, with magnitude shrinking as r grows.
     """
-    return _ordered("T", *_setup(s, cfg))
+    return _ordered("T", *_setup(s, cfg))[0]
 
 
 def alternating_chain_tail(k: int, s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -353,12 +364,17 @@ def alternating_chain_tail(k: int, s: Sequence[float], cfg: EvalConfig | None = 
     positive: the leading surviving term has all indices at the even
     value 2k.
     """
+    if k >= 1 and not len(s):
+        return SeriesValue(1.0, 0.0)
+    return alternating_chain_and_tail(k, s, cfg)[1]
+
+
+def alternating_chain_and_tail(k: int, s: Sequence[float], cfg: EvalConfig | None = None) -> list[SeriesValue]:
+    """alternating_chain_sum(s) and alternating_chain_tail(k, s), bit for
+    bit, from one sweep."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    sl, cfg = _setup(s, cfg, empty_ok=True)
-    if not sl:
-        return SeriesValue(1.0, 0.0)
-    return _ordered("T", sl, cfg, 2 * k)
+    return _ordered("T", *_setup(s, cfg), 2 * k)
 
 
 def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = None) -> np.ndarray:
@@ -371,7 +387,7 @@ def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = N
     import numpy as np
     sl, cfg = _setup(s, cfg, empty_ok=True)
     out, run = np.empty(cfg.depth // 2), [-0.0]
-    for lo, hi, _, i, level in _sweep("T", sl, _path(len(sl)), cfg.depth, True):
+    for lo, hi, _, i, level in _sweep("T", sl, _path(len(sl)), cfg.depth):
         if i == len(sl):  # entry k-1 is the final level's carry at n = 2k, its suffix sum
             out[lo // 2 : hi // 2] = _carry("T", level, hi - lo, run)[1::2]
     return out
@@ -467,8 +483,9 @@ def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalC
         import numpy as np
         parts, l1 = {M: [] for M in tops}, dict.fromkeys(tops, 0.0)
         heads, buffers = [0.0] * len(rank), None  # the partial power sums, for "S" and "strict"
-        # a family uses each power block once; one multiset's serve the next call
-        for _, _, powers, M, level in _sweep(kernel, list(rank), ups, depth, len(family) == 1):
+        # one multiset's power blocks serve the next call; a family uses each
+        # once, and sweeps small blocks, as it holds one per live M
+        for _, _, powers, M, level in _sweep(kernel, list(rank), ups, depth, 0 if len(family) == 1 else _FAMILY_SWEEP):
             if not M and kernel != "T":
                 heads = [h + float(p.sum()) for h, p in zip(heads, powers)]
             if M in l1:
@@ -510,7 +527,7 @@ def innermost_peel_residual(s: Sequence[float], cfg: EvalConfig | None = None) -
     import numpy as np
     sl, cfg = _setup(s, cfg)
     r, run, lhs, rhs = len(sl) - 1, [-0.0], [], []
-    for lo, hi, powers, i, level in _sweep("T", sl, _path(r), cfg.depth, True):
+    for lo, hi, powers, i, level in _sweep("T", sl, _path(r), cfg.depth):
         if i == r:  # the prefix s_1..s_{r-1}: its carry at n = 2k is tail_k(prefix)
             carry = _carry("T", level, hi - lo, run)
             lhs += _exact_parts(carry * powers[r])
@@ -549,7 +566,7 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
         return np.fromiter(map(pow, base, repeat(exp)), np.float64, len(base))
 
     lhs, rhs, runs = [], [], [[-0.0] for _ in sl]
-    for lo, hi, _, i, level in _sweep("T", sl, _path(r), depth, True):
+    for lo, hi, _, i, level in _sweep("T", sl, _path(r), depth):
         if i == r:
             lhs += _exact_parts(level[max(2 * k - 1 - lo, 0) :])
             continue

@@ -60,8 +60,8 @@ DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-6
 SAMPLE_DEPTH = 50_000  # matched-truncation identity checks
 AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
-MAIN_DEGREE_CAP = 12  # `verify main --k 12` takes about 2 s and 82 MB
-AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 2 s and 51 MB, `--k 9` 2.5 s
+MAIN_DEGREE_CAP = 16  # `verify main --k 16` takes about 4.5 s and 57 MB, `--k 12` 1.6 s and 41 MB
+AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 1.7 s and 34 MB; its worst check is at half its tol
 FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 0.5 s
 # level-step terms of all the symmetrized sums of one hoffman or multiple-eta
 # run: `hoffman --max-r 7` takes 1.54e9 in about 9 s, and `--samples 26` 2.0e9 in 12 s
@@ -301,31 +301,30 @@ def _positivity_checks(
     magnitude exceeding its own error bound.  A further sampled batch
     checks the two recurrences that peel the innermost index and the
     terminal block, to absolute tolerance.  Their level steps per index,
-    r for each chained sum, r + 1 for the peel and 25 r for the block
-    residual (its r steps, and its Python float pows, up to 1.5 per index
-    and exponent at about 16 steps each), times the depth, are checked
-    against MAX_SUITE_WORK before any sum runs.
+    2 r for the one sweep of a sample's chained sum and tail (it makes its
+    own powers and reduces exactly, about twice a symmetrize step per
+    exponent), r + 1 for the peel and 25 r for the block residual (its r
+    steps, and its Python float pows, up to 1.5 per index and exponent at
+    about 16 steps each), times the depth, are checked against
+    MAX_SUITE_WORK before any sum runs.
     """
-    from .series import (
-        EvalConfig, alternating_chain_sum, alternating_chain_tail, bottom_block_residual, innermost_peel_residual,
-    )
+    from .series import EvalConfig, alternating_chain_and_tail, bottom_block_residual, innermost_peel_residual
     cfg = EvalConfig(depth)
     work = sum(2 * (1 + i % 3) for i in range(samples))  # r cycles through 1..3, as below
     work += sum(26 * (1 + i % 3) + 1 for i in range(recurrence_samples))
     _check_suite_work("chained", depth, depth * work)
     rng = random.Random(seed)
-    for i in range(samples):
-        r = 1 + i % 3
-        s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
-        k = rng.randint(1, TAIL_K_HIGH)
-        sv = alternating_chain_sum(s, cfg)
-        yield _sign_check(f"chain-negative[{i:02d}:{_tuple_label(s)}]", sv, "<0")
-        sv = alternating_chain_tail(k, s, cfg)
-        yield _sign_check(f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]", sv, ">0")
-    for i in range(recurrence_samples):
-        r = 1 + i % 3
-        s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
-        k = rng.randint(1, TAIL_K_HIGH)
+
+    def draws(count: int) -> Iterator[tuple[int, tuple[float, ...], int]]:  # (i, s, k), one rng for both batches
+        for i in range(count):
+            s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(1 + i % 3))
+            yield i, s, rng.randint(1, TAIL_K_HIGH)
+
+    for i, s, k in draws(samples):
+        chain, tail = alternating_chain_and_tail(k, s, cfg)
+        yield _sign_check(f"chain-negative[{i:02d}:{_tuple_label(s)}]", chain, "<0")
+        yield _sign_check(f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]", tail, ">0")
+    for i, s, k in draws(recurrence_samples):
         lhs, rhs = innermost_peel_residual(s, cfg)
         yield _absolute_check(f"peel[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
         lhs, rhs = bottom_block_residual(k, s, cfg)
@@ -432,13 +431,7 @@ def _signs_checks(max_k: int) -> Checks:
         for k in range(1, max_k + 1):
             table = coefficient_table(genus, k)
             parts = integer_partitions(k)
-            bad = 0
-            for p in parts:
-                expected = -1 if (len(p) + offset) % 2 else 1
-                q = table[p]
-                actual = 1 if q > 0 else (-1 if q < 0 else 0)
-                if actual != expected:
-                    bad += 1
+            bad = sum(not table[p] * (-1) ** (len(p) + offset) > 0 for p in parts)  # good: times its sign, > 0
             yield _count_check(f"signs[{name},k={k}]", bad, len(parts))
 
 

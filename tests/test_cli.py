@@ -398,6 +398,7 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
         (["main", "--k", "6", *cap], "past the work budget"),
         (["main", "--k", "10", *cap], "past the work budget"),
         (["main", "--k", "11", *cap], "past the work budget"),
+        (["main", "--k", "16", *cap], "past the work budget"),
         (["ahat", "--k", "8", *cap], "past the work budget"),
         (["ahat", "--k", "11", *cap], "degree 11 is past the ahat table cap 8"),
         # every tuple fits alone, but 20 samples of r <= 7 past the suite's budget
@@ -463,7 +464,7 @@ def test_positivity_work_budget_admits_the_defaults_and_the_benchmark_shapes(mon
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(series, "alternating_chain_sum", reached)
+    monkeypatch.setattr(series, "alternating_chain_and_tail", reached)
     at_the_cap = dict(samples=3, recurrence_samples=1, depth=series.MAX_DEPTH)
     for options in ({}, dict(samples=120, recurrence_samples=12), at_the_cap):
         with pytest.raises(Reached):
@@ -501,7 +502,7 @@ def test_verify_runs_seven_distinct_exponents(runner):
 
 
 _EXACT_CAP = "degree 21 is past the exact-layer cap 20"
-_MAIN_CAP = "degree 13 is past the main table cap 12"
+_MAIN_CAP = "degree 17 is past the main table cap 16"
 _AHAT_CAP = "degree 9 is past the ahat table cap 8"
 _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
 
@@ -511,7 +512,7 @@ _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
     [
         # explicit ids: the message would make the test names over-long
         pytest.param(["table", "--genus", "L", "--max-k", "21"], _EXACT_CAP, id="args0-table cap"),
-        pytest.param(["verify", "main", "--k", "13"], _MAIN_CAP, id="args1-table cap"),
+        pytest.param(["verify", "main", "--k", "17"], _MAIN_CAP, id="args1-table cap"),
         pytest.param(["verify", "signs", "--k", "21"], _EXACT_CAP, id="args2-table cap"),
         pytest.param(["poly", "--genus", "L", "--k", "21"], _EXACT_CAP, id="args3-table cap"),
         pytest.param(

@@ -30,6 +30,7 @@ from zetagenus.series import (
     MAX_SYMMETRIZE_SUBSETS,
     EvalConfig,
     SeriesValue,
+    alternating_chain_and_tail,
     alternating_chain_sum,
     alternating_chain_tail,
     alternating_chain_tail_family,
@@ -290,8 +291,9 @@ def _eta_even(k):
 
 
 def _zeta_even(k):
-    """The rational q with zeta(2k) = q * pi^(2k): eta(2k) / (1 - 2^(1-2k))."""
-    return _eta_even(k) / (1 - Fraction(2) ** (1 - 2 * k))
+    """The rational q with zeta(2k) = q * pi^(2k), via Bernoulli numbers:
+    2^(2k-1) B_k / (2k)!, independent of _eta_even."""
+    return Fraction(2 ** (2 * k - 1), math.factorial(2 * k)) * bernoulli(k)
 
 
 def test_exact_even_values():
@@ -760,6 +762,7 @@ def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
     runs = {"ahat": dict(max_k=4, depth=1_000_000), "main": dict(max_k=6)}
     swept = {name: run_suite(name, **options).lines() for name, options in runs.items()}
     monkeypatch.setattr(series, "_SWEEP", 2 * 10**6)  # one block past every depth here
+    monkeypatch.setattr(series, "_FAMILY_SWEEP", 2 * 10**6)
     assert {name: run_suite(name, **options).lines() for name, options in runs.items()} == swept
 
 
@@ -786,25 +789,57 @@ def _scrambled(s):
 
 
 @pytest.mark.parametrize("kernel", ["T", "S", "strict"])
-def test_symmetrize_family_is_each_member_alone_bit_for_bit(kernel):
+def test_symmetrize_family_is_each_member_alone_bit_for_bit(kernel, monkeypatch):
     # several sweep blocks, the last one short and odd.  A[M] takes its
     # terms in an order set by the ranks of M's values, so a family must
     # rank them as each member lists them: descending, ascending or
     # neither.  Ranked by first appearance in the family, the scrambled
-    # six distinct exponents came out two ulps off
+    # six distinct exponents came out two ulps off.  A family sweeps
+    # _FAMILY_SWEEP blocks: its values are those of a member alone, and
+    # its bounds, which add up block by block, those of a member alone
+    # swept in the same blocks
     cfg = EvalConfig(2 * series._SWEEP + 3)
     families = [
         _weight_family(6),
         [s[::-1] for s in _weight_family(6)],
         [_scrambled(s) for s in (_PLANS[3], _PLANS[2], (1.5, 2.0, 2.5, 3.0, 4.0, 6.0), (6.0, 4.0, 2.0), (2.5, 4.0))],
     ]
-    for family in families:
-        for s, got in zip(family, symmetrize_family(kernel, family, cfg), strict=True):
+    alone = [[symmetrize(kernel, s, cfg).value.hex() for s in family] for family in families]
+    monkeypatch.setattr(series, "_SWEEP", series._FAMILY_SWEEP)
+    for family, values in zip(families, alone):
+        for s, value, got in zip(family, values, symmetrize_family(kernel, family, cfg), strict=True):
             want = symmetrize(kernel, s, cfg)
+            assert got.value.hex() == value, s
             assert (got.value.hex(), got.err_bound.hex()) == (want.value.hex(), want.err_bound.hex()), s
     # no ranks fit members that list two values in opposite orders
     with pytest.raises(ValueError, match="different orders"):
         symmetrize_family(kernel, [(2.0, 4.0), (4.0, 2.0)], cfg)
+
+
+@pytest.mark.parametrize("kernel,weight,depth", [("T", 6, 100_000), ("S", 4, 1_000_000)])
+def test_family_values_do_not_depend_on_the_family_block(kernel, weight, depth, monkeypatch):
+    # main's partitions and ahat's at the depths the benchmark sums them:
+    # carries start from running totals and member reductions are exact,
+    # so the values in _FAMILY_SWEEP blocks are those in _SWEEP blocks
+    family, cfg = _weight_family(weight), EvalConfig(depth)
+    small = [sv.value.hex() for sv in symmetrize_family(kernel, family, cfg)]
+    monkeypatch.setattr(series, "_FAMILY_SWEEP", series._SWEEP)
+    assert [sv.value.hex() for sv in symmetrize_family(kernel, family, cfg)] == small
+
+
+@pytest.mark.parametrize("kernel", ["T", "S"])
+def test_family_traced_peak_has_a_bound_that_does_not_grow_with_the_weight(kernel):
+    # a family holds a 128 kB block per live sub-multiset and caches no
+    # powers: 3.9 MiB traced at weight <= 8 and 6.1 MiB at <= 10, where
+    # 800 kB blocks took 20 and 33 MiB
+    for weight in (8, 10):
+        tracemalloc.start()
+        try:
+            list(symmetrize_family(kernel, _weight_family(weight), EvalConfig(200_000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, weight
 
 
 @pytest.mark.parametrize(
@@ -1149,6 +1184,8 @@ def test_every_single_ordering_kernel_is_the_whole_depth_reference_bit_for_bit(d
         cases = [(fn(s, cfg), _whole_ordered(kernel, s, depth)) for kernel, fn in _KERNELS.items()]
         tails = {k: _whole_ordered("T", s, depth, 2 * k) for k in _edge_ks(depth, block)}
         cases += [(alternating_chain_tail(k, s, cfg), tail) for k, tail in tails.items()]
+        chain = _whole_ordered("T", s, depth)  # and both from one sweep
+        cases += [pair for k, tail in tails.items() for pair in zip(alternating_chain_and_tail(k, s, cfg), (chain, tail))]
         for got, want in cases:
             assert got.value.hex() == want.value.hex(), s
             if block:
