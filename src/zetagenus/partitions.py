@@ -98,28 +98,23 @@ def as_integer_partition(parts: PartitionLike) -> IntegerPartition:
 
 
 def integer_partitions(k: int) -> list[IntegerPartition]:
-    """All partitions of k in descending lexicographic order.
+    """All partitions of k in descending lexicographic order, a fresh list
+    of partitions made once per k.
 
     integer_partitions(4) lists (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
     """
     if k < 0:
         raise ValueError("weight must be nonnegative")
+    return list(_partitions(k, k))
+
+
+@lru_cache(maxsize=None)
+def _partitions(k: int, largest: int) -> tuple[IntegerPartition, ...]:
+    """The partitions of k into parts of at most largest <= k, descending."""
     if k == 0:
-        return [IntegerPartition()]
-    out: list[IntegerPartition] = []
-    prefix: list[int] = []
-
-    def rec(remaining: int, largest: int) -> None:
-        if remaining == 0:
-            out.append(IntegerPartition(tuple(prefix)))
-            return
-        for p in range(min(largest, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p)
-            prefix.pop()
-
-    rec(k, k)
-    return out
+        return (IntegerPartition(),)
+    return tuple(IntegerPartition((p, *rest))
+                 for p in range(largest, 0, -1) for rest in _partitions(k - p, min(p, k - p)))
 
 
 class SetPartition:

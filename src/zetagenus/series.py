@@ -28,16 +28,14 @@ Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
 Comput. 31(1), 2008).  Level sums are
 sequential cumulative sums in fixed index order, so runs are bitwise
 reproducible.  numpy loads when a series is first evaluated, never for
-exact commands.  MAX_DEPTH caps the depth, which the DP sweeps in
-blocks of _SWEEP terms (one to depth 10^5), a family of multisets in
-blocks of _FAMILY_SWEEP (16,384), so at any depth it holds an 800 kB
-array per live node of one ordering or multiset and a 128 kB one per
-live node of a family (`verify main --k 12`, two DPs over 271
-partitions: 1.6 s, 41 MB, 91 MB in 800 kB blocks; `--k 16`, over 914:
-4.5 s, 57 MB); only alternating_chain_tail_family returns depth/2
-terms.  MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step terms.
+exact commands.  MAX_DEPTH caps the depth, which every DP sweeps in
+blocks of _SWEEP (16,384) terms, so at any depth it holds a 128 kB
+array per live node (`verify main --k 12`, two DPs over 271
+partitions: 1.7 s, 40 MB; `--k 16`, over 914: 3.7 s, 56 MB); only
+alternating_chain_tail_family returns depth/2 terms.
+MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step terms.
 The powers of one ordering or multiset are cached read-only by exponent
-and index range, at most 8 exponents and 16 MiB; a family caches none.
+and index range, the 32 blocks used last (4 MiB); a family caches none.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import pairwise, product, repeat
 from math import factorial
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -66,19 +65,10 @@ DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
 MAX_DEPTH = 20_000_000  # alternating_chain_tail_family returns 80 MB; `verify ahat` here: 3 s, 36 MB
 MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.5 s, 48 MB at depth 2e5; 8 take 2x
-_POWERS_CACHE = 8  # exponents the _powers cache keeps: all 8 at depths to 2^18,
-_POWERS_BYTES = 16 * 2**20  # 2 at 10^6, 1 at 2*10^6 and none at the depth cap
-_powers_cache: dict[tuple[float, int, int], np.ndarray] = {}  # least recently used first
 MAX_SYMMETRIZE_WORK = 800_000_000  # level-step terms of one DP: about 3.4 s, 6 s for a family
 
 _EPS = sys.float_info.epsilon
-# Terms per block of an exact reduction.  The block and its two scratch
-# buffers (768 KB) stay in a 2 MB L2.  Of 2^13..2^17, tried at depths
-# 5e4, 1e6 and 2e6, 2^15 and 2^16 were fastest and within noise of each
-# other; 2^13 and 2^17 were up to 1.5x slower at depth 1e6.
-_BLOCK = 1 << 15
-_SWEEP = 100_000  # terms per block of a sweep (800 kB); even, see _carry
-_FAMILY_SWEEP = 1 << 14  # of a family's (128 kB a live node): 2^13 ran slower, 2^15 kept more memory
+_SWEEP = 1 << 14  # terms per sweep block (128 kB), even, see _carry: 2^13 ran slower, 2^15 kept more memory
 
 
 @dataclass(frozen=True)
@@ -129,74 +119,55 @@ def _setup(s: Sequence[float], cfg: EvalConfig | None, empty_ok: bool = False) -
     return out, cfg
 
 
-def _powers(s: float, hi: int, lo: int = 0, keep: bool = True) -> np.ndarray:
-    """n^(-s) for n = lo+1..hi, read-only; the cache keeps the last used,
-    an exponent's index ranges together, unless keep is false."""
-    p = _powers_cache.pop((s, lo, hi), None) if keep else _powers_cache.get((s, lo, hi))
-    if p is None:
-        import numpy as np
-        p = np.arange(lo + 1, hi + 1, dtype=np.float64) ** (-s)
-        p.flags.writeable = False
-    if not keep:
-        return p
-    for key in [key for key in _powers_cache if key[0] == s]:  # s's blocks stay together
-        _powers_cache[key] = _powers_cache.pop(key)
-    _powers_cache[s, lo, hi] = p
-    while len({key[0] for key in _powers_cache}) > _POWERS_CACHE or sum(a.nbytes for a in _powers_cache.values()) > _POWERS_BYTES:
-        del _powers_cache[next(iter(_powers_cache))]
+@lru_cache(maxsize=32)  # 32 blocks of _SWEEP terms: 4 MiB
+def _powers(s: float, hi: int, lo: int) -> np.ndarray:
+    """n^(-s) for n = lo+1..hi, read-only; the cache keeps the blocks used last."""
+    import numpy as np
+    p = np.arange(lo + 1, hi + 1, dtype=np.float64) ** (-s)
+    p.flags.writeable = False
     return p
 
 
-def _exact_parts(arr: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> list[float]:
-    """A few floats per block of _BLOCK terms whose exact sum is the
-    exact sum of arr.
+def _exact_parts(arr: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is the exact sum of arr ([] if empty).
 
-    Each block B of k terms is split on its own.  A pass over the
-    remainder r (at first B itself) takes the power of two
-    sigma >= k * M, where M is max|r| rounded up to a power of two, and
-    splits r exactly into q = (sigma + r) - sigma and r - q.  Every q is
-    a multiple of 2^-53 sigma and at most M in magnitude, so every
-    partial sum of the q is a multiple of 2^-53 sigma no larger than
-    sigma: a float.  Their numpy sum is therefore exact, in whatever
-    order it adds.  The remainder is at most 2^-53 sigma, so the passes
-    end with r all zero.  The argument uses only B's own length and
-    maximum, so it holds block by block, and a block's sigma follows
-    its own magnitude instead of the largest term of the whole array,
-    which takes fewer passes.  The passes write only two block-sized
-    buffers, made once per call or passed in as scratch, never arr.
+    A pass over the remainder r (at first arr itself, of k terms) takes
+    the power of two sigma >= k * M, where M is max|r| rounded up to a
+    power of two, and splits r exactly into q = (sigma + r) - sigma and
+    r - q.  Every q is a multiple of 2^-53 sigma and at most M in
+    magnitude, so every partial sum of the q is a multiple of 2^-53 sigma
+    no larger than sigma: a float.  Their numpy sum is therefore exact, in
+    whatever order it adds.  The remainder is at most 2^-53 sigma, so the
+    passes end with r all zero.  The passes write only two buffers, never
+    arr.
 
-    A block's first sigma bounds every partial sum of its terms, and
-    each sigma bounds its pass's part.  So while all the sigmas add up
-    to at most 2^1022, no partial sum of the terms or of the parts
-    leaves the float range, and math.fsum rounds both exactly alike.
-    Past that budget, or where arr holds inf or nan, the terms
-    themselves are the parts.
+    The first sigma bounds every partial sum of the terms, and each sigma
+    bounds its pass's part.  So while all the sigmas add up to at most
+    2^1022, no partial sum of the terms or of the parts leaves the float
+    range, and math.fsum rounds both exactly alike.  Past that budget, or
+    where arr holds inf or nan, the terms themselves are the parts.
     """
     import numpy as np
     parts: list[float] = []
     budget = math.ldexp(1.0, 1022)  # for the sum of all the sigmas
-    q, rem = scratch or (np.empty(min(arr.size, _BLOCK)), np.empty(min(arr.size, _BLOCK)))
-    for start in range(0, arr.size, _BLOCK):
-        r = arr[start : start + _BLOCK]
-        k = r.size
-        shift = (k - 1).bit_length()  # ceil(log2(k))
-        qk, remk = q[:k], rem[:k]
-        while True:
-            m = max(float(r.max()), -float(r.min()))  # nan if r holds a nan
-            if m == 0.0:
-                break
-            mant, exp = math.frexp(m)  # m = mant * 2^exp, 0.5 <= mant < 1
-            exp += shift - (mant == 0.5)  # sigma = 2^exp >= k * M
-            if not (math.isfinite(m) and exp <= 1022):  # sigma + r must stay finite
-                return arr.tolist()
-            sigma = math.ldexp(1.0, exp)
-            budget -= sigma
-            if budget < 0.0:  # a partial sum might leave the float range
-                return arr.tolist()
-            np.add(r, sigma, out=qk)
-            qk -= sigma
-            parts.append(float(qk.sum()))
-            r = np.subtract(r, qk, out=remk)
+    shift = (arr.size - 1).bit_length()  # ceil(log2(k))
+    r, q, rem = arr, np.empty(arr.size), np.empty(arr.size)
+    while r.size:
+        m = max(float(r.max()), -float(r.min()))  # nan if r holds a nan
+        if m == 0.0:
+            break
+        mant, exp = math.frexp(m)  # m = mant * 2^exp, 0.5 <= mant < 1
+        exp += shift - (mant == 0.5)  # sigma = 2^exp >= k * M
+        if not (math.isfinite(m) and exp <= 1022):  # sigma + r must stay finite
+            return arr.tolist()
+        sigma = math.ldexp(1.0, exp)
+        budget -= sigma
+        if budget < 0.0:  # a partial sum might leave the float range
+            return arr.tolist()
+        np.add(r, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        r = np.subtract(r, q, out=rem)
     return parts
 
 
@@ -256,25 +227,25 @@ def _tail_factor(kernel: str, x: float, depth: int, first: bool, head: float = 0
     return tail if first else head + tail
 
 
-def _sweep(kernel: str, xs: list[float], ups: dict, depth: int, block: int = 0) -> Iterator[tuple]:
+def _sweep(kernel: str, xs: list[float], ups: dict, depth: int, cached: bool = True) -> Iterator[tuple]:
     """The DP behind every kernel.  ups[M] lists node M's level steps as
     (x, M + x), x an index into xs; the first node, the root, has no level.
-    The DP sweeps blocks of `block` indices, or if 0 of _SWEEP, the ranges
-    the powers cache keys, up for "S" and "strict" and down for "T", and
-    visits the nodes of each block in the order of ups: it yields (lo, hi,
-    powers, M, level), with M's level and the powers of xs (_powers, kept
-    if block is 0) on the indices lo+1..hi, and then turns the level into
-    its carry, with a running total per M (see _carry), so each entry is
-    the whole-range DP's bit for bit.  The carry's products with the
-    powers go into the levels of the M + x, new ones first, the last made
-    in the carry itself.  A reader may change a level with no steps."""
+    The DP sweeps blocks of _SWEEP indices, up for "S" and "strict" and
+    down for "T", and visits the nodes of each block in the order of ups:
+    it yields (lo, hi, powers, M, level), with M's level and the powers of
+    xs (_powers, through its cache if cached) on the indices lo+1..hi,
+    and then turns the level into its carry, with a running total per M
+    (see _carry), so each entry is the whole-range DP's bit for bit.  The
+    carry's products with the powers go into the levels of the M + x, new
+    ones first, the last made in the carry itself.  A reader may change a
+    level with no steps."""
     import numpy as np
     runs = {M: [-0.0] for M in ups}  # each carry's running total
-    size = block or _SWEEP
-    starts = range(0, depth, size)
+    power = _powers if cached else _powers.__wrapped__
+    starts = range(0, depth, _SWEEP)
     for lo in reversed(starts) if kernel == "T" else starts:
-        hi = min(lo + size, depth)
-        powers = [_powers(x, hi, lo, not block) for x in xs]
+        hi = min(lo + _SWEEP, depth)
+        powers = [power(x, hi, lo) for x in xs]
         arrays: dict = {}
         for M, steps in ups.items():
             level = arrays.pop(M, None)
@@ -482,15 +453,13 @@ def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalC
     def sums() -> Iterator[SeriesValue]:
         import numpy as np
         parts, l1 = {M: [] for M in tops}, dict.fromkeys(tops, 0.0)
-        heads, buffers = [0.0] * len(rank), None  # the partial power sums, for "S" and "strict"
-        # one multiset's power blocks serve the next call; a family uses each
-        # once, and sweeps small blocks, as it holds one per live M
-        for _, _, powers, M, level in _sweep(kernel, list(rank), ups, depth, 0 if len(family) == 1 else _FAMILY_SWEEP):
+        heads = [0.0] * len(rank)  # the partial power sums, for "S" and "strict"
+        # one multiset's power blocks serve the next call; a family uses each once
+        for _, _, powers, M, level in _sweep(kernel, list(rank), ups, depth, len(family) == 1):
             if not M and kernel != "T":
                 heads = [h + float(p.sum()) for h, p in zip(heads, powers)]
             if M in l1:
-                buffers = buffers or (np.empty(min(depth, _BLOCK)), np.empty(min(depth, _BLOCK)))
-                parts[M] += _exact_parts(level, buffers)
+                parts[M] += _exact_parts(level)
                 l1[M] += float((np.abs(level, out=None if ups[M] else level) if kernel == "T" else level).sum())
         f = [_tail_factor(kernel, x, depth, False, h) for x, h in zip(rank, heads)]
         for s, top in zip(members, tops):

@@ -31,6 +31,8 @@ from zetagenus.partitions import (
 def test_integer_partitions_of_four_in_order():
     got = [p.parts for p in integer_partitions(4)]
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    integer_partitions(4).clear()  # each call returns a fresh list
+    assert [p.parts for p in integer_partitions(4)] == got
 
 
 def test_integer_partition_counts():

@@ -231,7 +231,7 @@ def test_eta_sums_every_index_up_to_an_odd_depth(s):
 def _paired_eta(s, depth):
     # the former evaluation: complete pairs (2m-1)^(-s) - (2m)^(-s), each
     # difference rounded to float64, then summed exactly rounded
-    p = series._powers(s, depth).tolist()
+    p = series._powers(s, depth, 0).tolist()
     diffs = [(p[i], p[i + 1], p[i] - p[i + 1]) for i in range(0, depth - 1, 2)]
     exact = all(Fraction(a) - Fraction(b) == Fraction(d) for a, b, d in diffs)
     return math.fsum(d for _, _, d in diffs), exact, p
@@ -459,11 +459,12 @@ def test_symmetrize_traced_peak_is_within_its_plan(kernel, s):
     # depth a call holds at most two layers and a step in flight, a power
     # block per exponent and one more block (n while a power block is
     # made, or a carry's even entries), each of _SWEEP terms, beside a
-    # full cache, the reduction's buffers and a few KiB of dicts and tuples
-    arrays = _plan_peak(s) + len(set(s)) + 1
-    bound = arrays * 8 * series._SWEEP + series._POWERS_BYTES + 16 * series._BLOCK + 64 * 1024
+    # full cache of 32 such blocks, the reduction's two buffers and a few
+    # KiB of dicts and tuples
+    arrays = _plan_peak(s) + len(set(s)) + 1 + 32 + 2
+    bound = arrays * 8 * series._SWEEP + 64 * 1024
     for blocks in (1, 4):
-        series._powers_cache.clear()
+        series._powers.cache_clear()
         tracemalloc.start()
         try:
             symmetrize(kernel, s, EvalConfig(blocks * series._SWEEP))
@@ -471,52 +472,35 @@ def test_symmetrize_traced_peak_is_within_its_plan(kernel, s):
         finally:
             tracemalloc.stop()
         assert peak <= bound
-    series._powers_cache.clear()
+    series._powers.cache_clear()
 
 
-def test_powers_cache_is_capped_in_entries_and_bytes():
-    series._powers_cache.clear()
-
-    def held():
-        return len(series._powers_cache), sum(a.nbytes for a in series._powers_cache.values())
-
-    for i in range(12):  # 12 small arrays: the 8 used last stay
-        p = series._powers(2.0 + i, 1000)
-        assert p.tobytes() == (np.arange(1.0, 1001.0) ** -(2.0 + i)).tobytes()
-    assert list(series._powers_cache) == [(2.0 + i, 0, 1000) for i in range(4, 12)]
-    series._powers(6.0, 1000)  # a hit moves to the end
-    assert list(series._powers_cache)[-1] == (6.0, 0, 1000)
-    for depth, kept in ((10**6, 2), (2 * 10**6, 1), (2**21 + 1, 0)):
-        for x in (2.0, 3.0, 4.0):
-            p = series._powers(x, depth)
-            assert not p.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                p[0] = 0.0
-            count, size = held()
-            assert count <= series._POWERS_CACHE and size <= series._POWERS_BYTES
-        assert [key[2] for key in series._powers_cache].count(depth) == kept
-    series._powers_cache.clear()
-
-
-def test_powers_cache_keeps_an_exponents_blocks_together(monkeypatch):
-    # a hit moves all of the exponent's index ranges to the end, so a new
-    # exponent takes the blocks of the least recently used one first
-    series._powers_cache.clear()
-    whole = {x: np.arange(1.0, 41.0) ** -x for x in (2.0, 3.0)}
-    for lo in range(0, 40, 10):
-        for x in (2.0, 3.0):
-            assert series._powers(x, lo + 10, lo).tobytes() == whole[x][lo : lo + 10].tobytes()
-    assert [key[0] for key in series._powers_cache] == [2.0] * 4 + [3.0] * 4
-    series._powers(2.0, 20, 10)
-    assert list(series._powers_cache)[:5] == [(3.0, lo, lo + 10) for lo in range(0, 40, 10)] + [(2.0, 0, 10)]
-    monkeypatch.setattr(series, "_POWERS_BYTES", 6 * 80)  # six blocks of ten: 3.0 goes first
-    series._powers(4.0, 10)
-    twos = [(2.0, lo, lo + 10) for lo in (0, 20, 30, 10)]
-    assert list(series._powers_cache) == [(3.0, 30, 40), *twos, (4.0, 0, 10)]
-    monkeypatch.setattr(series, "_POWERS_CACHE", 1)  # one exponent: the rest go, block by block
-    series._powers(4.0, 20, 10)
-    assert list(series._powers_cache) == [(4.0, 0, 10), (4.0, 10, 20)]
-    series._powers_cache.clear()
+def test_powers_cache_keeps_the_32_blocks_used_last():
+    # an LRU keyed by the literal call (s, hi, lo): a hit is the same
+    # read-only array, and a family of several members sweeps past it
+    series._powers.cache_clear()
+    keys = [(2.0 + i % 3, 1000 * i + 1000, 1000 * i) for i in range(33)]
+    for s, hi, lo in keys[:32]:
+        p = series._powers(s, hi, lo)
+        assert p.tobytes() == (np.arange(lo + 1, hi + 1, dtype=np.float64) ** -s).tobytes()
+        assert series._powers(s, hi, lo) is p and not p.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            p[0] = 0.0
+    first = series._powers(*keys[0])  # now the most recently used
+    series._powers(*keys[32])  # a new block: keys[1], used least recently, goes
+    info = series._powers.cache_info()
+    assert info.currsize == info.maxsize == 32
+    assert series._powers(*keys[0]) is first
+    assert series._powers.cache_info().hits == info.hits + 1
+    series._powers(*keys[1])
+    assert series._powers.cache_info().misses == info.misses + 1
+    series._powers.cache_clear()
+    family = [(4.0, 2.0), (6.0, 2.0, 2.0)]
+    list(symmetrize_family("T", family, SMALL))
+    assert series._powers.cache_info().currsize == 0
+    symmetrize("T", family[0], SMALL)  # one member caches its blocks
+    assert series._powers.cache_info().currsize == 2
+    series._powers.cache_clear()
 
 
 def _weight_family(w):
@@ -635,7 +619,7 @@ def _step(kernel, x, level, depth):
     first), in a fresh array of the whole depth, but the read-only powers
     for the monotone first level."""
     if level is None and kernel != "T":
-        return series._powers(x, depth)
+        return series._powers(x, depth, 0)
     out = np.empty(depth)
     if level is None:
         out.fill(1.0)
@@ -647,7 +631,7 @@ def _step(kernel, x, level, depth):
     else:
         out[0] = 0.0
         np.cumsum(level[:-1], out=out[1:])
-    out *= series._powers(x, depth)
+    out *= series._powers(x, depth, 0)
     if kernel == "T":
         np.negative(out[0::2], out=out[0::2])
     return out
@@ -682,7 +666,7 @@ def _whole_ordered(kernel, s, depth, base=1):
         for x in s[1:]:
             est *= series._tail_factor("T", x, depth, False)
         return SeriesValue(value, est + series._noise(float(np.abs(final).sum()), depth, len(s)))
-    heads = [float(series._powers(x, depth).sum()) for x in s[1:]]
+    heads = [float(series._powers(x, depth, 0).sum()) for x in s[1:]]
     inner = math.prod(series._tail_factor(kernel, x, depth, False, h) for x, h in zip(s[1:], heads))
     return SeriesValue(value, first * inner + series._noise(value, depth, len(s)))
 
@@ -706,7 +690,7 @@ def _step_by_step(kernel, s, cfg):
                         above[up] = _step(kernel, x, level, depth)
         layer = above
     final, mult = layer[top], math.prod(map(math.factorial, top))
-    f = {x: series._tail_factor(kernel, x, depth, False, float(series._powers(x, depth).sum())) for x in xs}
+    f = {x: series._tail_factor(kernel, x, depth, False, float(series._powers(x, depth, 0).sum())) for x in xs}
     ratio = math.fsum(m * series._tail_factor(kernel, x, depth, True) / f[x] for x, m in zip(xs, top))
     trunc = ratio * math.prod(f[x] ** m for x, m in zip(xs, top)) * math.factorial(r - 1)
     noise = series._noise(float(np.abs(final).sum()) * mult, depth, r + 1)
@@ -714,12 +698,16 @@ def _step_by_step(kernel, s, cfg):
 
 
 @pytest.mark.parametrize("kernel", ["T", "S", "strict"])
-def test_symmetrize_matches_the_step_by_step_dp_bit_for_bit(kernel):
+def test_symmetrize_matches_the_step_by_step_dp_bit_for_bit(kernel, monkeypatch):
     # one carry per sub-multiset, turned into its last step, changes no bit
+    # in one block: swept in several, the bound adds up its power sums and
+    # l1 norm block by block and may move by an ulp
     for depth in (41, 2000, 98_305):
-        for s in [*_PLANS, *_seeded_multisets(seed=1913, count=8 if depth > 2000 else 16)]:
-            got, want = symmetrize(kernel, s, EvalConfig(depth)), _step_by_step(kernel, s, EvalConfig(depth))
-            assert (got.value.hex(), got.err_bound.hex()) == (want.value.hex(), want.err_bound.hex()), (depth, s)
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_SWEEP", 1 << 17)
+            for s in [*_PLANS, *_seeded_multisets(seed=1913, count=8 if depth > 2000 else 16)]:
+                got, want = symmetrize(kernel, s, EvalConfig(depth)), _step_by_step(kernel, s, EvalConfig(depth))
+                assert (got.value.hex(), got.err_bound.hex()) == (want.value.hex(), want.err_bound.hex()), (depth, s)
 
 
 @pytest.mark.parametrize("kernel", ["T", "S", "strict"])
@@ -762,7 +750,6 @@ def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
     runs = {"ahat": dict(max_k=4, depth=1_000_000), "main": dict(max_k=6)}
     swept = {name: run_suite(name, **options).lines() for name, options in runs.items()}
     monkeypatch.setattr(series, "_SWEEP", 2 * 10**6)  # one block past every depth here
-    monkeypatch.setattr(series, "_FAMILY_SWEEP", 2 * 10**6)
     assert {name: run_suite(name, **options).lines() for name, options in runs.items()} == swept
 
 
@@ -770,8 +757,7 @@ def test_reports_do_not_depend_on_the_sweep_block(monkeypatch):
 def test_symmetrize_traced_peak_does_not_grow_with_the_depth(kernel, monkeypatch):
     # with nothing cached, a call holds only its block-sized arrays and
     # the reduction's buffers, at 4 blocks as at 16
-    monkeypatch.setattr(series, "_POWERS_BYTES", 0)
-    series._powers_cache.clear()
+    monkeypatch.setattr(series, "_powers", series._powers.__wrapped__)
     peaks = []
     for blocks in (4, 16):
         tracemalloc.start()
@@ -794,18 +780,18 @@ def test_symmetrize_family_is_each_member_alone_bit_for_bit(kernel, monkeypatch)
     # terms in an order set by the ranks of M's values, so a family must
     # rank them as each member lists them: descending, ascending or
     # neither.  Ranked by first appearance in the family, the scrambled
-    # six distinct exponents came out two ulps off.  A family sweeps
-    # _FAMILY_SWEEP blocks: its values are those of a member alone, and
-    # its bounds, which add up block by block, those of a member alone
-    # swept in the same blocks
+    # six distinct exponents came out two ulps off.  A family's values
+    # are those of a member alone, also swept in one block, and its
+    # bounds, which add up block by block, those of a member alone
     cfg = EvalConfig(2 * series._SWEEP + 3)
     families = [
         _weight_family(6),
         [s[::-1] for s in _weight_family(6)],
         [_scrambled(s) for s in (_PLANS[3], _PLANS[2], (1.5, 2.0, 2.5, 3.0, 4.0, 6.0), (6.0, 4.0, 2.0), (2.5, 4.0))],
     ]
-    alone = [[symmetrize(kernel, s, cfg).value.hex() for s in family] for family in families]
-    monkeypatch.setattr(series, "_SWEEP", series._FAMILY_SWEEP)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_SWEEP", 1 << 16)
+        alone = [[symmetrize(kernel, s, cfg).value.hex() for s in family] for family in families]
     for family, values in zip(families, alone):
         for s, value, got in zip(family, values, symmetrize_family(kernel, family, cfg), strict=True):
             want = symmetrize(kernel, s, cfg)
@@ -820,10 +806,10 @@ def test_symmetrize_family_is_each_member_alone_bit_for_bit(kernel, monkeypatch)
 def test_family_values_do_not_depend_on_the_family_block(kernel, weight, depth, monkeypatch):
     # main's partitions and ahat's at the depths the benchmark sums them:
     # carries start from running totals and member reductions are exact,
-    # so the values in _FAMILY_SWEEP blocks are those in _SWEEP blocks
+    # so the values in _SWEEP blocks are those in blocks of 100,000
     family, cfg = _weight_family(weight), EvalConfig(depth)
     small = [sv.value.hex() for sv in symmetrize_family(kernel, family, cfg)]
-    monkeypatch.setattr(series, "_FAMILY_SWEEP", series._SWEEP)
+    monkeypatch.setattr(series, "_SWEEP", 100_000)
     assert [sv.value.hex() for sv in symmetrize_family(kernel, family, cfg)] == small
 
 
@@ -862,7 +848,7 @@ def test_symmetrize_takes_one_level_step_per_sub_multiset_and_value(monkeypatch,
         first = 0 if kernel == "T" else len(set(s))
         assert len(carries) == subs - 1 - (first > 0)
         assert len(products) == steps - first
-        assert {x for x in s for p in products if p is series._powers(x, SMALL.depth)} == set(s)
+        assert {x for x in s for p in products if p is series._powers(x, SMALL.depth, 0)} == set(s)
     # the guard counts the same steps: their terms at this depth fit a
     # budget of exactly that many, and one index more does not
     monkeypatch.setattr(series, "MAX_SYMMETRIZE_WORK", steps * SMALL.depth)
@@ -927,11 +913,11 @@ def _wide_signed(rng, n, low, high):
     return [rng.choice((-1.0, 1.0)) * rng.random() * 2.0 ** rng.randint(low, high) for _ in range(n)]
 
 
-BLOCK = series._BLOCK
+BLOCK = 2 * series._SWEEP  # arrays of a few BLOCKs span several sweep blocks
 
 
 def _wide_array(n, seed):
-    # both signs over 120 binades, so each block takes its own sigma
+    # both signs over 120 binades, so the reduction takes several passes
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) * np.exp2(rng.integers(-60, 60, n))
 
@@ -981,7 +967,7 @@ def test_fsum_matches_math_fsum_bit_for_bit(values):
 @pytest.mark.parametrize("s", [1.06, 2.0, 3.7, 14.0])
 def test_fsum_of_series_terms(s):
     _same_sum(_whole("T", [s], 50_000))  # (-1)^n n^(-s)
-    _same_sum(series._powers(s, 50_000))
+    _same_sum(series._powers(s, 50_000, 0))
 
 
 def test_fsum_builds_no_list_without_overflow():
@@ -1050,8 +1036,8 @@ def test_fsum_falls_back_to_the_list_once_for_the_last_block(last):
 
 
 def test_fsum_falls_back_to_the_list_when_the_sigmas_add_up_past_the_range():
-    # each full block's sigma is 2^1021, short of 2^1022, but three pass it
-    arr = np.full(3 * BLOCK + 7, 4e302)
+    # the first sigma, 2^1022, is the whole budget, and the remainder takes a second pass
+    arr = np.full(3 * BLOCK + 7, 2e302)
     _Listing.calls.clear()
     assert _fsum(arr.view(_Listing)).hex() == _list_fsum(arr).hex()
     assert _Listing.calls == [len(arr)]
@@ -1063,7 +1049,7 @@ def test_fsum_falls_back_to_the_list_when_the_sigmas_add_up_past_the_range():
 def test_fsum_leaves_a_read_only_input_unchanged():
     arr = _wide_array(2 * BLOCK + 3, 17)
     arr.flags.writeable = False
-    for a in (arr, series._powers(2.0, 3 * BLOCK + 7)):  # the cached powers are read-only too
+    for a in (arr, series._powers(2.0, 3 * BLOCK + 7, 0)):  # the cached powers are read-only too
         before = a.tobytes()
         _same_sum(a)
         assert a.tobytes() == before
@@ -1083,7 +1069,7 @@ SUITE_OPTIONS = {
 def test_reports_do_not_depend_on_the_reduction(monkeypatch, suite, depth):
     report = run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines()
     # each term its own part: the reduction is math.fsum over the list
-    monkeypatch.setattr(series, "_exact_parts", lambda arr, scratch=None: arr.tolist())
+    monkeypatch.setattr(series, "_exact_parts", lambda arr: arr.tolist())
     assert run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines() == report
 
 
@@ -1114,7 +1100,7 @@ def _peel_rhs_by_list(s, cfg):
         fam = np.ones((depth + 1) // 2)
     else:
         fam = _whole_tails(_whole("T", s[:-1], depth), depth // 2)
-    weights = series._powers(s[-1], depth) * np.where(np.arange(depth) % 2, 1.0, -1.0)
+    weights = series._powers(s[-1], depth, 0) * np.where(np.arange(depth) % 2, 1.0, -1.0)
     k_of_n = (np.arange(1, depth + 1) + 1) // 2
     fam_padded = np.concatenate(([0.0], fam, np.zeros(depth)))
     return math.fsum((weights * fam_padded[k_of_n]).tolist())
@@ -1211,8 +1197,7 @@ def test_every_single_ordering_kernel_is_the_whole_depth_reference_bit_for_bit(d
 def test_single_ordering_traced_peak_does_not_grow_with_the_depth(call, monkeypatch):
     # with nothing cached, a call holds only its block-sized arrays and
     # lists, at 2 blocks as at 6
-    monkeypatch.setattr(series, "_POWERS_BYTES", 0)
-    series._powers_cache.clear()
+    monkeypatch.setattr(series, "_powers", series._powers.__wrapped__)
     peaks = []
     for blocks in (2, 6):
         tracemalloc.start()
