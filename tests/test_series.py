@@ -475,9 +475,11 @@ def test_symmetrize_traced_peak_is_within_its_plan(kernel, s):
     series._powers.cache_clear()
 
 
-def test_powers_cache_keeps_the_32_blocks_used_last():
-    # an LRU keyed by the literal call (s, hi, lo): a hit is the same
-    # read-only array, and a family of several members sweeps past it
+def test_powers_cache_is_capped_in_entries_and_bytes():
+    # an LRU of 32 blocks keyed by the literal call (s, hi, lo): a hit is
+    # the same read-only array, the block used least recently goes first,
+    # and as the sweep asks for at most _SWEEP terms a block, a full cache
+    # holds 32 blocks of _SWEEP terms, 4 MiB
     series._powers.cache_clear()
     keys = [(2.0 + i % 3, 1000 * i + 1000, 1000 * i) for i in range(33)]
     for s, hi, lo in keys[:32]:
@@ -495,7 +497,41 @@ def test_powers_cache_keeps_the_32_blocks_used_last():
     series._powers(*keys[1])
     assert series._powers.cache_info().misses == info.misses + 1
     series._powers.cache_clear()
+    del p, first
+    block = 8 * series._SWEEP
+    tracemalloc.start()
+    try:
+        for lo in range(0, 40 * series._SWEEP, series._SWEEP):
+            series._powers(2.0, lo + series._SWEEP, lo)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert series._powers.cache_info().currsize == 32
+    assert 32 * block <= held <= 32 * block + 64 * 1024
+    series._powers.cache_clear()
+
+
+def test_powers_cache_keeps_an_exponents_blocks_together():
+    # one ordering or multiset caches every block of each of its exponents
+    # over the depth (here 2 exponents of 4 blocks, within the 32), so a
+    # second call is all hits; a family of two or more members bypasses
+    # the cache and leaves it as it was
+    series._powers.cache_clear()
+    cfg = EvalConfig(4 * series._SWEEP)
+    first = symmetrize("T", (4.0, 2.0), cfg)
+    info = series._powers.cache_info()
+    assert info.currsize == 8
+    for x in (4.0, 2.0):
+        for lo in range(0, cfg.depth, series._SWEEP):
+            series._powers(x, lo + series._SWEEP, lo)
+    assert series._powers.cache_info().misses == info.misses
+    assert symmetrize("T", (4.0, 2.0), cfg) == first
+    info = series._powers.cache_info()
+    assert (info.currsize, info.misses) == (8, 8)
     family = [(4.0, 2.0), (6.0, 2.0, 2.0)]
+    list(symmetrize_family("T", family, SMALL))
+    assert series._powers.cache_info() == info
+    series._powers.cache_clear()
     list(symmetrize_family("T", family, SMALL))
     assert series._powers.cache_info().currsize == 0
     symmetrize("T", family[0], SMALL)  # one member caches its blocks
