@@ -85,12 +85,7 @@ class FormalPolynomial:
         if self.terms == other.terms:
             return None
         keys = set(self.terms) | set(other.terms)
-        diffs = sorted(
-            m
-            for m in keys
-            if self.terms.get(m, 0) != other.terms.get(m, 0)
-        )
-        return diffs[0] if diffs else None
+        return min((m for m in keys if self.terms.get(m, 0) != other.terms.get(m, 0)), default=None)
 
 
 def check_size(blocks: int, level_cap: int, chained: bool = False) -> None:

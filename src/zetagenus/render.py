@@ -52,10 +52,8 @@ def _ordered_terms(table: CoefficientTable) -> list[tuple[IntegerPartition, Frac
 
 
 def _monomial_text(J: IntegerPartition) -> str:
-    pieces = []
-    for part, mult in sorted(J.multiplicities().items(), reverse=True):
-        pieces.append(f"p{part}" if mult == 1 else f"p{part}^{mult}")
-    return "*".join(pieces)
+    pairs = sorted(J.multiplicities().items(), reverse=True)
+    return "*".join(f"p{part}" if mult == 1 else f"p{part}^{mult}" for part, mult in pairs)
 
 
 def _monomial_latex(J: IntegerPartition) -> str:
@@ -142,10 +140,8 @@ def _table_rows(
 
 
 def render_table_csv(tables: Mapping[int, CoefficientTable]) -> str:
-    lines = [CSV_HEADER]
-    for k, J, c, sign in _table_rows(tables):
-        lines.append(f"{k},{J},{c.numerator},{c.denominator},{sign},{len(J)}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{k},{J},{c.numerator},{c.denominator},{sign},{len(J)}" for k, J, c, sign in _table_rows(tables))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def render_table_json(genus_name: str, max_k: int, tables: Mapping[int, CoefficientTable]) -> str:
@@ -159,12 +155,8 @@ def render_table_json(genus_name: str, max_k: int, tables: Mapping[int, Coeffici
 
 def parse_table_json(text: str) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     """Exact rationals back from a JSON table; key (k, partition parts)."""
-    doc = json.loads(text)
-    out = {}
-    for row in doc["rows"]:
-        key = (int(row["k"]), tuple(int(p) for p in row["partition"]))
-        out[key] = decode_rational(row)
-    return out
+    rows = json.loads(text)["rows"]
+    return {(int(row["k"]), tuple(int(p) for p in row["partition"])): decode_rational(row) for row in rows}
 
 
 def write_cache(path: str, genus: GenusSpec, tables: Mapping[int, CoefficientTable]) -> None:
@@ -229,16 +221,7 @@ def tables_with_cache(
     """Tables for 1..max_k, reusing and refreshing the cache when given."""
     check_table_degree(max_k)  # refuse before any work
     cached = read_cache(cache_path, genus) if cache_path else {}
-    tables = {}
-    missing = False
-    for k in range(1, max_k + 1):
-        if k in cached:
-            tables[k] = cached[k]
-        else:
-            tables[k] = coefficient_table(genus, k)
-            missing = True
-    if cache_path and (missing or not cached):
-        merged = dict(cached)
-        merged.update(tables)
-        write_cache(cache_path, genus, merged)
+    tables = {k: cached[k] if k in cached else coefficient_table(genus, k) for k in range(1, max_k + 1)}
+    if cache_path and (not cached or any(k not in cached for k in tables)):
+        write_cache(cache_path, genus, {**cached, **tables})
     return tables

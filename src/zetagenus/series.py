@@ -22,19 +22,19 @@ truncation estimate:
   case, a proved bound).
 
 A small floating-point noise allowance is folded into every bound.
-Final reductions are exactly rounded, bit for bit math.fsum over the
-terms, by error-free extraction in numpy (_exact_parts; Rump, Ogita and
-Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
-Comput. 31(1), 2008).  Level sums are
-sequential cumulative sums in fixed index order, so runs are bitwise
-reproducible.  numpy loads when a series is first evaluated, never for
-exact commands.  MAX_DEPTH caps the depth, which every DP sweeps in
-blocks of _SWEEP (16,384) terms, so at any depth it holds a 128 kB
-array per live node (`verify main --k 12`, two DPs over 271
-partitions: 1.7 s, 40 MB; `--k 16`, over 914: 3.7 s, 56 MB); only
-alternating_chain_tail_family returns depth/2 terms.
-MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step terms.
-The powers of one ordering or multiset are cached read-only by exponent
+Final sums are exactly rounded, bit for bit math.fsum over the terms:
+one pass of error-free extraction per sweep block (_exact_parts) leaves
+a remainder summed as one float under a proved error bound, and where
+the bounds do not settle the rounding (_rounded), about one sum in a
+thousand, the sum is reduced again to a zero remainder (Rump, Ogita and
+Oishi, "Accurate floating-point summation", parts I and II, SIAM J.
+Sci. Comput. 31, 2008).  Level sums are sequential cumulative sums in
+fixed index order, so runs are bitwise reproducible.  numpy loads when
+a series is first evaluated, never for exact commands.  MAX_DEPTH caps
+the depth, which every DP sweeps in blocks of _SWEEP (16,384) terms, so
+at any depth it holds a 128 kB array per live node, and
+MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step terms.  The
+powers of one ordering or multiset are cached read-only by exponent
 and index range, the 32 blocks used last (4 MiB); a family caches none.
 """
 
@@ -63,9 +63,9 @@ __all__ = [
 MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
-MAX_DEPTH = 20_000_000  # alternating_chain_tail_family returns 80 MB; `verify ahat` here: 3 s, 36 MB
+MAX_DEPTH = 20_000_000  # alternating_chain_tail_family returns 80 MB; `verify ahat` here: 1.5 s, 31 MB
 MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.5 s, 48 MB at depth 2e5; 8 take 2x
-MAX_SYMMETRIZE_WORK = 800_000_000  # level-step terms of one DP: about 3.4 s, 6 s for a family
+MAX_SYMMETRIZE_WORK = 800_000_000  # level-step terms of one DP: about 3 s, 4.5 s for a family
 
 _EPS = sys.float_info.epsilon
 _SWEEP = 1 << 14  # terms per sweep block (128 kB), even, see _carry: 2^13 ran slower, 2^15 kept more memory
@@ -128,8 +128,8 @@ def _powers(s: float, hi: int, lo: int) -> np.ndarray:
     return p
 
 
-def _exact_parts(arr: np.ndarray) -> list[float]:
-    """A few floats whose exact sum is the exact sum of arr ([] if empty).
+def _exact_parts(arr: np.ndarray, passes: float = math.inf) -> tuple[list[float], float]:
+    """Floats whose exact sum is within err of arr's, and err ([], 0.0 for zeros).
 
     A pass over the remainder r (at first arr itself, of k terms) takes
     the power of two sigma >= k * M, where M is max|r| rounded up to a
@@ -137,9 +137,14 @@ def _exact_parts(arr: np.ndarray) -> list[float]:
     r - q.  Every q is a multiple of 2^-53 sigma and at most M in
     magnitude, so every partial sum of the q is a multiple of 2^-53 sigma
     no larger than sigma: a float.  Their numpy sum is therefore exact, in
-    whatever order it adds.  The remainder is at most 2^-53 sigma, so the
-    passes end with r all zero.  The passes write only two buffers, never
-    arr.
+    whatever order it adds.  The remainder is at most u sigma, u = 2^-53,
+    so the passes end with r all zero and err 0.0, or after `passes`
+    passes with its numpy sum as the last part.  Added in any order, k
+    such terms err by at most gamma_(k-1) k u sigma, gamma_m = m u/(1-m u)
+    (Higham, "Accuracy and Stability of Numerical Algorithms", (4.4); a
+    sum that underflows is exact).  err, 2 k^2 u^2 sigma plus the least
+    subnormal, is more than twice that, so float sums of such bounds stay
+    above theirs.  The passes write two buffers, one pass one, never arr.
 
     The first sigma bounds every partial sum of the terms, and each sigma
     bounds its pass's part.  So while all the sigmas add up to at most
@@ -151,7 +156,7 @@ def _exact_parts(arr: np.ndarray) -> list[float]:
     parts: list[float] = []
     budget = math.ldexp(1.0, 1022)  # for the sum of all the sigmas
     shift = (arr.size - 1).bit_length()  # ceil(log2(k))
-    r, q, rem = arr, np.empty(arr.size), np.empty(arr.size)
+    r, q = arr, None
     while r.size:
         m = max(float(r.max()), -float(r.min()))  # nan if r holds a nan
         if m == 0.0:
@@ -159,16 +164,24 @@ def _exact_parts(arr: np.ndarray) -> list[float]:
         mant, exp = math.frexp(m)  # m = mant * 2^exp, 0.5 <= mant < 1
         exp += shift - (mant == 0.5)  # sigma = 2^exp >= k * M
         if not (math.isfinite(m) and exp <= 1022):  # sigma + r must stay finite
-            return arr.tolist()
+            return arr.tolist(), 0.0
         sigma = math.ldexp(1.0, exp)
         budget -= sigma
         if budget < 0.0:  # a partial sum might leave the float range
-            return arr.tolist()
-        np.add(r, sigma, out=q)
+            return arr.tolist(), 0.0
+        q = np.add(r, sigma, out=q)
         q -= sigma
         parts.append(float(q.sum()))
-        r = np.subtract(r, q, out=rem)
-    return parts
+        passes -= 1
+        r = np.subtract(r, q, out=q if not passes else None if r is arr else r)  # never into arr
+        if not passes:  # its float sum is the last part
+            return [*parts, float(r.sum())], math.ldexp(arr.size * arr.size * sigma, -105) + 5e-324
+    return parts, 0.0
+
+
+def _rounded(parts: list[float], err: float) -> float | None:
+    """math.fsum(parts) if all within err of their exact sum round to it (rounding is monotone: if both ends do), else None."""
+    return math.fsum(parts) if not err or math.fsum([*parts, -err]) == math.fsum([*parts, err]) else None
 
 
 def _noise(l1_scale: float, depth: int, levels: int) -> float:
@@ -273,31 +286,35 @@ def _path(r: int) -> dict[int, list[tuple[int, int]]]:
     return {i: [(i, i + 1)] if i < r else [] for i in range(r + 1)}
 
 
-def _ordered(kernel: str, s: list[float], cfg: EvalConfig, base: int = 1) -> list[SeriesValue]:
+def _ordered(kernel: str, s: list[float], cfg: EvalConfig, base: int = 1, passes: float = 1) -> list[SeriesValue]:
     """The sum over one ordering, and for "T" its tail over n_r >= base,
     from one sweep that reduces its final level below base and from base
     apart: the "strict" (>) or "S" (>=) nested zeta sum, swept from the
     innermost exponent out, or the chained sum ("T", from the outermost
     in), whose estimate is the first omitted outer term times a bound per
-    inner index."""
+    inner index.  A block's final level takes `passes` of _exact_parts."""
     import numpy as np
     depth, r = cfg.depth, len(s)
-    head, tail, l1, heads = [], [], [0.0, 0.0], [0.0] * (r - 1)  # heads: the inner partial power sums, innermost first
+    head, tail, err, l1, heads = [], [], [0.0, 0.0], [0.0, 0.0], [0.0] * (r - 1)  # heads: the inner partial power sums, innermost first
     for lo, _, powers, i, level in _sweep(kernel, s if kernel == "T" else s[::-1], _path(r), depth):
         if not i and kernel != "T":
             heads = [h + float(p.sum()) for h, p in zip(heads, powers)]
         if i == r:
             cut = max(base - 1 - lo, 0)
-            head, tail = head + _exact_parts(level[:cut]), tail + _exact_parts(level[cut:])
+            (h, e), (t, f) = _exact_parts(level[:cut], passes), _exact_parts(level[cut:], passes)
+            head, tail, err = head + h, tail + t, [err[0] + e, err[1] + f]
             if kernel == "T":  # both l1 norms from one np.abs
                 whole = float(np.abs(level, out=level).sum())
                 l1 = [l1[0] + whole, l1[1] + (float(level[cut:].sum()) if cut else whole)]
-    value, first = math.fsum(head + tail), _tail_factor(kernel, s[0], depth, True)
+    value, rest = _rounded(head + tail, err[0] + err[1]), _rounded(tail, err[1])
+    if value is None or rest is None:  # a rounding left open: again, reducing exactly
+        return _ordered(kernel, s, cfg, base, math.inf)
+    first = _tail_factor(kernel, s[0], depth, True)
     inner = [_tail_factor(kernel, x, depth, False, h) for x, h in zip(s[1:], heads[::-1])]
     if kernel != "T":  # all terms positive: l1 = value
         return [SeriesValue(value, first * math.prod(inner) + _noise(value, depth, r))]
     return [SeriesValue(v, math.prod(inner, start=first * float(b) ** (-sum(s[1:]))) + _noise(n, depth, r))
-            for v, n, b in zip((value, math.fsum(tail)), l1, (1, base))]  # each inner index is at least 1, or base
+            for v, n, b in zip((value, rest), l1, (1, base))]  # each inner index is at least 1, or base
 
 
 def multiple_zeta(s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -413,7 +430,7 @@ def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalC
     induction over the sizes, every A[M] below a member, its carry and
     running total, and so its value and bound, are bit for bit those of
     symmetrize on it alone (not so if ranked by first appearance).  A
-    member's exact parts, l1 norm and power sums add up block by block.
+    member's parts, l1 norm and power sums add up block by block.
 
     The bound is at least the sum of the per-ordering bounds: m_i (r-1)!
     permutations start with x_i, and the l1 norm of A[all] is the sum of
@@ -425,6 +442,10 @@ def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalC
     noise level, and the bound is rounded up by 4r ulps, more than the
     roundings of any one product in it or in a per-ordering bound.
     """
+    return _family(kernel, family, cfg, 1)
+
+
+def _family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig, passes: float) -> Iterator[SeriesValue]:
     if kernel not in ("T", "S", "strict"):
         raise ValueError(f"unknown kernel {kernel!r}; expected one of ['S', 'T', 'strict']")
     depth = cfg.depth
@@ -452,23 +473,29 @@ def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalC
 
     def sums() -> Iterator[SeriesValue]:
         import numpy as np
-        parts, l1 = {M: [] for M in tops}, dict.fromkeys(tops, 0.0)
+        parts, err, l1 = {M: [] for M in tops}, dict.fromkeys(tops, 0.0), dict.fromkeys(tops, 0.0)
         heads = [0.0] * len(rank)  # the partial power sums, for "S" and "strict"
         # one multiset's power blocks serve the next call; a family uses each once
         for _, _, powers, M, level in _sweep(kernel, list(rank), ups, depth, len(family) == 1):
             if not M and kernel != "T":
                 heads = [h + float(p.sum()) for h, p in zip(heads, powers)]
             if M in l1:
-                parts[M] += _exact_parts(level)
+                p, e = _exact_parts(level, passes)
+                parts[M] += p
+                err[M] += e
                 l1[M] += float((np.abs(level, out=None if ups[M] else level) if kernel == "T" else level).sum())
         f = [_tail_factor(kernel, x, depth, False, h) for x, h in zip(rank, heads)]
         for s, top in zip(members, tops):
+            value = _rounded(parts[top], err[top])
+            if value is None:  # its rounding left open: summed again alone, exactly, as here bit for bit
+                yield next(_family(kernel, [s], cfg, math.inf))
+                continue
             counts, r = Counter(s), len(s)
             mult = math.prod(map(factorial, counts.values()))
             ratio = math.fsum(m * _tail_factor(kernel, x, depth, True) / f[rank[x]] for x, m in counts.items())
             trunc = ratio * math.prod(f[rank[x]] ** m for x, m in counts.items()) * factorial(r - 1)
             bound = (trunc + _noise(l1[top] * mult, depth, r + 1)) * (1.0 + 4 * r * _EPS)
-            yield SeriesValue(math.fsum(parts[top]) * mult, bound)
+            yield SeriesValue(value * mult, bound)
 
     return sums()
 
@@ -499,12 +526,12 @@ def innermost_peel_residual(s: Sequence[float], cfg: EvalConfig | None = None) -
     for lo, hi, powers, i, level in _sweep("T", sl, _path(r), cfg.depth):
         if i == r:  # the prefix s_1..s_{r-1}: its carry at n = 2k is tail_k(prefix)
             carry = _carry("T", level, hi - lo, run)
-            lhs += _exact_parts(carry * powers[r])
+            lhs += _exact_parts(carry * powers[r])[0]
             # the weight of n_r = 2k-1 is tail_k too; at an odd depth the last
             # n_r has k past the family, where the carry is -1 for the empty
             # prefix and -0 otherwise, as the tail is 1 or 0
             np.negative(carry[1::2], out=carry[0::2][: (hi - lo) // 2])
-            rhs += _exact_parts(np.multiply(carry, powers[r], out=carry))
+            rhs += _exact_parts(np.multiply(carry, powers[r], out=carry))[0]
     return math.fsum(lhs), math.fsum(rhs)
 
 
@@ -537,7 +564,7 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
     lhs, rhs, runs = [], [], [[-0.0] for _ in sl]
     for lo, hi, _, i, level in _sweep("T", sl, _path(r), depth):
         if i == r:
-            lhs += _exact_parts(level[max(2 * k - 1 - lo, 0) :])
+            lhs += _exact_parts(level[max(2 * k - 1 - lo, 0) :])[0]
             continue
         # the terms of the l >= k whose tail_{l+1}(s_1..s_i), the suffix sum
         # from n = 2l + 2, falls in this block; the top block also takes
@@ -555,6 +582,6 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
         own = common if i == r - 1 > 0 else powers(even, -sl[i])  # i = r - 2's common is (2l)^(-s_r)
         suffix_exp = sum(sl[i + 1 :])  # s_{i+2} + ... + s_r
         common = powers(even, -suffix_exp) if suffix_exp else np.ones(len(even))
-        rhs += _exact_parts((common * own) * rest)
-        rhs += _exact_parts((-common[: len(odd)] * powers(odd, -sl[i])) * rest[: len(odd)])
+        rhs += _exact_parts((common * own) * rest)[0]
+        rhs += _exact_parts((-common[: len(odd)] * powers(odd, -sl[i])) * rest[: len(odd)])[0]
     return math.fsum(lhs), math.fsum(rhs)

@@ -60,11 +60,11 @@ DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-6
 SAMPLE_DEPTH = 50_000  # matched-truncation identity checks
 AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
-MAIN_DEGREE_CAP = 16  # `verify main --k 16` takes about 4.5 s and 57 MB, `--k 12` 1.6 s and 41 MB
-AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 1.7 s and 34 MB; its worst check is at half its tol
+MAIN_DEGREE_CAP = 16  # `verify main --k 16` takes about 3.6 s and 56 MB, `--k 12` 1.4 s and 40 MB
+AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 1.4 s and 34 MB; its worst check is at half its tol
 FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 0.5 s
 # level-step terms of all the symmetrized sums of one hoffman or multiple-eta
-# run: `hoffman --max-r 7` takes 1.54e9 in about 9 s, and `--samples 26` 2.0e9 in 12 s
+# run: `hoffman --max-r 7` takes 1.54e9 in about 7.5 s, and `--samples 26` 2.0e9 in 11 s
 MAX_SUITE_WORK = 2_000_000_000
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8
@@ -478,7 +478,7 @@ _SUITES: dict[str, _Suite] = {
     "signs": _Suite(_signs_checks, (("max_k", 12),)),
 }
 _OPTIONS = {key for suite in _SUITES.values() for key, _ in suite.config}
-# a size of 0 would pass with no checks run; `hoffman --samples 1000` takes 18 s
+# a size of 0 would pass with no checks run; `hoffman --samples 1000` takes 14 s
 _SIZES = {"max_k": (1, math.inf), "max_r": (1, math.inf), "samples": (1, 1000), "recurrence_samples": (0, 1000)}
 
 

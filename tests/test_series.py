@@ -647,7 +647,7 @@ def _seeded_multisets(seed, count):
 
 def _fsum(arr):
     # the exactly rounded sum, bit for bit math.fsum(arr.tolist())
-    return math.fsum(series._exact_parts(arr))
+    return math.fsum(series._exact_parts(arr)[0])
 
 
 def _step(kernel, x, level, depth):
@@ -1091,6 +1091,108 @@ def test_fsum_leaves_a_read_only_input_unchanged():
         assert a.tobytes() == before
 
 
+def _one_pass_sum(arr, block=series._SWEEP):
+    """arr reduced as the kernels reduce a final level: one pass of
+    _exact_parts per block, and, where _rounded leaves the rounding open,
+    the exact reduction.  Also whether the certificate settled it."""
+    parts, err = [], 0.0
+    for lo in range(0, len(arr), block):
+        p, e = series._exact_parts(arr[lo : lo + block], 1)
+        parts, err = parts + p, err + e
+    value = series._rounded(parts, err)
+    return (_fsum(arr), False) if value is None else (value, True)
+
+
+def _same_one_pass_sum(values, block=series._SWEEP):
+    arr = np.asarray(values, dtype=np.float64)
+    (got, certified), want = _one_pass_sum(arr, block), _list_fsum(arr)
+    assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
+    return got, certified
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True), max_size=100),
+    st.sampled_from([1, 2, 3, 7, series._SWEEP]),
+)
+def test_one_pass_sum_matches_math_fsum_bit_for_bit(values, block):
+    _same_one_pass_sum(values, block)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_sum_is_exactly_rounded_on_seeded_arrays(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 100, series._SWEEP, series._SWEEP + 1):
+        _same_one_pass_sum(_wide_array(n, seed + n))
+        _same_one_pass_sum(rng.standard_normal(n))
+        _same_one_pass_sum(rng.random(n) * 2.0 ** rng.integers(-1074, -1000))  # subnormal remainders
+
+
+def test_one_pass_sum_of_half_ulp_ties():
+    # the remainder sits exactly on, or just past, a rounding boundary: the
+    # certificate cannot settle these, and the exact reduction must
+    for values in ([1.0, 2.0**-53], [1.0, 2.0**-53, 2.0**-120], [1.0, 2.0**-53, -(2.0**-120)],
+                   [1.0 + 2.0**-52, 2.0**-53], [-1.0, -(2.0**-53), 2.0**-107], [3.0, 2.0**-52]):
+        assert not _same_one_pass_sum(values)[1], values
+        rng = random.Random(len(values))
+        for _ in range(20):  # the same ties among many cancelling terms
+            pad = _wide_signed(rng, 40, -60, 60)
+            both = values + pad + [-x for x in pad]
+            rng.shuffle(both)
+            _same_one_pass_sum(both)
+
+
+def test_one_pass_sum_under_heavy_cancellation():
+    rng = random.Random(21)
+    for n in (2, 50, 2000, series._SWEEP + 1):
+        half = _wide_signed(rng, n // 2, -60, 60)
+        assert _same_one_pass_sum(half + [-x for x in half])[0] == 0.0
+        both = half + [-x for x in half] + [2.0**-70, 3 * 2.0**-1074]
+        rng.shuffle(both)
+        _same_one_pass_sum(both)
+    _same_one_pass_sum([1.0, 1e100, 1.0, -1e100])
+    _same_one_pass_sum([2.0**53, 1.0, -(2.0**53)])
+
+
+def test_one_pass_sum_of_zero_blocks_is_plus_zero():
+    for zeros in ([], [0.0], [-0.0], [-0.0] * 3, [0.0, -0.0] * 5, [-0.0] * (series._SWEEP + 1)):
+        got, certified = _same_one_pass_sum(zeros)
+        assert got.hex() == "0x0.0p+0" and certified  # no pass ran: nothing to certify
+        assert series._exact_parts(np.array(zeros), 1) == ([], 0.0)
+
+
+@pytest.mark.parametrize("last", [1e308, -1.7e308, math.inf, -math.inf, math.nan])
+def test_one_pass_sum_of_non_finite_or_huge_terms_follows_math_fsum(last):
+    arr = _wide_array(2 * series._SWEEP + 5, 18)
+    arr[-1] = last
+    _Listing.calls.clear()
+    parts, err = series._exact_parts(arr[-5:].view(_Listing), 1)
+    assert _Listing.calls == [5] and err == 0.0  # the terms themselves are the parts
+    _same_one_pass_sum(arr)
+    with pytest.raises(ValueError):
+        _one_pass_sum(np.array([math.inf, 1.0, -math.inf]))
+
+
+@pytest.mark.parametrize("s", [1.06, 2.0, 3.7, 14.0])
+def test_one_pass_sum_certifies_series_terms(s):
+    # the level arrays the kernels reduce: one pass settles their rounding
+    for arr in (_whole("T", [s], 50_000), series._powers(s, 50_000, 0), _whole("strict", [2.5, s], 50_000)):
+        assert _same_one_pass_sum(arr)[1]
+
+
+def test_one_pass_error_bound_covers_the_remainder_sum():
+    # err bounds the remainder's float sum against its exact sum, with a factor 2 to spare
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 3, 1000, series._SWEEP):
+        for _ in range(20 if n < 1000 else 3):
+            arr = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))
+            parts, err = series._exact_parts(arr, 1)
+            exact = Fraction(0)
+            for x in arr.tolist():
+                exact += Fraction(x)
+            assert abs(sum(map(Fraction, parts)) - exact) <= Fraction(err) / 2
+
+
 SUITE_OPTIONS = {
     "main": {"max_k": 3},
     "ahat": {"max_k": 3},
@@ -1104,9 +1206,38 @@ SUITE_OPTIONS = {
 @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
 def test_reports_do_not_depend_on_the_reduction(monkeypatch, suite, depth):
     report = run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines()
-    # each term its own part: the reduction is math.fsum over the list
-    monkeypatch.setattr(series, "_exact_parts", lambda arr: arr.tolist())
+    # the certificate fails every time: every one-pass sum is reduced again, exactly
+    rounded, left_open = series._rounded, []
+
+    def uncertified(parts, err):
+        if err:
+            left_open.append(parts)
+            return None
+        return rounded(parts, err)  # exact parts: nothing to certify
+
+    monkeypatch.setattr(series, "_rounded", uncertified)
     assert run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines() == report
+    assert left_open
+    # each term its own part: the reduction is math.fsum over the list
+    monkeypatch.setattr(series, "_exact_parts", lambda arr, passes=None: (arr.tolist(), 0.0))
+    assert run_suite(suite, depth=depth, **SUITE_OPTIONS[suite]).lines() == report
+
+
+@pytest.mark.parametrize("suite,options", [("hoffman", {}), ("multiple-eta", {}), ("positivity", {}), ("main", {"max_k": 8})])
+def test_one_pass_certifies_nearly_every_sum_of_the_seeded_suites(monkeypatch, suite, options):
+    # a bound loosened until it settles nothing would keep every report and
+    # only run slower: each sum it leaves open is reduced a second time
+    rounded, counts = series._rounded, Counter()
+
+    def counted(parts, err):
+        value = rounded(parts, err)
+        if err:
+            counts[value is None] += 1
+        return value
+
+    monkeypatch.setattr(series, "_rounded", counted)
+    run_suite(suite, **options)
+    assert counts[False] >= 60 and counts[True] <= 0.01 * (counts[False] + counts[True]), counts
 
 
 # ---------------------------------------------------------------------------
