@@ -32,8 +32,8 @@ Sci. Comput. 31, 2008).  Level sums are sequential cumulative sums in
 fixed index order, so runs are bitwise reproducible.  numpy loads when
 a series is first evaluated, never for exact commands.  MAX_DEPTH caps
 the depth, which every DP sweeps in blocks of _SWEEP (16,384) terms, so
-at any depth it holds a 128 kB array per live node, and
-MAX_SYMMETRIZE_WORK caps a symmetrize DP's level-step terms.  The
+at any depth it holds a 128 kB array per live node; MAX_WORK caps the
+price (from one table, PRICES) of a symmetrize DP and of a verify run.  The
 powers of one ordering or multiset are cached read-only by exponent
 and index range, the 32 blocks used last (4 MiB); a family caches none.
 """
@@ -45,7 +45,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise, product, repeat
+from itertools import pairwise, product
 from math import factorial
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -57,7 +57,7 @@ __all__ = [
     "dirichlet_eta", "multiple_zeta", "multiple_zeta_star",
     "alternating_chain_sum", "alternating_chain_tail", "alternating_chain_tail_family",
     "symmetrize", "symmetrize_family", "check_symmetrize_size", "innermost_peel_residual",
-    "bottom_block_residual", "alternating_chain_and_tail",
+    "bottom_block_residual", "alternating_chain_and_tail", "price", "check_work",
 ]
 
 MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
@@ -65,7 +65,11 @@ DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
 MAX_DEPTH = 20_000_000  # alternating_chain_tail_family returns 80 MB; `verify ahat` here: 1.5 s, 31 MB
 MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.5 s, 48 MB at depth 2e5; 8 take 2x
-MAX_SYMMETRIZE_WORK = 800_000_000  # level-step terms of one DP: about 3 s, 4.5 s for a family
+MAX_WORK = 10_000_000_000  # the price in ns of one verify run or symmetrize DP: 10 s
+# The price in ns per index of each sum shape, measured once in process on a 2-core
+# host: a DP's level step, a reduction per family member, and per exponent an ordering
+# (as a chained sum and its tail, or each zeta or eta), the peel and the block residual
+PRICES = {"step": 3, "member": 4, "ordering": 12, "peel": 15, "block": 28}
 
 _EPS = sys.float_info.epsilon
 _SWEEP = 1 << 14  # terms per sweep block (128 kB), even, see _carry: 2^13 ran slower, 2^15 kept more memory
@@ -381,14 +385,13 @@ def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = N
     return out
 
 
-def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
+def check_symmetrize_size(s: Sequence[float]) -> int:
     """symmetrize's level steps per index on the exponents s, one per
     sub-multiset and distinct value in it: sum_i m_i count / (m_i + 1), with
     m_i the multiplicities and count = prod (m_i + 1) the sub-multisets.
-    ValueError unless symmetrize accepts s at this depth (by default the one
-    for len(s)): at least one exponent, at most MAX_SYMMETRIZE_SUBSETS
-    sub-multisets, and at most MAX_SYMMETRIZE_WORK level-step terms, the
-    steps times the depth.  Memory needs no check: the DP holds _SWEEP-term blocks."""
+    ValueError unless s has at least one exponent and at most
+    MAX_SYMMETRIZE_SUBSETS sub-multisets; symmetrize_family prices the
+    work.  Memory needs no check: the DP holds _SWEEP-term blocks."""
     if not len(s):
         raise ValueError("symmetrize needs at least one exponent")
     top = Counter(s).values()
@@ -396,23 +399,28 @@ def check_symmetrize_size(s: Sequence[float], depth: int | None = None) -> int:
     if count > MAX_SYMMETRIZE_SUBSETS:
         raise ValueError(f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
                          f"the exponents, got {count} for {len(s)} exponents")
-    steps = sum(m * count // (m + 1) for m in top)
-    depth = default_config(len(s)).depth if depth is None else depth
-    _check_work(f"{len(s)} exponents", depth, steps)
-    return steps
+    return sum(m * count // (m + 1) for m in top)
 
 
-def _check_work(what: str, depth: int, steps: int) -> None:
-    if depth * steps > MAX_SYMMETRIZE_WORK:
-        raise ValueError(f"symmetrize over {what} at depth {depth} takes {depth * steps:,} level-step terms, "
-                         f"past the work budget of {MAX_SYMMETRIZE_WORK:,}")
+def price(depth: int, family: Sequence[Sequence[float]] = (), **counts: int) -> int:
+    """The price in ns of sums at this depth (PRICES): one DP over the
+    sub-multisets of a family, a step per sub-multiset and distinct value in
+    it and a reduction per member, and counts[shape] units of each shape."""
+    if family:
+        counts = {"step": sum(map(len, _plan(family)[3].values())), "member": len(family), **counts}
+    return depth * sum(PRICES[shape] * n for shape, n in counts.items())
+
+
+def check_work(what: str, work: int) -> None:
+    if work > MAX_WORK:
+        raise ValueError(f"{what} is priced at {work:,} ns, past the work budget of {MAX_WORK:,} ns")
 
 
 def symmetrize_family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig) -> Iterator[SeriesValue]:
     """symmetrize of each member of a family, by one DP over the union of
     their sub-multisets M: an iterator of the members' values.  Each
-    member's check and the family's against MAX_SYMMETRIZE_WORK (a step per
-    M and distinct value in M) run at the call; the sums when it is read.
+    member's check and the family's price against MAX_WORK (a step per M and
+    distinct value in M, a reduction per member) run at the call; the sums when it is read.
 
     Kernels: "T" is the parity-chained alternating sum, "S" the non-strict
     and "strict" the strict multiple zeta.  Steps are linear in the level
@@ -449,27 +457,9 @@ def _family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig, pas
     if kernel not in ("T", "S", "strict"):
         raise ValueError(f"unknown kernel {kernel!r}; expected one of ['S', 'T', 'strict']")
     depth = cfg.depth
-    for s in family:
-        check_symmetrize_size(s, depth)
-    members = [_setup(s, cfg)[0] for s in family]
-    before = {(a, b) for s in members for a, b in pairwise(dict.fromkeys(s))}  # a member lists a, then b
-    height = dict.fromkeys((x for s in members for x in s), 0)  # of the longest such chain below x
-    for _, (a, b) in product(height, before):  # as many passes as values: enough without a cycle
-        height[b] = max(height[b], height[a] + 1)
-    if any(height[a] >= height[b] for a, b in before):
-        raise ValueError("the members of a family list their common exponents in different orders")
-    rank = {x: i for i, x in enumerate(sorted(height, key=height.get))}  # ties by first appearance
-    tops = [tuple(sorted(rank[x] for x in s)) for s in members]
-    subs, below = set(tops), set(tops)
-    while below:  # drop one exponent at a time
-        below = {M[:i] + M[i + 1 :] for M in below for i in range(len(M))} - subs
-        subs |= below
-    order = sorted(subs, key=lambda M: (len(M), M))
-    ups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {M: [] for M in order}
-    for up in order:
-        for x in dict.fromkeys(up):
-            ups[up[: up.index(x)] + up[up.index(x) + 1 :]].append((x, up))
-    _check_work(f"{len(family)} multisets", depth, sum(map(len, ups.values())))
+    members, rank, tops, ups = _plan(family)
+    check_work(f"symmetrize at depth {depth} over {len(family)} multiset(s)",
+               price(depth, step=sum(map(len, ups.values())), member=len(family)))
 
     def sums() -> Iterator[SeriesValue]:
         import numpy as np
@@ -498,6 +488,32 @@ def _family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig, pas
             yield SeriesValue(value * mult, bound)
 
     return sums()
+
+
+def _plan(family: Sequence[Sequence[float]]) -> tuple[list, dict, list, dict]:
+    """symmetrize_family's DP: the members as floats, each exponent's rank,
+    each member's top M and ups (see _sweep)."""
+    for s in family:
+        check_symmetrize_size(s)
+    members = [_setup(s, None)[0] for s in family]
+    before = {(a, b) for s in members for a, b in pairwise(dict.fromkeys(s))}  # a member lists a, then b
+    height = dict.fromkeys((x for s in members for x in s), 0)  # of the longest such chain below x
+    for _, (a, b) in product(height, before):  # as many passes as values: enough without a cycle
+        height[b] = max(height[b], height[a] + 1)
+    if any(height[a] >= height[b] for a, b in before):
+        raise ValueError("the members of a family list their common exponents in different orders")
+    rank = {x: i for i, x in enumerate(sorted(height, key=height.get))}  # ties by first appearance
+    tops = [tuple(sorted(rank[x] for x in s)) for s in members]
+    subs, below = set(tops), set(tops)
+    while below:  # drop one exponent at a time
+        below = {M[:i] + M[i + 1 :] for M in below for i in range(len(M))} - subs
+        subs |= below
+    order = sorted(subs, key=lambda M: (len(M), M))
+    ups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {M: [] for M in order}
+    for up in order:
+        for x in dict.fromkeys(up):
+            ups[up[: up.index(x)] + up[up.index(x) + 1 :]].append((x, up))
+    return members, rank, tops, ups
 
 
 def symmetrize(kernel: str, s: Sequence[float], cfg: EvalConfig | None = None) -> SeriesValue:
@@ -557,10 +573,6 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
         raise ValueError("k must be at least 1")
     sl, cfg = _setup(s, cfg)
     depth, r = cfg.depth, len(sl)
-
-    def powers(base: list[float], exp: float) -> np.ndarray:
-        return np.fromiter(map(pow, base, repeat(exp)), np.float64, len(base))
-
     lhs, rhs, runs = [], [], [[-0.0] for _ in sl]
     for lo, hi, _, i, level in _sweep("T", sl, _path(r), depth):
         if i == r:
@@ -569,19 +581,17 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
         # the terms of the l >= k whose tail_{l+1}(s_1..s_i), the suffix sum
         # from n = 2l + 2, falls in this block; the top block also takes
         # l = depth // 2, past the family's end, where the tail is 1 for the
-        # empty prefix and 0 otherwise.  The powers come from Python's float
-        # pow, whose rounding numpy's vectorised pow does not match on every
-        # CPU, and only the products and the sums run in numpy.  rest is
-        # rebound, so the top block frees its suffix sums once appended
+        # empty prefix and 0 otherwise.  rest is rebound, so the top block
+        # frees its suffix sums once appended
         if not i:
             first = max(k, lo // 2)
             even = np.arange(2 * first, 2 * (hi // 2 + (hi == depth)), 2, dtype=np.float64)  # 2l
-            odd, even = (even[even < depth] + 1.0).tolist(), even.tolist()  # 2l + 1 <= depth
+            odd = even[even < depth] + 1.0  # 2l + 1 <= depth
         rest = _carry("S", level[::-1].copy(), hi - lo, runs[i])[::-1][1::2] if i else np.ones((hi - lo) // 2)
         rest = (np.append(rest, float(not i)) if hi == depth else rest)[first - lo // 2 :]
-        own = common if i == r - 1 > 0 else powers(even, -sl[i])  # i = r - 2's common is (2l)^(-s_r)
+        own = common if i == r - 1 > 0 else even ** -sl[i]  # i = r - 2's common is (2l)^(-s_r)
         suffix_exp = sum(sl[i + 1 :])  # s_{i+2} + ... + s_r
-        common = powers(even, -suffix_exp) if suffix_exp else np.ones(len(even))
+        common = even ** -suffix_exp if suffix_exp else np.ones(len(even))
         rhs += _exact_parts((common * own) * rest)[0]
-        rhs += _exact_parts((-common[: len(odd)] * powers(odd, -sl[i])) * rest[: len(odd)])[0]
+        rhs += _exact_parts((-common[: len(odd)] * odd ** -sl[i]) * rest[: len(odd)])[0]
     return math.fsum(lhs), math.fsum(rhs)

@@ -63,9 +63,6 @@ AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
 MAIN_DEGREE_CAP = 16  # `verify main --k 16` takes about 3.6 s and 56 MB, `--k 12` 1.4 s and 40 MB
 AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 1.4 s and 34 MB; its worst check is at half its tol
 FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 0.5 s
-# level-step terms of all the symmetrized sums of one hoffman or multiple-eta
-# run: `hoffman --max-r 7` takes 1.54e9 in about 7.5 s, and `--samples 26` 2.0e9 in 11 s
-MAX_SUITE_WORK = 2_000_000_000
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8
 
@@ -172,19 +169,19 @@ def _genus_checks(
     (T) and 2^(2k) / pi^(2k); for ahat the A-hat genus, non-strict nested
     zetas (S), whose 1/N outer tails need a large depth, and (2 pi)^(-2k).
     Without a depth, each partition uses the default for its r.  The
-    partitions of one depth share one symmetrize_family.
+    partitions of one depth share one symmetrize_family, all priced first.
     """
     from .genus import coefficient_table
-    from .series import EvalConfig, default_config, symmetrize_family
+    from .series import EvalConfig, check_work, default_config, price, symmetrize_family
     if max_k > cap:  # each suite's cap is set from its own cost
         raise ValueError(f"degree {max_k} is past the {suite} table cap {cap}")
-    classes: dict[int, list] = {}
+    classes: dict[EvalConfig, list] = {}
     for k in range(1, max_k + 1):
         for part in integer_partitions(k):
-            classes.setdefault(default_config(len(part)).depth if depth is None else depth, []).append(part)
-    # each family checks its work at the call, so every class before any sum
-    runs = [(parts, symmetrize_family(kernel, [[2.0 * j for j in p.parts] for p in parts], EvalConfig(d)))
-            for d, parts in classes.items()]
+            classes.setdefault(default_config(len(part)) if depth is None else EvalConfig(depth), []).append(part)
+    families = {cfg: [[2.0 * j for j in p.parts] for p in parts] for cfg, parts in classes.items()}
+    check_work(f"verify {suite}", sum(price(cfg.depth, family) for cfg, family in families.items()))
+    runs = [(parts, symmetrize_family(kernel, families[cfg], cfg)) for cfg, parts in classes.items()]
     sums = {part: sv.value for parts, run in runs for part, sv in zip(parts, run)}
     genus = _genus(genus_name, max_k)
     for k in range(1, max_k + 1):
@@ -205,31 +202,24 @@ def _ahat_scale(c: float, k: int, value: float) -> float:
 
 
 def _sampled_tuples(
-    seed: int, samples: int, max_r: int, depth: int, kernels: int
+    suite: str, seed: int, samples: int, max_r: int, depth: int, kernels: int
 ) -> list[tuple[int, tuple[float, ...]]]:
     """(index, exponents) with r cycling 1..max_r, reproducible from seed.
 
-    Every tuple is checked here against the symmetrize guard at this
-    depth, and then the level-step terms of all of them, each summed by
-    this many kernels, against MAX_SUITE_WORK, so an oversized max_r,
-    samples or depth is refused before any sum runs.
+    Every tuple is checked against the symmetrize size guard, and the run's
+    price (each tuple's symmetrized sums by this many kernels, and an
+    ordering for each of its 2^r - 1 block sums) against the work budget.
     """
-    from .series import check_symmetrize_size
+    from .series import check_symmetrize_size, check_work, price
     rng = random.Random(seed)
     out, work = [], 0
     for r in range(1, max_r + 1):
         for i in range(samples):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
-            work += kernels * depth * check_symmetrize_size(s, depth)
+            work += price(depth, step=kernels * check_symmetrize_size(s), member=kernels, ordering=2**r - 1)
             out.append((i, s))
-    _check_suite_work("symmetrized", depth, work)
+    check_work(f"verify {suite}", work)
     return out
-
-
-def _check_suite_work(what: str, depth: int, work: int) -> None:
-    if work > MAX_SUITE_WORK:
-        raise ValueError(f"the {what} sums at depth {depth} take {work:,} level-step terms in all, "
-                         f"past the suite work budget of {MAX_SUITE_WORK:,}")
 
 
 def _weighted_products(
@@ -260,7 +250,7 @@ def _hoffman_checks(
     """
     from .series import EvalConfig, symmetrize, zeta
     cfg = EvalConfig(depth)
-    for i, s in _sampled_tuples(seed, samples, max_r, depth, 2):
+    for i, s in _sampled_tuples("hoffman", seed, samples, max_r, depth, 2):
         products = _weighted_products(s, lambda x: zeta(x, cfg).value)
         label = f"{i:02d}:{_tuple_label(s)}"
         lhs = symmetrize("strict", s, cfg).value
@@ -284,7 +274,7 @@ def _multiple_eta_checks(
     """
     from .series import EvalConfig, alternating_chain_sum, symmetrize
     cfg = EvalConfig(depth)
-    for i, s in _sampled_tuples(seed, samples, max_r, depth, 1):
+    for i, s in _sampled_tuples("multiple-eta", seed, samples, max_r, depth, 1):
         products = _weighted_products(s, lambda x: -alternating_chain_sum((x,), cfg).value)
         lhs = math.fsum(w * p for w, p in products)
         rhs = (-1.0 if len(s) % 2 else 1.0) * symmetrize("T", s, cfg).value
@@ -300,19 +290,15 @@ def _positivity_checks(
     negative and the tail-bounded chained sum positive, each with
     magnitude exceeding its own error bound.  A further sampled batch
     checks the two recurrences that peel the innermost index and the
-    terminal block, to absolute tolerance.  Their level steps per index,
-    2 r for the one sweep of a sample's chained sum and tail (it makes its
-    own powers and reduces exactly, about twice a symmetrize step per
-    exponent), r + 1 for the peel and 25 r for the block residual (its r
-    steps, and its Python float pows, up to 1.5 per index and exponent at
-    about 16 steps each), times the depth, are checked against
-    MAX_SUITE_WORK before any sum runs.
+    terminal block, to absolute tolerance.  The run's price is checked
+    against the work budget before any sum runs.
     """
-    from .series import EvalConfig, alternating_chain_and_tail, bottom_block_residual, innermost_peel_residual
+    from .series import EvalConfig, alternating_chain_and_tail, bottom_block_residual, check_work, price
+    from .series import innermost_peel_residual
     cfg = EvalConfig(depth)
-    work = sum(2 * (1 + i % 3) for i in range(samples))  # r cycles through 1..3, as below
-    work += sum(26 * (1 + i % 3) + 1 for i in range(recurrence_samples))
-    _check_suite_work("chained", depth, depth * work)
+    work = sum(price(depth, ordering=1 + i % 3) for i in range(samples))  # r cycles through 1..3, as below
+    work += sum(price(depth, peel=1 + i % 3, block=1 + i % 3) for i in range(recurrence_samples))
+    check_work("verify positivity", work)
     rng = random.Random(seed)
 
     def draws(count: int) -> Iterator[tuple[int, tuple[float, ...], int]]:  # (i, s, k), one rng for both batches
@@ -478,7 +464,7 @@ _SUITES: dict[str, _Suite] = {
     "signs": _Suite(_signs_checks, (("max_k", 12),)),
 }
 _OPTIONS = {key for suite in _SUITES.values() for key, _ in suite.config}
-# a size of 0 would pass with no checks run; `hoffman --samples 1000` takes 14 s
+# a size of 0 would pass with no checks run; `hoffman --samples 1000` is past the work budget
 _SIZES = {"max_k": (1, math.inf), "max_r": (1, math.inf), "samples": (1, 1000), "recurrence_samples": (0, 1000)}
 
 

@@ -376,109 +376,106 @@ def test_verify_refuses_a_depth_past_the_cap_before_any_array(runner, monkeypatc
             assert f"depth {depth} is past the depth cap {series.MAX_DEPTH}" in result.output
 
 
-def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkeypatch):
-    def no_array(*args):
-        raise AssertionError("an array was built")
+class _Reached(Exception):
+    pass
 
-    monkeypatch.setattr(series, "_powers", no_array)
-    monkeypatch.setattr(series, "_carry", no_array)
-    cap = ["--depth", str(series.MAX_DEPTH)]
-    # main and ahat count one DP over every partition of weight <= k per
-    # depth and refuse before their first sum, although their lower degrees
-    # fit; at the depth cap the first past the work budget is degree 6 (45
-    # steps per index), and ahat --k 8 takes 120, 2.4e9 step terms, though
-    # every partition of weight <= 8 fits alone.  Sampled suites
-    # count each tuple: at the depth cap five distinct exponents are past
-    # it, and seven stop at 1,785,714.  Past ahat's degree cap, ahat is
-    # refused by that first
-    for args, message in (
-        (["hoffman", "--max-r", "5", *cap], "past the work budget"),
-        (["multiple-eta", "--max-r", "5", *cap], "past the work budget"),
-        (["hoffman", "--max-r", "7", "--depth", "3000000"], "past the work budget"),
-        (["main", "--k", "6", *cap], "past the work budget"),
-        (["main", "--k", "10", *cap], "past the work budget"),
-        (["main", "--k", "11", *cap], "past the work budget"),
-        (["main", "--k", "16", *cap], "past the work budget"),
-        (["ahat", "--k", "8", *cap], "past the work budget"),
-        (["ahat", "--k", "11", *cap], "degree 11 is past the ahat table cap 8"),
-        # every tuple fits alone, but 20 samples of r <= 7 past the suite's budget
-        (["hoffman", "--max-r", "7", "--depth", "1700000"], "past the suite work budget"),
-        (["multiple-eta", "--max-r", "7", "--depth", "1700000"], "past the suite work budget"),
-        (["hoffman", "--max-r", "4", "--samples", "1000"], "past the suite work budget"),
-        # positivity counts the level steps of all its chained sums
-        (["positivity", *cap], "past the suite work budget"),
-        (["positivity", "--recurrence-samples", "1000", *cap], "past the suite work budget"),
+
+def _reach(*args):
+    raise _Reached
+
+
+def _no_array(*args):
+    raise AssertionError("an array was built")
+
+
+def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkeypatch):
+    # each run's price is checked once, before any sum.  The largest input of
+    # each priced shape along one option, each about 10 s in a launch on a
+    # 2-core host, reaches its first sweep; one more, or 1% more depth, is
+    # past the budget and exits 2 in under a second
+    for args, edge in (
+        (["main", "--k", "12", "--depth"], 3_403_675),
+        (["main", "--k", "16", "--depth"], 907_358),
+        (["ahat", "--k", "8", "--depth"], 16_025_641),
+        (["hoffman", "--max-r", "7", "--samples"], 26),
+        (["hoffman", "--max-r", "7", "--depth"], 65_496),
+        (["multiple-eta", "--max-r", "7", "--samples"], 37),
+        (["multiple-eta", "--max-r", "7", "--depth"], 94_357),
+        (["positivity", "--depth"], 3_120_124),
     ):
-        start = time.perf_counter()
-        result = _invoke(runner, ["verify", *args])
-        assert time.perf_counter() - start < 1.0
-        assert result.exit_code == 2
-        assert message in result.output
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_sweep", _reach)
+            with pytest.raises(_Reached):
+                _invoke(runner, ["verify", *args, str(edge)])
+            patch.setattr(series, "_powers", _no_array)
+            patch.setattr(series, "_carry", _no_array)
+            start = time.perf_counter()
+            result = _invoke(runner, ["verify", *args, str(max(edge + 1, edge * 101 // 100))])
+            assert time.perf_counter() - start < 1.0
+            assert result.exit_code == 2
+            assert f"past the work budget of {series.MAX_WORK:,} ns" in result.output, args
+
+
+def _check_price(runner, monkeypatch, args, per_index):
+    """A budget of exactly the run's price at depth 1,000 accepts it, and one
+    ns less refuses it with exit 2, before any array is built."""
+    args, work = ["verify", *args, "--depth", "1000", "--tol", "1"], 1_000 * per_index
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "MAX_WORK", work)
+        assert _invoke(runner, args).exit_code == 0
+        patch.setattr(series, "MAX_WORK", work - 1)
+        patch.setattr(series, "_powers", _no_array)
+        patch.setattr(series, "_carry", _no_array)
+        result = _invoke(runner, args)
+    assert result.exit_code == 2
+    assert f"is priced at {work:,} ns, past the work budget of {work - 1:,} ns" in result.output
+
+
+@pytest.mark.parametrize("suite", ["main", "ahat"])
+def test_genus_suites_refuse_past_the_work_budget(runner, monkeypatch, suite):
+    # --k 2 runs one DP over (2), (4) and (2, 2): 3 steps and 3 members
+    p = series.PRICES
+    _check_price(runner, monkeypatch, [suite, "--k", "2"], 3 * p["step"] + 3 * p["member"])
 
 
 @pytest.mark.parametrize("suite,kernels", [("hoffman", 2), ("multiple-eta", 1)])
-def test_sampled_suites_refuse_past_the_suite_work_budget(monkeypatch, suite, kernels):
-    # two samples each of r = 1, 2 and 3 distinct exponents take 1 + 4 + 12
-    # level steps per index, for each kernel the suite sums: a budget of
-    # exactly that work accepts the run, one term less refuses it before any sum
-    options, work = dict(samples=2, max_r=3, depth=1_000), kernels * 2 * (1 + 4 + 12) * 1_000
-    monkeypatch.setattr(verify, "MAX_SUITE_WORK", work)
-    assert run_suite(suite, **options).passed
-    monkeypatch.setattr(verify, "MAX_SUITE_WORK", work - 1)
-
-    def no_array(*args):
-        raise AssertionError("an array was built")
-
-    monkeypatch.setattr(series, "_powers", no_array)
-    monkeypatch.setattr(series, "_carry", no_array)
-    message = f"take {work:,} level-step terms in all, past the suite work budget of {work - 1:,}"
-    with pytest.raises(ValueError, match=message):
-        run_suite(suite, **options)
+def test_sampled_suites_refuse_past_the_suite_work_budget(runner, monkeypatch, suite, kernels):
+    # one tuple each of r = 1 and 2: 1 + 4 steps and a member for each
+    # kernel the suite symmetrizes, and an ordering for each of the 1 + 3
+    # block sums
+    p = series.PRICES
+    per_index = kernels * (5 * p["step"] + 2 * p["member"]) + 4 * p["ordering"]
+    _check_price(runner, monkeypatch, [suite, "--max-r", "2", "--samples", "1"], per_index)
 
 
 def test_positivity_refuses_past_the_suite_work_budget(runner, monkeypatch):
-    # three samples of r = 1, 2 and 3 take 2 (1 + 2 + 3) level steps per
-    # index, and one recurrence sample of r = 1 takes 2 for the peel and
-    # 25 for the block residual: a budget of exactly that work accepts the
-    # run, one term less refuses it before any sum, with exit code 2
-    args, work = ["--samples", "3", "--recurrence-samples", "1", "--depth", "1000"], (12 + 27) * 1_000
-    monkeypatch.setattr(verify, "MAX_SUITE_WORK", work)
-    assert _invoke(runner, ["verify", "positivity", *args]).exit_code == 0
-    monkeypatch.setattr(verify, "MAX_SUITE_WORK", work - 1)
-
-    def no_array(*args):
-        raise AssertionError("an array was built")
-
-    monkeypatch.setattr(series, "_powers", no_array)
-    monkeypatch.setattr(series, "_carry", no_array)
-    result = _invoke(runner, ["verify", "positivity", *args])
-    assert result.exit_code == 2
-    assert f"take {work:,} level-step terms in all, past the suite work budget of {work - 1:,}" in result.output
+    # samples of r = 1, 2 and 3 take an ordering each of r exponents, and
+    # recurrence samples of r = 1 and 2 both residuals over r exponents
+    p = series.PRICES
+    _check_price(runner, monkeypatch, ["positivity", "--samples", "3", "--recurrence-samples", "0"], 6 * p["ordering"])
+    per_index = p["ordering"] + 3 * (p["peel"] + p["block"])
+    _check_price(runner, monkeypatch, ["positivity", "--samples", "1", "--recurrence-samples", "2"], per_index)
 
 
 def test_positivity_work_budget_admits_the_defaults_and_the_benchmark_shapes(monkeypatch):
     # the budget is checked first: each of these reaches its first sum
-    class Reached(Exception):
-        pass
-
-    def reached(*args):
-        raise Reached
-
-    monkeypatch.setattr(series, "alternating_chain_and_tail", reached)
+    monkeypatch.setattr(series, "alternating_chain_and_tail", _reach)
     at_the_cap = dict(samples=3, recurrence_samples=1, depth=series.MAX_DEPTH)
     for options in ({}, dict(samples=120, recurrence_samples=12), at_the_cap):
-        with pytest.raises(Reached):
+        with pytest.raises(_Reached):
             run_suite("positivity", **options)
 
 
 def test_suite_work_budget_admits_the_defaults_and_max_r_7():
-    # hoffman --max-r 7 at its default depth: 769 steps per index for 20
-    # samples and two kernels, 1.54e9 terms; and --samples 1000 at max_r 3
-    for samples, max_r in ((20, 7), (1000, 3)):
-        tuples = verify._sampled_tuples(verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
+    # hoffman --max-r 7 at its default depth: per sample 769 steps and 7
+    # members for each of two kernels, and 247 block sums, priced about 7 s
+    # for 20 samples; and up to 775 samples at max_r 3
+    for samples, max_r in ((20, 7), (26, 7), (775, 3)):
+        tuples = verify._sampled_tuples("hoffman", verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
         assert len(tuples) == samples * max_r
-    with pytest.raises(ValueError, match="past the suite work budget"):
-        verify._sampled_tuples(verify.DEFAULT_SEED, 27, 7, verify.SAMPLE_DEPTH, 2)
+    for samples, max_r in ((27, 7), (776, 3)):
+        with pytest.raises(ValueError, match="verify hoffman is priced at .* ns, past the work budget"):
+            verify._sampled_tuples("hoffman", verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
 
 
 def test_verify_rejects_too_many_orderings_before_summing(runner):

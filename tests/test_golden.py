@@ -4,9 +4,11 @@ The cases run each exact route below and at its cap: tables and
 polynomials at degrees 12 and 20, signs at 12 and 20, the oracle at 6, 8
 and 12.  Only outputs made of exact arithmetic are pinned here: coefficient tables,
 polynomials and single coefficients (reduced fractions), and the reports
-of the formal, oracle and signs suites (exact matches and counts).  Float
-reports are left out, since the last digit of a float can differ between
-CPUs whose vectorised pow rounds differently.  Every command runs in
+of the formal, oracle and signs suites (exact matches and counts).  The
+seeded float reports are pinned apart, per numpy version and SIMD
+dispatch: the last digit of a float follows numpy's vectorised pow, which
+rounds differently on different CPUs and numpy builds, so a float hash
+is checked only where it was recorded.  Every command runs in
 process through click's CliRunner and writes its output to a file, whose
 bytes are hashed; a table run with --cache also pins the cache file.
 The CLI's own help and usage errors run as `python -m zetagenus` in a
@@ -63,6 +65,15 @@ CASES = {
     "verify-signs-k20": ["verify", "signs", "--k", "20"],
 }
 
+# the float reports, at the suites' defaults and two degrees of main and ahat
+FLOAT_CASES = {
+    "verify-hoffman": ["verify", "hoffman"],
+    "verify-multiple-eta": ["verify", "multiple-eta"],
+    "verify-positivity": ["verify", "positivity"],
+    "verify-main-k8": ["verify", "main", "--k", "8"],
+    "verify-ahat-k4": ["verify", "ahat", "--k", "4"],
+}
+
 # the suite names in these usage lines and messages are read from verify
 # only when click asks for them
 TEXT_CASES = {
@@ -115,10 +126,33 @@ GOLDEN = {
 }
 
 
+def _dispatch() -> str:
+    """numpy's version and the SIMD features it dispatches to on this CPU,
+    the "found" extensions numpy.show_runtime lists."""
+    import numpy
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join([f"numpy {numpy.__version__}", *(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))])
+
+
+# each float report's hash, by the _dispatch it was recorded on
+FLOAT_GOLDEN = {
+    "numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL AVX512_SPR": {
+        "verify-hoffman": "43b129f9b32bb13b81a065b5cff81d6fb7908e2d1ae65500d1e56702333716b1",
+        "verify-multiple-eta": "829f37b2f147f3cc5f4d127481e6de0e1a6e619ab12a09980e1c6f51c8fea2a9",
+        "verify-positivity": "8e091cea2dfcb330cfbef5678efa4ee0725aa2026ce0c2d4e6ec39c72aec2c69",
+        "verify-main-k8": "922e6e9752147878d88f19d01b6a2b29ce49cbf03113f61500beb2b48ecd59a4",
+        "verify-ahat-k4": "527cf10691d97decfad86d7a0db0f04bb9ec29780cf8f77e2940e73296f086a8",
+    },
+}
+
+
 def _hashes(name: str, workdir: Path) -> dict[str, str]:
     """Run one case and return the sha256 of each file it writes."""
     out, cache = workdir / f"{name}.out", workdir / f"{name}.cache"
-    args = [a.format(cache=cache) for a in CASES[name]] + ["--out", str(out)]
+    args = [a.format(cache=cache) for a in {**CASES, **FLOAT_CASES}[name]] + ["--out", str(out)]
     result = CliRunner().invoke(cli, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     files = {name: out, f"{name}.cache": cache}
@@ -152,6 +186,14 @@ def test_exact_outputs_match_their_golden_hashes(name, tmp_path):
     assert set(got) == {key for key in GOLDEN if key.split(".")[0] == name}
 
 
+@pytest.mark.parametrize("name", list(FLOAT_CASES))
+def test_float_reports_match_their_golden_hashes_on_their_dispatch(name, tmp_path):
+    golden = FLOAT_GOLDEN.get(_dispatch())
+    if golden is None:
+        pytest.skip(f"no float hashes recorded for {_dispatch()}")
+    assert _hashes(name, tmp_path) == {name: golden[name]}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
@@ -160,3 +202,9 @@ if __name__ == "__main__":
     for case in TEXT_CASES:
         for key, digest in _text_hashes(case).items():
             print(f'    "{key}": "{digest}",', file=sys.stdout)
+    print(f'    "{_dispatch()}": {{')
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in FLOAT_CASES:
+            for key, digest in _hashes(case, Path(tmp)).items():
+                print(f'        "{key}": "{digest}",', file=sys.stdout)
+    print("    },")

@@ -28,6 +28,7 @@ from zetagenus.partitions import integer_partitions
 from zetagenus.series import (
     MAX_DEPTH,
     MAX_SYMMETRIZE_SUBSETS,
+    PRICES,
     EvalConfig,
     SeriesValue,
     alternating_chain_and_tail,
@@ -41,6 +42,7 @@ from zetagenus.series import (
     innermost_peel_residual,
     multiple_zeta,
     multiple_zeta_star,
+    price,
     symmetrize,
     symmetrize_family,
     zeta,
@@ -386,12 +388,27 @@ _PLANS = [(2.5,), (2.0, 2.0, 2.0), (4.0, 3.0, 2.0, 2.0, 2.0), (8.0, 6.0, 4.0, 2.
 _PEAKS = [1, 1, 6, 10, 45]
 
 
+def _certified(monkeypatch):
+    """Fail at once if the certificate leaves a sum's rounding open: such a
+    sum is swept a second time, so a count of its arrays or steps would not
+    be its plan's."""
+    rounded = series._rounded
+
+    def settled(parts, err):
+        value = rounded(parts, err)
+        assert value is not None, "the certificate left this input open: choose another"
+        return value
+
+    monkeypatch.setattr(series, "_rounded", settled)
+
+
 @pytest.mark.parametrize("kernel", ["T", "S", "strict"])
 @pytest.mark.parametrize("s", _PLANS, ids=str)
 def test_symmetrize_holds_no_more_arrays_than_its_plan(kernel, s, monkeypatch):
     # count the writable arrays the DP makes (carries and steps) alive at
     # each carry and step, the one made included; the read-only powers
     # belong to the _powers cache instead
+    _certified(monkeypatch)
     refs, peak = [], [0]
     carry, multiply = series._carry, np.multiply
 
@@ -413,16 +430,15 @@ def test_symmetrize_holds_no_more_arrays_than_its_plan(kernel, s, monkeypatch):
 
 @pytest.mark.parametrize("s", _PLANS, ids=str)
 def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
-    # the budget counts level-step terms, the DP's steps per index times
-    # the depth, so the boundary is exactly W // steps
-    monkeypatch.setattr(series, "MAX_SYMMETRIZE_WORK", 10**6)
+    # the price is the DP's steps and one reduction per index times the
+    # depth, so the boundary is exactly W // (its price per index)
+    monkeypatch.setattr(series, "MAX_WORK", 10**7)
     steps = _steps(s)
-    fits = 10**6 // steps
+    per_index = PRICES["step"] * steps + PRICES["member"]
+    fits = 10**7 // per_index
     assert fits < MAX_DEPTH // 2
-    assert check_symmetrize_size(s, fits) == steps
-    work = f"{(fits + 1) * steps:,}"
-    with pytest.raises(ValueError, match=f"takes {work} level-step terms, past the work budget of 1,000,000"):
-        check_symmetrize_size(s, fits + 1)
+    assert check_symmetrize_size(s) == steps and price(fits, [s]) == fits * per_index
+    symmetrize_family("T", [s], EvalConfig(fits))  # checked at the call, summed when read
 
     def no_array(*args):
         raise AssertionError("an array was built")
@@ -430,23 +446,27 @@ def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(series, "_powers", no_array)
         patch.setattr(series, "_carry", no_array)
-        with pytest.raises(ValueError, match="work budget"):
+        message = f"is priced at {(fits + 1) * per_index:,} ns, past the work budget of 10,000,000 ns"
+        with pytest.raises(ValueError, match=message):
             symmetrize("T", s, EvalConfig(fits + 1))
 
 
-def test_symmetrize_size_verdict_is_the_same_in_every_order():
-    # the work depends on the multiplicities (2, 1, 1, 1) alone, 52 steps
-    # per index; a plan walked in the exponents' order refused
-    # (2, 2, 4, 6, 8) at depth 18,000,000 and accepted (8, 6, 4, 2, 2)
+def test_symmetrize_size_verdict_is_the_same_in_every_order(monkeypatch):
+    # the price depends on the multiplicities (2, 1, 1, 1) alone, 52 steps
+    # and a reduction per index; a plan walked in the exponents' order
+    # refused (2, 2, 4, 6, 8) at depth 18,000,000 and accepted (8, 6, 4, 2, 2)
+    monkeypatch.setattr(series, "MAX_WORK", 10**9)
+
     def accepts(s, depth):
         try:
-            check_symmetrize_size(s, depth)
+            symmetrize_family("T", [s], EvalConfig(depth))
         except ValueError:
             return False
         return True
 
     orders = set(itertools.permutations((2.0, 2.0, 4.0, 6.0, 8.0)))
-    fits = series.MAX_SYMMETRIZE_WORK // 52
+    fits = series.MAX_WORK // (52 * PRICES["step"] + PRICES["member"])
+    assert {price(fits, [s]) for s in orders} == {fits * (52 * PRICES["step"] + PRICES["member"])}
     for depth in (fits, fits + 1, 18_000_000):
         assert {accepts(s, depth) for s in orders} == {depth == fits}
 
@@ -564,20 +584,25 @@ def test_working_set_budget_admits_every_suite_default():
             classes.setdefault(default_config(len(s)).depth if depth is None else depth, []).append(s)
         for d, family in classes.items():
             symmetrize_family(kernel, family, EvalConfig(d))
-    check_symmetrize_size(_PLANS[-1], verify.SAMPLE_DEPTH)
+    symmetrize_family("T", [_PLANS[-1]], EvalConfig(verify.SAMPLE_DEPTH))
 
 
-def test_main_at_the_depth_cap_stops_at_degree_6():
-    # the budget counts one DP over every partition of weight <= k: at the
-    # depth cap its 26 steps per index fit at k = 5 and its 45 at k = 6 do
-    # not, though every partition of weight <= 9 fits alone
+def test_main_at_the_depth_cap_stops_at_degree_8():
+    # one DP over every partition of weight <= k is priced by its steps
+    # and a reduction per member: at the depth cap the 75 steps and 44
+    # members of k = 7 fit, and the 120 and 66 of k = 8 do not, though
+    # every partition of weight <= 9 fits alone
     cap = EvalConfig(MAX_DEPTH)
-    assert [_family_steps(_weight_family(k)) for k in (5, 6)] == [26, 45]
-    symmetrize_family("T", _weight_family(5), cap)
-    with pytest.raises(ValueError, match="takes 900,000,000 level-step terms, past the work budget"):
-        symmetrize_family("T", _weight_family(6), cap)
+    families = {k: _weight_family(k) for k in (7, 8)}
+    assert [(_family_steps(f), len(f)) for f in families.values()] == [(75, 44), (120, 66)]
+    for family in families.values():
+        per_index = PRICES["step"] * _family_steps(family) + PRICES["member"] * len(family)
+        assert price(MAX_DEPTH, family) == MAX_DEPTH * per_index
+    symmetrize_family("T", families[7], cap)
+    with pytest.raises(ValueError, match=f"is priced at {price(MAX_DEPTH, families[8]):,} ns, past the work budget"):
+        symmetrize_family("T", families[8], cap)
     for s in _weight_family(9):
-        check_symmetrize_size(s, MAX_DEPTH)
+        symmetrize_family("T", [s], cap)
 
 
 _KERNELS = {
@@ -872,6 +897,7 @@ def test_family_traced_peak_has_a_bound_that_does_not_grow_with_the_weight(kerne
 def test_symmetrize_takes_one_level_step_per_sub_multiset_and_value(monkeypatch, s, steps):
     # one carry per sub-multiset below the top, and one product with the
     # powers per step; the monotone first level is the powers themselves
+    _certified(monkeypatch)
     carry, multiply = series._carry, np.multiply
     for fn in _KERNELS.values():
         monkeypatch.setattr(series, fn.__name__, None)  # symmetrize runs no kernel
@@ -885,12 +911,13 @@ def test_symmetrize_takes_one_level_step_per_sub_multiset_and_value(monkeypatch,
         assert len(carries) == subs - 1 - (first > 0)
         assert len(products) == steps - first
         assert {x for x in s for p in products if p is series._powers(x, SMALL.depth, 0)} == set(s)
-    # the guard counts the same steps: their terms at this depth fit a
-    # budget of exactly that many, and one index more does not
-    monkeypatch.setattr(series, "MAX_SYMMETRIZE_WORK", steps * SMALL.depth)
-    check_symmetrize_size(s, SMALL.depth)
+    # the guard prices the same steps and one reduction: at this depth they
+    # fit a budget of exactly their price, and one index more does not
+    assert check_symmetrize_size(s) == steps
+    monkeypatch.setattr(series, "MAX_WORK", SMALL.depth * (PRICES["step"] * steps + PRICES["member"]))
+    symmetrize_family("T", [s], SMALL)
     with pytest.raises(ValueError, match="work budget"):
-        check_symmetrize_size(s, SMALL.depth + 1)
+        symmetrize_family("T", [s], EvalConfig(SMALL.depth + 1))
 
 
 def _without_delta(line):
@@ -1274,24 +1301,27 @@ def _peel_rhs_by_list(s, cfg):
 
 
 def _block_rhs_by_loop(k, s, cfg):
-    # the former right-hand side: one Python float per term, then fsum
+    # the former right-hand side: one Python float per term, then fsum; the
+    # powers from numpy's vectorised pow over the bases 2l and 2l + 1, l >= k
     depth = cfg.depth
     half = depth // 2
+    even = np.arange(2 * k, 2 * half + 1, 2, dtype=np.float64)
     terms = []
     for j in range(1, len(s) + 1):
         prefix = s[: j - 1]
         fam = _whole_tails(_whole("T", prefix, depth), half)
         suffix_exp = sum(s[j:])
         sj = s[j - 1]
+        commons = even ** -suffix_exp if suffix_exp else np.ones(len(even))
+        owns, odds = even ** -sj, (even + 1.0) ** -sj
         for ell in range(k, half + 1):
             rest = float(fam[ell]) if ell < len(fam) else float(not prefix)
             if rest == 0.0:
                 continue
-            even_v = 2 * ell
-            common = float(even_v) ** (-suffix_exp) if suffix_exp else 1.0
-            terms.append(common * float(even_v) ** (-sj) * rest)
-            if even_v + 1 <= depth:
-                terms.append(-common * float(even_v + 1) ** (-sj) * rest)
+            common = float(commons[ell - k])
+            terms.append(common * float(owns[ell - k]) * rest)
+            if 2 * ell + 1 <= depth:
+                terms.append(-common * float(odds[ell - k]) * rest)
     return math.fsum(terms)
 
 
@@ -1376,20 +1406,24 @@ def test_single_ordering_traced_peak_does_not_grow_with_the_depth(call, monkeypa
     assert abs(peaks[1] - peaks[0]) < 8 * series._SWEEP  # one block's array
 
 
-def test_bottom_block_makes_one_python_pow_pass_fewer(monkeypatch):
+def test_bottom_block_makes_one_numpy_pow_pass_fewer(monkeypatch):
     # per j: the common suffix powers (none at j = r) and the own even and
-    # odd powers, but j = r - 1's common is j = r's own even powers
+    # odd powers, each one pass of numpy's pow over the bases 2l or 2l + 1,
+    # but j = r - 1's common is j = r's own even powers
     passes = []
-    real = np.fromiter
+    arange = np.arange
 
-    def counting(*args, **kwargs):
-        passes.append(args[2])
-        return real(*args, **kwargs)
+    class Bases(np.ndarray):
+        def __pow__(self, exp):
+            passes.append(len(self))
+            return np.asarray(self) ** exp
 
-    monkeypatch.setattr(np, "fromiter", counting)
     for s, made in (((2.5,), 2), ((2.5, 3.5), 4), ((2.5, 3.5, 1.5), 7), ((2.5, 2.5, 2.5), 7)):
+        bottom_block_residual(1, s, _cfg(41))  # the cached power blocks make no arange
         passes.clear()
-        lhs, rhs = bottom_block_residual(1, s, _cfg(41))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "arange", lambda *a, **kw: arange(*a, **kw).view(Bases))
+            lhs, rhs = bottom_block_residual(1, s, _cfg(41))
         assert len(passes) == made and abs(lhs - rhs) < 1e-12
 
 
