@@ -16,6 +16,8 @@ through an environment variable ZETAGENUS_<COMMAND>_<FLAG>, e.g.
 ZETAGENUS_VERIFY_DEPTH.  Each command imports the modules it runs in its
 own body, so a launch loads (and, without bytecode, compiles) only those.
 main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no command calls BLAS.
+After click exits, main() flushes stdout and stderr and calls os._exit with
+its code: commands close their files, and teardown only collects garbage.
 
 A genus is named "L" or "Ahat", or is a path to a JSON file of the form
 {"name": ..., "coefficients": [{"num": "1", "den": "1"}, ...]} listing
@@ -25,8 +27,8 @@ must be 1) upward.
 
 from __future__ import annotations
 
-import json
 import os
+import sys
 from typing import TYPE_CHECKING, Optional
 
 import click
@@ -70,6 +72,7 @@ def _load_genus(name: str, order: int) -> GenusSpec:
         raise ConfigError(
             f"unknown genus {name!r}: expected L, Ahat, or a JSON file path"
         )
+    import json
     from .render import decode_rational
     try:
         with open(name, "r", encoding="utf-8") as fh:
@@ -87,13 +90,13 @@ def _load_genus(name: str, order: int) -> GenusSpec:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text as it is, to stdout or to the file out."""
     if out is None:
-        click.echo(text)
+        click.echo(text, nl=False)
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-            fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}")
 
@@ -113,7 +116,7 @@ def coeff(genus: str, partition: str, out: Optional[str]) -> None:
     from .genus import coefficient_closed_form
     parts = _parse_partition(partition)
     spec = _load_genus(genus, sum(parts))
-    _emit(str(coefficient_closed_form(spec, parts)), out)
+    _emit(f"{coefficient_closed_form(spec, parts)}\n", out)
 
 
 @cli.command()
@@ -141,7 +144,7 @@ def poly(genus: str, k: int, fmt: str, out: Optional[str]) -> None:
         rendered = render_poly_latex(table)
     else:
         rendered = render_poly_json(spec.name, k, table)
-    _emit(rendered, out)
+    _emit(rendered + "\n", out)
 
 
 @cli.command()
@@ -169,11 +172,7 @@ def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> N
     rendered = render_table_csv(tables) if fmt == "csv" else render_table_json(
         spec.name, max_k, tables
     )
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}")
+    _emit(rendered, out)
 
 
 class _SuiteChoice(click.Choice):
@@ -218,7 +217,7 @@ def verify(ctx: click.Context, suite: str, out: Optional[str], **options: object
         report = run_suite(suite, **options)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    _emit(report.render(), out)
+    _emit(report.render() + "\n", out)
     if not report.passed:
         ctx.exit(1)
 
@@ -227,4 +226,9 @@ def main() -> None:
     """Console-script entry point with the documented env-var prefix."""
     # numpy's OpenBLAS would start a worker pool no command uses: ~0.07 s a launch on 2 cores
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    cli(auto_envvar_prefix="ZETAGENUS")
+    try:
+        cli(auto_envvar_prefix="ZETAGENUS")
+    except SystemExit as exc:  # how click ends every command; teardown would only collect garbage
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(exc.code)

@@ -407,7 +407,7 @@ def price(depth: int, family: Sequence[Sequence[float]] = (), **counts: int) -> 
     sub-multisets of a family, a step per sub-multiset and distinct value in
     it and a reduction per member, and counts[shape] units of each shape."""
     if family:
-        counts = {"step": sum(map(len, _plan(family)[3].values())), "member": len(family), **counts}
+        counts = {"step": sum(map(len, _plan(tuple(map(tuple, family)))[3].values())), "member": len(family), **counts}
     return depth * sum(PRICES[shape] * n for shape, n in counts.items())
 
 
@@ -457,9 +457,8 @@ def _family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig, pas
     if kernel not in ("T", "S", "strict"):
         raise ValueError(f"unknown kernel {kernel!r}; expected one of ['S', 'T', 'strict']")
     depth = cfg.depth
-    members, rank, tops, ups = _plan(family)
-    check_work(f"symmetrize at depth {depth} over {len(family)} multiset(s)",
-               price(depth, step=sum(map(len, ups.values())), member=len(family)))
+    members, rank, tops, ups = _plan(tuple(map(tuple, family)))
+    check_work(f"symmetrize at depth {depth} over {len(family)} multiset(s)", price(depth, family))
 
     def sums() -> Iterator[SeriesValue]:
         import numpy as np
@@ -490,9 +489,10 @@ def _family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig, pas
     return sums()
 
 
-def _plan(family: Sequence[Sequence[float]]) -> tuple[list, dict, list, dict]:
+@lru_cache(maxsize=4)  # one plan prices a family and then sweeps it, as verify main does per depth class
+def _plan(family: tuple[tuple[float, ...], ...]) -> tuple[list, dict, list, dict]:
     """symmetrize_family's DP: the members as floats, each exponent's rank,
-    each member's top M and ups (see _sweep)."""
+    each member's top M and ups (see _sweep), all read-only."""
     for s in family:
         check_symmetrize_size(s)
     members = [_setup(s, None)[0] for s in family]

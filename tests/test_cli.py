@@ -438,6 +438,16 @@ def test_genus_suites_refuse_past_the_work_budget(runner, monkeypatch, suite):
     _check_price(runner, monkeypatch, [suite, "--k", "2"], 3 * p["step"] + 3 * p["member"])
 
 
+@pytest.mark.parametrize("options,classes", [({"max_k": 6}, 2), ({"max_k": 4, "depth": 20_000}, 1)])
+def test_genus_suites_plan_each_depth_class_once(options, classes):
+    # verify prices each depth class by its DP plan and symmetrize_family
+    # sweeps it by the same plan: by default main --k 6 has two classes,
+    # r <= 2 parts at depth 10^6 and r >= 3 at 2*10^5
+    series._plan.cache_clear()
+    run_suite("main", **options)
+    assert series._plan.cache_info().misses == classes
+
+
 @pytest.mark.parametrize("suite,kernels", [("hoffman", 2), ("multiple-eta", 1)])
 def test_sampled_suites_refuse_past_the_suite_work_budget(runner, monkeypatch, suite, kernels):
     # one tuple each of r = 1 and 2: 1 + 4 steps and a member for each
@@ -852,6 +862,68 @@ def test_main_pins_openblas_to_one_thread_unless_set(monkeypatch):
     assert seen == ["1", "3"]
 
 
+@pytest.mark.parametrize(
+    "args,code", [(["--help"], 0), (["coeff", "--genus", "Nope", "--partition", "1"], 2)], ids=["help", "bad-genus"]
+)
+def test_main_ends_with_os_exit_and_clicks_code(monkeypatch, capsys, args, code):
+    # main skips the interpreter's teardown: after click's SystemExit it
+    # flushes and calls os._exit, recorded here so that pytest runs on
+    codes = []
+    monkeypatch.setattr(sys, "argv", ["zetagenus", *args])
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.setattr(os, "_exit", codes.append)
+    cli_module.main()
+    assert codes == [code]
+    captured = capsys.readouterr()
+    assert ("Usage:" in captured.out) if code == 0 else ("unknown genus" in captured.err)
+
+
+def _launch(args, **kwargs):
+    """python -m zetagenus in a fresh interpreter, from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "zetagenus", *args], env={**os.environ, "PYTHONPATH": str(src)}, **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["verify", "main", "--k", "3"], 0),
+        (["verify", "main", "--k", "3", "--tol", "1e-300"], 1),
+        (["coeff", "--genus", "Nope", "--partition", "1"], 2),
+    ],
+    ids=["pass", "fail", "refused"],
+)
+def test_launch_exits_with_clicks_code_after_all_its_output(runner, tmp_path, args, code):
+    # os._exit ends the process without the interpreter's own flush, so
+    # stdout redirected to a file must still hold all that the command prints
+    path = tmp_path / "stdout.txt"
+    with open(path, "wb") as fh:
+        result = _launch(args, stdout=fh, stderr=subprocess.PIPE)
+    expected = _invoke(runner, args)
+    assert result.returncode == expected.exit_code == code, result.stderr
+    assert path.read_bytes() == expected.stdout_bytes
+    assert (b"unknown genus" in result.stderr) == (code == 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "main", "--k", "3", "--depth", "20000", "--out", "{out}"],
+        ["table", "--genus", "L", "--max-k", "10", "--format", "json", "--out", "{out}"],
+    ],
+    ids=["verify", "table"],
+)
+def test_launch_writes_complete_files(runner, tmp_path, args):
+    launched, in_process = tmp_path / "launched.txt", tmp_path / "in-process.txt"
+    result = _launch([a.format(out=launched) for a in args], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert _invoke(runner, [a.format(out=in_process) for a in args]).exit_code == 0
+    assert launched.read_bytes() == in_process.read_bytes()
+    assert launched.read_bytes().endswith(b"\n")
+
+
 _LIBRARY_SCRIPT = r"""
 import os
 
@@ -941,7 +1013,6 @@ def test_only_numeric_suites_load_numpy(tmp_path):
 
 
 _COMMAND_SCRIPT = r"""
-import json
 import sys
 
 import zetagenus
@@ -950,7 +1021,9 @@ from zetagenus import cli
 assert cli.cli.main(sys.argv[1:], standalone_mode=False) in (None, 0)
 loaded["command"] = sorted(m.removeprefix("zetagenus.") for m in sys.modules if m.startswith("zetagenus."))
 loaded["numpy"] = "numpy" in sys.modules
+loaded["json"] = "json" in sys.modules
 loaded["rationals"] = sorted(m for m in ("decimal", "fractions") if m in sys.modules)
+import json
 print(json.dumps(loaded))
 """
 _EXACT_MODULES = ["cli", "exact", "genus", "partitions"]
@@ -982,13 +1055,14 @@ _NUMERIC_SUITE_MODULES = ["cli", "partitions", "series", "verify"]
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
     # each command in a fresh interpreter: the package namespace loads no
     # submodule, the exact commands load neither verify, formal, series
-    # nor numpy, and the sampled suites, which compare floats with floats,
-    # load no rational or decimal arithmetic
+    # nor numpy, only render's exports load json, and the sampled suites,
+    # which compare floats with floats, load no rational or decimal arithmetic
     args = [a.format(out=tmp_path / "t.csv") for a in args]
     assert _last_json_line(_COMMAND_SCRIPT, *args) == {
         "import zetagenus": [],
         "command": sorted(modules),
         "numpy": "series" in modules,
+        "json": "render" in modules,
         "rationals": ["decimal", "fractions"] if {"exact", "formal"} & set(modules) else [],
     }
 
