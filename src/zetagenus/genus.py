@@ -116,8 +116,9 @@ class CoefficientTable:
     entries: Mapping[IntegerPartition, Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
+        # a plain tuple equals its partition and hashes alike, but prints as a tuple
         expected = set(integer_partitions(self.degree))
-        if set(self.entries) != expected:
+        if set(self.entries) != expected or {type(J) for J in self.entries} != {IntegerPartition}:
             raise ValueError(
                 f"table keys must be exactly the partitions of {self.degree}"
             )
@@ -265,7 +266,7 @@ def coefficient_table(genus: GenusSpec, degree: int) -> CoefficientTable:
         raise ValueError(f"genus series order {genus.order} too small for weight {degree}")
     den, terms = _level(genus.series, degree)
     level = dict(terms)
-    return CoefficientTable(degree, {J: Fraction(level[J.parts], den) for J in integer_partitions(degree)})
+    return CoefficientTable(degree, {J: Fraction(level[J], den) for J in integer_partitions(degree)})
 
 
 def monomial_to_power_sum(partition: PartitionLike) -> dict[IntegerPartition, Fraction]:
@@ -291,7 +292,7 @@ def monomial_to_power_sum(partition: PartitionLike) -> dict[IntegerPartition, Fr
         key = tuple(sorted(sums))
         weights[key] = weights.get(key, 0) + w
 
-    signed_block_sums(I.parts, add)
+    signed_block_sums(I, add)
     af = I.symmetry_factor()
     return {IntegerPartition(key): Fraction(w, af) for key, w in sorted(weights.items())}
 
@@ -341,9 +342,9 @@ def coefficient_table_oracle(genus: GenusSpec, degree: int) -> CoefficientTable:
     b = genus.series.coefficients
     found: dict[tuple[int, ...], Fraction] = {}
     for lam in integer_partitions(k):
-        rhs = math.prod(b[p] for p in lam.parts)
+        rhs = math.prod(b[p] for p in lam)
         for mu, c in found.items():
             if c:
-                rhs -= c * _zero_one_matrices(lam.parts, mu)
-        found[_conjugate(lam.parts)] = rhs
-    return CoefficientTable(k, {J: found[J.parts] for J in integer_partitions(k)})
+                rhs -= c * _zero_one_matrices(lam, mu)
+        found[_conjugate(lam)] = rhs
+    return CoefficientTable(k, {J: found[J] for J in integer_partitions(k)})

@@ -8,6 +8,11 @@ Enumeration is in lexicographic order of these strings, so for r = 3:
 
     (0,0,0) (0,0,1) (0,1,0) (0,1,1) (0,1,2)
 
+Both partition types are tuples: an IntegerPartition is its parts in
+descending order and a SetPartition its restricted growth string, so
+each is its own dict key and compares, hashes and orders exactly as
+that plain tuple does.  Only the constructors validate.
+
 The partial order is refinement: pi <= rho when every block of pi sits
 inside a single block of rho, and the interval [pi, top] is the lattice
 on pi's blocks.  signed_block_sums is the one walk over set partitions:
@@ -21,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "IntegerPartition",
@@ -38,57 +43,40 @@ __all__ = [
 
 MAX_GROUND_SIZE = 12  # Bell(12) = 4,213,597 partitions; enumeration beyond that is refused
 
-PartitionLike = Union["IntegerPartition", Sequence[int]]
+PartitionLike = Sequence[int]
 
 
-class IntegerPartition:
+class IntegerPartition(tuple):
     """A weakly decreasing tuple of positive parts (possibly empty)."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()) -> "IntegerPartition":
         tup = tuple(sorted((int(p) for p in parts), reverse=True))
         if tup and tup[-1] < 1:
             raise ValueError(f"parts must be positive, got {tup}")
-        self._parts = tup
+        return super().__new__(cls, tup)
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return tuple(self)
 
     @property
     def weight(self) -> int:
-        return sum(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self._parts[i]
+        return sum(self)
 
     def multiplicities(self) -> dict[int, int]:
-        return dict(Counter(self._parts))
+        return dict(Counter(self))
 
     def symmetry_factor(self) -> int:
         """Product of factorials of the part multiplicities."""
         return prod(map(factorial, self.multiplicities().values()))
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntegerPartition):
-            return self._parts == other._parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
     def __str__(self) -> str:
-        return "+".join(str(p) for p in self._parts)
+        return "+".join(str(p) for p in self)
 
     def __repr__(self) -> str:
-        return f"IntegerPartition({list(self._parts)})"
+        return f"IntegerPartition({list(self)})"
 
 
 def as_integer_partition(parts: PartitionLike) -> IntegerPartition:
@@ -117,12 +105,12 @@ def _partitions(k: int, largest: int) -> tuple[IntegerPartition, ...]:
                  for p in range(largest, 0, -1) for rest in _partitions(k - p, min(p, k - p)))
 
 
-class SetPartition:
+class SetPartition(tuple):
     """A set partition of {1, ..., r} in restricted growth form."""
 
-    __slots__ = ("_rgs", "_blocks")
+    __slots__ = ()
 
-    def __init__(self, rgs: Iterable[int]):
+    def __new__(cls, rgs: Iterable[int]) -> "SetPartition":
         tup = tuple(map(int, rgs))
         if not tup:
             raise ValueError("ground set must be nonempty")
@@ -132,8 +120,7 @@ class SetPartition:
                 raise ValueError(f"not a restricted growth string: {tup}")
             if a > mx:
                 mx = a
-        self._rgs = tup
-        self._blocks: Optional[tuple[tuple[int, ...], ...]] = None
+        return super().__new__(cls, tup)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -153,33 +140,23 @@ class SetPartition:
 
     @property
     def rgs(self) -> tuple[int, ...]:
-        return self._rgs
+        return tuple(self)
 
     @property
     def ground_size(self) -> int:
-        return len(self._rgs)
+        return len(self)
 
     @property
     def length(self) -> int:
-        return max(self._rgs) + 1
+        return max(self) + 1
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks ordered by smallest element, each internally ascending."""
-        if self._blocks is None:
-            groups: list[list[int]] = [[] for _ in range(self.length)]
-            for elem, b in enumerate(self._rgs, start=1):
-                groups[b].append(elem)
-            self._blocks = tuple(tuple(g) for g in groups)
-        return self._blocks
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SetPartition):
-            return self._rgs == other._rgs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._rgs)
+        groups: list[list[int]] = [[] for _ in range(self.length)]
+        for elem, b in enumerate(self, start=1):
+            groups[b].append(elem)
+        return tuple(tuple(g) for g in groups)
 
     def __repr__(self) -> str:
         inner = "|".join(",".join(str(x) for x in b) for b in self.blocks)
@@ -281,7 +258,7 @@ def mobius(pi: SetPartition, rho: SetPartition) -> int:
         raise ValueError(f"ground sets differ: {pi.ground_size} vs {rho.ground_size}")
     merged = [0] * rho.length
     for block in pi.blocks:
-        targets = {rho.rgs[x - 1] for x in block}
+        targets = {rho[x - 1] for x in block}
         if len(targets) != 1:
             raise ValueError(f"{pi!r} does not refine {rho!r}")
         merged[targets.pop()] += 1

@@ -29,8 +29,8 @@ the bounds do not settle the rounding (_rounded), about one sum in a
 thousand, the sum is reduced again to a zero remainder (Rump, Ogita and
 Oishi, "Accurate floating-point summation", parts I and II, SIAM J.
 Sci. Comput. 31, 2008).  Level sums are sequential cumulative sums in
-fixed index order, so runs are bitwise reproducible.  numpy loads when
-a series is first evaluated, never for exact commands.  MAX_DEPTH caps
+fixed index order, so runs are bitwise reproducible.  numpy loads with
+this module, which no exact command imports.  MAX_DEPTH caps
 the depth, which every DP sweeps in blocks of _SWEEP (16,384) terms, so
 at any depth it holds a 128 kB array per live node; MAX_WORK caps the
 price (from one table, PRICES) of a symmetrize DP and of a verify run.  The
@@ -47,10 +47,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise, product
 from math import factorial
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 __all__ = [
     "EvalConfig", "SeriesValue", "default_config", "zeta",
@@ -126,7 +125,6 @@ def _setup(s: Sequence[float], cfg: EvalConfig | None, empty_ok: bool = False) -
 @lru_cache(maxsize=32)  # 32 blocks of _SWEEP terms: 4 MiB
 def _powers(s: float, hi: int, lo: int) -> np.ndarray:
     """n^(-s) for n = lo+1..hi, read-only; the cache keeps the blocks used last."""
-    import numpy as np
     p = np.arange(lo + 1, hi + 1, dtype=np.float64) ** (-s)
     p.flags.writeable = False
     return p
@@ -156,7 +154,6 @@ def _exact_parts(arr: np.ndarray, passes: float = math.inf) -> tuple[list[float]
     range, and math.fsum rounds both exactly alike.  Past that budget, or
     where arr holds inf or nan, the terms themselves are the parts.
     """
-    import numpy as np
     parts: list[float] = []
     budget = math.ldexp(1.0, 1022)  # for the sum of all the sigmas
     shift = (arr.size - 1).bit_length()  # ceil(log2(k))
@@ -215,7 +212,6 @@ def _carry(kernel: str, level: np.ndarray | None, size: int, run: list | None = 
     equal term.  run[0], the running total of the blocks swept before
     (-0.0, which adds nothing, at first), starts the sum, so each entry is
     the whole range's bit for bit, and takes this block's total."""
-    import numpy as np
     if level is None:  # "T" before its first step: (-1)^n; its blocks start at odd n
         return np.tile([-1.0, 1.0], (size + 1) // 2)[:size]
     out = level if level.flags.writeable else level.copy()
@@ -256,7 +252,6 @@ def _sweep(kernel: str, xs: list[float], ups: dict, depth: int, cached: bool = T
     carry's products with the powers go into the levels of the M + x, new
     ones first, the last made in the carry itself.  A reader may change a
     level with no steps."""
-    import numpy as np
     runs = {M: [-0.0] for M in ups}  # each carry's running total
     power = _powers if cached else _powers.__wrapped__
     starts = range(0, depth, _SWEEP)
@@ -297,7 +292,6 @@ def _ordered(kernel: str, s: list[float], cfg: EvalConfig, base: int = 1, passes
     innermost exponent out, or the chained sum ("T", from the outermost
     in), whose estimate is the first omitted outer term times a bound per
     inner index.  A block's final level takes `passes` of _exact_parts."""
-    import numpy as np
     depth, r = cfg.depth, len(s)
     head, tail, err, l1, heads = [], [], [0.0, 0.0], [0.0, 0.0], [0.0] * (r - 1)  # heads: the inner partial power sums, innermost first
     for lo, _, powers, i, level in _sweep(kernel, s if kernel == "T" else s[::-1], _path(r), depth):
@@ -376,7 +370,6 @@ def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = N
     at the same truncation depth as alternating_chain_tail would use.
     For the empty exponent list every entry is exactly 1.
     """
-    import numpy as np
     sl, cfg = _setup(s, cfg, empty_ok=True)
     out, run = np.empty(cfg.depth // 2), [-0.0]
     for lo, hi, _, i, level in _sweep("T", sl, _path(len(sl)), cfg.depth):
@@ -461,7 +454,6 @@ def _family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig, pas
     check_work(f"symmetrize at depth {depth} over {len(family)} multiset(s)", price(depth, family))
 
     def sums() -> Iterator[SeriesValue]:
-        import numpy as np
         parts, err, l1 = {M: [] for M in tops}, dict.fromkeys(tops, 0.0), dict.fromkeys(tops, 0.0)
         heads = [0.0] * len(rank)  # the partial power sums, for "S" and "strict"
         # one multiset's power blocks serve the next call; a family uses each once
@@ -536,7 +528,6 @@ def innermost_peel_residual(s: Sequence[float], cfg: EvalConfig | None = None) -
     the grouping is an exact bijection of finite index sets, so the
     difference is pure floating-point noise.  Returns (lhs, rhs).
     """
-    import numpy as np
     sl, cfg = _setup(s, cfg)
     r, run, lhs, rhs = len(sl) - 1, [-0.0], [], []
     for lo, hi, powers, i, level in _sweep("T", sl, _path(r), cfg.depth):
@@ -568,7 +559,6 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
     exact bijection, so the residual is floating-point noise.  Returns
     (lhs, rhs).
     """
-    import numpy as np
     if k < 1:
         raise ValueError("k must be at least 1")
     sl, cfg = _setup(s, cfg)

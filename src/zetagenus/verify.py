@@ -179,7 +179,7 @@ def _genus_checks(
     for k in range(1, max_k + 1):
         for part in integer_partitions(k):
             classes.setdefault(default_config(len(part)) if depth is None else EvalConfig(depth), []).append(part)
-    families = {cfg: [[2.0 * j for j in p.parts] for p in parts] for cfg, parts in classes.items()}
+    families = {cfg: [[2.0 * j for j in p] for p in parts] for cfg, parts in classes.items()}
     check_work(f"verify {suite}", sum(price(cfg.depth, family) for cfg, family in families.items()))
     runs = [(parts, symmetrize_family(kernel, families[cfg], cfg)) for cfg, parts in classes.items()]
     sums = {part: sv.value for parts, run in runs for part, sv in zip(parts, run)}
@@ -296,21 +296,22 @@ def _positivity_checks(
     from .series import EvalConfig, alternating_chain_and_tail, bottom_block_residual, check_work, price
     from .series import innermost_peel_residual
     cfg = EvalConfig(depth)
-    work = sum(price(depth, ordering=1 + i % 3) for i in range(samples))  # r cycles through 1..3, as below
-    work += sum(price(depth, peel=1 + i % 3, block=1 + i % 3) for i in range(recurrence_samples))
-    check_work("verify positivity", work)
     rng = random.Random(seed)
 
-    def draws(count: int) -> Iterator[tuple[int, tuple[float, ...], int]]:  # (i, s, k), one rng for both batches
+    def draws(count: int) -> Iterator[tuple[int, tuple[float, ...], int]]:  # (i, s, k) with r cycling 1..3
         for i in range(count):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(1 + i % 3))
             yield i, s, rng.randint(1, TAIL_K_HIGH)
 
-    for i, s, k in draws(samples):
+    signs, recurrences = list(draws(samples)), list(draws(recurrence_samples))  # one rng, in this order
+    work = sum(price(depth, ordering=len(s)) for _, s, _ in signs)
+    work += sum(price(depth, peel=len(s), block=len(s)) for _, s, _ in recurrences)
+    check_work("verify positivity", work)
+    for i, s, k in signs:
         chain, tail = alternating_chain_and_tail(k, s, cfg)
         yield _sign_check(f"chain-negative[{i:02d}:{_tuple_label(s)}]", chain, "<0")
         yield _sign_check(f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]", tail, ">0")
-    for i, s, k in draws(recurrence_samples):
+    for i, s, k in recurrences:
         lhs, rhs = innermost_peel_residual(s, cfg)
         yield _absolute_check(f"peel[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
         lhs, rhs = bottom_block_residual(k, s, cfg)

@@ -19,7 +19,7 @@ from zetagenus.partitions import IntegerPartition
 from zetagenus.render import parse_table_json, read_cache
 from zetagenus import cli as cli_module
 from zetagenus import genus as genus_module
-from zetagenus import partitions, series, verify
+from zetagenus import partitions, render, series, verify
 from zetagenus.verify import available_suites, run_suite
 
 F = Fraction
@@ -172,15 +172,19 @@ def test_table_json_round_trip(runner, tmp_path):
     assert len(entries) == 1 + 2 + 3
 
 
-def test_table_cache_reuse_is_byte_identical(runner, tmp_path):
+@pytest.mark.parametrize("max_k", ["3", "20"])
+@pytest.mark.parametrize("genus", ["L", "Ahat"])
+def test_table_cache_reuse_is_byte_identical(runner, tmp_path, monkeypatch, genus, max_k):
+    # the warm run builds no table: it parses every partition up to max_k
+    # back from the cache
     out = tmp_path / "t.csv"
     cache = tmp_path / "cache.json"
     args = [
         "table",
         "--genus",
-        "L",
+        genus,
         "--max-k",
-        "3",
+        max_k,
         "--out",
         str(out),
         "--cache",
@@ -189,7 +193,9 @@ def test_table_cache_reuse_is_byte_identical(runner, tmp_path):
     assert _invoke(runner, args).exit_code == 0
     first = out.read_bytes()
     cached = cache.read_bytes()
-    assert _invoke(runner, args).exit_code == 0
+    monkeypatch.setattr(render, "coefficient_table", None)
+    result = _invoke(runner, args)
+    assert result.exit_code == 0 and "warning" not in result.output
     assert out.read_bytes() == first
     assert cache.read_bytes() == cached
 

@@ -416,6 +416,18 @@ def test_table_guards(signature_genus):
         )
 
 
+def test_table_refuses_plain_tuple_keys_equal_to_the_partitions():
+    # a plain tuple equals its partition and hashes alike, but would print
+    # as "(2,)" in place of "2" in every export and cache key
+    entries = {(2,): F(-1, 3), (1, 1): F(1, 3)}
+    assert set(entries) == set(integer_partitions(2))
+    with pytest.raises(ValueError, match="exactly the partitions of 2"):
+        CoefficientTable(2, entries)
+    with pytest.raises(ValueError, match="exactly the partitions of 2"):
+        CoefficientTable(2, {IntegerPartition((2,)): F(-1, 3), (1, 1): F(1, 3)})
+    assert CoefficientTable(2, {IntegerPartition(J): c for J, c in entries.items()})[(1, 1)] == F(1, 3)
+
+
 @given(st.integers(min_value=1, max_value=6))
 def test_tables_cover_every_partition_of_the_degree(k):
     genus = GenusSpec.l_genus(8)

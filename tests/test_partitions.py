@@ -1,6 +1,8 @@
 """Tests for integer partitions and the set-partition lattice."""
 
+import copy
 import math
+import pickle
 from itertools import permutations, product
 
 import pytest
@@ -133,6 +135,26 @@ def test_rgs_validation():
         SetPartition((0, 2))
     with pytest.raises(ValueError):
         SetPartition(())
+
+
+@pytest.mark.parametrize(
+    "p, accessor, plain",
+    [
+        (IntegerPartition([1, 3, 1]), "parts", (3, 1, 1)),
+        (IntegerPartition(), "parts", ()),
+        (SetPartition((0, 1, 0, 2)), "rgs", (0, 1, 0, 2)),
+    ],
+    ids=["integer", "empty", "set"],
+)
+def test_partitions_are_tuples_of_their_parts_or_rgs(p, accessor, plain):
+    assert isinstance(p, tuple)
+    assert p == plain and plain == p and hash(p) == hash(plain)
+    assert {plain: "key"}[p] == "key"
+    assert type(getattr(p, accessor)) is tuple and getattr(p, accessor) == plain
+    assert len(p) == len(plain) and list(p) == list(plain) and p[1:] == plain[1:]
+    copies = [pickle.loads(pickle.dumps(p, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.copy(p), copy.deepcopy(p)]:
+        assert type(other) is type(p) and repr(other) == repr(p) and other == p
 
 
 # ---------------------------------------------------------------------------
