@@ -44,6 +44,8 @@ def encode_rational(c: Fraction) -> dict[str, str]:
 
 
 def decode_rational(entry: Mapping[str, str]) -> Fraction:
+    if any(type(entry[key]) not in (int, str) for key in ("num", "den")):  # int() truncates a float, reads a bool
+        raise ValueError(f"num and den must be integers or decimal strings, got {entry}")
     return Fraction(int(entry["num"]), int(entry["den"]))
 
 
@@ -188,7 +190,7 @@ def read_cache(path: str, genus: GenusSpec) -> dict[int, CoefficientTable]:
             doc = json.load(fh)
     except FileNotFoundError:
         return {}
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not JSON, or not UTF-8
         print(f"warning: cache {path}: {exc}; recomputing", file=sys.stderr)
         return {}
     try:
@@ -210,7 +212,7 @@ def read_cache(path: str, genus: GenusSpec) -> dict[int, CoefficientTable]:
             }
             out[k] = CoefficientTable(k, parsed)
         return out
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         print(f"warning: cache {path}: malformed ({exc}); recomputing", file=sys.stderr)
         return {}
 

@@ -60,8 +60,6 @@ DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-6
 SAMPLE_DEPTH = 50_000  # matched-truncation identity checks
 AHAT_DEPTH = 2_000_000  # 1/N outer tails need this for 1e-6 relative
-MAIN_DEGREE_CAP = 16  # `verify main --k 16` takes about 3.6 s and 56 MB, `--k 12` 1.4 s and 40 MB
-AHAT_DEGREE_CAP = 8  # `verify ahat --k 8` about 1.4 s and 34 MB; its worst check is at half its tol
 FORMAL_SIZE_CAP = 20_000  # of level_cap^max_r; `formal --max-r 4 --n 11` takes about 0.5 s
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8
@@ -158,7 +156,7 @@ def _partition_label(pi: SetPartition) -> str:
 
 def _genus_checks(
     genus_name: str, kernel: str, label: str, scale: Callable[[float, int, float], float],
-    suite: str, cap: int, max_k: int, depth: Optional[int], tol: float,
+    suite: str, max_k: int, depth: Optional[int], tol: float,
 ) -> Checks:
     """Exact genus coefficients against pi-normalized symmetrized sums.
 
@@ -171,10 +169,9 @@ def _genus_checks(
     Without a depth, each partition uses the default for its r.  The
     partitions of one depth share one symmetrize_family, all priced first.
     """
-    from .genus import coefficient_table
+    from .genus import check_table_degree, coefficient_table
     from .series import EvalConfig, check_work, default_config, price, symmetrize_family
-    if max_k > cap:  # each suite's cap is set from its own cost
-        raise ValueError(f"degree {max_k} is past the {suite} table cap {cap}")
+    check_table_degree(max_k)
     classes: dict[EvalConfig, list] = {}
     for k in range(1, max_k + 1):
         for part in integer_partitions(k):
@@ -441,11 +438,11 @@ _SAMPLED = (
 
 _SUITES: dict[str, _Suite] = {
     "main": _Suite(
-        partial(_genus_checks, "L", "T", "h", _main_scale, "main", MAIN_DEGREE_CAP),
+        partial(_genus_checks, "L", "T", "h", _main_scale, "main"),
         (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)),
     ),
     "ahat": _Suite(
-        partial(_genus_checks, "Ahat", "S", "a", _ahat_scale, "ahat", AHAT_DEGREE_CAP),
+        partial(_genus_checks, "Ahat", "S", "a", _ahat_scale, "ahat"),
         (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)),
     ),
     "hoffman": _Suite(_hoffman_checks, _SAMPLED),

@@ -246,6 +246,37 @@ def test_read_cache_warns_on_a_zero_denominator(runner, tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def _valid_cache(tmp_path):
+    """The cache document that `table --genus L --max-k 2` writes."""
+    genus, cache = GenusSpec.l_genus(2), tmp_path / "valid.json"
+    render.write_cache(str(cache), genus, {k: genus_module.coefficient_table(genus, k) for k in (1, 2)})
+    return json.loads(cache.read_text())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda doc: json.dumps({**doc, "tables": []}).encode(), id="tables a list"),
+        pytest.param(lambda doc: json.dumps({**doc, "tables": {"1": []}}).encode(), id="table a list"),
+        pytest.param(lambda doc: b"\xff\xfe" + json.dumps(doc).encode(), id="utf-16 mark"),
+        pytest.param(lambda doc: b"[" * 100_000 + b"]" * 100_000, id="nested too deep"),
+        # int() would read these as 0 and 1, a wrong coefficient
+        pytest.param(lambda doc: json.dumps({**doc, "tables": {"1": {"1": {"num": 0.9, "den": "3"}}}}).encode(), id="float"),
+        pytest.param(lambda doc: json.dumps({**doc, "tables": {"1": {"1": {"num": True, "den": "3"}}}}).encode(), id="bool"),
+    ],
+)
+def test_a_malformed_cache_warns_and_is_recomputed(runner, tmp_path, capsys, corrupt):
+    cache, out, fresh = tmp_path / "cache.json", tmp_path / "t.csv", tmp_path / "fresh.csv"
+    cache.write_bytes(corrupt(_valid_cache(tmp_path)))
+    assert read_cache(str(cache), GenusSpec.l_genus(3)) == {}
+    assert "warning: cache" in capsys.readouterr().err
+    args = ["table", "--genus", "L", "--max-k", "2", "--out"]
+    assert _invoke(runner, args + [str(out), "--cache", str(cache)]).exit_code == 0
+    assert _invoke(runner, args + [str(fresh)]).exit_code == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert json.loads(cache.read_text()) == _valid_cache(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # custom genus files
 # ---------------------------------------------------------------------------
@@ -283,6 +314,16 @@ def test_custom_genus_with_insufficient_order_fails_cleanly(runner, tmp_path):
 def test_genus_file_with_a_zero_denominator_fails_cleanly(runner, tmp_path):
     gpath = tmp_path / "zero.json"
     gpath.write_text('{"name": "x", "coefficients": [{"num": "1", "den": "0"}]}')
+    result = _invoke(runner, ["coeff", "--genus", str(gpath), "--partition", "1"])
+    assert result.exit_code == 2
+    assert "cannot load genus from" in result.output
+
+
+@pytest.mark.parametrize("num", [1.9, True], ids=["float", "bool"])
+def test_genus_file_with_a_non_integer_numerator_fails_cleanly(runner, tmp_path, num):
+    # int() would read 1.9 as 1 and true as 1, and print a wrong coefficient
+    gpath = tmp_path / "float.json"
+    gpath.write_text(json.dumps({"name": "x", "coefficients": [{"num": "1", "den": "1"}, {"num": num, "den": "3"}]}))
     result = _invoke(runner, ["coeff", "--genus", str(gpath), "--partition", "1"])
     assert result.exit_code == 2
     assert "cannot load genus from" in result.output
@@ -397,12 +438,13 @@ def _no_array(*args):
 def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkeypatch):
     # each run's price is checked once, before any sum.  The largest input of
     # each priced shape along one option, each about 10 s in a launch on a
-    # 2-core host, reaches its first sweep; one more, or 1% more depth, is
-    # past the budget and exits 2 in under a second
+    # 2-core host (ahat --k 13 about 7 s), reaches its first sweep; one more,
+    # or 1% more depth, is past the budget and exits 2 in under a second
     for args, edge in (
         (["main", "--k", "12", "--depth"], 3_403_675),
         (["main", "--k", "16", "--depth"], 907_358),
         (["ahat", "--k", "8", "--depth"], 16_025_641),
+        (["ahat", "--k"], 13),
         (["hoffman", "--max-r", "7", "--samples"], 26),
         (["hoffman", "--max-r", "7", "--depth"], 65_496),
         (["multiple-eta", "--max-r", "7", "--samples"], 37),
@@ -420,6 +462,20 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
             assert time.perf_counter() - start < 1.0
             assert result.exit_code == 2
             assert f"past the work budget of {series.MAX_WORK:,} ns" in result.output, args
+
+
+def test_verify_main_runs_to_the_exact_layer_cap(runner, monkeypatch):
+    # main's degree is bounded by the exact layer alone: 20 reaches its first
+    # sweep, and 21 exits 2 with the exact-layer message before any array
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_sweep", _reach)
+        with pytest.raises(_Reached):
+            _invoke(runner, ["verify", "main", "--k", "20"])
+        patch.setattr(series, "_powers", _no_array)
+        patch.setattr(series, "_carry", _no_array)
+        result = _invoke(runner, ["verify", "main", "--k", "21"])
+    assert result.exit_code == 2
+    assert "degree 21 is past the exact-layer cap 20" in result.output
 
 
 def _check_price(runner, monkeypatch, args, per_index):
@@ -515,8 +571,7 @@ def test_verify_runs_seven_distinct_exponents(runner):
 
 
 _EXACT_CAP = "degree 21 is past the exact-layer cap 20"
-_MAIN_CAP = "degree 17 is past the main table cap 16"
-_AHAT_CAP = "degree 9 is past the ahat table cap 8"
+_AHAT_BUDGET = "verify ahat is priced at 11,634,000,000 ns, past the work budget of 10,000,000,000 ns"
 _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
 
 
@@ -525,7 +580,7 @@ _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
     [
         # explicit ids: the message would make the test names over-long
         pytest.param(["table", "--genus", "L", "--max-k", "21"], _EXACT_CAP, id="args0-table cap"),
-        pytest.param(["verify", "main", "--k", "17"], _MAIN_CAP, id="args1-table cap"),
+        pytest.param(["verify", "main", "--k", "21"], _EXACT_CAP, id="args1-main exact cap"),
         pytest.param(["verify", "signs", "--k", "21"], _EXACT_CAP, id="args2-table cap"),
         pytest.param(["poly", "--genus", "L", "--k", "21"], _EXACT_CAP, id="args3-table cap"),
         pytest.param(
@@ -534,7 +589,7 @@ _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
         ),
         (["verify", "formal", "--max-r", "4", "--n", "40"], "cap^blocks = 40^4 exceeds"),
         (["verify", "formal", "--max-r", "5"], "supports at most 4 blocks"),
-        pytest.param(["verify", "ahat", "--k", "9"], _AHAT_CAP, id="args7-table cap"),
+        pytest.param(["verify", "ahat", "--k", "14"], _AHAT_BUDGET, id="args7-ahat work budget"),
         # coeff is capped by weight, however few its parts
         pytest.param(
             ["coeff", "--genus", "L", "--partition", ",".join(["1"] * 21)], _EXACT_CAP,

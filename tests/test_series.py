@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from zetagenus import series, verify
 from zetagenus.exact import bernoulli
+from zetagenus.genus import MAX_EXACT_DEGREE
 from zetagenus.partitions import integer_partitions
 from zetagenus.series import (
     MAX_DEPTH,
@@ -574,16 +575,19 @@ def _family_steps(family):
 
 
 def test_working_set_budget_admits_every_suite_default():
-    # main at its default depths and ahat at AHAT_DEPTH, each to its degree
-    # cap, one family per depth as the suites sum them (symmetrize_family
-    # checks at the call and sums nothing unread); the sampled suites with
-    # seven distinct exponents at SAMPLE_DEPTH
-    for kernel, cap, depth in (("T", verify.MAIN_DEGREE_CAP, None), ("S", verify.AHAT_DEGREE_CAP, verify.AHAT_DEPTH)):
+    # main at its default depths to the exact-layer cap and ahat at AHAT_DEPTH
+    # to degree 13, one family per depth as the suites sum them
+    # (symmetrize_family checks at the call and sums nothing unread), but not
+    # ahat to degree 14; the sampled suites with seven distinct exponents at
+    # SAMPLE_DEPTH
+    for kernel, cap, depth in (("T", MAX_EXACT_DEGREE, None), ("S", 13, verify.AHAT_DEPTH)):
         classes = {}
         for s in _weight_family(cap):
             classes.setdefault(default_config(len(s)).depth if depth is None else depth, []).append(s)
         for d, family in classes.items():
             symmetrize_family(kernel, family, EvalConfig(d))
+    with pytest.raises(ValueError, match="past the work budget"):
+        symmetrize_family("S", _weight_family(14), EvalConfig(verify.AHAT_DEPTH))
     symmetrize_family("T", [_PLANS[-1]], EvalConfig(verify.SAMPLE_DEPTH))
 
 
