@@ -5,7 +5,7 @@ lattice of set partitions under refinement.  This walkthrough enumerates a
 small lattice, evaluates its Moebius function, and then replays the key
 inversions as exact polynomial identities over a finite level set
 {1, ..., N}: every index variable becomes a formal sum over its levels, so
-both sides of each identity are literal polynomials with Fraction
+both sides of each identity are literal polynomials with integer
 coefficients and equality is term-by-term.
 
 Run:  python3 demos/03_lattice_identities.py
@@ -21,7 +21,6 @@ from zetagenus import (
     chain_sum_poly_symmetrized,
     check_chain_inversion,
     check_mobius_inversion,
-    coarsenings,
     enumerate_set_partitions,
     mobius,
     monomial_poly,
@@ -29,6 +28,7 @@ from zetagenus import (
     stirling2,
     substitute_exact,
     substitute_float,
+    sum_over_coarsenings,
     symmetrize,
     EvalConfig,
 )
@@ -71,11 +71,7 @@ print()
 
 N = 4
 pi = SetPartition.from_blocks([(1,), (2,), (3,)])
-total = None
-for rho, _ in coarsenings(pi):
-    term = monomial_poly(rho, N)
-    total = term if total is None else total + term
-assert total == power_sum_poly(pi, N)
+assert sum_over_coarsenings(pi, N, monomial_poly) == power_sum_poly(pi, N)
 print(f"p_pi = sum of m_rho over the {bell_number(3)} coarsenings: exact at N = {N}.")
 
 # Moebius inversion turns that triangular system upside down.

@@ -21,7 +21,6 @@ _EXPORTS = {
     "SetPartition": "partitions",
     "integer_partitions": "partitions",
     "enumerate_set_partitions": "partitions",
-    "coarsenings": "partitions",
     "mobius": "partitions",
     "stirling2": "partitions",
     "bell_number": "partitions",
@@ -42,6 +41,7 @@ _EXPORTS = {
     "power_sum_poly": "formal",
     "monomial_poly": "formal",
     "chain_sum_poly_symmetrized": "formal",
+    "sum_over_coarsenings": "formal",
     "check_mobius_inversion": "formal",
     "check_chain_inversion": "formal",
     "substitute_exact": "formal",

@@ -59,15 +59,13 @@ def _load_genus(name: str, order: int) -> GenusSpec:
     """Resolve a genus name or a custom-series JSON path for degrees up to
     order.  An order past the cap is refused first, before any series is
     built; after this, the exact routes the commands call raise no ValueError."""
-    from .genus import GenusSpec, check_table_degree
+    from .genus import NAMED, GenusSpec, check_table_degree
     try:
         check_table_degree(order)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if name == "L":
-        return GenusSpec.l_genus(order)
-    if name == "Ahat":
-        return GenusSpec.a_hat(order)
+    if name in NAMED:
+        return NAMED[name](order)
     if not os.path.exists(name):
         raise ConfigError(
             f"unknown genus {name!r}: expected L, Ahat, or a JSON file path"
@@ -79,7 +77,7 @@ def _load_genus(name: str, order: int) -> GenusSpec:
             doc = json.load(fh)
         coeffs = [decode_rational(e) for e in doc["coefficients"]]
         genus = GenusSpec.from_coefficients(str(doc["name"]), coeffs)
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot load genus from {name}: {exc}")
     if genus.order < order:
         raise ConfigError(

@@ -55,25 +55,12 @@ Builder = Callable[[SetPartition, int], "FormalPolynomial"]
 @dataclass(frozen=True)
 class FormalPolynomial:
     """A polynomial in indeterminates tagged (element, level), with integer
-    coefficients (rational after a scale by a Fraction)."""
+    coefficients."""
 
-    terms: Mapping[Monomial, int | Fraction]
+    terms: Mapping[Monomial, int]
     level_cap: int
 
-    def __add__(self, other: "FormalPolynomial") -> "FormalPolynomial":
-        if self.level_cap != other.level_cap:
-            raise ValueError("level caps differ")
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            nv = out.get(mono, 0) + c
-            if nv:
-                out[mono] = nv
-            else:
-                out.pop(mono, None)
-        return FormalPolynomial(out, self.level_cap)
-
-    def scale(self, c) -> "FormalPolynomial":
-        c = c if type(c) is int else Fraction(c)
+    def scale(self, c: int) -> "FormalPolynomial":
         if not c:
             return FormalPolynomial({}, self.level_cap)
         return FormalPolynomial(
@@ -212,8 +199,8 @@ class IdentityReport:
     name: str
     ok: bool
     first_diff: Optional[Monomial] = None
-    lhs_coeff: Optional[int | Fraction] = None
-    rhs_coeff: Optional[int | Fraction] = None
+    lhs_coeff: Optional[int] = None
+    rhs_coeff: Optional[int] = None
 
     def describe(self) -> str:
         if self.ok:

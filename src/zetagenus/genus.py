@@ -65,6 +65,7 @@ from .partitions import (
 
 __all__ = [
     "GenusSpec",
+    "NAMED",
     "CoefficientTable",
     "leading_coefficients",
     "coefficient_closed_form",
@@ -106,6 +107,9 @@ class GenusSpec:
     @classmethod
     def from_coefficients(cls, name: str, coefficients) -> "GenusSpec":
         return cls(name, PowerSeries(coefficients))
+
+
+NAMED = {"L": GenusSpec.l_genus, "Ahat": GenusSpec.a_hat}  # each named genus to a given order, L first
 
 
 @dataclass(frozen=True)

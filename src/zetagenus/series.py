@@ -55,7 +55,7 @@ __all__ = [
     "EvalConfig", "SeriesValue", "default_config", "zeta",
     "dirichlet_eta", "multiple_zeta", "multiple_zeta_star",
     "alternating_chain_sum", "alternating_chain_tail", "alternating_chain_tail_family",
-    "symmetrize", "symmetrize_family", "check_symmetrize_size", "innermost_peel_residual",
+    "symmetrize", "symmetrize_family", "innermost_peel_residual",
     "bottom_block_residual", "alternating_chain_and_tail", "price", "check_work",
 ]
 
@@ -63,7 +63,7 @@ MIN_EXPONENT = 1.05  # a margin above 1 keeps the truncation bounds finite
 DEPTH_LOW_RANK = 1_000_000  # default depth for 1- and 2-fold sums
 DEPTH_HIGH_RANK = 200_000  # default depth for deeper sums
 MAX_DEPTH = 20_000_000  # alternating_chain_tail_family returns 80 MB; `verify ahat` here: 1.5 s, 31 MB
-MAX_SYMMETRIZE_SUBSETS = 128  # 7 distinct exponents: 0.5 s, 48 MB at depth 2e5; 8 take 2x
+MAX_SYMMETRIZE_SUBSETS = 128  # checked in _plan; 7 distinct exponents: 9.7 MiB traced at depth 2e5; 8 take 2x
 MAX_WORK = 10_000_000_000  # the price in ns of one verify run or symmetrize DP: 10 s
 # The price in ns per index of each sum shape, measured once in process on a 2-core
 # host: a DP's level step, a reduction per family member, and per exponent an ordering
@@ -81,6 +81,8 @@ class EvalConfig:
     depth: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.depth, (int, np.integer)):
+            raise ValueError(f"depth must be an integer, got {self.depth!r}")
         if self.depth < 2:
             raise ValueError("depth must be at least 2")
         if self.depth > MAX_DEPTH:
@@ -378,23 +380,6 @@ def alternating_chain_tail_family(s: Sequence[float], cfg: EvalConfig | None = N
     return out
 
 
-def check_symmetrize_size(s: Sequence[float]) -> int:
-    """symmetrize's level steps per index on the exponents s, one per
-    sub-multiset and distinct value in it: sum_i m_i count / (m_i + 1), with
-    m_i the multiplicities and count = prod (m_i + 1) the sub-multisets.
-    ValueError unless s has at least one exponent and at most
-    MAX_SYMMETRIZE_SUBSETS sub-multisets; symmetrize_family prices the
-    work.  Memory needs no check: the DP holds _SWEEP-term blocks."""
-    if not len(s):
-        raise ValueError("symmetrize needs at least one exponent")
-    top = Counter(s).values()
-    count = math.prod(m + 1 for m in top)
-    if count > MAX_SYMMETRIZE_SUBSETS:
-        raise ValueError(f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
-                         f"the exponents, got {count} for {len(s)} exponents")
-    return sum(m * count // (m + 1) for m in top)
-
-
 def price(depth: int, family: Sequence[Sequence[float]] = (), **counts: int) -> int:
     """The price in ns of sums at this depth (PRICES): one DP over the
     sub-multisets of a family, a step per sub-multiset and distinct value in
@@ -483,10 +468,15 @@ def _family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig, pas
 
 @lru_cache(maxsize=4)  # one plan prices a family and then sweeps it, as verify main does per depth class
 def _plan(family: tuple[tuple[float, ...], ...]) -> tuple[list, dict, list, dict]:
-    """symmetrize_family's DP: the members as floats, each exponent's rank,
-    each member's top M and ups (see _sweep), all read-only."""
+    """symmetrize_family's DP: the members as floats, each exponent's rank, each member's top M
+    and ups (see _sweep), all read-only; ValueError if a member is empty or has too many sub-multisets."""
     for s in family:
-        check_symmetrize_size(s)
+        if not len(s):
+            raise ValueError("symmetrize needs at least one exponent")
+        count = math.prod(m + 1 for m in Counter(s).values())
+        if count > MAX_SYMMETRIZE_SUBSETS:
+            raise ValueError(f"symmetrize supports at most {MAX_SYMMETRIZE_SUBSETS} sub-multisets of "
+                             f"the exponents, got {count} for {len(s)} exponents")
     members = [_setup(s, None)[0] for s in family]
     before = {(a, b) for s in members for a, b in pairwise(dict.fromkeys(s))}  # a member lists a, then b
     height = dict.fromkeys((x for s in members for x in s), 0)  # of the longest such chain below x
@@ -577,7 +567,7 @@ def bottom_block_residual(k: int, s: Sequence[float], cfg: EvalConfig | None = N
             first = max(k, lo // 2)
             even = np.arange(2 * first, 2 * (hi // 2 + (hi == depth)), 2, dtype=np.float64)  # 2l
             odd = even[even < depth] + 1.0  # 2l + 1 <= depth
-        rest = _carry("S", level[::-1].copy(), hi - lo, runs[i])[::-1][1::2] if i else np.ones((hi - lo) // 2)
+        rest = _carry("T", level.copy(), hi - lo, runs[i])[1::2] if i else np.ones((hi - lo) // 2)
         rest = (np.append(rest, float(not i)) if hi == depth else rest)[first - lo // 2 :]
         own = common if i == r - 1 > 0 else even ** -sl[i]  # i = r - 2's common is (2l)^(-s_r)
         suffix_exp = sum(sl[i + 1 :])  # s_{i+2} + ... + s_r

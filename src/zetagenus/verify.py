@@ -31,6 +31,7 @@ report header so failures are reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -49,7 +50,6 @@ if TYPE_CHECKING:  # each check builder imports the layers it runs in its own bo
     from fractions import Fraction
 
     from .formal import IdentityReport
-    from .genus import GenusSpec
     from .series import SeriesValue
 
 __all__ = [
@@ -169,7 +169,7 @@ def _genus_checks(
     Without a depth, each partition uses the default for its r.  The
     partitions of one depth share one symmetrize_family, all priced first.
     """
-    from .genus import check_table_degree, coefficient_table
+    from .genus import NAMED, check_table_degree, coefficient_table
     from .series import EvalConfig, check_work, default_config, price, symmetrize_family
     check_table_degree(max_k)
     classes: dict[EvalConfig, list] = {}
@@ -180,7 +180,7 @@ def _genus_checks(
     check_work(f"verify {suite}", sum(price(cfg.depth, family) for cfg, family in families.items()))
     runs = [(parts, symmetrize_family(kernel, families[cfg], cfg)) for cfg, parts in classes.items()]
     sums = {part: sv.value for parts, run in runs for part, sv in zip(parts, run)}
-    genus = _genus(genus_name, max_k)
+    genus = NAMED[genus_name](max_k)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
         for part in integer_partitions(k):
@@ -207,13 +207,13 @@ def _sampled_tuples(
     price (each tuple's symmetrized sums by this many kernels, and an
     ordering for each of its 2^r - 1 block sums) against the work budget.
     """
-    from .series import check_symmetrize_size, check_work, price
+    from .series import check_work, price
     rng = random.Random(seed)
     out, work = [], 0
     for r in range(1, max_r + 1):
         for i in range(samples):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
-            work += price(depth, step=kernels * check_symmetrize_size(s), member=kernels, ordering=2**r - 1)
+            work += kernels * price(depth, [s]) + price(depth, ordering=2**r - 1)
             out.append((i, s))
     check_work(f"verify {suite}", work)
     return out
@@ -367,15 +367,6 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
         )
 
 
-def _genus(name: str, max_k: int) -> GenusSpec:
-    from .genus import GenusSpec
-    return GenusSpec.l_genus(max_k) if name == "L" else GenusSpec.a_hat(max_k)
-
-
-def _genera(max_k: int) -> tuple[tuple[str, GenusSpec], ...]:
-    return tuple((name, _genus(name, max_k)) for name in ("L", "Ahat"))
-
-
 def _oracle_checks(max_k: int) -> Checks:
     """Recurrence tables and closed-form coefficients against the oracle.
 
@@ -385,9 +376,9 @@ def _oracle_checks(max_k: int) -> Checks:
     agreement of all three on every partition is a genuine cross-check.
     A partition counts as bad when either route differs from the oracle.
     """
-    from .genus import check_oracle_degree, coefficient_closed_form, coefficient_table, coefficient_table_oracle
+    from .genus import NAMED, check_oracle_degree, coefficient_closed_form, coefficient_table, coefficient_table_oracle
     check_oracle_degree(max_k)  # refuse before the first table is built
-    for name, genus in _genera(max_k):
+    for name, genus in [(name, spec(max_k)) for name, spec in NAMED.items()]:
         for k in range(1, max_k + 1):
             table = coefficient_table(genus, k)
             oracle = coefficient_table_oracle(genus, k)
@@ -408,9 +399,9 @@ def _signs_checks(max_k: int) -> Checks:
     k <= max_k, in exact arithmetic.  One aggregated check per
     (genus, k).
     """
-    from .genus import check_table_degree, coefficient_table
+    from .genus import NAMED, check_table_degree, coefficient_table
     check_table_degree(max_k)
-    for name, genus in _genera(max_k):
+    for name, genus in [(name, spec(max_k)) for name, spec in NAMED.items()]:
         offset = 1 if name == "L" else 0
         for k in range(1, max_k + 1):
             table = coefficient_table(genus, k)
@@ -501,6 +492,8 @@ def run_suite(name: str, **options: object) -> SuiteReport:
     if "tol" in values and not 0 < values["tol"] < math.inf:
         raise ValueError(f"tol must be positive and finite, got {values['tol']}")
     for key, (least, most) in _SIZES.items():
+        if key in values and not isinstance(values[key], numbers.Integral):
+            raise ValueError(f"{key} must be an integer, got {values[key]!r}")
         if key in values and not least <= values[key] <= most:
             bound = f"at least {least}" if values[key] < least else f"at most {most}"
             raise ValueError(f"{key} must be {bound}, got {values[key]}")

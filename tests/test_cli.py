@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -311,9 +312,17 @@ def test_custom_genus_with_insufficient_order_fails_cleanly(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_genus_file_with_a_zero_denominator_fails_cleanly(runner, tmp_path):
-    gpath = tmp_path / "zero.json"
-    gpath.write_text('{"name": "x", "coefficients": [{"num": "1", "den": "0"}]}')
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"name": "x", "coefficients": [{"num": "1", "den": "0"}]}', id="zero denominator"),
+        # json raises RecursionError on this, which is no ValueError
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested too deep"),
+    ],
+)
+def test_genus_file_with_a_zero_denominator_fails_cleanly(runner, tmp_path, text):
+    gpath = tmp_path / "genus.json"
+    gpath.write_text(text)
     result = _invoke(runner, ["coeff", "--genus", str(gpath), "--partition", "1"])
     assert result.exit_code == 2
     assert "cannot load genus from" in result.output
@@ -724,6 +733,24 @@ def test_run_suite_rejects_unknown_names():
 def test_run_suite_rejects_options_no_suite_takes():
     with pytest.raises(ValueError, match="threads"):
         run_suite("oracle", max_k=1, threads=2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: series.EvalConfig(1e5), id="EvalConfig"),
+        pytest.param(lambda: run_suite("hoffman", depth=50000.0), id="depth"),
+        pytest.param(lambda: run_suite("signs", max_k=3.5), id="max_k"),
+        pytest.param(lambda: run_suite("hoffman", samples=2.5), id="samples"),
+    ],
+)
+def test_sizes_that_are_not_integers_raise_value_errors(call):
+    # range() would raise a TypeError from deep inside a suite or a sum
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call()
+    # a numpy integer is an integer
+    assert series.EvalConfig(np.int64(50)).depth == 50
+    assert run_suite("signs", max_k=np.int64(2)).passed
 
 
 def test_reports_are_deterministic():

@@ -25,7 +25,6 @@ from zetagenus.formal import (
 )
 from zetagenus.partitions import (
     SetPartition,
-    coarsenings,
     enumerate_set_partitions,
 )
 from zetagenus.series import EvalConfig, alternating_chain_sum, symmetrize
@@ -35,7 +34,7 @@ F = Fraction
 
 
 def _poly(terms, cap):
-    return FormalPolynomial({m: F(c) for m, c in terms.items()}, cap)
+    return FormalPolynomial(dict(terms), cap)
 
 
 def _pi(*blocks):
@@ -150,11 +149,7 @@ def test_power_sum_splits_into_monomials():
     # p_pi = sum of m_rho over coarsenings rho >= pi.
     for n in (1, 2, 3):
         for pi in enumerate_set_partitions(n):
-            total = None
-            for rho, _ in coarsenings(pi):
-                term = monomial_poly(rho, 3)
-                total = term if total is None else total + term
-            assert total == power_sum_poly(pi, 3)
+            assert formal.sum_over_coarsenings(pi, 3, monomial_poly) == power_sum_poly(pi, 3)
 
 
 @pytest.mark.parametrize("n,cap", [(1, 4), (2, 4), (3, 4), (4, 3)])
@@ -207,12 +202,10 @@ def test_identity_report_describes_the_first_mismatch():
 
 
 def test_polynomial_ring_operations():
-    a = _poly({((1, 1),): 2}, 3)
-    b = _poly({((1, 1),): -2, ((1, 2),): 5}, 3)
-    assert (a + b) == _poly({((1, 2),): 5}, 3)
-    assert not (a + a.scale(-1)).terms
-    assert a.scale(F(1, 2)) == _poly({((1, 1),): 1}, 3)
-    assert not a.scale(0).terms
+    a = _poly({((1, 1),): 2, ((1, 2),): -5}, 3)
+    assert a.scale(-1) == _poly({((1, 1),): -2, ((1, 2),): 5}, 3)
+    assert a.scale(3) == _poly({((1, 1),): 6, ((1, 2),): -15}, 3)
+    assert a.scale(0) == _poly({}, 3)
 
 
 def test_builders_yield_integer_coefficients():
@@ -226,15 +219,10 @@ def test_builders_yield_integer_coefficients():
     ]
     for poly in built:
         assert poly.terms and all(type(c) is int for c in poly.terms.values())
-        assert all(type(c) is int for c in (poly + poly).scale(-3).terms.values())
-    # a Fraction scale still gives the exact rationals
-    half = built[0].scale(F(1, 2))
-    assert all(c == F(1, 2) and type(c) is F for c in half.terms.values())
-    assert half + half == built[0]
-    # and so does a float or a string scale, as exact rationals
-    for c in (0.5, "1/2"):
-        scaled = built[0].scale(c)
-        assert scaled == half and all(type(v) is F for v in scaled.terms.values())
+        scaled = poly.scale(-3)
+        assert all(type(c) is int for c in scaled.terms.values())
+        assert scaled.terms == {m: -3 * c for m, c in poly.terms.items()}
+        assert not poly.scale(0).terms
 
 
 def test_formal_suite_builds_each_polynomial_once(monkeypatch):
@@ -260,13 +248,6 @@ def test_formal_suite_builds_each_polynomial_once(monkeypatch):
     calls.clear()
     assert check_chain_inversion(_pi((1,), (2,), (3,)), 3).ok
     assert len(calls) == 2 * 5
-
-
-def test_mixed_level_caps_are_rejected():
-    a = _poly({((1, 1),): 1}, 2)
-    b = _poly({((1, 1),): 1}, 3)
-    with pytest.raises(ValueError):
-        a + b
 
 
 def test_budget_guards():

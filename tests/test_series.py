@@ -37,7 +37,6 @@ from zetagenus.series import (
     alternating_chain_tail,
     alternating_chain_tail_family,
     bottom_block_residual,
-    check_symmetrize_size,
     default_config,
     dirichlet_eta,
     innermost_peel_residual,
@@ -358,7 +357,8 @@ def test_symmetrize_guards():
         symmetrize("T", (), SMALL)
     # the cap is on sub-multisets, not on the number of exponents
     eight = tuple(2.0 + 0.5 * i for i in range(8))
-    assert check_symmetrize_size(eight[:7]) == 7 * MAX_SYMMETRIZE_SUBSETS // 2  # steps per index
+    steps = 7 * MAX_SYMMETRIZE_SUBSETS // 2  # each of the 7 values in half the sub-multisets
+    assert price(1, [eight[:7]]) == PRICES["step"] * steps + PRICES["member"]  # per index
     assert symmetrize("T", eight[:7], SMALL).value < 0
     with pytest.raises(ValueError, match="sub-multisets"):
         symmetrize("T", eight, SMALL)
@@ -438,7 +438,7 @@ def test_symmetrize_refuses_a_plan_past_the_working_set_budget(s, monkeypatch):
     per_index = PRICES["step"] * steps + PRICES["member"]
     fits = 10**7 // per_index
     assert fits < MAX_DEPTH // 2
-    assert check_symmetrize_size(s) == steps and price(fits, [s]) == fits * per_index
+    assert price(1, [s]) == per_index and price(fits, [s]) == fits * per_index
     symmetrize_family("T", [s], EvalConfig(fits))  # checked at the call, summed when read
 
     def no_array(*args):
@@ -917,7 +917,7 @@ def test_symmetrize_takes_one_level_step_per_sub_multiset_and_value(monkeypatch,
         assert {x for x in s for p in products if p is series._powers(x, SMALL.depth, 0)} == set(s)
     # the guard prices the same steps and one reduction: at this depth they
     # fit a budget of exactly their price, and one index more does not
-    assert check_symmetrize_size(s) == steps
+    assert price(1, [s]) == PRICES["step"] * steps + PRICES["member"]
     monkeypatch.setattr(series, "MAX_WORK", SMALL.depth * (PRICES["step"] * steps + PRICES["member"]))
     symmetrize_family("T", [s], SMALL)
     with pytest.raises(ValueError, match="work budget"):
