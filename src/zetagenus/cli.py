@@ -16,6 +16,9 @@ through an environment variable ZETAGENUS_<COMMAND>_<FLAG>, e.g.
 ZETAGENUS_VERIFY_DEPTH.  Each command imports the modules it runs in its
 own body, so a launch loads (and, without bytecode, compiles) only those.
 main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no command calls BLAS.
+It runs the sampled verify suites on every CPU the process may use
+(os.sched_getaffinity), in children forked after every refusal, to the same
+report bytes; cli called in process, or one CPU, runs them serially.
 After click exits, main() flushes stdout and stderr and calls os._exit with
 its code: commands close their files, and teardown only collects garbage.
 
@@ -211,8 +214,8 @@ class _SuiteChoice(click.Choice):
 def verify(ctx: click.Context, suite: str, out: Optional[str], **options: object) -> None:
     """Run one verification suite; exit 1 iff any check fails."""
     from .verify import run_suite
-    try:
-        report = run_suite(suite, **options)
+    try:  # ctx.obj: the CPUs main() runs sampled suites on; None in process
+        report = run_suite(suite, workers=ctx.obj or 1, **options)
     except ValueError as exc:
         raise ConfigError(str(exc))
     _emit(report.render() + "\n", out)
@@ -224,8 +227,9 @@ def main() -> None:
     """Console-script entry point with the documented env-var prefix."""
     # numpy's OpenBLAS would start a worker pool no command uses: ~0.07 s a launch on 2 cores
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     try:
-        cli(auto_envvar_prefix="ZETAGENUS")
+        cli(auto_envvar_prefix="ZETAGENUS", obj=cpus)
     except SystemExit as exc:  # how click ends every command; teardown would only collect garbage
         sys.stdout.flush()
         sys.stderr.flush()

@@ -25,26 +25,26 @@ The eight suites:
 * signs     sign pattern of every coefficient, both named genera
 
 Sampled suites draw from random.Random(seed); the seed appears in the
-report header so failures are reproducible.
+report header so failures are reproducible.  Each draws and prices its
+whole run, then returns items (a tuple or draw each) that _fan_out runs,
+serially or on forked workers (cli.main), to the same report.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import numbers
+import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import factorial
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn, Optional, Sequence
 
-from .partitions import (
-    SetPartition,
-    alternating_length_sum,
-    enumerate_set_partitions,
-    integer_partitions,
-    signed_block_sums,
-)
+from .partitions import SetPartition, alternating_length_sum, enumerate_set_partitions, integer_partitions
+from .partitions import signed_block_sums
 
 if TYPE_CHECKING:  # each check builder imports the layers it runs in its own body
     from fractions import Fraction
@@ -107,6 +107,7 @@ class SuiteReport:
 
 
 Checks = Iterator[CheckResult]
+Item = Callable[[], Checks]  # one sampled tuple's or draw's checks
 
 
 def _flt(x: float) -> str:
@@ -141,9 +142,7 @@ def _sign_check(name: str, sv: SeriesValue, side: str) -> CheckResult:
 def _identity_check(name: str, rep: IdentityReport) -> CheckResult:
     if rep.ok:
         return _exact_check(name, True, "match", "match", "0")
-    return _exact_check(
-        name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}"
-    )
+    return _exact_check(name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}")
 
 
 def _tuple_label(s: Sequence[float]) -> str:
@@ -198,30 +197,31 @@ def _ahat_scale(c: float, k: int, value: float) -> float:
     return c * value / (2.0 * math.pi) ** (2 * k)
 
 
-def _sampled_tuples(
-    suite: str, seed: int, samples: int, max_r: int, depth: int, kernels: int
-) -> list[tuple[int, tuple[float, ...]]]:
+def _sampled_tuples(suite: str, seed: int, samples: int, max_r: int, depth: int, kernels: int) -> list[tuple]:
     """(index, exponents) with r cycling 1..max_r, reproducible from seed.
 
     Every tuple is checked against the symmetrize size guard, and the run's
     price (each tuple's symmetrized sums by this many kernels, and an
     ordering for each of its 2^r - 1 block sums) against the work budget.
+    Both depend only on a tuple's multiplicities, so the first tuple of
+    each multiplicity pattern is priced and the rest read its price.
     """
     from .series import check_work, price
     rng = random.Random(seed)
-    out, work = [], 0
+    out, work, prices = [], 0, {}
     for r in range(1, max_r + 1):
         for i in range(samples):
             s = tuple(rng.uniform(EXPONENT_LOW, EXPONENT_HIGH) for _ in range(r))
-            work += kernels * price(depth, [s]) + price(depth, ordering=2**r - 1)
+            pattern = tuple(sorted(Counter(s).values()))
+            if pattern not in prices:
+                prices[pattern] = kernels * price(depth, [s]) + price(depth, ordering=2**r - 1)
+            work += prices[pattern]
             out.append((i, s))
     check_work(f"verify {suite}", work)
     return out
 
 
-def _weighted_products(
-    s: Sequence[float], f: Callable[[float], float]
-) -> list[tuple[int, float]]:
+def _weighted_products(s: Sequence[float], f: Callable[[float], float]) -> list[tuple[int, float]]:
     """(Mobius weight, product of f over the block sums) for every set
     partition of the positions of s; f runs once per distinct block sum."""
     terms: list[tuple[int, tuple[float, ...]]] = []
@@ -230,9 +230,7 @@ def _weighted_products(
     return [(w, math.prod(values[x] for x in sums)) for w, sums in terms]
 
 
-def _hoffman_checks(
-    max_r: int, samples: int, seed: int, depth: int, tol: float
-) -> Checks:
+def _hoffman_checks(max_r: int, samples: int, seed: int, depth: int, tol: float) -> list[Item]:
     """Symmetrized nested zetas against set-partition products of zetas.
 
     Strict form:      sum over permutations of the strict nested sum
@@ -243,11 +241,12 @@ def _hoffman_checks(
 
     Both sides are truncated at the same depth; the identities are exact
     decompositions of the finite index box, so residuals are pure float
-    noise and the tolerance is easily met.
+    noise and the tolerance is easily met.  An item is one tuple.
     """
     from .series import EvalConfig, symmetrize, zeta
     cfg = EvalConfig(depth)
-    for i, s in _sampled_tuples("hoffman", seed, samples, max_r, depth, 2):
+
+    def item(i: int, s: tuple[float, ...]) -> Checks:
         products = _weighted_products(s, lambda x: zeta(x, cfg).value)
         label = f"{i:02d}:{_tuple_label(s)}"
         lhs = symmetrize("strict", s, cfg).value
@@ -257,30 +256,31 @@ def _hoffman_checks(
         rhs = math.fsum(abs(w) * p for w, p in products)
         yield _absolute_check(f"star[{label}]", lhs, rhs, tol)
 
+    return [partial(item, i, s) for i, s in _sampled_tuples("hoffman", seed, samples, max_r, depth, 2)]
 
-def _multiple_eta_checks(
-    max_r: int, samples: int, seed: int, depth: int, tol: float
-) -> Checks:
+
+def _multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: float) -> list[Item]:
     """The alternating analogue: eta products against chained sums.
 
     sum over set partitions of (-1)^(r-blocks) * prod (|B|-1)! * prod
     eta(sum over B) equals (-1)^r * symmetrize("T", s).  Each eta factor
     is evaluated as minus the one-variable chained sum so that every
     index is truncated at exactly the same depth, which again makes the
-    identity exact on the finite box.
+    identity exact on the finite box.  An item is one tuple.
     """
     from .series import EvalConfig, alternating_chain_sum, symmetrize
     cfg = EvalConfig(depth)
-    for i, s in _sampled_tuples("multiple-eta", seed, samples, max_r, depth, 1):
+
+    def item(i: int, s: tuple[float, ...]) -> Checks:
         products = _weighted_products(s, lambda x: -alternating_chain_sum((x,), cfg).value)
         lhs = math.fsum(w * p for w, p in products)
         rhs = (-1.0 if len(s) % 2 else 1.0) * symmetrize("T", s, cfg).value
         yield _absolute_check(f"eta[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
 
+    return [partial(item, i, s) for i, s in _sampled_tuples("multiple-eta", seed, samples, max_r, depth, 1)]
 
-def _positivity_checks(
-    samples: int, recurrence_samples: int, seed: int, depth: int, tol: float
-) -> Checks:
+
+def _positivity_checks(samples: int, recurrence_samples: int, seed: int, depth: int, tol: float) -> list[Item]:
     """Sign separation for chained sums plus both peeling recurrences.
 
     For sampled exponent tuples (r cycling 1..3): the chained sum is
@@ -288,7 +288,8 @@ def _positivity_checks(
     magnitude exceeding its own error bound.  A further sampled batch
     checks the two recurrences that peel the innermost index and the
     terminal block, to absolute tolerance.  The run's price is checked
-    against the work budget before any sum runs.
+    against the work budget before any sum runs.  An item is one draw of
+    either batch.
     """
     from .series import EvalConfig, alternating_chain_and_tail, bottom_block_residual, check_work, price
     from .series import innermost_peel_residual
@@ -304,15 +305,19 @@ def _positivity_checks(
     work = sum(price(depth, ordering=len(s)) for _, s, _ in signs)
     work += sum(price(depth, peel=len(s), block=len(s)) for _, s, _ in recurrences)
     check_work("verify positivity", work)
-    for i, s, k in signs:
+
+    def sign(i: int, s: tuple[float, ...], k: int) -> Checks:
         chain, tail = alternating_chain_and_tail(k, s, cfg)
         yield _sign_check(f"chain-negative[{i:02d}:{_tuple_label(s)}]", chain, "<0")
         yield _sign_check(f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]", tail, ">0")
-    for i, s, k in recurrences:
+
+    def recurrence(i: int, s: tuple[float, ...], k: int) -> Checks:
         lhs, rhs = innermost_peel_residual(s, cfg)
         yield _absolute_check(f"peel[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
         lhs, rhs = bottom_block_residual(k, s, cfg)
         yield _absolute_check(f"block[{i:02d}:k={k}:{_tuple_label(s)}]", lhs, rhs, tol)
+
+    return [partial(sign, *d) for d in signs] + [partial(recurrence, *d) for d in recurrences]
 
 
 def _formal_checks(max_r: int, level_cap: int) -> Checks:
@@ -353,18 +358,14 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
                 "0" if diff is None else f"at={diff}",
             )
             yield _identity_check(f"mobius[{label}]", check_mobius_inversion(pi, level_cap, polys))
-            yield _identity_check(
-                f"chain-inversion[{label}]", check_chain_inversion(pi, level_cap, polys)
-            )
+            yield _identity_check(f"chain-inversion[{label}]", check_chain_inversion(pi, level_cap, polys))
     for n in range(1, 10):
         by_sum = alternating_length_sum(n)
         lengths: list[int] = []
         signed_block_sums(range(n), lambda w, sums: lengths.append(len(sums)))
         by_enum = sum((-1 if m % 2 else 1) * factorial(m) for m in lengths)
         ok = by_sum == by_enum == (-1 if n % 2 else 1)
-        yield _exact_check(
-            f"length-parity[n={n}]", ok, str(by_enum), str(by_sum), "0" if ok else "1"
-        )
+        yield _exact_check(f"length-parity[n={n}]", ok, str(by_enum), str(by_sum), "0" if ok else "1")
 
 
 def _oracle_checks(max_k: int) -> Checks:
@@ -383,11 +384,7 @@ def _oracle_checks(max_k: int) -> Checks:
             table = coefficient_table(genus, k)
             oracle = coefficient_table_oracle(genus, k)
             parts = integer_partitions(k)
-            bad = sum(
-                1
-                for p in parts
-                if not table[p] == coefficient_closed_form(genus, p) == oracle[p]
-            )
+            bad = sum(not table[p] == coefficient_closed_form(genus, p) == oracle[p] for p in parts)
             yield _count_check(f"oracle[{name},k={k}]", bad, len(parts))
 
 
@@ -413,9 +410,11 @@ def _signs_checks(max_k: int) -> Checks:
 @dataclass(frozen=True)
 class _Suite:
     """A suite's check builder and its options with their defaults, in
-    the order of the CONFIG line."""
+    the order of the CONFIG line.  A sampled suite's builder (one with a
+    seed) draws and prices its whole run and returns its items; any other
+    yields its checks."""
 
-    build: Callable[..., Checks]
+    build: Callable[..., Checks | list[Item]]
     config: tuple[tuple[str, object], ...]
 
 
@@ -440,13 +439,7 @@ _SUITES: dict[str, _Suite] = {
     "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED),
     "positivity": _Suite(
         _positivity_checks,
-        (
-            ("samples", 100),
-            ("recurrence_samples", 10),
-            ("seed", DEFAULT_SEED),
-            ("depth", SAMPLE_DEPTH),
-            ("tol", DEFAULT_TOL),
-        ),
+        (("samples", 100), ("recurrence_samples", 10), ("seed", DEFAULT_SEED), ("depth", SAMPLE_DEPTH), ("tol", DEFAULT_TOL)),
     ),
     "formal": _Suite(_formal_checks, (("max_r", 3), ("level_cap", 4))),
     "oracle": _Suite(_oracle_checks, (("max_k", 6),)),
@@ -469,28 +462,84 @@ def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def run_suite(name: str, **options: object) -> SuiteReport:
+def _child(share: list[Item], write: int) -> NoReturn:
+    """A forked child: the checks of share's items, their fields marshalled to the pipe write."""
+    try:
+        try:
+            result = (True, [[tuple(vars(c).values()) for c in item()] for item in share])
+        except Exception:
+            import traceback  # loaded on a failure only, as is signal below
+            result = (False, traceback.format_exc())
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(marshal.dumps(result))
+    finally:  # never back into the parent's code
+        os._exit(0)
+
+
+def _fan_out(items: list[Item], workers: int) -> list[CheckResult]:
+    """The checks of every item, in item order, on W = min(workers, items)
+    processes: with os.fork, W - 1 children take the items j, j + W, ...
+    (child j) and this process the items 0, W, ....  A child inherits the
+    items and the loaded layers, sends only its checks, and ends by
+    os._exit.  Each item computes its checks alone, so the report is
+    byte-identical for any W.  A child that raises or dies raises
+    RuntimeError here; every child is reaped before this returns or
+    raises, and killed first if this raises.
+    """
+    w = max(1, min(workers, len(items))) if hasattr(os, "fork") else 1
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for j in range(1, w):
+            read, write = os.pipe()
+            if not (pid := os.fork()):
+                _child(items[j::w], write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        shares = [[list(item()) for item in items[::w]]]
+        for pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"verify worker {pid} ended without a result")
+            ok, result = marshal.loads(data)
+            if not ok:
+                raise RuntimeError(f"verify worker {pid} failed:\n{result}")
+            shares.append([[CheckResult(*fields) for fields in checks] for checks in result])
+    except BaseException:
+        from signal import SIGKILL
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return [check for k in range(len(items)) for check in shares[k % w][k // w]]
+
+
+def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
     """Run one named suite.
 
     An option left out or given as None takes the suite's default.  A
     suite ignores the options of other suites, so one option set serves
-    them all; an option that no suite takes is an error.
+    them all; an option that no suite takes is an error.  A sampled
+    suite (hoffman, multiple-eta, positivity) runs its items on up to
+    workers processes (_fan_out), after every refusal; the report is the
+    same for any count.  workers is no suite option: it is not in CONFIG.
     """
     try:
         suite = _SUITES[name]
     except KeyError:
-        raise ValueError(
-            f"unknown suite {name!r}; expected one of {', '.join(_SUITES)}"
-        ) from None
+        raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(_SUITES)}") from None
     unknown = sorted(set(options) - _OPTIONS)
     if unknown:
         raise ValueError(f"unknown suite option(s): {', '.join(unknown)}")
-    values = {
-        key: default if options.get(key) is None else options[key]
-        for key, default in suite.config
-    }
+    values = {key: default if options.get(key) is None else options[key] for key, default in suite.config}
+    if "tol" in values and not isinstance(values["tol"], numbers.Real):
+        raise ValueError(f"tol must be a number, got {values['tol']!r}")
     if "tol" in values and not 0 < values["tol"] < math.inf:
         raise ValueError(f"tol must be positive and finite, got {values['tol']}")
+    if "level_cap" in values and not isinstance(values["level_cap"], numbers.Integral):  # its range: formal
+        raise ValueError(f"level_cap must be an integer, got {values['level_cap']!r}")
     for key, (least, most) in _SIZES.items():
         if key in values and not isinstance(values[key], numbers.Integral):
             raise ValueError(f"{key} must be an integer, got {values[key]!r}")
@@ -498,4 +547,7 @@ def run_suite(name: str, **options: object) -> SuiteReport:
             bound = f"at least {least}" if values[key] < least else f"at most {most}"
             raise ValueError(f"{key} must be {bound}, got {values[key]}")
     config = tuple((key, _config_text(value)) for key, value in values.items())
-    return SuiteReport(name, config, tuple(suite.build(**values)))
+    checks = suite.build(**values)
+    if "seed" in values:  # a sampled suite: its items
+        checks = _fan_out(list(checks), workers)
+    return SuiteReport(name, config, tuple(checks))

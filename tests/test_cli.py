@@ -742,6 +742,7 @@ def test_run_suite_rejects_options_no_suite_takes():
         pytest.param(lambda: run_suite("hoffman", depth=50000.0), id="depth"),
         pytest.param(lambda: run_suite("signs", max_k=3.5), id="max_k"),
         pytest.param(lambda: run_suite("hoffman", samples=2.5), id="samples"),
+        pytest.param(lambda: run_suite("formal", level_cap=2.5), id="level_cap"),
     ],
 )
 def test_sizes_that_are_not_integers_raise_value_errors(call):
@@ -751,6 +752,13 @@ def test_sizes_that_are_not_integers_raise_value_errors(call):
     # a numpy integer is an integer
     assert series.EvalConfig(np.int64(50)).depth == 50
     assert run_suite("signs", max_k=np.int64(2)).passed
+
+
+@pytest.mark.parametrize("suite", ["main", "hoffman", "positivity"])
+def test_a_tol_that_is_not_a_number_raises_a_value_error(suite):
+    # the range check would raise a TypeError from comparing it with 0
+    with pytest.raises(ValueError, match="tol must be a number, got '1e-6'"):
+        run_suite(suite, tol="1e-6")
 
 
 def test_reports_are_deterministic():
@@ -1010,6 +1018,134 @@ def test_launch_writes_complete_files(runner, tmp_path, args):
     assert _invoke(runner, [a.format(out=in_process) for a in args]).exit_code == 0
     assert launched.read_bytes() == in_process.read_bytes()
     assert launched.read_bytes().endswith(b"\n")
+
+
+# the benchmark's sampled-identities shapes at its seed 1, whose suite seeds
+# are random.Random(1).randrange(1, 10**6) drawn three times
+_SAMPLED_RUNS = {
+    "hoffman-defaults": ("hoffman", {}),
+    "multiple-eta-defaults": ("multiple-eta", {}),
+    "positivity-defaults": ("positivity", {}),
+    "hoffman-bench": ("hoffman", {"samples": 20, "seed": 140892, "max_r": 3}),
+    "multiple-eta-bench": ("multiple-eta", {"samples": 24, "seed": 596854, "max_r": 3}),
+    "positivity-bench": ("positivity", {"samples": 120, "seed": 888599, "recurrence_samples": 12}),
+}
+
+
+def _flags(options):
+    return [a for key, value in options.items() for a in ("--" + key.replace("_", "-"), str(value))]
+
+
+@pytest.mark.parametrize("name", list(_SAMPLED_RUNS))
+def test_a_sampled_suite_launch_prints_the_serial_report(name):
+    # a launch runs a sampled suite on every CPU it may use; the float golden
+    # hashes are pinned to one SIMD dispatch, so this guards the bytes elsewhere
+    suite, options = _SAMPLED_RUNS[name]
+    result = _launch(["verify", suite, *_flags(options)], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode() == run_suite(suite, **options).render() + "\n"
+
+
+_FORKS_SCRIPT = r"""
+import os
+import sys
+
+cpus, *args = sys.argv[1:]
+if cpus == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+parent, real_fork, real_exit = os.getpid(), os.fork, os._exit
+
+
+def fork():
+    pid = real_fork()
+    if pid:
+        os.write(2, b"forked\n")
+    return pid
+
+
+def exit(code):
+    if os.getpid() == parent:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            os.write(2, b"no child left\n")
+    real_exit(code)
+
+
+os.fork, os._exit = fork, exit
+sys.argv = ["zetagenus", *args]
+from zetagenus.cli import main
+
+main()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("cpus", ["one", "all"])
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["hoffman", "--samples", "3", "--depth", "2000"], 0),
+        (["multiple-eta", "--samples", "3", "--depth", "2000", "--tol", "1e-300"], 1),
+        (["positivity", "--samples", "4", "--recurrence-samples", "2", "--depth", "2000"], 0),
+        (["hoffman", "--max-r", "7", "--samples", "27"], 2),
+    ],
+    ids=["pass", "fail", "positivity", "refused"],
+)
+def test_a_launch_forks_only_past_one_cpu_and_reaps_every_child(runner, cpus, args, code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _FORKS_SCRIPT, cpus, "verify", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    expected = _invoke(runner, ["verify", *args])
+    assert result.returncode == expected.exit_code == code, result.stderr
+    assert result.stdout == expected.stdout_bytes
+    items = {"hoffman": 9, "multiple-eta": 9, "positivity": 6}[args[0]]
+    forks = 0 if cpus == "one" or code == 2 else min(len(os.sched_getaffinity(0)), items) - 1
+    assert result.stderr.count(b"forked\n") == forks
+    assert result.stderr.count(b"no child left\n") == 1
+
+
+def _check(name):
+    return verify.CheckResult(name, True, "1", "1", "0", "exact")
+
+
+def _raise():
+    raise ZeroDivisionError("an item failed")
+
+
+def _die():
+    os._exit(3)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize(
+    "bad,item,error,message",
+    [
+        # on two processes the child runs the odd items and this process the even ones
+        (1, _raise, RuntimeError, "ZeroDivisionError: an item failed"),
+        (0, _raise, ZeroDivisionError, "an item failed"),  # the child is killed
+        (3, _die, RuntimeError, "ended without a result"),
+    ],
+    ids=["child-raises", "parent-raises", "child-dies"],
+)
+def test_a_failing_item_makes_the_fan_out_raise_and_leaves_no_child(bad, item, error, message):
+    items = [lambda k=k: [_check(str(k))] for k in range(6)]
+    items[bad] = item
+    with pytest.raises(error, match=message):
+        verify._fan_out(items, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_fan_out_merges_in_item_order():
+    # seven items on three processes: every third item each
+    items = [lambda k=k: [_check(f"{k}a"), _check(f"{k}b")][: 1 + k % 2] for k in range(7)]
+    assert verify._fan_out(items, 3) == verify._fan_out(items, 1)
+    options = dict(samples=5, recurrence_samples=3, depth=2_000)
+    assert run_suite("positivity", workers=3, **options) == run_suite("positivity", **options)
 
 
 _LIBRARY_SCRIPT = r"""
