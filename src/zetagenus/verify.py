@@ -27,7 +27,9 @@ The eight suites:
 Sampled suites draw from random.Random(seed); the seed appears in the
 report header so failures are reproducible.  Each draws and prices its
 whole run, then returns items (a tuple or draw each) that _fan_out runs,
-serially or on forked workers (cli.main), to the same report.
+serially or on forked workers (cli.main), to the same report.  main and
+ahat price their whole run, then _fan_out runs their symmetrized sums the
+same way, a group of partitions per item.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import factorial
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .partitions import SetPartition, alternating_length_sum, enumerate_set_partitions, integer_partitions
 from .partitions import signed_block_sums
@@ -155,7 +157,7 @@ def _partition_label(pi: SetPartition) -> str:
 
 def _genus_checks(
     genus_name: str, kernel: str, label: str, scale: Callable[[float, int, float], float],
-    suite: str, max_k: int, depth: Optional[int], tol: float,
+    suite: str, max_k: int, depth: Optional[int], tol: float, workers: int,
 ) -> Checks:
     """Exact genus coefficients against pi-normalized symmetrized sums.
 
@@ -166,7 +168,11 @@ def _genus_checks(
     (T) and 2^(2k) / pi^(2k); for ahat the A-hat genus, non-strict nested
     zetas (S), whose 1/N outer tails need a large depth, and (2 pi)^(-2k).
     Without a depth, each partition uses the default for its r.  The
-    partitions of one depth share one symmetrize_family, all priced first.
+    partitions of one depth, all priced first, are split into W =
+    min(workers, max_k) groups by largest part j_1 mod W, one
+    symmetrize_family each, and process g of _fan_out sums group g of
+    every depth.  A sum does not depend on its family, so the report is
+    the same for any W; W = 1 is one DP per depth.
     """
     from .genus import NAMED, check_table_degree, coefficient_table
     from .series import EvalConfig, check_work, default_config, price, symmetrize_family
@@ -177,8 +183,14 @@ def _genus_checks(
             classes.setdefault(default_config(len(part)) if depth is None else EvalConfig(depth), []).append(part)
     families = {cfg: [[2.0 * j for j in p] for p in parts] for cfg, parts in classes.items()}
     check_work(f"verify {suite}", sum(price(cfg.depth, family) for cfg, family in families.items()))
-    runs = [(parts, symmetrize_family(kernel, families[cfg], cfg)) for cfg, parts in classes.items()]
-    sums = {part: sv.value for parts, run in runs for part, sv in zip(parts, run)}
+    w = min(workers, max_k)  # so the one-part partitions (1), ..., (max_k) fill every group of their class
+
+    def values(cfg: EvalConfig, parts: list) -> Iterator[float]:  # one group's sums, as a child sends them
+        return (sv.value for sv in symmetrize_family(kernel, [[2.0 * j for j in p] for p in parts], cfg))
+
+    groups = [(cfg, [p for p in parts if p[0] % w == g]) for cfg, parts in classes.items() for g in range(w)]
+    runs = _fan_out([partial(values, cfg, parts) for cfg, parts in groups], w)
+    sums = {part: value for (_, parts), run in zip(groups, runs) for part, value in zip(parts, run)}
     genus = NAMED[genus_name](max_k)
     for k in range(1, max_k + 1):
         table = coefficient_table(genus, k)
@@ -462,39 +474,49 @@ def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def _child(share: list[Item], write: int) -> NoReturn:
-    """A forked child: the checks of share's items, their fields marshalled to the pipe write."""
+def _child(share: list[Callable[[], Iterable]], write: int, cpu: int) -> NoReturn:
+    """A forked child on the CPU cpu: the values of share's items, marshalled to the pipe write."""
     try:
         try:
-            result = (True, [[tuple(vars(c).values()) for c in item()] for item in share])
-        except Exception:
+            os.sched_setaffinity(0, {cpu})
+            data = marshal.dumps((True, [list(item()) for item in share]))
+        except Exception:  # an item's, or a value marshal cannot carry
             import traceback  # loaded on a failure only, as is signal below
-            result = (False, traceback.format_exc())
+            data = marshal.dumps((False, traceback.format_exc()))
         with os.fdopen(write, "wb") as pipe:
-            pipe.write(marshal.dumps(result))
+            pipe.write(data)
     finally:  # never back into the parent's code
         os._exit(0)
 
 
-def _fan_out(items: list[Item], workers: int) -> list[CheckResult]:
-    """The checks of every item, in item order, on W = min(workers, items)
-    processes: with os.fork, W - 1 children take the items j, j + W, ...
-    (child j) and this process the items 0, W, ....  A child inherits the
-    items and the loaded layers, sends only its checks, and ends by
-    os._exit.  Each item computes its checks alone, so the report is
-    byte-identical for any W.  A child that raises or dies raises
+def _fields(item: Item) -> list[tuple]:
+    return [tuple(vars(c).values()) for c in item()]
+
+
+def _fan_out(items: list[Callable[[], Iterable]], workers: int) -> list[list]:
+    """The values of every item, a list each, in item order, on W =
+    min(workers, items) processes: W - 1 forked children take the items j,
+    j + W, ... (child j) and this process the items 0, W, ....  A child
+    inherits the items and the loaded layers, sends only its values
+    (plain ones, which marshal carries), and ends by os._exit.  Process j
+    runs on the j-th CPU it may use (mod their count) until this returns:
+    Linux may leave a new child on its parent's CPU for longer than a
+    share of main's sums runs.  Each item computes its values alone, so
+    they are the same for any W.  A child that raises or dies raises
     RuntimeError here; every child is reaped before this returns or
     raises, and killed first if this raises.
     """
-    w = max(1, min(workers, len(items))) if hasattr(os, "fork") else 1
+    w = max(1, min(workers, len(items)))
     children: list[tuple[int, BinaryIO]] = []
+    cpus = sorted(os.sched_getaffinity(0))
     try:
         for j in range(1, w):
             read, write = os.pipe()
             if not (pid := os.fork()):
-                _child(items[j::w], write)
+                _child(items[j::w], write, cpus[j % len(cpus)])
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
+        os.sched_setaffinity(0, cpus[:1] if w > 1 else cpus)  # this process: the first CPU
         shares = [[list(item()) for item in items[::w]]]
         for pid, pipe in children:
             data = pipe.read()
@@ -503,17 +525,18 @@ def _fan_out(items: list[Item], workers: int) -> list[CheckResult]:
             ok, result = marshal.loads(data)
             if not ok:
                 raise RuntimeError(f"verify worker {pid} failed:\n{result}")
-            shares.append([[CheckResult(*fields) for fields in checks] for checks in result])
+            shares.append(result)
     except BaseException:
         from signal import SIGKILL
         for pid, _ in children:
             os.kill(pid, SIGKILL)
         raise
     finally:
+        os.sched_setaffinity(0, cpus)
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-    return [check for k in range(len(items)) for check in shares[k % w][k // w]]
+    return [shares[k % w][k // w] for k in range(len(items))]
 
 
 def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
@@ -522,9 +545,10 @@ def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
     An option left out or given as None takes the suite's default.  A
     suite ignores the options of other suites, so one option set serves
     them all; an option that no suite takes is an error.  A sampled
-    suite (hoffman, multiple-eta, positivity) runs its items on up to
-    workers processes (_fan_out), after every refusal; the report is the
-    same for any count.  workers is no suite option: it is not in CONFIG.
+    suite (hoffman, multiple-eta, positivity) runs its items, and main and
+    ahat their symmetrized sums, on up to workers processes (_fan_out), after
+    every refusal; the report is the same for any count.  workers is no
+    suite option: it is not in CONFIG.  Without os.sched_setaffinity it is 1.
     """
     try:
         suite = _SUITES[name]
@@ -546,8 +570,13 @@ def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
         if key in values and not least <= values[key] <= most:
             bound = f"at least {least}" if values[key] < least else f"at most {most}"
             raise ValueError(f"{key} must be {bound}, got {values[key]}")
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    workers = workers if hasattr(os, "sched_setaffinity") else 1  # Linux, where os.fork is too
     config = tuple((key, _config_text(value)) for key, value in values.items())
-    checks = suite.build(**values)
-    if "seed" in values:  # a sampled suite: its items
-        checks = _fan_out(list(checks), workers)
+    if "seed" in values:  # a sampled suite: its items, each sending its checks' fields
+        runs = _fan_out([partial(_fields, item) for item in suite.build(**values)], workers)
+        checks = [CheckResult(*fields) for run in runs for fields in run]
+    else:  # main and ahat (a depth and no seed) split their sums over the workers
+        checks = suite.build(**values, **({"workers": workers} if "depth" in values else {}))
     return SuiteReport(name, config, tuple(checks))

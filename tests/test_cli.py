@@ -761,6 +761,15 @@ def test_a_tol_that_is_not_a_number_raises_a_value_error(suite):
         run_suite(suite, tol="1e-6")
 
 
+@pytest.mark.parametrize("workers", [2.5, "2", None, 0])
+@pytest.mark.parametrize("suite", ["main", "hoffman", "signs"])
+def test_a_workers_count_that_is_not_a_positive_integer_raises_a_value_error(suite, workers):
+    # range and min in the fan-out would raise a TypeError, and 0 would run nothing
+    with pytest.raises(ValueError, match=f"workers must be a positive integer, got {workers!r}"):
+        run_suite(suite, workers=workers, max_k=1, samples=1, depth=2_000)
+    assert run_suite(suite, workers=np.int64(2), max_k=1, samples=1, depth=2_000).passed
+
+
 def test_reports_are_deterministic():
     one = run_suite("oracle", max_k=3).render()
     two = run_suite("oracle", max_k=3).render()
@@ -806,8 +815,8 @@ _NUMERIC = ("tol",)
 @pytest.mark.parametrize(
     "suite,config,options",
     [
-        ("main", "CONFIG max_k=3 depth=default tol=1e-06", ("max_k", "depth", *_NUMERIC)),
-        ("ahat", "CONFIG max_k=3 depth=2000000 tol=1e-06", ("max_k", "depth", *_NUMERIC)),
+        ("main", "CONFIG max_k=3 depth=default tol=1e-06", ("max_k", "depth", *_NUMERIC, "workers")),
+        ("ahat", "CONFIG max_k=3 depth=2000000 tol=1e-06", ("max_k", "depth", *_NUMERIC, "workers")),
         ("hoffman", _SAMPLED_CONFIG, ("max_r", "samples", "seed", "depth", *_NUMERIC)),
         ("multiple-eta", _SAMPLED_CONFIG, ("max_r", "samples", "seed", "depth", *_NUMERIC)),
         (
@@ -822,7 +831,8 @@ _NUMERIC = ("tol",)
 )
 def test_default_config_lines(runner, monkeypatch, suite, config, options):
     # The header comes from the suite table alone, so the checks are stubbed
-    # out; each builder must receive exactly its own options.
+    # out; each builder must receive exactly its own options, and main and
+    # ahat, which split their sums over processes, the count of them too.
     received = {}
 
     def build(**kwargs):
@@ -1039,9 +1049,33 @@ def _flags(options):
 @pytest.mark.parametrize("name", list(_SAMPLED_RUNS))
 def test_a_sampled_suite_launch_prints_the_serial_report(name):
     # a launch runs a sampled suite on every CPU it may use; the float golden
-    # hashes are pinned to one SIMD dispatch, so this guards the bytes elsewhere
+    # hashes are pinned to one numpy pow path, so this guards the bytes elsewhere
     suite, options = _SAMPLED_RUNS[name]
     result = _launch(["verify", suite, *_flags(options)], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode() == run_suite(suite, **options).render() + "\n"
+
+
+# the benchmark's deep-sums shapes (one depth class each) and main's defaults (two)
+_GENUS_RUNS = {
+    "main-bench": ("main", {"max_k": 5, "depth": 100_000}),
+    "ahat-bench": ("ahat", {"max_k": 4, "depth": 1_000_000}),
+    "main-defaults": ("main", {}),
+}
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("cpus", ["one", "all"])
+@pytest.mark.parametrize("name", list(_GENUS_RUNS))
+def test_a_main_or_ahat_launch_prints_the_serial_report(name, cpus):
+    # a launch splits each depth class's sums over every CPU it may use
+    suite, options = _GENUS_RUNS[name]
+    one_cpu = _one_cpu if cpus == "one" else None
+    result = _launch(["verify", suite, *_flags(options)], capture_output=True, preexec_fn=one_cpu)
     assert result.returncode == 0, result.stderr
     assert result.stdout.decode() == run_suite(suite, **options).render() + "\n"
 
@@ -1089,8 +1123,13 @@ main()
         (["multiple-eta", "--samples", "3", "--depth", "2000", "--tol", "1e-300"], 1),
         (["positivity", "--samples", "4", "--recurrence-samples", "2", "--depth", "2000"], 0),
         (["hoffman", "--max-r", "7", "--samples", "27"], 2),
+        (["main", "--k", "3", "--depth", "20000"], 0),
+        (["main", "--k", "3", "--tol", "1e-300"], 1),
+        (["main", "--k", "21"], 2),
+        (["ahat", "--k", "2"], 0),
+        (["ahat", "--k", "14"], 2),
     ],
-    ids=["pass", "fail", "positivity", "refused"],
+    ids=["pass", "fail", "positivity", "refused", "main-pass", "main-fail", "main-refused", "ahat-pass", "ahat-refused"],
 )
 def test_a_launch_forks_only_past_one_cpu_and_reaps_every_child(runner, cpus, args, code):
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1102,14 +1141,11 @@ def test_a_launch_forks_only_past_one_cpu_and_reaps_every_child(runner, cpus, ar
     expected = _invoke(runner, ["verify", *args])
     assert result.returncode == expected.exit_code == code, result.stderr
     assert result.stdout == expected.stdout_bytes
-    items = {"hoffman": 9, "multiple-eta": 9, "positivity": 6}[args[0]]
+    # items of the sampled suites; main and ahat split their sums into --k groups at most
+    items = {"hoffman": 9, "multiple-eta": 9, "positivity": 6, "main": 3, "ahat": 2}[args[0]]
     forks = 0 if cpus == "one" or code == 2 else min(len(os.sched_getaffinity(0)), items) - 1
     assert result.stderr.count(b"forked\n") == forks
     assert result.stderr.count(b"no child left\n") == 1
-
-
-def _check(name):
-    return verify.CheckResult(name, True, "1", "1", "0", "exact")
 
 
 def _raise():
@@ -1128,24 +1164,66 @@ def _die():
         (1, _raise, RuntimeError, "ZeroDivisionError: an item failed"),
         (0, _raise, ZeroDivisionError, "an item failed"),  # the child is killed
         (3, _die, RuntimeError, "ended without a result"),
+        (5, lambda: [object()], RuntimeError, "ValueError: unmarshallable object"),
     ],
-    ids=["child-raises", "parent-raises", "child-dies"],
+    ids=["child-raises", "parent-raises", "child-dies", "child-sends-an-object"],
 )
 def test_a_failing_item_makes_the_fan_out_raise_and_leaves_no_child(bad, item, error, message):
-    items = [lambda k=k: [_check(str(k))] for k in range(6)]
+    items = [lambda k=k: [str(k), float(k)] for k in range(6)]
     items[bad] = item
+    cpus = os.sched_getaffinity(0)
     with pytest.raises(error, match=message):
         verify._fan_out(items, 2)
+    assert os.sched_getaffinity(0) == cpus
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_fan_out_merges_in_item_order():
     # seven items on three processes: every third item each
-    items = [lambda k=k: [_check(f"{k}a"), _check(f"{k}b")][: 1 + k % 2] for k in range(7)]
-    assert verify._fan_out(items, 3) == verify._fan_out(items, 1)
-    options = dict(samples=5, recurrence_samples=3, depth=2_000)
-    assert run_suite("positivity", workers=3, **options) == run_suite("positivity", **options)
+    items = [lambda k=k: (f"{k}a", k / 3)[: 1 + k % 2] for k in range(7)]
+    assert verify._fan_out(items, 3) == verify._fan_out(items, 1) == [[f"{k}a", k / 3][: 1 + k % 2] for k in range(7)]
+    # main at its default depths has two depth classes
+    for suite, options in [
+        ("positivity", dict(samples=5, recurrence_samples=3, depth=2_000)),
+        ("main", dict(max_k=6, depth=2_000)),
+        ("main", dict(max_k=4)),
+        ("ahat", dict(max_k=5, depth=20_000)),
+    ]:
+        assert run_suite(suite, workers=3, **options) == run_suite(suite, **options)
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="needs two CPUs")
+def test_the_fan_out_runs_each_process_on_its_own_cpu():
+    # a new child may stay on its parent's CPU for longer than a share runs
+    cpus = sorted(os.sched_getaffinity(0))
+    assert verify._fan_out([lambda: sorted(os.sched_getaffinity(0))] * 4, 2) == [cpus[:1], cpus[1:2]] * 2
+    assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+def test_main_sums_each_depth_class_in_groups_by_largest_part(monkeypatch):
+    # run serially here, so that every group's family is seen
+    real = series.symmetrize_family
+
+    def record(kernel, family, cfg):
+        families.append((cfg.depth, [int(max(s)) // 2 for s in family]))
+        return real(kernel, family, cfg)
+
+    def serial(items, w):
+        processes.append(w)
+        return [list(item()) for item in items]
+
+    families, processes = [], []
+    monkeypatch.setattr(series, "symmetrize_family", record)
+    monkeypatch.setattr(verify, "_fan_out", serial)
+    assert run_suite("main", max_k=4, workers=3).passed
+    assert [depth for depth, _ in families] == [series.DEPTH_LOW_RANK] * 3 + [series.DEPTH_HIGH_RANK] * 3
+    assert all(j % 3 == g % 3 for g, (_, tops) in enumerate(families) for j in tops)
+    parts = [p for k in range(1, 5) for p in partitions.integer_partitions(k)]
+    assert sorted(j for _, tops in families for j in tops) == sorted(p[0] for p in parts)
+    # no more processes than largest parts, so that none has only empty groups
+    assert run_suite("main", max_k=2, workers=8).passed
+    assert processes == [3, 2]
 
 
 _LIBRARY_SCRIPT = r"""

@@ -5,10 +5,10 @@ polynomials at degrees 12 and 20, signs at 12 and 20, the oracle at 6, 8
 and 12.  Only outputs made of exact arithmetic are pinned here: coefficient tables,
 polynomials and single coefficients (reduced fractions), and the reports
 of the formal, oracle and signs suites (exact matches and counts).  The
-seeded float reports are pinned apart, per numpy version and SIMD
-dispatch: the last digit of a float follows numpy's vectorised pow, which
-rounds differently on different CPUs and numpy builds, so a float hash
-is checked only where it was recorded.  Every command runs in
+seeded float reports are pinned apart, per numpy version and pow
+fingerprint: the last digit of a float follows numpy's vectorised pow,
+which rounds differently on different CPUs and numpy builds, so a float
+hash is checked only where pow gives the bits it was recorded with.  Every command runs in
 process through click's CliRunner and writes its output to a file, whose
 bytes are hashed; a table run with --cache also pins the cache file.
 The CLI's own help and usage errors run as `python -m zetagenus` in a
@@ -23,6 +23,7 @@ print the new hashes with
 and say in the change log which outputs moved and why.
 """
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -126,6 +127,25 @@ GOLDEN = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _fingerprint() -> str:
+    """numpy's version and a sha256 of the bits of what the sums take from
+    numpy: its pow, as the kernels call it (an index range to a negative
+    float power), and its pairwise sum of each power block.  The probe
+    covers the suites' exponents, 1.05 to 40 (main's largest is 2 * 20),
+    with main's even integers, on the first indices and on the last ones
+    below the default ahat depth.  Every final sum is rounded exactly from
+    these terms in a fixed order, so two hosts with the same fingerprint
+    print the same float reports."""
+    import numpy
+    digest = hashlib.sha256()
+    for s in [1.05 + i * (40.0 - 1.05) / 47 for i in range(48)] + [float(j) for j in range(2, 41, 2)]:
+        for lo, hi in [(0, 2**15), (2_000_000 - 2**14, 2_000_000)]:
+            powers = numpy.arange(lo + 1, hi + 1, dtype=numpy.float64) ** (-s)
+            digest.update(powers.tobytes() + numpy.float64(powers.sum()).tobytes())
+    return f"numpy {numpy.__version__} pow {digest.hexdigest()}"
+
+
 def _dispatch() -> str:
     """numpy's version and the SIMD features it dispatches to on this CPU,
     the "found" extensions numpy.show_runtime lists."""
@@ -137,9 +157,10 @@ def _dispatch() -> str:
     return " ".join([f"numpy {numpy.__version__}", *(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))])
 
 
-# each float report's hash, by the _dispatch it was recorded on
+# each float report's hash, by the _fingerprint of the host it was recorded on;
+# its _dispatch there: numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL AVX512_SPR
 FLOAT_GOLDEN = {
-    "numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL AVX512_SPR": {
+    "numpy 2.4.6 pow e39d1eb03777b4756b4579fd69575ad700fc500424d407ec41b9a647b3847e61": {
         "verify-hoffman": "43b129f9b32bb13b81a065b5cff81d6fb7908e2d1ae65500d1e56702333716b1",
         "verify-multiple-eta": "829f37b2f147f3cc5f4d127481e6de0e1a6e619ab12a09980e1c6f51c8fea2a9",
         "verify-positivity": "8e091cea2dfcb330cfbef5678efa4ee0725aa2026ce0c2d4e6ec39c72aec2c69",
@@ -188,9 +209,9 @@ def test_exact_outputs_match_their_golden_hashes(name, tmp_path):
 
 @pytest.mark.parametrize("name", list(FLOAT_CASES))
 def test_float_reports_match_their_golden_hashes_on_their_dispatch(name, tmp_path):
-    golden = FLOAT_GOLDEN.get(_dispatch())
+    golden = FLOAT_GOLDEN.get(_fingerprint())
     if golden is None:
-        pytest.skip(f"no float hashes recorded for {_dispatch()}")
+        pytest.skip(f"no float hashes recorded for {_fingerprint()} ({_dispatch()})")
     assert _hashes(name, tmp_path) == {name: golden[name]}
 
 
@@ -202,7 +223,8 @@ if __name__ == "__main__":
     for case in TEXT_CASES:
         for key, digest in _text_hashes(case).items():
             print(f'    "{key}": "{digest}",', file=sys.stdout)
-    print(f'    "{_dispatch()}": {{')
+    print(f"    # {_dispatch()}")
+    print(f'    "{_fingerprint()}": {{')
     with tempfile.TemporaryDirectory() as tmp:
         for case in FLOAT_CASES:
             for key, digest in _hashes(case, Path(tmp)).items():
