@@ -16,10 +16,9 @@ through an environment variable ZETAGENUS_<COMMAND>_<FLAG>, e.g.
 ZETAGENUS_VERIFY_DEPTH.  Each command imports the modules it runs in its
 own body, so a launch loads (and, without bytecode, compiles) only those.
 main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no command calls BLAS.
-It runs the numeric verify suites (main, ahat and the sampled ones) on every
-CPU the process may use (os.sched_getaffinity), one process pinned to each, in
-children forked after every refusal, to the same report bytes; cli called in
-process, or one CPU, runs them serially.
+It runs the numeric verify suites on every CPU the process may use
+(os.sched_getaffinity), in children forked after every refusal, to the same
+report bytes; cli called in process, or one CPU, runs them serially.
 After click exits, main() flushes stdout and stderr and calls os._exit with
 its code: commands close their files, and teardown only collects garbage.
 
@@ -71,7 +70,9 @@ def _load_genus(name: str, order: int) -> GenusSpec:
     if name in NAMED:
         return NAMED[name](order)
     if not os.path.exists(name):
-        raise ConfigError(f"unknown genus {name!r}: expected L, Ahat, or a JSON file path")
+        raise ConfigError(
+            f"unknown genus {name!r}: expected L, Ahat, or a JSON file path"
+        )
     import json
     from .render import decode_rational
     try:
@@ -82,8 +83,10 @@ def _load_genus(name: str, order: int) -> GenusSpec:
     except (OSError, KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot load genus from {name}: {exc}")
     if genus.order < order:
-        raise ConfigError(f"genus {genus.name!r} provides coefficients through degree {genus.order}, "
-                          f"but degree {order} is required")
+        raise ConfigError(
+            f"genus {genus.name!r} provides coefficients through degree "
+            f"{genus.order}, but degree {order} is required"
+        )
     return genus
 
 
@@ -120,7 +123,13 @@ def coeff(genus: str, partition: str, out: Optional[str]) -> None:
 @cli.command()
 @click.option("--genus", required=True, help="L, Ahat, or a series JSON path.")
 @click.option("--k", required=True, type=int, help="Degree of the polynomial.")
-@click.option("--format", "fmt", type=click.Choice(["text", "latex", "json"]), default="text", show_default=True)
+@click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["text", "latex", "json"]),
+    default="text",
+    show_default=True,
+)
 @click.option("--out", default=None, help="Write to file instead of stdout.")
 def poly(genus: str, k: int, fmt: str, out: Optional[str]) -> None:
     """Print the whole degree-k polynomial in power-sum variables."""
@@ -143,7 +152,13 @@ def poly(genus: str, k: int, fmt: str, out: Optional[str]) -> None:
 @click.option("--genus", required=True, help="L, Ahat, or a series JSON path.")
 @click.option("--max-k", required=True, type=int, help="Largest degree to export.")
 @click.option("--out", required=True, help="Destination file.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
+@click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["csv", "json"]),
+    default="csv",
+    show_default=True,
+)
 @click.option("--cache", default=None, help="JSON cache file reused across runs.")
 def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> None:
     """Export every coefficient for degrees 1..max-k to a file."""
@@ -155,7 +170,9 @@ def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> N
         tables = tables_with_cache(spec, max_k, cache)
     except OSError as exc:
         raise ConfigError(f"cache {cache}: {exc}")
-    rendered = render_table_csv(tables) if fmt == "csv" else render_table_json(spec.name, max_k, tables)
+    rendered = render_table_csv(tables) if fmt == "csv" else render_table_json(
+        spec.name, max_k, tables
+    )
     _emit(rendered, out)
 
 
@@ -175,11 +192,20 @@ class _SuiteChoice(click.Choice):
 
 @cli.command()
 @click.argument("suite", type=_SuiteChoice())
-@click.option("--k", "--max-k", "max_k", type=int, default=None, help="Max degree (main, ahat, oracle, signs).")
+@click.option(
+    "--k",
+    "--max-k",
+    "max_k",
+    type=int,
+    default=None,
+    help="Max degree (main, ahat, oracle, signs).",
+)
 @click.option("--max-r", type=int, default=None, help="Max tuple length / ground size.")
 @click.option("--n", "level_cap", type=int, default=None, help="Formal level cap.")
 @click.option("--samples", type=int, default=None, help="Sampled tuples per batch.")
-@click.option("--recurrence-samples", type=int, default=None, help="Recurrence spot checks.")
+@click.option(
+    "--recurrence-samples", type=int, default=None, help="Recurrence spot checks."
+)
 @click.option("--depth", type=int, default=None, help="Series truncation depth.")
 @click.option("--tol", type=float, default=None, help="Comparison tolerance.")
 @click.option("--seed", type=int, default=None, help="Seed for sampled suites.")

@@ -25,11 +25,10 @@ The eight suites:
 * signs     sign pattern of every coefficient, both named genera
 
 Sampled suites draw from random.Random(seed); the seed appears in the
-report header so failures are reproducible.  Each draws and prices its
-whole run, then returns items (a tuple or draw each) that _fan_out runs,
-serially or on forked workers (cli.main), to the same report.  main and
-ahat price their whole run, then _fan_out runs their symmetrized sums the
-same way, a group of partitions per item.
+report header so failures are reproducible.  The numeric suites (main,
+ahat and the sampled ones) price their whole run, then hand _fan_out items
+(a group of partitions, a tuple or a draw each) that it runs, serially or
+on forked workers (cli.main), to the same report.
 """
 
 from __future__ import annotations
@@ -168,11 +167,9 @@ def _genus_checks(
     (T) and 2^(2k) / pi^(2k); for ahat the A-hat genus, non-strict nested
     zetas (S), whose 1/N outer tails need a large depth, and (2 pi)^(-2k).
     Without a depth, each partition uses the default for its r.  The
-    partitions of one depth, all priced first, are split into W =
-    min(workers, max_k) groups by largest part j_1 mod W, one
-    symmetrize_family each, and process g of _fan_out sums group g of
-    every depth.  A sum does not depend on its family, so the report is
-    the same for any W; W = 1 is one DP per depth.
+    partitions of one depth, all priced first, form W = min(workers, max_k)
+    groups by largest part mod W, one symmetrize_family each, and process g
+    of _fan_out sums group g of every depth: a sum does not depend on its family.
     """
     from .genus import NAMED, check_table_degree, coefficient_table
     from .series import EvalConfig, check_work, default_config, price, symmetrize_family
@@ -242,7 +239,7 @@ def _weighted_products(s: Sequence[float], f: Callable[[float], float]) -> list[
     return [(w, math.prod(values[x] for x in sums)) for w, sums in terms]
 
 
-def _hoffman_checks(max_r: int, samples: int, seed: int, depth: int, tol: float) -> list[Item]:
+def _hoffman_checks(max_r: int, samples: int, seed: int, depth: int, tol: float, workers: int) -> Checks:
     """Symmetrized nested zetas against set-partition products of zetas.
 
     Strict form:      sum over permutations of the strict nested sum
@@ -268,10 +265,10 @@ def _hoffman_checks(max_r: int, samples: int, seed: int, depth: int, tol: float)
         rhs = math.fsum(abs(w) * p for w, p in products)
         yield _absolute_check(f"star[{label}]", lhs, rhs, tol)
 
-    return [partial(item, i, s) for i, s in _sampled_tuples("hoffman", seed, samples, max_r, depth, 2)]
+    return _checks([partial(item, i, s) for i, s in _sampled_tuples("hoffman", seed, samples, max_r, depth, 2)], workers)
 
 
-def _multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: float) -> list[Item]:
+def _multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: float, workers: int) -> Checks:
     """The alternating analogue: eta products against chained sums.
 
     sum over set partitions of (-1)^(r-blocks) * prod (|B|-1)! * prod
@@ -289,10 +286,11 @@ def _multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: f
         rhs = (-1.0 if len(s) % 2 else 1.0) * symmetrize("T", s, cfg).value
         yield _absolute_check(f"eta[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
 
-    return [partial(item, i, s) for i, s in _sampled_tuples("multiple-eta", seed, samples, max_r, depth, 1)]
+    items = _sampled_tuples("multiple-eta", seed, samples, max_r, depth, 1)
+    return _checks([partial(item, i, s) for i, s in items], workers)
 
 
-def _positivity_checks(samples: int, recurrence_samples: int, seed: int, depth: int, tol: float) -> list[Item]:
+def _positivity_checks(samples: int, recurrence_samples: int, seed: int, depth: int, tol: float, workers: int) -> Checks:
     """Sign separation for chained sums plus both peeling recurrences.
 
     For sampled exponent tuples (r cycling 1..3): the chained sum is
@@ -329,7 +327,7 @@ def _positivity_checks(samples: int, recurrence_samples: int, seed: int, depth: 
         lhs, rhs = bottom_block_residual(k, s, cfg)
         yield _absolute_check(f"block[{i:02d}:k={k}:{_tuple_label(s)}]", lhs, rhs, tol)
 
-    return [partial(sign, *d) for d in signs] + [partial(recurrence, *d) for d in recurrences]
+    return _checks([partial(sign, *d) for d in signs] + [partial(recurrence, *d) for d in recurrences], workers)
 
 
 def _formal_checks(max_r: int, level_cap: int) -> Checks:
@@ -422,12 +420,12 @@ def _signs_checks(max_k: int) -> Checks:
 @dataclass(frozen=True)
 class _Suite:
     """A suite's check builder and its options with their defaults, in
-    the order of the CONFIG line.  A sampled suite's builder (one with a
-    seed) draws and prices its whole run and returns its items; any other
-    yields its checks."""
+    the order of the CONFIG line.  A numeric suite's builder also takes
+    workers, the processes _fan_out may run it on."""
 
-    build: Callable[..., Checks | list[Item]]
+    build: Callable[..., Iterable[CheckResult]]
     config: tuple[tuple[str, object], ...]
+    numeric: bool = False
 
 
 _SAMPLED = (
@@ -441,17 +439,18 @@ _SAMPLED = (
 _SUITES: dict[str, _Suite] = {
     "main": _Suite(
         partial(_genus_checks, "L", "T", "h", _main_scale, "main"),
-        (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)),
+        (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)), numeric=True,
     ),
     "ahat": _Suite(
         partial(_genus_checks, "Ahat", "S", "a", _ahat_scale, "ahat"),
-        (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)),
+        (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)), numeric=True,
     ),
-    "hoffman": _Suite(_hoffman_checks, _SAMPLED),
-    "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED),
+    "hoffman": _Suite(_hoffman_checks, _SAMPLED, numeric=True),
+    "multiple-eta": _Suite(_multiple_eta_checks, _SAMPLED, numeric=True),
     "positivity": _Suite(
         _positivity_checks,
         (("samples", 100), ("recurrence_samples", 10), ("seed", DEFAULT_SEED), ("depth", SAMPLE_DEPTH), ("tol", DEFAULT_TOL)),
+        numeric=True,
     ),
     "formal": _Suite(_formal_checks, (("max_r", 3), ("level_cap", 4))),
     "oracle": _Suite(_oracle_checks, (("max_k", 6),)),
@@ -474,11 +473,13 @@ def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def _child(share: list[Callable[[], Iterable]], write: int, cpu: int) -> NoReturn:
-    """A forked child on the CPU cpu: the values of share's items, marshalled to the pipe write."""
+def _child(share: list[Callable[[], Iterable]], write: int, cpu: int, cpus: list[int]) -> NoReturn:
+    """A forked child, moved to the CPU cpu and then free to use cpus: the
+    values of share's items, marshalled to the pipe write."""
     try:
         try:
             os.sched_setaffinity(0, {cpu})
+            os.sched_setaffinity(0, cpus)
             data = marshal.dumps((True, [list(item()) for item in share]))
         except Exception:  # an item's, or a value marshal cannot carry
             import traceback  # loaded on a failure only, as is signal below
@@ -489,34 +490,32 @@ def _child(share: list[Callable[[], Iterable]], write: int, cpu: int) -> NoRetur
         os._exit(0)
 
 
-def _fields(item: Item) -> list[tuple]:
-    return [tuple(vars(c).values()) for c in item()]
-
-
 def _fan_out(items: list[Callable[[], Iterable]], workers: int) -> list[list]:
     """The values of every item, a list each, in item order, on W =
     min(workers, items) processes: W - 1 forked children take the items j,
     j + W, ... (child j) and this process the items 0, W, ....  A child
     inherits the items and the loaded layers, sends only its values
-    (plain ones, which marshal carries), and ends by os._exit.  Process j
-    runs on the j-th CPU it may use (mod their count) until this returns:
-    Linux may leave a new child on its parent's CPU for longer than a
-    share of main's sums runs.  Each item computes its values alone, so
-    they are the same for any W.  A child that raises or dies raises
-    RuntimeError here; every child is reaped before this returns or
-    raises, and killed first if this raises.
+    (plain ones, which marshal carries), and ends by os._exit.  Each item
+    computes its values alone, so they are the same for any W.  Process j
+    starts on CPU pid + j of those it may use, then may move: Linux may
+    leave a new child on its parent's CPU for longer than a share runs.  A
+    child that raises or dies raises RuntimeError here; every child is
+    reaped before this returns or raises, and killed first if this raises.
     """
     w = max(1, min(workers, len(items)))
+    if w == 1:
+        return [list(item()) for item in items]
     children: list[tuple[int, BinaryIO]] = []
-    cpus = sorted(os.sched_getaffinity(0))
+    cpus, first = sorted(os.sched_getaffinity(0)), os.getpid()  # launches at once start on different CPUs
     try:
         for j in range(1, w):
             read, write = os.pipe()
             if not (pid := os.fork()):
-                _child(items[j::w], write, cpus[j % len(cpus)])
+                _child(items[j::w], write, cpus[(first + j) % len(cpus)], cpus)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        os.sched_setaffinity(0, cpus[:1] if w > 1 else cpus)  # this process: the first CPU
+        os.sched_setaffinity(0, {cpus[first % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
         shares = [[list(item()) for item in items[::w]]]
         for pid, pipe in children:
             data = pipe.read()
@@ -532,11 +531,16 @@ def _fan_out(items: list[Callable[[], Iterable]], workers: int) -> list[list]:
             os.kill(pid, SIGKILL)
         raise
     finally:
-        os.sched_setaffinity(0, cpus)
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
     return [shares[k % w][k // w] for k in range(len(items))]
+
+
+def _checks(items: list[Item], workers: int) -> list[CheckResult]:
+    """The checks of a sampled suite's items, on up to workers processes: each sends its checks' fields."""
+    runs = _fan_out([lambda item=item: [tuple(vars(c).values()) for c in item()] for item in items], workers)
+    return [CheckResult(*fields) for run in runs for fields in run]
 
 
 def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
@@ -544,11 +548,10 @@ def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
 
     An option left out or given as None takes the suite's default.  A
     suite ignores the options of other suites, so one option set serves
-    them all; an option that no suite takes is an error.  A sampled
-    suite (hoffman, multiple-eta, positivity) runs its items, and main and
-    ahat their symmetrized sums, on up to workers processes (_fan_out), after
-    every refusal; the report is the same for any count.  workers is no
-    suite option: it is not in CONFIG.  Without os.sched_setaffinity it is 1.
+    them all; an option that no suite takes is an error.  A numeric suite
+    runs on up to workers processes (_fan_out; 1 without
+    os.sched_setaffinity), after every refusal; the report is the same
+    for any count.  workers is no suite option: it is not in CONFIG.
     """
     try:
         suite = _SUITES[name]
@@ -574,9 +577,5 @@ def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     workers = workers if hasattr(os, "sched_setaffinity") else 1  # Linux, where os.fork is too
     config = tuple((key, _config_text(value)) for key, value in values.items())
-    if "seed" in values:  # a sampled suite: its items, each sending its checks' fields
-        runs = _fan_out([partial(_fields, item) for item in suite.build(**values)], workers)
-        checks = [CheckResult(*fields) for run in runs for fields in run]
-    else:  # main and ahat (a depth and no seed) split their sums over the workers
-        checks = suite.build(**values, **({"workers": workers} if "depth" in values else {}))
+    checks = suite.build(**values, **({"workers": workers} if suite.numeric else {}))
     return SuiteReport(name, config, tuple(checks))

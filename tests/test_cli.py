@@ -817,12 +817,12 @@ _NUMERIC = ("tol",)
     [
         ("main", "CONFIG max_k=3 depth=default tol=1e-06", ("max_k", "depth", *_NUMERIC, "workers")),
         ("ahat", "CONFIG max_k=3 depth=2000000 tol=1e-06", ("max_k", "depth", *_NUMERIC, "workers")),
-        ("hoffman", _SAMPLED_CONFIG, ("max_r", "samples", "seed", "depth", *_NUMERIC)),
-        ("multiple-eta", _SAMPLED_CONFIG, ("max_r", "samples", "seed", "depth", *_NUMERIC)),
+        ("hoffman", _SAMPLED_CONFIG, ("max_r", "samples", "seed", "depth", *_NUMERIC, "workers")),
+        ("multiple-eta", _SAMPLED_CONFIG, ("max_r", "samples", "seed", "depth", *_NUMERIC, "workers")),
         (
             "positivity",
             "CONFIG samples=100 recurrence_samples=10 seed=1729 depth=50000 tol=1e-06",
-            ("samples", "recurrence_samples", "seed", "depth", *_NUMERIC),
+            ("samples", "recurrence_samples", "seed", "depth", *_NUMERIC, "workers"),
         ),
         ("formal", "CONFIG max_r=3 level_cap=4", ("max_r", "level_cap")),
         ("oracle", "CONFIG max_k=6", ("max_k",)),
@@ -831,8 +831,8 @@ _NUMERIC = ("tol",)
 )
 def test_default_config_lines(runner, monkeypatch, suite, config, options):
     # The header comes from the suite table alone, so the checks are stubbed
-    # out; each builder must receive exactly its own options, and main and
-    # ahat, which split their sums over processes, the count of them too.
+    # out; each builder must receive exactly its own options, and a numeric
+    # suite's, which runs its sums on up to that many processes, workers too.
     received = {}
 
     def build(**kwargs):
@@ -1193,12 +1193,31 @@ def test_the_fan_out_merges_in_item_order():
         assert run_suite(suite, workers=3, **options) == run_suite(suite, **options)
 
 
-@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2, reason="needs two CPUs")
-def test_the_fan_out_runs_each_process_on_its_own_cpu():
-    # a new child may stay on its parent's CPU for longer than a share runs
-    cpus = sorted(os.sched_getaffinity(0))
-    assert verify._fan_out([lambda: sorted(os.sched_getaffinity(0))] * 4, 2) == [cpus[:1], cpus[1:2]] * 2
-    assert sorted(os.sched_getaffinity(0)) == cpus
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_the_fan_out_starts_each_process_on_its_own_cpu_and_lets_it_move(monkeypatch):
+    # a new child may stay on its parent's CPU for longer than a share runs;
+    # the affinity calls are recorded, not made, so any host runs this
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 6, 7})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, sorted(cpus))))
+    monkeypatch.setattr(os, "getpid", lambda: 4)  # the first process starts on CPU 4 mod 3 of those
+    items = [lambda: list(calls)] * 4  # each item: its process's calls so far
+    moves = {cpu: [(0, [cpu]), (0, [5, 6, 7])] for cpu in (5, 6, 7)}
+    assert verify._fan_out(items, 3) == [moves[6], moves[7], moves[5], moves[6]]
+    calls.clear()
+    assert verify._fan_out(items, 1) == [[]] * 4  # one process makes no call
+
+
+@pytest.mark.parametrize("suite,options", [
+    ("main", dict(max_k=4, depth=2_000)), ("ahat", dict(max_k=3, depth=20_000)), ("hoffman", dict(samples=2, depth=2_000)),
+])
+def test_numeric_suites_run_in_process_without_affinity_calls(monkeypatch, suite, options):
+    # as on hosts without them (macOS, Windows), where cli.main passes one worker
+    serial = run_suite(suite, **options)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+    assert run_suite(suite, workers=2, **options) == serial
 
 
 def test_main_sums_each_depth_class_in_groups_by_largest_part(monkeypatch):
