@@ -14,7 +14,8 @@ configuration error.  An input past a supported range (degree, ground
 size, term budget) exits 2 before any work.  Every flag can also be set
 through an environment variable ZETAGENUS_<COMMAND>_<FLAG>, e.g.
 ZETAGENUS_VERIFY_DEPTH.  Each command imports the modules it runs in its
-own body, so a launch loads (and, without bytecode, compiles) only those.
+own body, so a launch loads (and, without bytecode, compiles) only those:
+an exact verify suite does not load numeric, which holds the numeric ones.
 main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no command calls BLAS.
 It runs the numeric verify suites on every CPU the process may use
 (os.sched_getaffinity), in children forked after every refusal, to the same

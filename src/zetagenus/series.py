@@ -223,9 +223,8 @@ def _carry(kernel: str, level: np.ndarray | None, size: int, run: list | None = 
     seq[0] += total
     np.cumsum(seq, out=seq)  # one view as input and output: numpy makes no copy
     run[0] = float(seq[-1])
-    if kernel == "T":
-        out[0::2] -= even
-        np.negative(out[0::2], out=out[0::2])
+    if kernel == "T":  # even - x is -(x - even) bit for bit, but for the sign of a zero
+        np.subtract(even, out[0::2], out=out[0::2])
     elif kernel == "strict":
         out[1:] = out[:-1]
         out[0] = total + 0.0  # 0.0 in the first block
@@ -300,8 +299,8 @@ def _ordered(kernel: str, s: list[float], cfg: EvalConfig, base: int = 1, passes
         if not i and kernel != "T":
             heads = [h + float(p.sum()) for h, p in zip(heads, powers)]
         if i == r:
-            cut = max(base - 1 - lo, 0)
-            (h, e), (t, f) = _exact_parts(level[:cut], passes), _exact_parts(level[cut:], passes)
+            cut = max(base - 1 - lo, 0)  # 0 for every sum with base 1: no head to reduce
+            (h, e), (t, f) = _exact_parts(level[:cut], passes) if cut else ([], 0.0), _exact_parts(level[cut:], passes)
             head, tail, err = head + h, tail + t, [err[0] + e, err[1] + f]
             if kernel == "T":  # both l1 norms from one np.abs
                 whole = float(np.abs(level, out=level).sum())

@@ -20,7 +20,7 @@ from zetagenus.partitions import IntegerPartition
 from zetagenus.render import parse_table_json, read_cache
 from zetagenus import cli as cli_module
 from zetagenus import genus as genus_module
-from zetagenus import partitions, render, series, verify
+from zetagenus import numeric, partitions, render, series, verify
 from zetagenus.verify import available_suites, run_suite
 
 F = Fraction
@@ -552,11 +552,11 @@ def test_suite_work_budget_admits_the_defaults_and_max_r_7():
     # members for each of two kernels, and 247 block sums, priced about 7 s
     # for 20 samples; and up to 775 samples at max_r 3
     for samples, max_r in ((20, 7), (26, 7), (775, 3)):
-        tuples = verify._sampled_tuples("hoffman", verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
+        tuples = numeric._sampled_tuples("hoffman", verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
         assert len(tuples) == samples * max_r
     for samples, max_r in ((27, 7), (776, 3)):
         with pytest.raises(ValueError, match="verify hoffman is priced at .* ns, past the work budget"):
-            verify._sampled_tuples("hoffman", verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
+            numeric._sampled_tuples("hoffman", verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
 
 
 def test_verify_rejects_too_many_orderings_before_summing(runner):
@@ -1173,7 +1173,7 @@ def test_a_failing_item_makes_the_fan_out_raise_and_leaves_no_child(bad, item, e
     items[bad] = item
     cpus = os.sched_getaffinity(0)
     with pytest.raises(error, match=message):
-        verify._fan_out(items, 2)
+        numeric._fan_out(items, 2)
     assert os.sched_getaffinity(0) == cpus
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1182,7 +1182,7 @@ def test_a_failing_item_makes_the_fan_out_raise_and_leaves_no_child(bad, item, e
 def test_the_fan_out_merges_in_item_order():
     # seven items on three processes: every third item each
     items = [lambda k=k: (f"{k}a", k / 3)[: 1 + k % 2] for k in range(7)]
-    assert verify._fan_out(items, 3) == verify._fan_out(items, 1) == [[f"{k}a", k / 3][: 1 + k % 2] for k in range(7)]
+    assert numeric._fan_out(items, 3) == numeric._fan_out(items, 1) == [[f"{k}a", k / 3][: 1 + k % 2] for k in range(7)]
     # main at its default depths has two depth classes
     for suite, options in [
         ("positivity", dict(samples=5, recurrence_samples=3, depth=2_000)),
@@ -1203,9 +1203,9 @@ def test_the_fan_out_starts_each_process_on_its_own_cpu_and_lets_it_move(monkeyp
     monkeypatch.setattr(os, "getpid", lambda: 4)  # the first process starts on CPU 4 mod 3 of those
     items = [lambda: list(calls)] * 4  # each item: its process's calls so far
     moves = {cpu: [(0, [cpu]), (0, [5, 6, 7])] for cpu in (5, 6, 7)}
-    assert verify._fan_out(items, 3) == [moves[6], moves[7], moves[5], moves[6]]
+    assert numeric._fan_out(items, 3) == [moves[6], moves[7], moves[5], moves[6]]
     calls.clear()
-    assert verify._fan_out(items, 1) == [[]] * 4  # one process makes no call
+    assert numeric._fan_out(items, 1) == [[]] * 4  # one process makes no call
 
 
 @pytest.mark.parametrize("suite,options", [
@@ -1234,7 +1234,7 @@ def test_main_sums_each_depth_class_in_groups_by_largest_part(monkeypatch):
 
     families, processes = [], []
     monkeypatch.setattr(series, "symmetrize_family", record)
-    monkeypatch.setattr(verify, "_fan_out", serial)
+    monkeypatch.setattr(numeric, "_fan_out", serial)
     assert run_suite("main", max_k=4, workers=3).passed
     assert [depth for depth, _ in families] == [series.DEPTH_LOW_RANK] * 3 + [series.DEPTH_HIGH_RANK] * 3
     assert all(j % 3 == g % 3 for g, (_, tops) in enumerate(families) for j in tops)
@@ -1348,10 +1348,10 @@ import json
 print(json.dumps(loaded))
 """
 _EXACT_MODULES = ["cli", "exact", "genus", "partitions"]
-# each suite loads its own layers: the exact suites no series, the numeric
-# neither formal nor exact
+# each suite loads its own layers: the exact suites neither series nor the
+# numeric suites' module, the numeric suites neither formal nor exact
 _EXACT_SUITE_MODULES = _EXACT_MODULES + ["verify"]
-_NUMERIC_SUITE_MODULES = ["cli", "partitions", "series", "verify"]
+_NUMERIC_SUITE_MODULES = ["cli", "numeric", "partitions", "series", "verify"]
 
 
 @pytest.mark.parametrize(
@@ -1362,7 +1362,8 @@ _NUMERIC_SUITE_MODULES = ["cli", "partitions", "series", "verify"]
         (["poly", "--genus", "Ahat", "--k", "3"], _EXACT_MODULES + ["render"]),
         (["table", "--genus", "L", "--max-k", "4", "--out", "{out}"], _EXACT_MODULES + ["render"]),
         (["verify", "signs"], _EXACT_SUITE_MODULES),
-        (["verify", "main", "--k", "1", "--depth", "1000"], _EXACT_SUITE_MODULES + ["series"]),
+        (["verify", "oracle", "--k", "3"], _EXACT_SUITE_MODULES),
+        (["verify", "main", "--k", "1", "--depth", "1000"], _EXACT_SUITE_MODULES + ["numeric", "series"]),
         (["verify", "formal"], ["cli", "formal", "partitions", "verify"]),
         (["verify", "hoffman", "--samples", "1", "--depth", "1000"], _NUMERIC_SUITE_MODULES),
         (["verify", "multiple-eta", "--samples", "1", "--depth", "1000"], _NUMERIC_SUITE_MODULES),
@@ -1371,13 +1372,14 @@ _NUMERIC_SUITE_MODULES = ["cli", "partitions", "series", "verify"]
             _NUMERIC_SUITE_MODULES,
         ),
     ],
-    ids=["help", "coeff", "poly", "table", "signs", "main", "formal", "hoffman", "multiple-eta", "positivity"],
+    ids=["help", "coeff", "poly", "table", "signs", "oracle", "main", "formal", "hoffman", "multiple-eta", "positivity"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
     # each command in a fresh interpreter: the package namespace loads no
     # submodule, the exact commands load neither verify, formal, series
-    # nor numpy, only render's exports load json, and the sampled suites,
-    # which compare floats with floats, load no rational or decimal arithmetic
+    # nor numpy, the exact suites not numeric, only render's exports load
+    # json, and the sampled suites, which compare floats with floats, load
+    # no rational or decimal arithmetic
     args = [a.format(out=tmp_path / "t.csv") for a in args]
     assert _last_json_line(_COMMAND_SCRIPT, *args) == {
         "import zetagenus": [],
@@ -1386,6 +1388,19 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
         "json": "render" in modules,
         "rationals": ["decimal", "fractions"] if {"exact", "formal"} & set(modules) else [],
     }
+
+
+def test_no_other_module_binds_a_numeric_suite_function():
+    # verify looks the numeric builders up as a suite runs; a module-level
+    # binding would load numeric with it, and tools that wrap the functions a
+    # module imports from another would find a layer they do not know
+    import importlib
+    import inspect
+    run_suite("hoffman", samples=1, depth=1000)  # numeric is loaded now
+    for name in ("cli", "exact", "partitions", "genus", "series", "formal", "verify", "render"):
+        module = importlib.import_module(f"zetagenus.{name}")
+        bound = [k for k, v in vars(module).items() if inspect.isfunction(v) and v.__module__ == numeric.__name__]
+        assert not bound, (name, bound)
 
 
 def test_series_imports_no_other_package_module():
