@@ -58,14 +58,11 @@ class FormalPolynomial:
     coefficients."""
 
     terms: Mapping[Monomial, int]
-    level_cap: int
 
     def scale(self, c: int) -> "FormalPolynomial":
         if not c:
-            return FormalPolynomial({}, self.level_cap)
-        return FormalPolynomial(
-            {mono: c * v for mono, v in self.terms.items()}, self.level_cap
-        )
+            return FormalPolynomial({})
+        return FormalPolynomial({mono: c * v for mono, v in self.terms.items()})
 
     def first_difference(self, other: "FormalPolynomial") -> Optional[Monomial]:
         """Smallest monomial on which the two polynomials disagree, if any."""
@@ -110,7 +107,7 @@ def _level_sum(
     for levels in assignments:
         mono = tuple(sorted(p for at, n in zip(pairs, levels) for p in at[n]))
         counts[mono] = counts.get(mono, 0) + (-1 if signed and sum(levels) % 2 else 1)
-    return FormalPolynomial({m: c for m, c in counts.items() if c}, level_cap)
+    return FormalPolynomial({m: c for m, c in counts.items() if c})
 
 
 def power_sum_poly(pi: SetPartition, level_cap: int, signed: bool = False) -> FormalPolynomial:
@@ -189,7 +186,7 @@ def sum_over_coarsenings(
         w = weight(rho, mu)
         for mono, c in build(rho, level_cap).terms.items():
             acc[mono] = acc.get(mono, 0) + w * c
-    return FormalPolynomial({m: c for m, c in acc.items() if c}, level_cap)
+    return FormalPolynomial({m: c for m, c in acc.items() if c})
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """The numeric verify suites (main, ahat, hoffman, multiple-eta and
 positivity; see verify) and the fan-out that runs them on every CPU.
 
-verify's suite table imports this module only when such a suite runs, so
-no exact suite loads it.  Each builder prices its whole run, then hands
-_fan_out items (a group of partitions, a tuple or a draw each) that it
-runs, serially or on forked workers (cli.main), to the same report.
+verify.run_suite imports this module only when such a suite runs, so no
+exact suite loads it.  Each builder prices its whole run, runs _fan_out's
+items (a group of partitions, a tuple or a draw each), serially or on
+forked workers (cli.main), and makes its checks from the floats they send.
 """
 
 from __future__ import annotations
@@ -23,12 +23,8 @@ from .verify import CheckResult, Checks
 if TYPE_CHECKING:  # each check builder imports the layers it runs in its own body
     from fractions import Fraction
 
-    from .series import SeriesValue
-
 EXPONENT_LOW, EXPONENT_HIGH = 1.2, 4.0
 TAIL_K_HIGH = 8
-
-Item = Callable[[], Checks]  # one sampled tuple's or draw's checks
 
 
 def _flt(x: float) -> str:
@@ -46,10 +42,10 @@ def _absolute_check(name: str, lhs: float, rhs: float, tol: float) -> CheckResul
     return CheckResult(name, delta <= tol, _flt(lhs), _flt(rhs), f"{delta:.3e}", f"{tol:g}")
 
 
-def _sign_check(name: str, sv: SeriesValue, side: str) -> CheckResult:
-    """sv is on the given side of 0, farther from it than its error bound."""
-    ok = (sv.value < 0 if side == "<0" else sv.value > 0) and abs(sv.value) > sv.err_bound
-    return CheckResult(name, ok, _flt(sv.value), side, _flt(abs(sv.value)), _flt(sv.err_bound))
+def _sign_check(name: str, value: float, bound: float, side: str) -> CheckResult:
+    """value is on the given side of 0, farther from it than its error bound."""
+    ok = (value < 0 if side == "<0" else value > 0) and abs(value) > bound
+    return CheckResult(name, ok, _flt(value), side, _flt(abs(value)), _flt(bound))
 
 
 def _tuple_label(s: Sequence[float]) -> str:
@@ -161,17 +157,16 @@ def hoffman_checks(max_r: int, samples: int, seed: int, depth: int, tol: float, 
     from .series import EvalConfig, symmetrize, zeta
     cfg = EvalConfig(depth)
 
-    def item(i: int, s: tuple[float, ...]) -> Checks:
+    def item(s: tuple[float, ...]) -> list[float]:  # both sides of the strict form, then of the star form
         products = _weighted_products(s, lambda x: zeta(x, cfg).value)
-        label = f"{i:02d}:{_tuple_label(s)}"
-        lhs = symmetrize("strict", s, cfg).value
-        rhs = math.fsum(w * p for w, p in products)
-        yield _absolute_check(f"strict[{label}]", lhs, rhs, tol)
-        lhs = symmetrize("S", s, cfg).value
-        rhs = math.fsum(abs(w) * p for w, p in products)
-        yield _absolute_check(f"star[{label}]", lhs, rhs, tol)
+        strict, star = math.fsum(w * p for w, p in products), math.fsum(abs(w) * p for w, p in products)
+        return [symmetrize("strict", s, cfg).value, strict, symmetrize("S", s, cfg).value, star]
 
-    return _checks([partial(item, i, s) for i, s in _sampled_tuples("hoffman", seed, samples, max_r, depth, 2)], workers)
+    tuples = _sampled_tuples("hoffman", seed, samples, max_r, depth, 2)
+    for (i, s), (lhs, rhs, star_lhs, star_rhs) in zip(tuples, _fan_out([partial(item, s) for _, s in tuples], workers)):
+        label = f"{i:02d}:{_tuple_label(s)}"
+        yield _absolute_check(f"strict[{label}]", lhs, rhs, tol)
+        yield _absolute_check(f"star[{label}]", star_lhs, star_rhs, tol)
 
 
 def multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: float, workers: int) -> Checks:
@@ -186,14 +181,13 @@ def multiple_eta_checks(max_r: int, samples: int, seed: int, depth: int, tol: fl
     from .series import EvalConfig, alternating_chain_sum, symmetrize
     cfg = EvalConfig(depth)
 
-    def item(i: int, s: tuple[float, ...]) -> Checks:
+    def item(s: tuple[float, ...]) -> list[float]:  # both sides
         products = _weighted_products(s, lambda x: -alternating_chain_sum((x,), cfg).value)
-        lhs = math.fsum(w * p for w, p in products)
-        rhs = (-1.0 if len(s) % 2 else 1.0) * symmetrize("T", s, cfg).value
-        yield _absolute_check(f"eta[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
+        return [math.fsum(w * p for w, p in products), (-1.0 if len(s) % 2 else 1.0) * symmetrize("T", s, cfg).value]
 
-    items = _sampled_tuples("multiple-eta", seed, samples, max_r, depth, 1)
-    return _checks([partial(item, i, s) for i, s in items], workers)
+    tuples = _sampled_tuples("multiple-eta", seed, samples, max_r, depth, 1)
+    for (i, s), (lhs, rhs) in zip(tuples, _fan_out([partial(item, s) for _, s in tuples], workers)):
+        yield _absolute_check(f"eta[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
 
 
 def positivity_checks(samples: int, recurrence_samples: int, seed: int, depth: int, tol: float, workers: int) -> Checks:
@@ -222,18 +216,20 @@ def positivity_checks(samples: int, recurrence_samples: int, seed: int, depth: i
     work += sum(price(depth, peel=len(s), block=len(s)) for _, s, _ in recurrences)
     check_work("verify positivity", work)
 
-    def sign(i: int, s: tuple[float, ...], k: int) -> Checks:
+    def sign(s: tuple[float, ...], k: int) -> list[float]:  # the chain's and the tail's value and bound
         chain, tail = alternating_chain_and_tail(k, s, cfg)
-        yield _sign_check(f"chain-negative[{i:02d}:{_tuple_label(s)}]", chain, "<0")
-        yield _sign_check(f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]", tail, ">0")
+        return [chain.value, chain.err_bound, tail.value, tail.err_bound]
 
-    def recurrence(i: int, s: tuple[float, ...], k: int) -> Checks:
-        lhs, rhs = innermost_peel_residual(s, cfg)
-        yield _absolute_check(f"peel[{i:02d}:{_tuple_label(s)}]", lhs, rhs, tol)
-        lhs, rhs = bottom_block_residual(k, s, cfg)
+    def recurrence(s: tuple[float, ...], k: int) -> list[float]:  # the peel's sides, then the block's
+        return [*innermost_peel_residual(s, cfg), *bottom_block_residual(k, s, cfg)]
+
+    runs = _fan_out([partial(sign, s, k) for _, s, k in signs] + [partial(recurrence, s, k) for _, s, k in recurrences], workers)
+    for (i, s, k), (chain, chain_bound, tail, tail_bound) in zip(signs, runs):
+        yield _sign_check(f"chain-negative[{i:02d}:{_tuple_label(s)}]", chain, chain_bound, "<0")
+        yield _sign_check(f"tail-positive[{i:02d}:k={k}:{_tuple_label(s)}]", tail, tail_bound, ">0")
+    for (i, s, k), (peel_lhs, peel_rhs, lhs, rhs) in zip(recurrences, runs[len(signs):]):
+        yield _absolute_check(f"peel[{i:02d}:{_tuple_label(s)}]", peel_lhs, peel_rhs, tol)
         yield _absolute_check(f"block[{i:02d}:k={k}:{_tuple_label(s)}]", lhs, rhs, tol)
-
-    return _checks([partial(sign, *d) for d in signs] + [partial(recurrence, *d) for d in recurrences], workers)
 
 
 def _child(share: list[Callable[[], Iterable]], write: int, cpu: int, cpus: list[int]) -> NoReturn:
@@ -298,9 +294,3 @@ def _fan_out(items: list[Callable[[], Iterable]], workers: int) -> list[list]:
             pipe.close()
             os.waitpid(pid, 0)
     return [shares[k % w][k // w] for k in range(len(items))]
-
-
-def _checks(items: list[Item], workers: int) -> list[CheckResult]:
-    """The checks of a sampled suite's items, on up to workers processes: each sends its checks' fields."""
-    runs = _fan_out([lambda item=item: [tuple(vars(c).values()) for c in item()] for item in items], workers)
-    return [CheckResult(*fields) for run in runs for fields in run]

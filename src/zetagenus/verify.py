@@ -26,10 +26,11 @@ The eight suites:
 
 The exact suites (formal, oracle, signs) are built here.  The numeric
 ones (main, ahat and the sampled hoffman, multiple-eta and positivity)
-and the fan-out that runs them on every CPU live in numeric, which the
-table names by builder and imports only when such a suite runs, so no
-exact suite loads it.  Sampled suites draw from random.Random(seed); the
-seed appears in the report header so failures are reproducible.
+and the fan-out that runs them on every CPU live in numeric: the table
+gives each by its builder's name there, and run_suite imports numeric
+only when such a suite runs, so no exact suite loads it.  Sampled suites
+draw from random.Random(seed); the seed appears in the report header so
+failures are reproducible.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from functools import partial
 from math import factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -210,19 +210,12 @@ def _signs_checks(max_k: int) -> Checks:
 
 @dataclass(frozen=True)
 class _Suite:
-    """A suite's check builder and its options with their defaults, in
-    the order of the CONFIG line.  A numeric suite's builder also takes
-    workers, the processes numeric._fan_out may run it on."""
+    """A suite's check builder (a numeric suite's by its name in numeric,
+    where it also takes workers, the processes numeric._fan_out may run it
+    on) and its options with their defaults, in the order of the CONFIG line."""
 
-    build: Callable[..., Iterable[CheckResult]]
+    build: Callable[..., Iterable[CheckResult]] | str
     config: tuple[tuple[str, object], ...]
-    numeric: bool = False
-
-
-def _numeric(builder: str, **options: object) -> Iterable[CheckResult]:
-    """The checks of numeric's builder of that name, imported only as its suite runs."""
-    from . import numeric
-    return getattr(numeric, builder)(**options)
 
 
 _SAMPLED = (
@@ -234,18 +227,13 @@ _SAMPLED = (
 )
 
 _SUITES: dict[str, _Suite] = {
-    "main": _Suite(
-        partial(_numeric, "main_checks"), (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL)), numeric=True,
-    ),
-    "ahat": _Suite(
-        partial(_numeric, "ahat_checks"), (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL)), numeric=True,
-    ),
-    "hoffman": _Suite(partial(_numeric, "hoffman_checks"), _SAMPLED, numeric=True),
-    "multiple-eta": _Suite(partial(_numeric, "multiple_eta_checks"), _SAMPLED, numeric=True),
+    "main": _Suite("main_checks", (("max_k", 3), ("depth", None), ("tol", DEFAULT_TOL))),
+    "ahat": _Suite("ahat_checks", (("max_k", 3), ("depth", AHAT_DEPTH), ("tol", DEFAULT_TOL))),
+    "hoffman": _Suite("hoffman_checks", _SAMPLED),
+    "multiple-eta": _Suite("multiple_eta_checks", _SAMPLED),
     "positivity": _Suite(
-        partial(_numeric, "positivity_checks"),
+        "positivity_checks",
         (("samples", 100), ("recurrence_samples", 10), ("seed", DEFAULT_SEED), ("depth", SAMPLE_DEPTH), ("tol", DEFAULT_TOL)),
-        numeric=True,
     ),
     "formal": _Suite(_formal_checks, (("max_r", 3), ("level_cap", 4))),
     "oracle": _Suite(_oracle_checks, (("max_k", 6),)),
@@ -273,10 +261,11 @@ def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
 
     An option left out or given as None takes the suite's default.  A
     suite ignores the options of other suites, so one option set serves
-    them all; an option that no suite takes is an error.  A numeric suite
-    runs on up to workers processes (numeric._fan_out; 1 without
-    os.sched_setaffinity), after every refusal; the report is the same
-    for any count.  workers is no suite option: it is not in CONFIG.
+    them all; an option that no suite takes is an error.  A numeric suite's
+    builder is looked up in numeric and runs on up to workers processes
+    (numeric._fan_out; 1 without os.sched_setaffinity), after every refusal,
+    as run_suite draws its checks; the report is the same for any count.
+    workers is no suite option: it is not in CONFIG.
     """
     try:
         suite = _SUITES[name]
@@ -302,5 +291,9 @@ def run_suite(name: str, *, workers: int = 1, **options: object) -> SuiteReport:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     workers = workers if hasattr(os, "sched_setaffinity") else 1  # Linux, where os.fork is too
     config = tuple((key, _config_text(value)) for key, value in values.items())
-    checks = suite.build(**values, **({"workers": workers} if suite.numeric else {}))
+    if isinstance(suite.build, str):
+        from . import numeric
+        checks = getattr(numeric, suite.build)(**values, workers=workers)
+    else:
+        checks = suite.build(**values)
     return SuiteReport(name, config, tuple(checks))

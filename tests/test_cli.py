@@ -833,14 +833,19 @@ def test_default_config_lines(runner, monkeypatch, suite, config, options):
     # The header comes from the suite table alone, so the checks are stubbed
     # out; each builder must receive exactly its own options, and a numeric
     # suite's, which runs its sums on up to that many processes, workers too.
+    # The table names a numeric suite's builder, which run_suite looks up in
+    # numeric, so the stub takes its place there.
     received = {}
 
     def build(**kwargs):
         received.update(kwargs)
         return iter(())
 
-    entry = dataclasses.replace(verify._SUITES[suite], build=build)
-    monkeypatch.setitem(verify._SUITES, suite, entry)
+    entry = verify._SUITES[suite]
+    if isinstance(entry.build, str):
+        monkeypatch.setattr(numeric, entry.build, build)
+    else:
+        monkeypatch.setitem(verify._SUITES, suite, dataclasses.replace(entry, build=build))
     result = _invoke(runner, ["verify", suite])
     assert result.exit_code == 0
     assert result.output.splitlines()[1] == config
@@ -1206,6 +1211,29 @@ def test_the_fan_out_starts_each_process_on_its_own_cpu_and_lets_it_move(monkeyp
     assert numeric._fan_out(items, 3) == [moves[6], moves[7], moves[5], moves[6]]
     calls.clear()
     assert numeric._fan_out(items, 1) == [[]] * 4  # one process makes no call
+
+
+@pytest.mark.parametrize("suite,options", [
+    ("main", dict(max_k=3, depth=2_000)),
+    ("ahat", dict(max_k=3, depth=20_000)),
+    ("hoffman", dict(samples=2, depth=2_000)),
+    ("multiple-eta", dict(samples=2, depth=2_000)),
+    ("positivity", dict(samples=3, recurrence_samples=2, depth=2_000)),
+])
+def test_every_fan_out_item_sends_back_floats(monkeypatch, suite, options):
+    # a child sends its items' sums alone, and the builder makes the checks
+    # from them in the launch process
+    real, runs = numeric._fan_out, []
+
+    def recording(items, workers):
+        values = real(items, workers)
+        runs.extend(values)
+        return values
+
+    monkeypatch.setattr(numeric, "_fan_out", recording)
+    assert run_suite(suite, **options).checks
+    assert runs and all(run for run in runs)
+    assert {type(value) for run in runs for value in run} == {float}
 
 
 @pytest.mark.parametrize("suite,options", [

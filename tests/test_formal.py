@@ -33,8 +33,8 @@ from zetagenus.verify import run_suite
 F = Fraction
 
 
-def _poly(terms, cap):
-    return FormalPolynomial(dict(terms), cap)
+def _poly(terms):
+    return FormalPolynomial(dict(terms))
 
 
 def _pi(*blocks):
@@ -48,7 +48,7 @@ def _pi(*blocks):
 
 def test_power_sum_of_a_singleton():
     got = power_sum_poly(_pi((1,)), 2)
-    assert got == _poly({(((1, 1)),): 1, (((1, 2)),): 1}, 2)
+    assert got == _poly({(((1, 1)),): 1, (((1, 2)),): 1})
 
 
 def test_power_sum_factorises_over_blocks():
@@ -67,16 +67,15 @@ def test_power_sum_factorises_over_blocks():
             ((1, 3), (2, 2), (3, 3)): 1,
             ((1, 3), (2, 3), (3, 3)): 1,
         },
-        3,
     )
     assert power_sum_poly(pi, 3) == expected
 
 
 def test_signed_power_sum_flips_odd_levels():
     got = power_sum_poly(_pi((1,)), 2, signed=True)
-    assert got == _poly({((1, 1),): -1, ((1, 2),): 1}, 2)
+    assert got == _poly({((1, 1),): -1, ((1, 2),): 1})
     pair = power_sum_poly(_pi((1, 2)), 2, signed=True)
-    assert pair == _poly({((1, 1), (2, 1)): -1, ((1, 2), (2, 2)): 1}, 2)
+    assert pair == _poly({((1, 1), (2, 1)): -1, ((1, 2), (2, 2)): 1})
 
 
 def test_signed_and_unsigned_power_sums_differ_by_level_parity():
@@ -92,7 +91,7 @@ def test_signed_and_unsigned_power_sums_differ_by_level_parity():
 
 def test_monomial_requires_distinct_block_levels():
     got = monomial_poly(_pi((1,), (2,)), 2)
-    assert got == _poly({((1, 1), (2, 2)): 1, ((1, 2), (2, 1)): 1}, 2)
+    assert got == _poly({((1, 1), (2, 2)): 1, ((1, 2), (2, 1)): 1})
     # One block: no distinctness constraint to impose.
     assert monomial_poly(_pi((1, 2)), 3) == power_sum_poly(_pi((1, 2)), 3)
     # More blocks than levels leaves nothing.
@@ -124,7 +123,6 @@ def test_chain_sum_frozen_expansion():
             ((1, 2), (2, 2)): 2,
             ((1, 1), (2, 2)): -1,
         },
-        2,
     )
 
 
@@ -189,8 +187,8 @@ def test_chain_inversion_reports_the_failing_direction(monkeypatch, failing):
 
 
 def test_identity_report_describes_the_first_mismatch():
-    lhs = _poly({((1, 1),): 1, ((1, 2),): 3}, 2)
-    rhs = _poly({((1, 1),): 1, ((1, 2),): 4}, 2)
+    lhs = _poly({((1, 1),): 1, ((1, 2),): 3})
+    rhs = _poly({((1, 1),): 1, ((1, 2),): 4})
     diff = lhs.first_difference(rhs)
     assert diff == ((1, 2),)
     assert lhs.first_difference(lhs) is None
@@ -202,10 +200,10 @@ def test_identity_report_describes_the_first_mismatch():
 
 
 def test_polynomial_ring_operations():
-    a = _poly({((1, 1),): 2, ((1, 2),): -5}, 3)
-    assert a.scale(-1) == _poly({((1, 1),): -2, ((1, 2),): 5}, 3)
-    assert a.scale(3) == _poly({((1, 1),): 6, ((1, 2),): -15}, 3)
-    assert a.scale(0) == _poly({}, 3)
+    a = _poly({((1, 1),): 2, ((1, 2),): -5})
+    assert a.scale(-1) == _poly({((1, 1),): -2, ((1, 2),): 5})
+    assert a.scale(3) == _poly({((1, 1),): 6, ((1, 2),): -15})
+    assert a.scale(0) == _poly({})
 
 
 def test_builders_yield_integer_coefficients():

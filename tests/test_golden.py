@@ -8,7 +8,10 @@ of the formal, oracle and signs suites (exact matches and counts).  The
 seeded float reports are pinned apart, per numpy version and pow
 fingerprint: the last digit of a float follows numpy's vectorised pow,
 which rounds differently on different CPUs and numpy builds, so a float
-hash is checked only where pow gives the bits it was recorded with.  Every command runs in
+hash is checked only where pow gives the bits it was recorded with.
+Where numpy dispatches past X86_V3 (AVX2), the float reports are also
+made in a child python with those features turned off, and checked
+against the hashes of the pow path it then takes.  Every command runs in
 process through click's CliRunner and writes its output to a file, whose
 bytes are hashed; a table run with --cache also pins the cache file.
 The CLI's own help and usage errors run as `python -m zetagenus` in a
@@ -25,6 +28,7 @@ and say in the change log which outputs moved and why.
 
 import functools
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -157,13 +161,44 @@ def _dispatch() -> str:
     return " ".join([f"numpy {numpy.__version__}", *(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))])
 
 
+def _above_x86_v3() -> list[str]:
+    """The features _dispatch lists past X86_V3, which NPY_DISABLE_CPU_FEATURES can turn off."""
+    features = _dispatch().split()[2:]
+    return features[features.index("X86_V3") + 1:] if "X86_V3" in features else []
+
+
+@functools.lru_cache(maxsize=None)
+def _x86_v3_floats() -> dict:
+    """The _fingerprint, _dispatch and float report hashes of a child python
+    that numpy runs at X86_V3, with every feature past it turned off."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": " ".join(_above_x86_v3())}
+    result = subprocess.run([sys.executable, __file__, "--floats"], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def _float_hashes() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = {key: digest for case in FLOAT_CASES for key, digest in _hashes(case, Path(tmp)).items()}
+    return {"fingerprint": _fingerprint(), "dispatch": _dispatch(), "hashes": hashes}
+
+
 # each float report's hash, by the _fingerprint of the host it was recorded on;
-# its _dispatch there: numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL AVX512_SPR
+# its _dispatch there: numpy 2.4.6 X86_V3 X86_V4 AVX512_ICL AVX512_SPR, and
+# for the second key the same with X86_V4 AVX512_ICL AVX512_SPR turned off
 FLOAT_GOLDEN = {
     "numpy 2.4.6 pow e39d1eb03777b4756b4579fd69575ad700fc500424d407ec41b9a647b3847e61": {
         "verify-hoffman": "43b129f9b32bb13b81a065b5cff81d6fb7908e2d1ae65500d1e56702333716b1",
         "verify-multiple-eta": "829f37b2f147f3cc5f4d127481e6de0e1a6e619ab12a09980e1c6f51c8fea2a9",
         "verify-positivity": "8e091cea2dfcb330cfbef5678efa4ee0725aa2026ce0c2d4e6ec39c72aec2c69",
+        "verify-main-k8": "922e6e9752147878d88f19d01b6a2b29ce49cbf03113f61500beb2b48ecd59a4",
+        "verify-ahat-k4": "527cf10691d97decfad86d7a0db0f04bb9ec29780cf8f77e2940e73296f086a8",
+    },
+    "numpy 2.4.6 pow 2bec8b77d033035854f9f58a678adbdb09f11e737ea8b920559e24f564f5a09c": {
+        "verify-hoffman": "61ee35a917dc640387854249ed1daaed249a703ad45267c6611bdc7f4bb9ccec",
+        "verify-multiple-eta": "f78c9dac51f6e12548530cced9537fc946dd4dc39671e9aa0ae8ac5c39f48d65",
+        "verify-positivity": "3739f2b909ccf9f2c0bf79dadb1f3f8b221a2cb26389e71713c8764b2527d4b7",
         "verify-main-k8": "922e6e9752147878d88f19d01b6a2b29ce49cbf03113f61500beb2b48ecd59a4",
         "verify-ahat-k4": "527cf10691d97decfad86d7a0db0f04bb9ec29780cf8f77e2940e73296f086a8",
     },
@@ -215,7 +250,25 @@ def test_float_reports_match_their_golden_hashes_on_their_dispatch(name, tmp_pat
     assert _hashes(name, tmp_path) == {name: golden[name]}
 
 
+@pytest.mark.parametrize("name", list(FLOAT_CASES))
+def test_float_reports_match_their_golden_hashes_at_x86_v3(name):
+    # the AVX2 path of numpy's pow, where this CPU has more; only the child's
+    # environment changes
+    above = _above_x86_v3()
+    if not above:
+        pytest.skip(f"numpy dispatches nothing past X86_V3 here ({_dispatch()})")
+    child = _x86_v3_floats()
+    assert not set(above) & set(child["dispatch"].split())
+    golden = FLOAT_GOLDEN.get(child["fingerprint"])
+    if golden is None:
+        pytest.skip(f"no float hashes recorded for {child['fingerprint']} ({child['dispatch']})")
+    assert child["hashes"][name] == golden[name]
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--floats"]:  # as _x86_v3_floats runs it
+        print(json.dumps(_float_hashes()))
+        sys.exit()
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             for key, digest in _hashes(case, Path(tmp)).items():
@@ -223,10 +276,9 @@ if __name__ == "__main__":
     for case in TEXT_CASES:
         for key, digest in _text_hashes(case).items():
             print(f'    "{key}": "{digest}",', file=sys.stdout)
-    print(f"    # {_dispatch()}")
-    print(f'    "{_fingerprint()}": {{')
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in FLOAT_CASES:
-            for key, digest in _hashes(case, Path(tmp)).items():
-                print(f'        "{key}": "{digest}",', file=sys.stdout)
-    print("    },")
+    for floats in [_float_hashes()] + ([_x86_v3_floats()] if _above_x86_v3() else []):
+        print(f"    # {floats['dispatch']}")
+        print(f'    "{floats["fingerprint"]}": {{')
+        for key, digest in floats["hashes"].items():
+            print(f'        "{key}": "{digest}",', file=sys.stdout)
+        print("    },")
