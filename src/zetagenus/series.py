@@ -465,7 +465,7 @@ def _family(kernel: str, family: Sequence[Sequence[float]], cfg: EvalConfig, pas
     return sums()
 
 
-@lru_cache(maxsize=4)  # symmetrize_family prices a family, then sweeps it; main's class price serves on one CPU only
+@lru_cache(maxsize=4)  # symmetrize_family prices a family, then sweeps it; main's price of a depth class is reused on one CPU only
 def _plan(family: tuple[tuple[float, ...], ...]) -> tuple[list, dict, list, dict]:
     """symmetrize_family's DP: the members as floats, each exponent's rank, each member's top M
     and ups (see _sweep), all read-only; ValueError if a member is empty or has too many sub-multisets."""
