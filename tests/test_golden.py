@@ -86,6 +86,15 @@ TEXT_CASES = {
     "text-verify-help": (["verify", "--help"], 0),
     "text-verify-no-suite": (["verify"], 2),
     "text-verify-nosuch": (["verify", "nosuch"], 2),
+    "text-coeff-help": (["coeff", "--help"], 0),
+    "text-poly-help": (["poly", "--help"], 0),
+    "text-table-help": (["table", "--help"], 0),
+    "text-no-command": ([], 2),
+    "text-coeff-no-options": (["coeff"], 2),
+    "text-poly-bad-format": (["poly", "--genus", "L", "--k", "3", "--format", "x"], 2),
+    "text-verify-bad-integer": (["verify", "main", "--k", "x"], 2),
+    "text-nosuch": (["nosuch"], 2),
+    "text-coeff-bad-partition": (["coeff", "--genus", "L", "--partition", "x"], 2),
 }
 
 GOLDEN = {
@@ -128,6 +137,24 @@ GOLDEN = {
     "text-verify-no-suite.stderr": "0fb06f528093c9ac54bb2415c30b392d983eb8cfd26ea4a545eec57aa28fc616",
     "text-verify-nosuch.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "text-verify-nosuch.stderr": "877a0e1e1f53c6ff910305b027ae74711d87201fafebc6170c3f615c008f7485",
+    "text-coeff-help.stdout": "15862192787d3346e60dc669c4945159053298e56504234b9ea99f3fa5f97a0b",
+    "text-coeff-help.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-poly-help.stdout": "7031e929b5923394e34f9c416f28949cd1d9d158eb43b7071da2f4cd1c304d64",
+    "text-poly-help.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-table-help.stdout": "9e4f430019bb44db081b6c89d74eaa8bbbcf4de77614863859200a06b52ae0f1",
+    "text-table-help.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-no-command.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-no-command.stderr": "e93fcccfd37d5ef874d946f7ce25dbc6d04fc8452115eae7911d36c600d64222",
+    "text-coeff-no-options.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-coeff-no-options.stderr": "f36828bd55bd5ba603530d6db492be2acbcee1f498f487b94980e359f4aeadd0",
+    "text-poly-bad-format.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-poly-bad-format.stderr": "c64b317829811e2f73720ae6e4e649e4c8b97b30d8c755a6d48fefecf7c69192",
+    "text-verify-bad-integer.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-verify-bad-integer.stderr": "38c24a865e0d18d8c74783a60bb51f4688cc48503710f252f2a405b3e276d0c1",
+    "text-nosuch.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-nosuch.stderr": "1fcf10f97f43086a21bc8b8a4227374fb04dd0979868c4b18d37d5ecb2a08d5b",
+    "text-coeff-bad-partition.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-coeff-bad-partition.stderr": "27b47b14f7dc11c6466a3920824ae673a7e7923320c47a5b7199300ef5183a08",
 }
 
 
