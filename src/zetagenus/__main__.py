@@ -3,4 +3,4 @@
 from .cli import main
 
 if __name__ == "__main__":
-    main()
+    main("python -m zetagenus")

@@ -11,17 +11,19 @@ Four subcommands:
 
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage or
 configuration error.  An input past a supported range (degree, ground
-size, term budget) exits 2 before any work.  Every flag can also be set
-through an environment variable ZETAGENUS_<COMMAND>_<FLAG>, e.g.
-ZETAGENUS_VERIFY_DEPTH.  Each command imports the modules it runs in its
-own body, so a launch loads (and, without bytecode, compiles) only those:
-an exact verify suite does not load numeric, which holds the numeric ones.
+size, term budget) exits 2 before any work.  A flag not given reads the
+environment variable ZETAGENUS_<COMMAND>_<NAME>, NAME being the flag's
+name (ZETAGENUS_VERIFY_DEPTH) except FMT for --format, LEVEL_CAP for --n
+and MAX_K for --k/--max-k.  The parser is the standard library's alone,
+with click's help pages and messages byte for byte.  Each command imports
+the modules it runs in its own body, so a launch loads (and, without
+bytecode, compiles) only those: an exact verify suite does not load numeric.
 main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no command calls BLAS.
 It runs the numeric verify suites on every CPU the process may use
 (os.sched_getaffinity), in children forked after every refusal, to the same
-report bytes; cli called in process, or one CPU, runs them serially.
-After click exits, main() flushes stdout and stderr and calls os._exit with
-its code: commands close their files, and teardown only collects garbage.
+report bytes; cli called in process, or one CPU, runs them serially.  Once
+the command returns, main() flushes stdout and stderr and calls os._exit
+with its code: commands close their files, and teardown only collects garbage.
 
 A genus is named "L" or "Ahat", or is a path to a JSON file of the form
 {"name": ..., "coefficients": [{"num": "1", "den": "1"}, ...]} listing
@@ -33,9 +35,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import TYPE_CHECKING, Optional
-
-import click
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .genus import GenusSpec
@@ -43,10 +43,16 @@ if TYPE_CHECKING:
 __all__ = ["cli", "main", "ConfigError"]
 
 
-class ConfigError(click.ClickException):
+class ConfigError(Exception):
     """Usage or configuration problem; reserved exit code 2."""
 
-    exit_code = 2
+
+class UsageError(ConfigError):
+    """A command line that does not parse, shown under its command's usage (command None: the group's)."""
+
+    def __init__(self, message: str, command: str | None) -> None:
+        super().__init__(message)
+        self.command = command
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -91,10 +97,10 @@ def _load_genus(name: str, order: int) -> GenusSpec:
     return genus
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     """Write text as it is, to stdout or to the file out."""
     if out is None:
-        click.echo(text, nl=False)
+        print(text, end="", flush=True)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -103,17 +109,61 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise ConfigError(f"cannot write {out}: {exc}")
 
 
-@click.group()
-def cli() -> None:
-    """Exact coefficients of multiplicative polynomial sequences, with
-    numeric verification against nested zeta-type series."""
+_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
 
 
-@cli.command()
-@click.option("--genus", required=True, help="L, Ahat, or a series JSON path.")
-@click.option("--partition", required=True, help="Comma list, e.g. 2,1.")
-@click.option("--out", default=None, help="Write to file instead of stdout.")
-def coeff(genus: str, partition: str, out: Optional[str]) -> None:
+class _Option:
+    """A parameter of a command: its flags (none for verify's SUITE), the keyword it fills, and its type:
+    str, int, float, a tuple of choices, or a function that returns them when they are needed."""
+
+    def __init__(self, *flags: str, dest: str = "", type=str, default=None, help: str = "", required: bool = False):
+        self.flags, self.dest, self.type = flags, dest or flags[0][2:].replace("-", "_"), type
+        self.default, self.help, self.required = default, help, required
+
+    def choices(self) -> tuple[str, ...] | None:
+        if self.type in _METAVARS:
+            return None
+        return self.type if isinstance(self.type, tuple) else self.type()
+
+    def metavar(self) -> str:
+        choices = "|".join(self.choices() or ())
+        return _METAVARS.get(self.type) or (f"[{choices}]" if self.flags else f"{{{choices}}}")
+
+    def hint(self) -> str:
+        return " / ".join(f"'{flag}'" for flag in self.flags) or f"'{self.metavar()}'"
+
+    def record(self) -> tuple[str, str]:
+        """This option's row in its command's help."""
+        extra = "; ".join([f"default: {self.default}"] * (self.default is not None) + ["required"] * self.required)
+        text = "  ".join(filter(None, [self.help, extra and f"[{extra}]"]))
+        return f"{', '.join(self.flags)} {self.metavar()}", text
+
+    def convert(self, raw: str, command: str):
+        choices = self.choices()
+        if self.type in (int, float):
+            try:
+                return self.type(raw)
+            except ValueError:
+                message = f"{raw!r} is not a valid {_METAVARS[self.type].lower()}."
+        elif choices is None or raw in choices:
+            return raw
+        else:
+            message = f"{raw!r} is not one of {', '.join(map(repr, choices))}."
+        raise UsageError(f"Invalid value for {self.hint()}: {message}", command)
+
+
+_COMMANDS: dict[str, tuple] = {}  # name: (function, its _Options)
+_GENUS = _Option("--genus", required=True, help="L, Ahat, or a series JSON path.")
+_OUT = _Option("--out", help="Write to file instead of stdout.")
+
+
+def _command(*options: _Option):
+    """Register the decorated function as the command of its name, with these parameters."""
+    return lambda fn: _COMMANDS.setdefault(fn.__name__, (fn, options))[0]
+
+
+@_command(_GENUS, _Option("--partition", required=True, help="Comma list, e.g. 2,1."), _OUT)
+def coeff(genus: str, partition: str, out: str | None) -> None:
     """Print one exact coefficient as a reduced fraction."""
     from .genus import coefficient_closed_form
     parts = _parse_partition(partition)
@@ -121,18 +171,13 @@ def coeff(genus: str, partition: str, out: Optional[str]) -> None:
     _emit(f"{coefficient_closed_form(spec, parts)}\n", out)
 
 
-@cli.command()
-@click.option("--genus", required=True, help="L, Ahat, or a series JSON path.")
-@click.option("--k", required=True, type=int, help="Degree of the polynomial.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "latex", "json"]),
-    default="text",
-    show_default=True,
+@_command(
+    _GENUS,
+    _Option("--k", type=int, required=True, help="Degree of the polynomial."),
+    _Option("--format", dest="fmt", type=("text", "latex", "json"), default="text"),
+    _OUT,
 )
-@click.option("--out", default=None, help="Write to file instead of stdout.")
-def poly(genus: str, k: int, fmt: str, out: Optional[str]) -> None:
+def poly(genus: str, k: int, fmt: str, out: str | None) -> None:
     """Print the whole degree-k polynomial in power-sum variables."""
     from .genus import coefficient_table
     from .render import render_poly_json, render_poly_latex, render_poly_text
@@ -149,19 +194,14 @@ def poly(genus: str, k: int, fmt: str, out: Optional[str]) -> None:
     _emit(rendered + "\n", out)
 
 
-@cli.command()
-@click.option("--genus", required=True, help="L, Ahat, or a series JSON path.")
-@click.option("--max-k", required=True, type=int, help="Largest degree to export.")
-@click.option("--out", required=True, help="Destination file.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json"]),
-    default="csv",
-    show_default=True,
+@_command(
+    _GENUS,
+    _Option("--max-k", type=int, required=True, help="Largest degree to export."),
+    _Option("--out", required=True, help="Destination file."),
+    _Option("--format", dest="fmt", type=("csv", "json"), default="csv"),
+    _Option("--cache", help="JSON cache file reused across runs."),
 )
-@click.option("--cache", default=None, help="JSON cache file reused across runs.")
-def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> None:
+def table(genus: str, max_k: int, out: str, fmt: str, cache: str | None) -> None:
     """Export every coefficient for degrees 1..max-k to a file."""
     from .render import render_table_csv, render_table_json, tables_with_cache
     if max_k < 1:
@@ -177,61 +217,194 @@ def table(genus: str, max_k: int, out: str, fmt: str, cache: Optional[str]) -> N
     _emit(rendered, out)
 
 
-class _SuiteChoice(click.Choice):
-    """click.Choice over verify.available_suites(), read only when click
-    asks for the names (to check a value or print help), so that no other
-    command imports verify."""
-
-    def __init__(self) -> None:
-        self.case_sensitive = True
-
-    @property
-    def choices(self) -> tuple[str, ...]:
-        from .verify import available_suites
-        return available_suites()
+def _suites() -> tuple[str, ...]:
+    """verify's suite names, read only when a verify command line needs them, so no other command imports verify."""
+    from .verify import available_suites
+    return available_suites()
 
 
-@cli.command()
-@click.argument("suite", type=_SuiteChoice())
-@click.option(
-    "--k",
-    "--max-k",
-    "max_k",
-    type=int,
-    default=None,
-    help="Max degree (main, ahat, oracle, signs).",
+@_command(
+    _Option(dest="suite", type=_suites, required=True),
+    _Option("--k", "--max-k", dest="max_k", type=int, help="Max degree (main, ahat, oracle, signs)."),
+    _Option("--max-r", type=int, help="Max tuple length / ground size."),
+    _Option("--n", dest="level_cap", type=int, help="Formal level cap."),
+    _Option("--samples", type=int, help="Sampled tuples per batch."),
+    _Option("--recurrence-samples", type=int, help="Recurrence spot checks."),
+    _Option("--depth", type=int, help="Series truncation depth."),
+    _Option("--tol", type=float, help="Comparison tolerance."),
+    _Option("--seed", type=int, help="Seed for sampled suites."),
+    _Option("--out", help="Also determines report destination."),
 )
-@click.option("--max-r", type=int, default=None, help="Max tuple length / ground size.")
-@click.option("--n", "level_cap", type=int, default=None, help="Formal level cap.")
-@click.option("--samples", type=int, default=None, help="Sampled tuples per batch.")
-@click.option(
-    "--recurrence-samples", type=int, default=None, help="Recurrence spot checks."
-)
-@click.option("--depth", type=int, default=None, help="Series truncation depth.")
-@click.option("--tol", type=float, default=None, help="Comparison tolerance.")
-@click.option("--seed", type=int, default=None, help="Seed for sampled suites.")
-@click.option("--out", default=None, help="Also determines report destination.")
-@click.pass_context
-def verify(ctx: click.Context, suite: str, out: Optional[str], **options: object) -> None:
+def verify(suite: str, out: str | None, workers: int = 1, **options: object) -> int:
     """Run one verification suite; exit 1 iff any check fails."""
     from .verify import run_suite
-    try:  # ctx.obj: the CPUs main() runs numeric suites on; None in process
-        report = run_suite(suite, workers=ctx.obj or 1, **options)
+    try:  # workers: the CPUs main() runs numeric suites on; 1 in process
+        report = run_suite(suite, workers=workers, **options)
     except ValueError as exc:
         raise ConfigError(str(exc))
     _emit(report.render() + "\n", out)
-    if not report.passed:
-        ctx.exit(1)
+    return 0 if report.passed else 1
 
 
-def main() -> None:
-    """Console-script entry point with the documented env-var prefix."""
+def _wrap(text: str, width: int, indent: str = "", first: str | None = None) -> list[str]:
+    import textwrap
+    return textwrap.wrap(text, width, initial_indent=indent if first is None else first, subsequent_indent=indent)
+
+
+def _width() -> int:
+    import shutil  # as click: the terminal's width less 2, from 50 to 78
+    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+
+
+def _usage(prog: str, command: str | None) -> list[str]:
+    """The usage line of a command (None: the group), wrapped as click wraps it."""
+    args = "COMMAND [ARGS]..." if command is None else " ".join(o.metavar() for o in _COMMANDS[command][1] if not o.flags)
+    args, prefix, width = f"[OPTIONS] {args}".rstrip(), f"Usage: {prog} {command or ''}".rstrip() + " ", _width()
+    if width >= len(prefix) + 20:
+        return _wrap(args, width, " " * len(prefix), prefix)
+    return [prefix] + _wrap(args, width, " " * 11)
+
+
+def _short_help(doc: str, limit: int) -> str:
+    """A command's one-sentence docstring, or as many of its words as fit with '...', as click cuts it."""
+    words, cut = doc.split(), ""
+    while len(" ".join(words) + cut) > limit:
+        words, cut = words[:-1], "..."
+    return " ".join(words) + cut
+
+
+def _help(prog: str, command: str | None) -> str:
+    """The --help page of a command (None: the group) in click's layout."""
+    width = _width()
+    fn, options = _COMMANDS[command] if command else (_Group, ())
+    sections = [("Options", [o.record() for o in options if o.flags] + [("--help", "Show this message and exit.")])]
+    if command is None:
+        limit = width - 6 - max(map(len, _COMMANDS))
+        sections.append(("Commands", [(name, _short_help(f.__doc__, limit)) for name, (f, _) in _COMMANDS.items()]))
+    lines = _usage(prog, command) + [""] + _wrap(" ".join(fn.__doc__.split()), width, "  ")
+    for title, rows in sections:
+        col = min(max(len(term) for term, _ in rows), 30) + 4  # where the second column starts
+        lines += ["", f"{title}:"]
+        for term, text in rows:
+            head, *more = _wrap(text, max(width - col, 10))
+            lines += [f"  {term:<{col - 2}}{head}"] if len(term) <= col - 4 else [f"  {term}", " " * col + head]
+            lines += [" " * col + line for line in more]
+    return "\n".join(lines) + "\n"
+
+
+def _suggest(name: str, names) -> str:
+    """click's hint after a mistyped name: the known names close to it."""
+    from difflib import get_close_matches
+    close = sorted(get_close_matches(name, names))
+    quoted = ", ".join(map(repr, close))
+    if len(close) > 1:
+        return f" (Did you mean one of: {quoted}?)"
+    return f" Did you mean {quoted}?" if close else ""
+
+
+def _parse(args: list[str], options, command: str | None) -> tuple[dict, list, list[str], bool]:
+    """Split a command line as click does: each option's last value, the options in the order they first
+    appear, the other arguments, and whether --help was given.  The group (None) stops at its command."""
+    flags, values, order, rest, shown = {flag: o for o in options for flag in o.flags}, {}, [], [], False
+    while args:
+        arg = args.pop(0)
+        name, eq, value = arg.partition("=")
+        if arg == "--":
+            break
+        if arg[:1] != "-" or arg == "-":
+            if command is None:
+                args.insert(0, arg)
+                break
+            rest.append(arg)
+        elif name == "--help":
+            if eq:
+                raise ConfigError("Option '--help' does not take a value.")
+            shown = True
+        elif name not in flags:
+            if arg[:2] != "--":  # there are no short options: click names the first letter of -x
+                raise UsageError(f"No such option '{arg[:2]}'.", command)
+            raise UsageError(f"No such option '{name}'.{_suggest(name, [*flags, '--help'])}", command)
+        elif not eq and not args:
+            raise ConfigError(f"Option '{name}' requires an argument.")
+        else:
+            values[flags[name].dest] = value if eq else args.pop(0)
+            order += [flags[name]] * (flags[name] not in order)
+    return values, order, rest + args, shown
+
+
+class _Group:
+    """Exact coefficients of multiplicative polynomial sequences, with
+    numeric verification against nested zeta-type series."""
+
+    def main(self, args=None, prog_name: str | None = None, auto_envvar_prefix: str | None = None,
+             standalone_mode: bool = True, workers: int = 1) -> int:
+        """Run one command line, write its output, or its error to stderr, and return its exit code (in
+        standalone mode, exit with it).  With auto_envvar_prefix, a flag not given is read from the environment."""
+        prog = prog_name or os.path.basename(sys.argv[0])
+        try:
+            code = self._run(list(sys.argv[1:] if args is None else args), prog, auto_envvar_prefix, workers)
+        except ConfigError as exc:
+            if isinstance(exc, UsageError):
+                path = f"{prog} {exc.command or ''}".rstrip()
+                print(*_usage(prog, exc.command), f"Try '{path} --help' for help.\n", sep="\n", file=sys.stderr)
+            print(f"Error: {exc}", file=sys.stderr)
+            code = 2
+        if standalone_mode:
+            sys.exit(code)
+        return code
+
+    def _run(self, args: list[str], prog: str, env: str | None, workers: int) -> int:
+        if not args:  # the group's help, on stderr
+            print(_help(prog, None), end="", file=sys.stderr)
+            return 2
+        name, (_, _, rest, shown) = None, _parse(args, (), None)
+        if not shown and rest and rest[0] not in _COMMANDS and rest[0][:1] == "-":
+            shown = _parse(rest[:], (), None)[3]  # past "--", click reads an option in the command's place as the group's
+        if not shown:
+            if not rest:
+                raise UsageError("Missing command.", None)
+            name = rest[0]
+            if name not in _COMMANDS:
+                raise UsageError(f"No such command {name!r}.{_suggest(name, _COMMANDS)}", None)
+            fn, options = _COMMANDS[name]
+            values, order, rest, shown = _parse(rest[1:], options, name)
+        if shown:
+            print(_help(prog, name), end="")
+            return 0
+        kwargs = {"workers": workers} if name == "verify" else {}
+        for o in options:
+            if not o.flags:  # verify's SUITE: checked after the options given, before the others
+                values[o.dest] = rest.pop(0) if rest else None
+                order.append(o)
+        for o in sorted(options, key=lambda o: order.index(o) if o in order else len(order)):
+            raw = values.get(o.dest)
+            if raw is None and env and o.flags:  # an empty variable counts as unset
+                raw = os.environ.get(f"{env}_{name}_{o.dest}".upper()) or None
+            if raw is None and o.required:
+                more = " Choose from:\n\t" + ",\n\t".join(o.choices()) if o.choices() else ""
+                raise UsageError(f"Missing {'option' if o.flags else 'argument'} {o.hint()}.{more}", name)
+            kwargs[o.dest] = o.default if raw is None else o.convert(raw, name)
+        if rest:
+            raise UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})", name)
+        return fn(**kwargs) or 0
+
+
+cli = _Group()
+
+
+def main(prog_name: str | None = None) -> None:
+    """Console-script entry point with the documented env-var prefix.  Help and errors name the program
+    prog_name (`python -m zetagenus` under -m), else the file name of argv[0], as click did."""
     # numpy's OpenBLAS would start a worker pool no command uses: ~0.07 s a launch on 2 cores
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     try:
-        cli(auto_envvar_prefix="ZETAGENUS", obj=cpus)
-    except SystemExit as exc:  # how click ends every command; teardown would only collect garbage
+        code = cli.main(prog_name=prog_name, auto_envvar_prefix="ZETAGENUS", standalone_mode=False, workers=cpus)
         sys.stdout.flush()
-        sys.stderr.flush()
-        os._exit(exc.code)
+    except BrokenPipeError:  # stdout's reader has gone, as under `| head`
+        code = 1
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()  # teardown would only collect garbage
+    os._exit(code)

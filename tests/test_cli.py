@@ -1,18 +1,21 @@
 """End-to-end tests for the command line and the verification suites."""
 
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from zetagenus.cli import cli
 from zetagenus.genus import GenusSpec
@@ -26,15 +29,29 @@ from zetagenus.verify import available_suites, run_suite
 F = Fraction
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+class _Stream(io.StringIO):
+    """stdout or stderr of an in-process run: it keeps its own text and
+    also adds each write to a log that both streams share."""
+
+    def __init__(self, log: list) -> None:
+        super().__init__()
+        self.log = log
+
+    def write(self, text: str) -> int:
+        self.log.append(text)
+        return super().write(text)
 
 
-def _invoke(runner, args, env=None):
-    return runner.invoke(
-        cli, args, env=env, auto_envvar_prefix="ZETAGENUS", catch_exceptions=False
-    )
+def _invoke(args, env=None):
+    """Run one command line in process through cli.main, serially, reading
+    the ZETAGENUS_ variables as the console script does; env sets some for
+    this run.  output holds both streams in the order they were written,
+    stdout_bytes stdout alone."""
+    log = []
+    out, err = _Stream(log), _Stream(log)
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(args, prog_name="zetagenus", auto_envvar_prefix="ZETAGENUS", standalone_mode=False)
+    return SimpleNamespace(exit_code=code, output="".join(log), stdout_bytes=out.getvalue().encode())
 
 
 # ---------------------------------------------------------------------------
@@ -52,28 +69,27 @@ def _invoke(runner, args, env=None):
         ("Ahat", "1,1,1", "-31/967680"),
     ],
 )
-def test_coeff_prints_reduced_fractions(runner, genus, partition, expected):
-    result = _invoke(runner, ["coeff", "--genus", genus, "--partition", partition])
+def test_coeff_prints_reduced_fractions(genus, partition, expected):
+    result = _invoke(["coeff", "--genus", genus, "--partition", partition])
     assert result.exit_code == 0
     assert result.output == expected + "\n"
 
 
-def test_coeff_rejects_malformed_partitions(runner):
+def test_coeff_rejects_malformed_partitions():
     for bad in ("2,x", "", "0", "1,-2"):
-        result = _invoke(runner, ["coeff", "--genus", "L", "--partition", bad])
+        result = _invoke(["coeff", "--genus", "L", "--partition", bad])
         assert result.exit_code == 2
 
 
-def test_coeff_rejects_unknown_genus(runner):
-    result = _invoke(runner, ["coeff", "--genus", "Q", "--partition", "1"])
+def test_coeff_rejects_unknown_genus():
+    result = _invoke(["coeff", "--genus", "Q", "--partition", "1"])
     assert result.exit_code == 2
     assert "genus" in result.output.lower()
 
 
-def test_coeff_writes_to_file(runner, tmp_path):
+def test_coeff_writes_to_file(tmp_path):
     out = tmp_path / "c.txt"
     result = _invoke(
-        runner,
         ["coeff", "--genus", "L", "--partition", "2", "--out", str(out)],
     )
     assert result.exit_code == 0
@@ -95,22 +111,22 @@ def test_coeff_writes_to_file(runner, tmp_path):
         ("Ahat", "0", "1"),
     ],
 )
-def test_poly_text_rendering(runner, genus, k, expected):
-    result = _invoke(runner, ["poly", "--genus", genus, "--k", k])
+def test_poly_text_rendering(genus, k, expected):
+    result = _invoke(["poly", "--genus", genus, "--k", k])
     assert result.exit_code == 0
     assert result.output == expected + "\n"
 
 
-def test_poly_latex_rendering(runner):
+def test_poly_latex_rendering():
     result = _invoke(
-        runner, ["poly", "--genus", "L", "--k", "2", "--format", "latex"]
+        ["poly", "--genus", "L", "--k", "2", "--format", "latex"]
     )
     assert result.exit_code == 0
     assert result.output == "\\frac{1}{45}\\left(7 p_2 - p_1^2\\right)\n"
 
 
-def test_poly_json_rendering(runner):
-    result = _invoke(runner, ["poly", "--genus", "Ahat", "--k", "2", "--format", "json"])
+def test_poly_json_rendering():
+    result = _invoke(["poly", "--genus", "Ahat", "--k", "2", "--format", "json"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["genus"] == "Ahat"
@@ -120,9 +136,9 @@ def test_poly_json_rendering(runner):
     assert by_partition[(1, 1)] == ("7", "5760")
 
 
-def test_poly_guards(runner):
-    assert _invoke(runner, ["poly", "--genus", "L", "--k", "-1"]).exit_code == 2
-    result = _invoke(runner, ["poly", "--genus", "L", "--k", "1", "--format", "xml"])
+def test_poly_guards():
+    assert _invoke(["poly", "--genus", "L", "--k", "-1"]).exit_code == 2
+    result = _invoke(["poly", "--genus", "L", "--k", "1", "--format", "xml"])
     assert result.exit_code == 2
 
 
@@ -140,20 +156,18 @@ _CSV_L3 = """k,partition,coefficient_num,coefficient_den,sign,r
 """
 
 
-def test_table_csv_golden(runner, tmp_path):
+def test_table_csv_golden(tmp_path):
     out = tmp_path / "t.csv"
     result = _invoke(
-        runner,
         ["table", "--genus", "L", "--max-k", "3", "--out", str(out)],
     )
     assert result.exit_code == 0
     assert out.read_text() == _CSV_L3
 
 
-def test_table_json_round_trip(runner, tmp_path):
+def test_table_json_round_trip(tmp_path):
     out = tmp_path / "t.json"
     result = _invoke(
-        runner,
         [
             "table",
             "--genus",
@@ -175,7 +189,7 @@ def test_table_json_round_trip(runner, tmp_path):
 
 @pytest.mark.parametrize("max_k", ["3", "20"])
 @pytest.mark.parametrize("genus", ["L", "Ahat"])
-def test_table_cache_reuse_is_byte_identical(runner, tmp_path, monkeypatch, genus, max_k):
+def test_table_cache_reuse_is_byte_identical(tmp_path, monkeypatch, genus, max_k):
     # the warm run builds no table: it parses every partition up to max_k
     # back from the cache
     out = tmp_path / "t.csv"
@@ -191,31 +205,30 @@ def test_table_cache_reuse_is_byte_identical(runner, tmp_path, monkeypatch, genu
         "--cache",
         str(cache),
     ]
-    assert _invoke(runner, args).exit_code == 0
+    assert _invoke(args).exit_code == 0
     first = out.read_bytes()
     cached = cache.read_bytes()
     monkeypatch.setattr(render, "coefficient_table", None)
-    result = _invoke(runner, args)
+    result = _invoke(args)
     assert result.exit_code == 0 and "warning" not in result.output
     assert out.read_bytes() == first
     assert cache.read_bytes() == cached
 
 
-def test_table_cache_survives_corruption_and_growth(runner, tmp_path):
+def test_table_cache_survives_corruption_and_growth(tmp_path):
     out = tmp_path / "t.csv"
     cache = tmp_path / "cache.json"
     base = ["table", "--genus", "L", "--out", str(out), "--cache", str(cache)]
-    assert _invoke(runner, base + ["--max-k", "2"]).exit_code == 0
+    assert _invoke(base + ["--max-k", "2"]).exit_code == 0
     cache.write_text("{not json")
-    assert _invoke(runner, base + ["--max-k", "3"]).exit_code == 0
+    assert _invoke(base + ["--max-k", "3"]).exit_code == 0
     assert out.read_text() == _CSV_L3
     doc = json.loads(cache.read_text())
     assert sorted(doc["tables"]) == ["1", "2", "3"]
 
 
-def test_table_rejects_unwritable_destination(runner, tmp_path):
+def test_table_rejects_unwritable_destination(tmp_path):
     result = _invoke(
-        runner,
         [
             "table",
             "--genus",
@@ -236,10 +249,10 @@ def test_read_cache_warns_on_corruption(tmp_path, capsys):
     assert "cache" in capsys.readouterr().err.lower()
 
 
-def test_read_cache_warns_on_a_zero_denominator(runner, tmp_path, capsys):
+def test_read_cache_warns_on_a_zero_denominator(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     args = ["table", "--genus", "L", "--max-k", "2", "--out", str(tmp_path / "t.csv")]
-    assert _invoke(runner, args + ["--cache", str(cache)]).exit_code == 0
+    assert _invoke(args + ["--cache", str(cache)]).exit_code == 0
     doc = json.loads(cache.read_text())
     doc["tables"]["1"]["1"]["den"] = "0"
     cache.write_text(json.dumps(doc))
@@ -266,14 +279,14 @@ def _valid_cache(tmp_path):
         pytest.param(lambda doc: json.dumps({**doc, "tables": {"1": {"1": {"num": True, "den": "3"}}}}).encode(), id="bool"),
     ],
 )
-def test_a_malformed_cache_warns_and_is_recomputed(runner, tmp_path, capsys, corrupt):
+def test_a_malformed_cache_warns_and_is_recomputed(tmp_path, capsys, corrupt):
     cache, out, fresh = tmp_path / "cache.json", tmp_path / "t.csv", tmp_path / "fresh.csv"
     cache.write_bytes(corrupt(_valid_cache(tmp_path)))
     assert read_cache(str(cache), GenusSpec.l_genus(3)) == {}
     assert "warning: cache" in capsys.readouterr().err
     args = ["table", "--genus", "L", "--max-k", "2", "--out"]
-    assert _invoke(runner, args + [str(out), "--cache", str(cache)]).exit_code == 0
-    assert _invoke(runner, args + [str(fresh)]).exit_code == 0
+    assert _invoke(args + [str(out), "--cache", str(cache)]).exit_code == 0
+    assert _invoke(args + [str(fresh)]).exit_code == 0
     assert out.read_bytes() == fresh.read_bytes()
     assert json.loads(cache.read_text()) == _valid_cache(tmp_path)
 
@@ -293,22 +306,22 @@ def _write_genus(path, coeffs, name="custom"):
     path.write_text(json.dumps(doc))
 
 
-def test_custom_genus_file_round_trip(runner, tmp_path):
+def test_custom_genus_file_round_trip(tmp_path):
     gpath = tmp_path / "sig.json"
     _write_genus(gpath, [F(1), F(1, 3), F(-1, 45), F(2, 945)])
     result = _invoke(
-        runner, ["coeff", "--genus", str(gpath), "--partition", "2,1"]
+        ["coeff", "--genus", str(gpath), "--partition", "2,1"]
     )
     assert result.exit_code == 0
     assert result.output == "-13/945\n"
-    poly = _invoke(runner, ["poly", "--genus", str(gpath), "--k", "2"])
+    poly = _invoke(["poly", "--genus", str(gpath), "--k", "2"])
     assert poly.output == "(7*p2 - p1^2)/45\n"
 
 
-def test_custom_genus_with_insufficient_order_fails_cleanly(runner, tmp_path):
+def test_custom_genus_with_insufficient_order_fails_cleanly(tmp_path):
     gpath = tmp_path / "short.json"
     _write_genus(gpath, [F(1), F(1, 3)])
-    result = _invoke(runner, ["coeff", "--genus", str(gpath), "--partition", "2,1"])
+    result = _invoke(["coeff", "--genus", str(gpath), "--partition", "2,1"])
     assert result.exit_code == 2
 
 
@@ -320,28 +333,28 @@ def test_custom_genus_with_insufficient_order_fails_cleanly(runner, tmp_path):
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested too deep"),
     ],
 )
-def test_genus_file_with_a_zero_denominator_fails_cleanly(runner, tmp_path, text):
+def test_genus_file_with_a_zero_denominator_fails_cleanly(tmp_path, text):
     gpath = tmp_path / "genus.json"
     gpath.write_text(text)
-    result = _invoke(runner, ["coeff", "--genus", str(gpath), "--partition", "1"])
+    result = _invoke(["coeff", "--genus", str(gpath), "--partition", "1"])
     assert result.exit_code == 2
     assert "cannot load genus from" in result.output
 
 
 @pytest.mark.parametrize("num", [1.9, True], ids=["float", "bool"])
-def test_genus_file_with_a_non_integer_numerator_fails_cleanly(runner, tmp_path, num):
+def test_genus_file_with_a_non_integer_numerator_fails_cleanly(tmp_path, num):
     # int() would read 1.9 as 1 and true as 1, and print a wrong coefficient
     gpath = tmp_path / "float.json"
     gpath.write_text(json.dumps({"name": "x", "coefficients": [{"num": "1", "den": "1"}, {"num": num, "den": "3"}]}))
-    result = _invoke(runner, ["coeff", "--genus", str(gpath), "--partition", "1"])
+    result = _invoke(["coeff", "--genus", str(gpath), "--partition", "1"])
     assert result.exit_code == 2
     assert "cannot load genus from" in result.output
 
 
-def test_malformed_genus_file_fails_cleanly(runner, tmp_path):
+def test_malformed_genus_file_fails_cleanly(tmp_path):
     gpath = tmp_path / "bad.json"
     gpath.write_text('{"name": "x"}')
-    result = _invoke(runner, ["coeff", "--genus", str(gpath), "--partition", "1"])
+    result = _invoke(["coeff", "--genus", str(gpath), "--partition", "1"])
     assert result.exit_code == 2
 
 
@@ -350,9 +363,8 @@ def test_malformed_genus_file_fails_cleanly(runner, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_env_vars_fill_in_missing_options(runner):
+def test_env_vars_fill_in_missing_options():
     result = _invoke(
-        runner,
         ["coeff", "--genus", "Ahat"],
         env={"ZETAGENUS_COEFF_PARTITION": "1,1,1"},
     )
@@ -360,13 +372,40 @@ def test_env_vars_fill_in_missing_options(runner):
     assert result.output == "-31/967680\n"
 
 
-def test_explicit_flags_beat_env_vars(runner):
+def test_explicit_flags_beat_env_vars():
     result = _invoke(
-        runner,
         ["coeff", "--genus", "L", "--partition", "2,1"],
         env={"ZETAGENUS_COEFF_PARTITION": "1"},
     )
     assert result.output == "-13/945\n"
+
+
+@pytest.mark.parametrize(
+    "env,args,code,expected",
+    [
+        # a variable is named after the keyword its flag fills: FMT for
+        # --format, MAX_K for --k/--max-k and LEVEL_CAP for --n
+        ({"ZETAGENUS_POLY_FMT": "latex"}, ["poly", "--genus", "L", "--k", "2"], 0, "\\frac{1}{45}\\left(7 p_2 - p_1^2\\right)\n"),
+        ({"ZETAGENUS_POLY_FORMAT": "latex"}, ["poly", "--genus", "L", "--k", "2"], 0, "(7*p2 - p1^2)/45\n"),
+        ({"ZETAGENUS_VERIFY_MAX_K": "2"}, ["verify", "signs"], 0, "CONFIG max_k=2\n"),
+        ({"ZETAGENUS_VERIFY_LEVEL_CAP": "2", "ZETAGENUS_VERIFY_MAX_R": "2"}, ["verify", "formal"], 0, "CONFIG max_r=2 level_cap=2\n"),
+        # the command line beats the variable
+        ({"ZETAGENUS_POLY_FMT": "latex"}, ["poly", "--genus", "L", "--k", "2", "--format", "text"], 0, "(7*p2 - p1^2)/45\n"),
+        ({"ZETAGENUS_VERIFY_DEPTH": "x"}, ["verify", "main", "--depth", "1000", "--k", "1"], 0, "CONFIG max_k=1 depth=1000"),
+        # a variable's value is checked as the flag's would be
+        (
+            {"ZETAGENUS_VERIFY_DEPTH": "x"},
+            ["verify", "main"],
+            2,
+            "\nError: Invalid value for '--depth': 'x' is not a valid integer.\n",
+        ),
+    ],
+    ids=["fmt", "format-is-no-variable", "max-k", "level-cap", "flag-beats-fmt", "flag-beats-depth", "bad-depth"],
+)
+def test_each_flag_reads_its_documented_variable(env, args, code, expected):
+    result = _invoke(args, env=env)
+    assert result.exit_code == code, result.output
+    assert expected in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +413,8 @@ def test_explicit_flags_beat_env_vars(runner):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_reports_pass_and_exits_zero(runner):
-    result = _invoke(runner, ["verify", "oracle", "--k", "3"])
+def test_verify_reports_pass_and_exits_zero():
+    result = _invoke(["verify", "oracle", "--k", "3"])
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     assert lines[0] == "SUITE oracle"
@@ -384,40 +423,39 @@ def test_verify_reports_pass_and_exits_zero(runner):
     assert lines[-1] == "RESULT oracle PASS 6/6"
 
 
-def test_verify_check_lines_are_well_formed(runner):
+def test_verify_check_lines_are_well_formed():
     # CHECK <name> <PASS|FAIL> <lhs> <rhs> <delta> <bound>
     pattern = re.compile(r"^CHECK \S+ (PASS|FAIL) \S+ \S+ \S+ \S+$")
     for args in (["formal", "--max-r", "2", "--n", "3"], ["oracle", "--k", "2"]):
-        result = _invoke(runner, ["verify", *args])
+        result = _invoke(["verify", *args])
         assert result.exit_code == 0
         checks = [l for l in result.output.splitlines() if l.startswith("CHECK ")]
         assert checks and all(pattern.match(l) for l in checks)
 
 
-def test_verify_mathematical_failure_exits_one(runner):
+def test_verify_mathematical_failure_exits_one():
     result = _invoke(
-        runner,
         ["verify", "main", "--k", "1", "--depth", "500", "--tol", "1e-12"],
     )
     assert result.exit_code == 1
     assert "RESULT main FAIL" in result.output
 
 
-def test_verify_rejects_unknown_suite_and_bad_config(runner):
-    assert _invoke(runner, ["verify", "nope"]).exit_code == 2
-    result = _invoke(runner, ["verify", "main", "--depth", "1"])
+def test_verify_rejects_unknown_suite_and_bad_config():
+    assert _invoke(["verify", "nope"]).exit_code == 2
+    result = _invoke(["verify", "main", "--depth", "1"])
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("suite", ["main", "ahat", "hoffman", "multiple-eta", "positivity"])
-def test_the_exponent_margin_is_no_option(runner, suite):
+def test_the_exponent_margin_is_no_option(suite):
     # the exponent floor is fixed in series; no flag or suite option sets it
-    assert _invoke(runner, ["verify", suite, "--delta", "0.1"]).exit_code == 2
+    assert _invoke(["verify", suite, "--delta", "0.1"]).exit_code == 2
     with pytest.raises(ValueError, match=r"unknown suite option\(s\): margin"):
         run_suite(suite, margin=0.1)
 
 
-def test_verify_refuses_a_depth_past_the_cap_before_any_array(runner, monkeypatch):
+def test_verify_refuses_a_depth_past_the_cap_before_any_array(monkeypatch):
     def no_array(*args):
         raise AssertionError("an array was built")
 
@@ -426,7 +464,7 @@ def test_verify_refuses_a_depth_past_the_cap_before_any_array(runner, monkeypatc
     for suite in ("main", "ahat", "hoffman", "multiple-eta", "positivity"):
         for depth in (series.MAX_DEPTH + 1, 100_000_000):
             start = time.perf_counter()
-            result = _invoke(runner, ["verify", suite, "--depth", str(depth)])
+            result = _invoke(["verify", suite, "--depth", str(depth)])
             assert time.perf_counter() - start < 0.5
             assert result.exit_code == 2
             assert f"depth {depth} is past the depth cap {series.MAX_DEPTH}" in result.output
@@ -444,7 +482,7 @@ def _no_array(*args):
     raise AssertionError("an array was built")
 
 
-def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkeypatch):
+def test_verify_refuses_an_oversized_working_set_before_any_array(monkeypatch):
     # each run's price is checked once, before any sum.  The largest input of
     # each priced shape along one option, each about 10 s in a launch on a
     # 2-core host (ahat --k 13 about 7 s), reaches its first sweep; one more,
@@ -463,50 +501,50 @@ def test_verify_refuses_an_oversized_working_set_before_any_array(runner, monkey
         with monkeypatch.context() as patch:
             patch.setattr(series, "_sweep", _reach)
             with pytest.raises(_Reached):
-                _invoke(runner, ["verify", *args, str(edge)])
+                _invoke(["verify", *args, str(edge)])
             patch.setattr(series, "_powers", _no_array)
             patch.setattr(series, "_carry", _no_array)
             start = time.perf_counter()
-            result = _invoke(runner, ["verify", *args, str(max(edge + 1, edge * 101 // 100))])
+            result = _invoke(["verify", *args, str(max(edge + 1, edge * 101 // 100))])
             assert time.perf_counter() - start < 1.0
             assert result.exit_code == 2
             assert f"past the work budget of {series.MAX_WORK:,} ns" in result.output, args
 
 
-def test_verify_main_runs_to_the_exact_layer_cap(runner, monkeypatch):
+def test_verify_main_runs_to_the_exact_layer_cap(monkeypatch):
     # main's degree is bounded by the exact layer alone: 20 reaches its first
     # sweep, and 21 exits 2 with the exact-layer message before any array
     with monkeypatch.context() as patch:
         patch.setattr(series, "_sweep", _reach)
         with pytest.raises(_Reached):
-            _invoke(runner, ["verify", "main", "--k", "20"])
+            _invoke(["verify", "main", "--k", "20"])
         patch.setattr(series, "_powers", _no_array)
         patch.setattr(series, "_carry", _no_array)
-        result = _invoke(runner, ["verify", "main", "--k", "21"])
+        result = _invoke(["verify", "main", "--k", "21"])
     assert result.exit_code == 2
     assert "degree 21 is past the exact-layer cap 20" in result.output
 
 
-def _check_price(runner, monkeypatch, args, per_index):
+def _check_price(monkeypatch, args, per_index):
     """A budget of exactly the run's price at depth 1,000 accepts it, and one
     ns less refuses it with exit 2, before any array is built."""
     args, work = ["verify", *args, "--depth", "1000", "--tol", "1"], 1_000 * per_index
     with monkeypatch.context() as patch:
         patch.setattr(series, "MAX_WORK", work)
-        assert _invoke(runner, args).exit_code == 0
+        assert _invoke(args).exit_code == 0
         patch.setattr(series, "MAX_WORK", work - 1)
         patch.setattr(series, "_powers", _no_array)
         patch.setattr(series, "_carry", _no_array)
-        result = _invoke(runner, args)
+        result = _invoke(args)
     assert result.exit_code == 2
     assert f"is priced at {work:,} ns, past the work budget of {work - 1:,} ns" in result.output
 
 
 @pytest.mark.parametrize("suite", ["main", "ahat"])
-def test_genus_suites_refuse_past_the_work_budget(runner, monkeypatch, suite):
+def test_genus_suites_refuse_past_the_work_budget(monkeypatch, suite):
     # --k 2 runs one DP over (2), (4) and (2, 2): 3 steps and 3 members
     p = series.PRICES
-    _check_price(runner, monkeypatch, [suite, "--k", "2"], 3 * p["step"] + 3 * p["member"])
+    _check_price(monkeypatch, [suite, "--k", "2"], 3 * p["step"] + 3 * p["member"])
 
 
 @pytest.mark.parametrize("options,classes", [({"max_k": 6}, 2), ({"max_k": 4, "depth": 20_000}, 1)])
@@ -520,22 +558,22 @@ def test_genus_suites_plan_each_depth_class_once(options, classes):
 
 
 @pytest.mark.parametrize("suite,kernels", [("hoffman", 2), ("multiple-eta", 1)])
-def test_sampled_suites_refuse_past_the_suite_work_budget(runner, monkeypatch, suite, kernels):
+def test_sampled_suites_refuse_past_the_suite_work_budget(monkeypatch, suite, kernels):
     # one tuple each of r = 1 and 2: 1 + 4 steps and a member for each
     # kernel the suite symmetrizes, and an ordering for each of the 1 + 3
     # block sums
     p = series.PRICES
     per_index = kernels * (5 * p["step"] + 2 * p["member"]) + 4 * p["ordering"]
-    _check_price(runner, monkeypatch, [suite, "--max-r", "2", "--samples", "1"], per_index)
+    _check_price(monkeypatch, [suite, "--max-r", "2", "--samples", "1"], per_index)
 
 
-def test_positivity_refuses_past_the_suite_work_budget(runner, monkeypatch):
+def test_positivity_refuses_past_the_suite_work_budget(monkeypatch):
     # samples of r = 1, 2 and 3 take an ordering each of r exponents, and
     # recurrence samples of r = 1 and 2 both residuals over r exponents
     p = series.PRICES
-    _check_price(runner, monkeypatch, ["positivity", "--samples", "3", "--recurrence-samples", "0"], 6 * p["ordering"])
+    _check_price(monkeypatch, ["positivity", "--samples", "3", "--recurrence-samples", "0"], 6 * p["ordering"])
     per_index = p["ordering"] + 3 * (p["peel"] + p["block"])
-    _check_price(runner, monkeypatch, ["positivity", "--samples", "1", "--recurrence-samples", "2"], per_index)
+    _check_price(monkeypatch, ["positivity", "--samples", "1", "--recurrence-samples", "2"], per_index)
 
 
 def test_positivity_work_budget_admits_the_defaults_and_the_benchmark_shapes(monkeypatch):
@@ -559,20 +597,20 @@ def test_suite_work_budget_admits_the_defaults_and_max_r_7():
             numeric._sampled_tuples("hoffman", verify.DEFAULT_SEED, samples, max_r, verify.SAMPLE_DEPTH, 2)
 
 
-def test_verify_rejects_too_many_orderings_before_summing(runner):
+def test_verify_rejects_too_many_orderings_before_summing():
     # eight distinct exponents have 256 sub-multisets, past the symmetrize cap
     for suite in ("hoffman", "multiple-eta"):
         start = time.perf_counter()
-        result = runner.invoke(cli, ["verify", suite, "--max-r", "8"])
+        result = _invoke(["verify", suite, "--max-r", "8"])
         assert time.perf_counter() - start < 0.5
         assert result.exit_code == 2
         assert "symmetrize supports at most 128 sub-multisets" in result.output
 
 
-def test_verify_runs_seven_distinct_exponents(runner):
+def test_verify_runs_seven_distinct_exponents():
     for suite, checks in (("hoffman", 28), ("multiple-eta", 14)):
         result = _invoke(
-            runner, ["verify", suite, "--max-r", "7", "--samples", "2", "--depth", "2000"]
+            ["verify", suite, "--max-r", "7", "--samples", "2", "--depth", "2000"]
         )
         assert result.exit_code == 0
         assert f"RESULT {suite} PASS {checks}/{checks}" in result.output
@@ -621,11 +659,11 @@ _DEEP_CAP = "degree 150 is past the exact-layer cap 20"
         ),
     ],
 )
-def test_out_of_range_inputs_fail_before_any_work(runner, tmp_path, args, message):
+def test_out_of_range_inputs_fail_before_any_work(tmp_path, args, message):
     if args[0] == "table":
         args = args + ["--out", str(tmp_path / "t.csv")]
     start = time.perf_counter()
-    result = runner.invoke(cli, args)
+    result = _invoke(args)
     assert time.perf_counter() - start < 2.0
     assert result.exit_code == 2
     assert message in result.output
@@ -633,13 +671,13 @@ def test_out_of_range_inputs_fail_before_any_work(runner, tmp_path, args, messag
 
 @pytest.mark.parametrize("tol", ["0", "-1e-06", "inf", "nan"])
 @pytest.mark.parametrize("suite", ["main", "ahat", "hoffman", "multiple-eta", "positivity"])
-def test_nonpositive_tol_fails_before_any_work(runner, monkeypatch, suite, tol):
+def test_nonpositive_tol_fails_before_any_work(monkeypatch, suite, tol):
     def build(**kwargs):
         raise AssertionError("the checks were built")
 
     entry = dataclasses.replace(verify._SUITES[suite], build=build)
     monkeypatch.setitem(verify._SUITES, suite, entry)
-    result = runner.invoke(cli, ["verify", suite, "--tol", tol])
+    result = _invoke(["verify", suite, "--tol", tol])
     assert result.exit_code == 2
     assert f"tol must be positive and finite, got {float(tol)}" in result.output
 
@@ -665,10 +703,10 @@ def test_nonpositive_tol_fails_before_any_work(runner, monkeypatch, suite, tol):
         ),
     ],
 )
-def test_sizes_that_would_run_no_check_fail_before_any_work(runner, args, message):
+def test_sizes_that_would_run_no_check_fail_before_any_work(args, message):
     # a report of 0/0 checks would pass without testing anything
     start = time.perf_counter()
-    result = runner.invoke(cli, ["verify", *args])
+    result = _invoke(["verify", *args])
     assert time.perf_counter() - start < 0.5
     assert result.exit_code == 2
     assert message in result.output
@@ -679,12 +717,12 @@ def test_sizes_that_would_run_no_check_fail_before_any_work(runner, args, messag
     [("hoffman", "samples"), ("multiple-eta", "samples"), ("positivity", "samples"),
      ("positivity", "recurrence_samples")],
 )
-def test_sample_counts_past_the_cap_fail_before_any_work(runner, monkeypatch, suite, option):
+def test_sample_counts_past_the_cap_fail_before_any_work(monkeypatch, suite, option):
     # sampled suites run linearly in their samples; 1000 is the most
     built = []
     entry = dataclasses.replace(verify._SUITES[suite], build=lambda **kw: built.append(kw) or iter(()))
     monkeypatch.setitem(verify._SUITES, suite, entry)
-    result = runner.invoke(cli, ["verify", suite, "--" + option.replace("_", "-"), "1001"])
+    result = _invoke(["verify", suite, "--" + option.replace("_", "-"), "1001"])
     assert result.exit_code == 2
     assert f"{option} must be at most 1000, got 1001" in result.output
     assert not built
@@ -692,16 +730,16 @@ def test_sample_counts_past_the_cap_fail_before_any_work(runner, monkeypatch, su
     assert built[0][option] == 1000
 
 
-def test_verify_has_no_threads_option(runner):
-    result = runner.invoke(cli, ["verify", "main", "--threads", "2"])
+def test_verify_has_no_threads_option():
+    result = _invoke(["verify", "main", "--threads", "2"])
     assert result.exit_code == 2
     assert "--threads" in result.output
 
 
-def test_verify_writes_report_to_file(runner, tmp_path):
+def test_verify_writes_report_to_file(tmp_path):
     out = tmp_path / "report.txt"
     result = _invoke(
-        runner, ["verify", "oracle", "--k", "2", "--out", str(out)]
+        ["verify", "oracle", "--k", "2", "--out", str(out)]
     )
     assert result.exit_code == 0
     assert "RESULT oracle PASS" in out.read_text()
@@ -829,7 +867,7 @@ _NUMERIC = ("tol",)
         ("signs", "CONFIG max_k=12", ("max_k",)),
     ],
 )
-def test_default_config_lines(runner, monkeypatch, suite, config, options):
+def test_default_config_lines(monkeypatch, suite, config, options):
     # The header comes from the suite table alone, so the checks are stubbed
     # out; each builder must receive exactly its own options, and a numeric
     # suite's, which runs its sums on up to that many processes, workers too.
@@ -846,14 +884,14 @@ def test_default_config_lines(runner, monkeypatch, suite, config, options):
         monkeypatch.setattr(numeric, entry.build, build)
     else:
         monkeypatch.setitem(verify._SUITES, suite, dataclasses.replace(entry, build=build))
-    result = _invoke(runner, ["verify", suite])
+    result = _invoke(["verify", suite])
     assert result.exit_code == 0
     assert result.output.splitlines()[1] == config
     assert sorted(received) == sorted(options)
 
 
-def test_config_line_with_explicit_depth(runner):
-    result = _invoke(runner, ["verify", "main", "--k", "1", "--depth", "20000"])
+def test_config_line_with_explicit_depth():
+    result = _invoke(["verify", "main", "--k", "1", "--depth", "20000"])
     assert result.exit_code == 0
     assert result.output.splitlines()[1] == "CONFIG max_k=1 depth=20000 tol=1e-06"
 
@@ -921,11 +959,11 @@ def _no_set_partitions(monkeypatch):
     ],
     ids=["coeff-1^20", "coeff-3,3,2,2,1^10", "table", "poly", "signs", "oracle", "main", "ahat"],
 )
-def test_no_production_route_enumerates_set_partitions(runner, monkeypatch, tmp_path, args):
+def test_no_production_route_enumerates_set_partitions(monkeypatch, tmp_path, args):
     _no_set_partitions(monkeypatch)
     if args[0] == "table":
         args = args + ["--out", str(tmp_path / "t.json")]
-    result = _invoke(runner, args)
+    result = _invoke(args)
     assert result.exit_code == 0, result.output
 
 
@@ -955,6 +993,17 @@ def test_module_entry_point_runs():
     assert "coeff" in result.stdout and "verify" in result.stdout
 
 
+def test_the_console_script_names_itself_in_usage_lines(tmp_path):
+    # click's naming: the file name of argv[0], and `python -m zetagenus` only under -m
+    script = tmp_path / "zetagenus"
+    script.write_text("import sys\nfrom zetagenus.cli import main\nsys.exit(main())\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, str(script), "coeff"], capture_output=True, text=True, env=env)
+    assert result.returncode == 2
+    assert result.stderr.startswith("Usage: zetagenus coeff [OPTIONS]\nTry 'zetagenus coeff --help' for help.\n")
+
+
 def test_main_pins_openblas_to_one_thread_unless_set(monkeypatch):
     # no command calls BLAS, so numpy's OpenBLAS gets no worker pool; the
     # variable is set before dispatch, so before any command imports numpy
@@ -962,8 +1011,10 @@ def test_main_pins_openblas_to_one_thread_unless_set(monkeypatch):
 
     def record(**kwargs):
         seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return 0
 
-    monkeypatch.setattr(cli_module, "cli", record)
+    monkeypatch.setattr(cli_module.cli, "main", record)
+    monkeypatch.setattr(os, "_exit", lambda code: None)
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     monkeypatch.setattr(os, "environ", environ)
     cli_module.main()
@@ -976,9 +1027,10 @@ def test_main_pins_openblas_to_one_thread_unless_set(monkeypatch):
 @pytest.mark.parametrize(
     "args,code", [(["--help"], 0), (["coeff", "--genus", "Nope", "--partition", "1"], 2)], ids=["help", "bad-genus"]
 )
-def test_main_ends_with_os_exit_and_clicks_code(monkeypatch, capsys, args, code):
-    # main skips the interpreter's teardown: after click's SystemExit it
-    # flushes and calls os._exit, recorded here so that pytest runs on
+def test_main_ends_with_os_exit_and_the_commands_code(monkeypatch, capsys, args, code):
+    # main skips the interpreter's teardown: once the command has returned
+    # its code it flushes and calls os._exit, recorded here so that pytest
+    # runs on
     codes = []
     monkeypatch.setattr(sys, "argv", ["zetagenus", *args])
     monkeypatch.setattr(os, "environ", dict(os.environ))
@@ -1006,13 +1058,13 @@ def _launch(args, **kwargs):
     ],
     ids=["pass", "fail", "refused"],
 )
-def test_launch_exits_with_clicks_code_after_all_its_output(runner, tmp_path, args, code):
+def test_launch_exits_with_the_commands_code_after_all_its_output(tmp_path, args, code):
     # os._exit ends the process without the interpreter's own flush, so
     # stdout redirected to a file must still hold all that the command prints
     path = tmp_path / "stdout.txt"
     with open(path, "wb") as fh:
         result = _launch(args, stdout=fh, stderr=subprocess.PIPE)
-    expected = _invoke(runner, args)
+    expected = _invoke(args)
     assert result.returncode == expected.exit_code == code, result.stderr
     assert path.read_bytes() == expected.stdout_bytes
     assert (b"unknown genus" in result.stderr) == (code == 2)
@@ -1026,11 +1078,11 @@ def test_launch_exits_with_clicks_code_after_all_its_output(runner, tmp_path, ar
     ],
     ids=["verify", "table"],
 )
-def test_launch_writes_complete_files(runner, tmp_path, args):
+def test_launch_writes_complete_files(tmp_path, args):
     launched, in_process = tmp_path / "launched.txt", tmp_path / "in-process.txt"
     result = _launch([a.format(out=launched) for a in args], capture_output=True)
     assert result.returncode == 0, result.stderr
-    assert _invoke(runner, [a.format(out=in_process) for a in args]).exit_code == 0
+    assert _invoke([a.format(out=in_process) for a in args]).exit_code == 0
     assert launched.read_bytes() == in_process.read_bytes()
     assert launched.read_bytes().endswith(b"\n")
 
@@ -1136,14 +1188,14 @@ main()
     ],
     ids=["pass", "fail", "positivity", "refused", "main-pass", "main-fail", "main-refused", "ahat-pass", "ahat-refused"],
 )
-def test_a_launch_forks_only_past_one_cpu_and_reaps_every_child(runner, cpus, args, code):
+def test_a_launch_forks_only_past_one_cpu_and_reaps_every_child(cpus, args, code):
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-c", _FORKS_SCRIPT, cpus, "verify", *args],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    expected = _invoke(runner, ["verify", *args])
+    expected = _invoke(["verify", *args])
     assert result.returncode == expected.exit_code == code, result.stderr
     assert result.stdout == expected.stdout_bytes
     # items of the sampled suites; main and ahat split their sums into --k groups at most
@@ -1346,7 +1398,7 @@ for args in [
     ["verify", "formal"],
     ["verify", "main", "--k", "1", "--depth", "1000"],
 ]:
-    assert cli.cli.main(args, standalone_mode=False) in (None, 0), args
+    assert cli.cli.main(args, standalone_mode=False) == 0, args
     loaded[" ".join(args[:2])] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
@@ -1367,11 +1419,12 @@ import sys
 import zetagenus
 loaded = {"import zetagenus": sorted(m for m in sys.modules if m.startswith("zetagenus."))}
 from zetagenus import cli
-assert cli.cli.main(sys.argv[1:], standalone_mode=False) in (None, 0)
+assert cli.cli.main(sys.argv[1:], standalone_mode=False) == 0
 loaded["command"] = sorted(m.removeprefix("zetagenus.") for m in sys.modules if m.startswith("zetagenus."))
 loaded["numpy"] = "numpy" in sys.modules
 loaded["json"] = "json" in sys.modules
 loaded["rationals"] = sorted(m for m in ("decimal", "fractions") if m in sys.modules)
+loaded["click"] = "click" in sys.modules
 import json
 print(json.dumps(loaded))
 """
@@ -1407,7 +1460,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
     # submodule, the exact commands load neither verify, formal, series
     # nor numpy, the exact suites not numeric, only render's exports load
     # json, and the sampled suites, which compare floats with floats, load
-    # no rational or decimal arithmetic
+    # no rational or decimal arithmetic; no command loads click
     args = [a.format(out=tmp_path / "t.csv") for a in args]
     assert _last_json_line(_COMMAND_SCRIPT, *args) == {
         "import zetagenus": [],
@@ -1415,6 +1468,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, modules):
         "numpy": "series" in modules,
         "json": "render" in modules,
         "rationals": ["decimal", "fractions"] if {"exact", "formal"} & set(modules) else [],
+        "click": False,
     }
 
 

@@ -12,7 +12,7 @@ hash is checked only where pow gives the bits it was recorded with.
 Where numpy dispatches past X86_V3 (AVX2), the float reports are also
 made in a child python with those features turned off, and checked
 against the hashes of the pow path it then takes.  Every command runs in
-process through click's CliRunner and writes its output to a file, whose
+process through cli.main and writes its output to a file, whose
 bytes are hashed; a table run with --cache also pins the cache file.
 The CLI's own help and usage errors run as `python -m zetagenus` in a
 fresh interpreter, which pins their stdout and stderr apart, with the
@@ -28,15 +28,16 @@ and say in the change log which outputs moved and why.
 
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from zetagenus.cli import cli
 
@@ -79,8 +80,8 @@ FLOAT_CASES = {
     "verify-ahat-k4": ["verify", "ahat", "--k", "4"],
 }
 
-# the suite names in these usage lines and messages are read from verify
-# only when click asks for them
+# the help pages and the usage errors of each command; the suite names in
+# verify's are read from verify only when a verify command line needs them
 TEXT_CASES = {
     "text-help": (["--help"], 0),
     "text-verify-help": (["verify", "--help"], 0),
@@ -236,8 +237,9 @@ def _hashes(name: str, workdir: Path) -> dict[str, str]:
     """Run one case and return the sha256 of each file it writes."""
     out, cache = workdir / f"{name}.out", workdir / f"{name}.cache"
     args = [a.format(cache=cache) for a in {**CASES, **FLOAT_CASES}[name]] + ["--out", str(out)]
-    result = CliRunner().invoke(cli, args, catch_exceptions=False)
-    assert result.exit_code == 0, result.output
+    with redirect_stdout(io.StringIO()) as output, redirect_stderr(output):
+        code = cli.main(args, standalone_mode=False)
+    assert code == 0, output.getvalue()
     files = {name: out, f"{name}.cache": cache}
     return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items() if path.exists()}
 
