@@ -13,11 +13,12 @@ Exit codes: 0 all good, 1 a mathematical check failed, 2 usage or
 configuration error.  An input past a supported range (degree, ground
 size, term budget) exits 2 before any work.  A flag not given reads the
 environment variable ZETAGENUS_<COMMAND>_<NAME>, NAME being the flag's
-name (ZETAGENUS_VERIFY_DEPTH) except FMT for --format, LEVEL_CAP for --n
-and MAX_K for --k/--max-k.  The parser is the standard library's alone,
-with click's help pages and messages byte for byte.  Each command imports
-the modules it runs in its own body, so a launch loads (and, without
-bytecode, compiles) only those: an exact verify suite does not load numeric.
+name in capitals with - as _ (ZETAGENUS_VERIFY_DEPTH), except FMT for
+--format, LEVEL_CAP for --n and MAX_K for --k/--max-k.  The parser uses
+only the standard library and prints click's help pages and messages byte
+for byte.  Each command imports the modules it runs in its own body, so a
+launch loads (and, without bytecode, compiles) only those: an exact verify
+suite does not load numeric.
 main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no command calls BLAS.
 It runs the numeric verify suites on every CPU the process may use
 (os.sched_getaffinity), in children forked after every refusal, to the same
