@@ -15,16 +15,17 @@ size, term budget) exits 2 before any work.  A flag not given reads the
 environment variable ZETAGENUS_<COMMAND>_<NAME>, NAME being the flag's
 name in capitals with - as _ (ZETAGENUS_VERIFY_DEPTH), except FMT for
 --format, LEVEL_CAP for --n and MAX_K for --k/--max-k.  The parser uses
-only the standard library and prints click's help pages and messages byte
-for byte.  Each command imports the modules it runs in its own body, so a
-launch loads (and, without bytecode, compiles) only those: an exact verify
-suite does not load numeric.
-main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no command calls BLAS.
-It runs the numeric verify suites on every CPU the process may use
-(os.sched_getaffinity), in children forked after every refusal, to the same
-report bytes; cli called in process, or one CPU, runs them serially.  Once
-the command returns, main() flushes stdout and stderr and calls os._exit
-with its code: commands close their files, and teardown only collects garbage.
+only the standard library; its help pages and messages are click's, as
+click lays them out on a terminal of 80 columns or more.  Each command
+imports the modules it runs in its own body, so a launch loads (and,
+without bytecode, compiles) only those: an exact verify suite does not
+load numeric.  main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no
+command calls BLAS.  It runs the numeric verify suites on every CPU the
+process may use (os.sched_getaffinity), in children forked after every
+refusal, to the same report bytes; cli called in process, or one CPU,
+runs them serially.  Once the command returns, main() flushes stdout and
+stderr and calls os._exit with its code: commands close their files, and
+teardown only collects garbage.
 
 A genus is named "L" or "Ahat", or is a path to a JSON file of the form
 {"name": ..., "coefficients": [{"num": "1", "den": "1"}, ...]} listing
@@ -110,7 +111,7 @@ def _emit(text: str, out: str | None) -> None:
         raise ConfigError(f"cannot write {out}: {exc}")
 
 
-_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
+_TYPES = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
 
 
 class _Option:
@@ -121,35 +122,31 @@ class _Option:
         self.flags, self.dest, self.type = flags, dest or flags[0][2:].replace("-", "_"), type
         self.default, self.help, self.required = default, help, required
 
-    def choices(self) -> tuple[str, ...] | None:
-        if self.type in _METAVARS:
-            return None
-        return self.type if isinstance(self.type, tuple) else self.type()
+    def choices(self) -> tuple[str, ...]:
+        return () if self.type in _TYPES else self.type if isinstance(self.type, tuple) else self.type()
 
     def metavar(self) -> str:
-        choices = "|".join(self.choices() or ())
-        return _METAVARS.get(self.type) or (f"[{choices}]" if self.flags else f"{{{choices}}}")
+        choices = "|".join(self.choices())
+        return _TYPES.get(self.type) or (f"[{choices}]" if self.flags else f"{{{choices}}}")
 
     def hint(self) -> str:
         return " / ".join(f"'{flag}'" for flag in self.flags) or f"'{self.metavar()}'"
 
-    def record(self) -> tuple[str, str]:
+    def row(self) -> tuple[str, str]:
         """This option's row in its command's help."""
-        extra = "; ".join([f"default: {self.default}"] * (self.default is not None) + ["required"] * self.required)
-        text = "  ".join(filter(None, [self.help, extra and f"[{extra}]"]))
-        return f"{', '.join(self.flags)} {self.metavar()}", text
+        note = "[required]" if self.required else f"[default: {self.default}]" if self.default else ""
+        return f"{', '.join(self.flags)} {self.metavar()}", "  ".join(filter(None, [self.help, note]))
 
     def convert(self, raw: str, command: str):
-        choices = self.choices()
         if self.type in (int, float):
             try:
                 return self.type(raw)
             except ValueError:
-                message = f"{raw!r} is not a valid {_METAVARS[self.type].lower()}."
-        elif choices is None or raw in choices:
+                message = f"{raw!r} is not a valid {_TYPES[self.type].lower()}."
+        elif self.type is str or raw in self.choices():
             return raw
         else:
-            message = f"{raw!r} is not one of {', '.join(map(repr, choices))}."
+            message = f"{raw!r} is not one of {', '.join(map(repr, self.choices()))}."
         raise UsageError(f"Invalid value for {self.hint()}: {message}", command)
 
 
@@ -247,49 +244,28 @@ def verify(suite: str, out: str | None, workers: int = 1, **options: object) -> 
     return 0 if report.passed else 1
 
 
-def _wrap(text: str, width: int, indent: str = "", first: str | None = None) -> list[str]:
-    import textwrap
-    return textwrap.wrap(text, width, initial_indent=indent if first is None else first, subsequent_indent=indent)
-
-
-def _width() -> int:
-    import shutil  # as click: the terminal's width less 2, from 50 to 78
-    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+def _wrap(text: str, first: str, indent: str) -> list[str]:
+    import textwrap  # at 78 columns, as click wraps on a terminal of 80 or more, and off a terminal
+    return textwrap.wrap(text, 78, initial_indent=first, subsequent_indent=indent)
 
 
 def _usage(prog: str, command: str | None) -> list[str]:
     """The usage line of a command (None: the group), wrapped as click wraps it."""
-    args = "COMMAND [ARGS]..." if command is None else " ".join(o.metavar() for o in _COMMANDS[command][1] if not o.flags)
-    args, prefix, width = f"[OPTIONS] {args}".rstrip(), f"Usage: {prog} {command or ''}".rstrip() + " ", _width()
-    if width >= len(prefix) + 20:
-        return _wrap(args, width, " " * len(prefix), prefix)
-    return [prefix] + _wrap(args, width, " " * 11)
-
-
-def _short_help(doc: str, limit: int) -> str:
-    """A command's one-sentence docstring, or as many of its words as fit with '...', as click cuts it."""
-    words, cut = doc.split(), ""
-    while len(" ".join(words) + cut) > limit:
-        words, cut = words[:-1], "..."
-    return " ".join(words) + cut
+    args = " ".join(o.metavar() for o in _COMMANDS[command][1] if not o.flags) if command else "COMMAND [ARGS]..."
+    prefix = f"Usage: {prog} {command or ''}".rstrip() + " "
+    return _wrap(f"[OPTIONS] {args}".rstrip(), prefix, " " * len(prefix))
 
 
 def _help(prog: str, command: str | None) -> str:
-    """The --help page of a command (None: the group) in click's layout."""
-    width = _width()
+    """The --help page of a command (None: the group) in click's layout, where no row is long enough to wrap."""
     fn, options = _COMMANDS[command] if command else (_Group, ())
-    sections = [("Options", [o.record() for o in options if o.flags] + [("--help", "Show this message and exit.")])]
+    sections = [("Options", [o.row() for o in options if o.flags] + [("--help", "Show this message and exit.")])]
     if command is None:
-        limit = width - 6 - max(map(len, _COMMANDS))
-        sections.append(("Commands", [(name, _short_help(f.__doc__, limit)) for name, (f, _) in _COMMANDS.items()]))
-    lines = _usage(prog, command) + [""] + _wrap(" ".join(fn.__doc__.split()), width, "  ")
+        sections.append(("Commands", [(name, f.__doc__) for name, (f, _) in _COMMANDS.items()]))
+    lines = _usage(prog, command) + [""] + _wrap(" ".join(fn.__doc__.split()), "  ", "  ")
     for title, rows in sections:
-        col = min(max(len(term) for term, _ in rows), 30) + 4  # where the second column starts
-        lines += ["", f"{title}:"]
-        for term, text in rows:
-            head, *more = _wrap(text, max(width - col, 10))
-            lines += [f"  {term:<{col - 2}}{head}"] if len(term) <= col - 4 else [f"  {term}", " " * col + head]
-            lines += [" " * col + line for line in more]
+        width = max(len(term) for term, _ in rows) + 2
+        lines += ["", f"{title}:"] + [f"  {term:<{width}}{text}" for term, text in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -298,15 +274,13 @@ def _suggest(name: str, names) -> str:
     from difflib import get_close_matches
     close = sorted(get_close_matches(name, names))
     quoted = ", ".join(map(repr, close))
-    if len(close) > 1:
-        return f" (Did you mean one of: {quoted}?)"
-    return f" Did you mean {quoted}?" if close else ""
+    return f" (Did you mean one of: {quoted}?)" if len(close) > 1 else f" Did you mean {quoted}?" if close else ""
 
 
-def _parse(args: list[str], options, command: str | None) -> tuple[dict, list, list[str], bool]:
-    """Split a command line as click does: each option's last value, the options in the order they first
+def _parse(args: list[str], options, command: str | None) -> tuple[dict, list[str], bool]:
+    """Split a command line as click does: each option's last value, keyed in the order the options first
     appear, the other arguments, and whether --help was given.  The group (None) stops at its command."""
-    flags, values, order, rest, shown = {flag: o for o in options for flag in o.flags}, {}, [], [], False
+    flags, values, rest, shown = {flag: o for o in options for flag in o.flags}, {}, [], False
     while args:
         arg = args.pop(0)
         name, eq, value = arg.partition("=")
@@ -329,78 +303,73 @@ def _parse(args: list[str], options, command: str | None) -> tuple[dict, list, l
             raise ConfigError(f"Option '{name}' requires an argument.")
         else:
             values[flags[name].dest] = value if eq else args.pop(0)
-            order += [flags[name]] * (flags[name] not in order)
-    return values, order, rest + args, shown
+    return values, rest + args, shown
+
+
+def _run(args: list[str], prog: str, workers: int) -> int:
+    """Parse and run one command line and return its exit code; a usage error raises UsageError."""
+    if not args:  # the group's help, on stderr
+        print(_help(prog, None), end="", file=sys.stderr)
+        return 2
+    name, (_, rest, shown) = None, _parse(args, (), None)
+    if not shown:
+        if not rest:
+            raise UsageError("Missing command.", None)
+        name = rest[0]
+        if name not in _COMMANDS:
+            raise UsageError(f"No such command {name!r}.{_suggest(name, _COMMANDS)}", None)
+        fn, options = _COMMANDS[name]
+        values, rest, shown = _parse(rest[1:], options, name)
+    if shown:
+        print(_help(prog, name), end="")
+        return 0
+    for o in options:
+        if not o.flags:  # verify's SUITE: checked after the options given, before the others
+            values[o.dest] = rest.pop(0) if rest else None
+    given, kwargs = list(values), {"workers": workers} if name == "verify" else {}
+    for o in sorted(options, key=lambda o: given.index(o.dest) if o.dest in given else len(given)):
+        raw = values.get(o.dest)
+        if raw is None and o.flags:  # an empty variable counts as unset
+            raw = os.environ.get(f"ZETAGENUS_{name}_{o.dest}".upper()) or None
+        if raw is None and o.required:
+            more = " Choose from:\n\t" + ",\n\t".join(o.choices()) if o.choices() else ""
+            raise UsageError(f"Missing {'option' if o.flags else 'argument'} {o.hint()}.{more}", name)
+        kwargs[o.dest] = o.default if raw is None else o.convert(raw, name)
+    if rest:
+        raise UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})", name)
+    return fn(**kwargs) or 0
 
 
 class _Group:
     """Exact coefficients of multiplicative polynomial sequences, with
     numeric verification against nested zeta-type series."""
 
-    def main(self, args=None, prog_name: str | None = None, auto_envvar_prefix: str | None = None,
-             standalone_mode: bool = True, workers: int = 1) -> int:
-        """Run one command line, write its output, or its error to stderr, and return its exit code (in
-        standalone mode, exit with it).  With auto_envvar_prefix, a flag not given is read from the environment."""
+    def main(self, args=None, prog_name: str | None = None, workers: int = 1, **click_keywords: object) -> int:
+        """Run one command line, write its output, or its error to stderr, and return its exit code.  The
+        keywords of click's main that perfbench/probe.py passes (auto_envvar_prefix, standalone_mode) are
+        not read: a flag not given always reads its ZETAGENUS_ variable, and the code is always returned."""
         prog = prog_name or os.path.basename(sys.argv[0])
         try:
-            code = self._run(list(sys.argv[1:] if args is None else args), prog, auto_envvar_prefix, workers)
+            return _run(list(sys.argv[1:] if args is None else args), prog, workers)
         except ConfigError as exc:
             if isinstance(exc, UsageError):
                 path = f"{prog} {exc.command or ''}".rstrip()
                 print(*_usage(prog, exc.command), f"Try '{path} --help' for help.\n", sep="\n", file=sys.stderr)
             print(f"Error: {exc}", file=sys.stderr)
-            code = 2
-        if standalone_mode:
-            sys.exit(code)
-        return code
-
-    def _run(self, args: list[str], prog: str, env: str | None, workers: int) -> int:
-        if not args:  # the group's help, on stderr
-            print(_help(prog, None), end="", file=sys.stderr)
             return 2
-        name, (_, _, rest, shown) = None, _parse(args, (), None)
-        if not shown and rest and rest[0] not in _COMMANDS and rest[0][:1] == "-":
-            shown = _parse(rest[:], (), None)[3]  # past "--", click reads an option in the command's place as the group's
-        if not shown:
-            if not rest:
-                raise UsageError("Missing command.", None)
-            name = rest[0]
-            if name not in _COMMANDS:
-                raise UsageError(f"No such command {name!r}.{_suggest(name, _COMMANDS)}", None)
-            fn, options = _COMMANDS[name]
-            values, order, rest, shown = _parse(rest[1:], options, name)
-        if shown:
-            print(_help(prog, name), end="")
-            return 0
-        kwargs = {"workers": workers} if name == "verify" else {}
-        for o in options:
-            if not o.flags:  # verify's SUITE: checked after the options given, before the others
-                values[o.dest] = rest.pop(0) if rest else None
-                order.append(o)
-        for o in sorted(options, key=lambda o: order.index(o) if o in order else len(order)):
-            raw = values.get(o.dest)
-            if raw is None and env and o.flags:  # an empty variable counts as unset
-                raw = os.environ.get(f"{env}_{name}_{o.dest}".upper()) or None
-            if raw is None and o.required:
-                more = " Choose from:\n\t" + ",\n\t".join(o.choices()) if o.choices() else ""
-                raise UsageError(f"Missing {'option' if o.flags else 'argument'} {o.hint()}.{more}", name)
-            kwargs[o.dest] = o.default if raw is None else o.convert(raw, name)
-        if rest:
-            raise UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})", name)
-        return fn(**kwargs) or 0
 
 
 cli = _Group()
 
 
 def main(prog_name: str | None = None) -> None:
-    """Console-script entry point with the documented env-var prefix.  Help and errors name the program
-    prog_name (`python -m zetagenus` under -m), else the file name of argv[0], as click did."""
+    """Console-script entry point.  Help and errors name the program prog_name (`python -m zetagenus`
+    under -m), else the file name of argv[0], as click did."""
     # numpy's OpenBLAS would start a worker pool no command uses: ~0.07 s a launch on 2 cores
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     try:
-        code = cli.main(prog_name=prog_name, auto_envvar_prefix="ZETAGENUS", standalone_mode=False, workers=cpus)
+        code = cli.main(prog_name=prog_name, workers=cpus)
         sys.stdout.flush()
     except BrokenPipeError:  # stdout's reader has gone, as under `| head`
         code = 1

@@ -50,7 +50,7 @@ def _invoke(args, env=None):
     log = []
     out, err = _Stream(log), _Stream(log)
     with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(args, prog_name="zetagenus", auto_envvar_prefix="ZETAGENUS", standalone_mode=False)
+        code = cli.main(args, prog_name="zetagenus")
     return SimpleNamespace(exit_code=code, output="".join(log), stdout_bytes=out.getvalue().encode())
 
 
@@ -406,6 +406,17 @@ def test_each_flag_reads_its_documented_variable(env, args, code, expected):
     result = _invoke(args, env=env)
     assert result.exit_code == code, result.output
     assert expected in result.output
+
+
+@pytest.mark.parametrize("keywords", [{}, {"auto_envvar_prefix": None, "standalone_mode": True}])
+def test_cli_main_returns_the_code_whatever_click_keywords_it_is_given(keywords):
+    # perfbench/probe.py calls cli.main as it called click's main; those
+    # keywords are not read: the variables are read and the code returned
+    with mock.patch.dict(os.environ, {"ZETAGENUS_POLY_FMT": "latex"}), redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["poly", "--genus", "L", "--k", "2"], **keywords) == 0
+        with redirect_stderr(io.StringIO()):
+            assert cli.main(["poly", "--genus", "L", "--k", "x"], **keywords) == 2
+    assert out.getvalue() == "\\frac{1}{45}\\left(7 p_2 - p_1^2\\right)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1398,7 +1409,7 @@ for args in [
     ["verify", "formal"],
     ["verify", "main", "--k", "1", "--depth", "1000"],
 ]:
-    assert cli.cli.main(args, standalone_mode=False) == 0, args
+    assert cli.cli.main(args) == 0, args
     loaded[" ".join(args[:2])] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
@@ -1419,7 +1430,7 @@ import sys
 import zetagenus
 loaded = {"import zetagenus": sorted(m for m in sys.modules if m.startswith("zetagenus."))}
 from zetagenus import cli
-assert cli.cli.main(sys.argv[1:], standalone_mode=False) == 0
+assert cli.cli.main(sys.argv[1:]) == 0
 loaded["command"] = sorted(m.removeprefix("zetagenus.") for m in sys.modules if m.startswith("zetagenus."))
 loaded["numpy"] = "numpy" in sys.modules
 loaded["json"] = "json" in sys.modules

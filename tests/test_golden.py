@@ -238,7 +238,7 @@ def _hashes(name: str, workdir: Path) -> dict[str, str]:
     out, cache = workdir / f"{name}.out", workdir / f"{name}.cache"
     args = [a.format(cache=cache) for a in {**CASES, **FLOAT_CASES}[name]] + ["--out", str(out)]
     with redirect_stdout(io.StringIO()) as output, redirect_stderr(output):
-        code = cli.main(args, standalone_mode=False)
+        code = cli.main(args)
     assert code == 0, output.getvalue()
     files = {name: out, f"{name}.cache": cache}
     return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items() if path.exists()}
