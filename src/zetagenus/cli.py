@@ -11,15 +11,13 @@ Four subcommands:
 
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage or
 configuration error.  An input past a supported range (degree, ground
-size, term budget) exits 2 before any work.  A flag not given reads the
-environment variable ZETAGENUS_<COMMAND>_<NAME>, NAME being the flag's
-name in capitals with - as _ (ZETAGENUS_VERIFY_DEPTH), except FMT for
---format, LEVEL_CAP for --n and MAX_K for --k/--max-k.  The parser uses
-only the standard library; its help pages and messages are click's, as
-click lays them out on a terminal of 80 columns or more.  Each command
-imports the modules it runs in its own body, so a launch loads (and,
-without bytecode, compiles) only those: an exact verify suite does not
-load numeric.  main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no
+size, term budget) exits 2 before any work.  Only the command line sets
+options: no environment variable does.  The parser uses only the
+standard library; its help pages and messages are click's, as click lays
+them out on a terminal of 80 columns or more.  Each command imports the
+modules it runs in its own body, so a launch loads (and, without
+bytecode, compiles) only those: an exact verify suite does not load
+numeric.  main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no
 command calls BLAS.  It runs the numeric verify suites on every CPU the
 process may use (os.sched_getaffinity), in children forked after every
 refusal, to the same report bytes; cli called in process, or one CPU,
@@ -278,8 +276,8 @@ def _suggest(name: str, names) -> str:
 
 
 def _parse(args: list[str], options, command: str | None) -> tuple[dict, list[str], bool]:
-    """Split a command line as click does: each option's last value, keyed in the order the options first
-    appear, the other arguments, and whether --help was given.  The group (None) stops at its command."""
+    """Split a command line as click does: each option's last value, the other arguments, and whether
+    --help was given.  The group (None) stops at its command."""
     flags, values, rest, shown = {flag: o for o in options for flag in o.flags}, {}, [], False
     while args:
         arg = args.pop(0)
@@ -323,14 +321,11 @@ def _run(args: list[str], prog: str, workers: int) -> int:
     if shown:
         print(_help(prog, name), end="")
         return 0
-    for o in options:
-        if not o.flags:  # verify's SUITE: checked after the options given, before the others
-            values[o.dest] = rest.pop(0) if rest else None
-    given, kwargs = list(values), {"workers": workers} if name == "verify" else {}
-    for o in sorted(options, key=lambda o: given.index(o.dest) if o.dest in given else len(given)):
+    kwargs = {"workers": workers} if name == "verify" else {}
+    for o in options:  # in the table's order: of several wrong parameters, the first there is reported
         raw = values.get(o.dest)
-        if raw is None and o.flags:  # an empty variable counts as unset
-            raw = os.environ.get(f"ZETAGENUS_{name}_{o.dest}".upper()) or None
+        if not o.flags and rest:  # verify's SUITE, the first argument left
+            raw = rest.pop(0)
         if raw is None and o.required:
             more = " Choose from:\n\t" + ",\n\t".join(o.choices()) if o.choices() else ""
             raise UsageError(f"Missing {'option' if o.flags else 'argument'} {o.hint()}.{more}", name)
@@ -347,7 +342,7 @@ class _Group:
     def main(self, args=None, prog_name: str | None = None, workers: int = 1, **click_keywords: object) -> int:
         """Run one command line, write its output, or its error to stderr, and return its exit code.  The
         keywords of click's main that perfbench/probe.py passes (auto_envvar_prefix, standalone_mode) are
-        not read: a flag not given always reads its ZETAGENUS_ variable, and the code is always returned."""
+        not read: args alone sets the options, and the code is always returned."""
         prog = prog_name or os.path.basename(sys.argv[0])
         try:
             return _run(list(sys.argv[1:] if args is None else args), prog, workers)

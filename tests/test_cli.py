@@ -23,7 +23,7 @@ from zetagenus.partitions import IntegerPartition
 from zetagenus.render import parse_table_json, read_cache
 from zetagenus import cli as cli_module
 from zetagenus import genus as genus_module
-from zetagenus import numeric, partitions, render, series, verify
+from zetagenus import formal, numeric, partitions, render, series, verify
 from zetagenus.verify import available_suites, run_suite
 
 F = Fraction
@@ -43,10 +43,9 @@ class _Stream(io.StringIO):
 
 
 def _invoke(args, env=None):
-    """Run one command line in process through cli.main, serially, reading
-    the ZETAGENUS_ variables as the console script does; env sets some for
-    this run.  output holds both streams in the order they were written,
-    stdout_bytes stdout alone."""
+    """Run one command line in process through cli.main, serially; env
+    sets environment variables for this run.  output holds both streams in
+    the order they were written, stdout_bytes stdout alone."""
     log = []
     out, err = _Stream(log), _Stream(log)
     with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
@@ -109,20 +108,21 @@ def test_coeff_writes_to_file(tmp_path):
         ("L", "3", "(62*p3 - 13*p2*p1 + 2*p1^3)/945"),
         ("Ahat", "1", "-(1/24)*p1"),
         ("Ahat", "0", "1"),
+        # a lone term with a unit coefficient shows no coefficient
+        pytest.param([F(1), F(-1)], "1", "-p1", id="1-z-1--p1"),
     ],
 )
-def test_poly_text_rendering(genus, k, expected):
-    result = _invoke(["poly", "--genus", genus, "--k", k])
+def test_poly_text_rendering(tmp_path, genus, k, expected):
+    result = _invoke(["poly", "--genus", _genus_arg(tmp_path, genus), "--k", k])
     assert result.exit_code == 0
     assert result.output == expected + "\n"
 
 
-def test_poly_latex_rendering():
-    result = _invoke(
-        ["poly", "--genus", "L", "--k", "2", "--format", "latex"]
-    )
-    assert result.exit_code == 0
-    assert result.output == "\\frac{1}{45}\\left(7 p_2 - p_1^2\\right)\n"
+def test_poly_latex_rendering(tmp_path):
+    for genus, k, expected in [("L", "2", "\\frac{1}{45}\\left(7 p_2 - p_1^2\\right)"), ([F(1), F(-1)], "1", "-p_1")]:
+        result = _invoke(["poly", "--genus", _genus_arg(tmp_path, genus), "--k", k, "--format", "latex"])
+        assert result.exit_code == 0
+        assert result.output == expected + "\n"
 
 
 def test_poly_json_rendering():
@@ -291,9 +291,50 @@ def test_a_malformed_cache_warns_and_is_recomputed(tmp_path, capsys, corrupt):
     assert json.loads(cache.read_text()) == _valid_cache(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "edit,coeffs,name,max_k,computed",
+    [
+        pytest.param(lambda doc: {**doc, "version": doc["version"] + 1}, None, "L", 3, [1, 2, 3], id="version"),
+        pytest.param(None, [F(1), F(1, 3), F(-1, 45), F(2, 945)], "M", 3, [1, 2, 3], id="genus name"),
+        pytest.param(None, [F(1), F(1, 3), F(-1, 45), F(1, 7)], "L", 3, [1, 2, 3], id="series"),
+        # without table 1 the run writes the cache back, with no degree-3
+        # table: this series does not pin b_3
+        pytest.param(
+            lambda doc: {**doc, "tables": {k: t for k, t in doc["tables"].items() if k != "1"}},
+            [F(1), F(1, 3), F(-1, 45)], "L", 2, [1], id="shorter series",
+        ),
+    ],
+)
+def test_a_cache_is_reused_only_where_its_genus_agrees(tmp_path, monkeypatch, edit, coeffs, name, max_k, computed):
+    # the cache holds L's tables of degrees 1..3; a custom genus named L
+    # reuses a table only where its series agrees with the stored one
+    cache, out, fresh = tmp_path / "cache.json", tmp_path / "t.csv", tmp_path / "fresh.csv"
+    assert _invoke(["table", "--genus", "L", "--max-k", "3", "--out", str(out), "--cache", str(cache)]).exit_code == 0
+    if edit:
+        cache.write_text(json.dumps(edit(json.loads(cache.read_text()))))
+    args = ["table", "--genus", _genus_arg(tmp_path, coeffs or "L", name), "--max-k", str(max_k), "--out"]
+    assert _invoke(args + [str(fresh)]).exit_code == 0
+    real, degrees = render.coefficient_table, []
+    monkeypatch.setattr(render, "coefficient_table", lambda spec, k: degrees.append(k) or real(spec, k))
+    result = _invoke(args + [str(out), "--cache", str(cache)])
+    assert result.exit_code == 0 and "warning" not in result.output
+    assert degrees == computed
+    assert out.read_bytes() == fresh.read_bytes()
+    doc = json.loads(cache.read_text())
+    assert (doc["genus"], sorted(doc["tables"])) == (name, [str(k) for k in range(1, max_k + 1)])
+
+
 # ---------------------------------------------------------------------------
 # custom genus files
 # ---------------------------------------------------------------------------
+
+
+def _genus_arg(tmp_path, genus, name="custom"):
+    """genus as --genus takes it: a name as it is, a series written to a file."""
+    if isinstance(genus, str):
+        return genus
+    _write_genus(tmp_path / "genus.json", genus, name)
+    return str(tmp_path / "genus.json")
 
 
 def _write_genus(path, coeffs, name="custom"):
@@ -359,17 +400,65 @@ def test_malformed_genus_file_fails_cleanly(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# environment variables
+# the command line is the only input
 # ---------------------------------------------------------------------------
 
+# the ZETAGENUS_<COMMAND>_<KEYWORD> variables that click's auto_envvar_prefix
+# read for every flag not given, each set to a value its flag would take
+_OLD_VARIABLES = {
+    "ZETAGENUS_COEFF_GENUS": "Ahat",
+    "ZETAGENUS_COEFF_PARTITION": "1,1,1",
+    "ZETAGENUS_COEFF_OUT": "variable.out",
+    "ZETAGENUS_POLY_GENUS": "Ahat",
+    "ZETAGENUS_POLY_K": "3",
+    "ZETAGENUS_POLY_FMT": "latex",
+    "ZETAGENUS_POLY_OUT": "variable.out",
+    "ZETAGENUS_TABLE_GENUS": "Ahat",
+    "ZETAGENUS_TABLE_MAX_K": "3",
+    "ZETAGENUS_TABLE_OUT": "variable.out",
+    "ZETAGENUS_TABLE_FMT": "json",
+    "ZETAGENUS_TABLE_CACHE": "variable.cache",
+    "ZETAGENUS_VERIFY_MAX_K": "2",
+    "ZETAGENUS_VERIFY_MAX_R": "2",
+    "ZETAGENUS_VERIFY_LEVEL_CAP": "2",
+    "ZETAGENUS_VERIFY_SAMPLES": "1",
+    "ZETAGENUS_VERIFY_RECURRENCE_SAMPLES": "1",
+    "ZETAGENUS_VERIFY_DEPTH": "1000",
+    "ZETAGENUS_VERIFY_TOL": "1e-300",
+    "ZETAGENUS_VERIFY_SEED": "2",
+    "ZETAGENUS_VERIFY_OUT": "variable.out",
+}
 
-def test_env_vars_fill_in_missing_options():
-    result = _invoke(
-        ["coeff", "--genus", "Ahat"],
-        env={"ZETAGENUS_COEFF_PARTITION": "1,1,1"},
-    )
-    assert result.exit_code == 0
-    assert result.output == "-31/967680\n"
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        pytest.param(["coeff", "--genus", "L", "--partition", "2,1"], 0, id="coeff"),
+        pytest.param(["coeff", "--genus", "Ahat"], 2, id="missing-partition"),
+        pytest.param(["poly", "--genus", "L", "--k", "2"], 0, id="poly"),
+        pytest.param(["poly", "--genus", "L", "--k", "2", "--format", "text"], 0, id="poly-format"),
+        pytest.param(["table", "--genus", "L", "--max-k", "2", "--out", "t.csv"], 0, id="table"),
+        pytest.param(["verify", "signs"], 0, id="signs"),
+        pytest.param(["verify", "formal"], 0, id="formal"),
+        pytest.param(["verify", "main", "--k", "1", "--depth", "2000"], 0, id="main"),
+        pytest.param(["verify", "positivity", "--samples", "2", "--recurrence-samples", "0"], 0, id="positivity"),
+    ],
+)
+@pytest.mark.parametrize(
+    "variables", [_OLD_VARIABLES, dict.fromkeys(_OLD_VARIABLES, "x")], ids=["flag-values", "bad-values"]
+)
+def test_exported_variables_change_no_output(tmp_path, monkeypatch, args, code, variables):
+    # each run's exit code, both streams and the files it leaves, without the
+    # variables and with all of them exported
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for env in ({}, variables):
+        result = _invoke(args, env=env)
+        runs.append((result.exit_code, result.output, {path.name: path.read_bytes() for path in tmp_path.iterdir()}))
+        for path in tmp_path.iterdir():
+            path.unlink()
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
 
 
 def test_explicit_flags_beat_env_vars():
@@ -380,43 +469,32 @@ def test_explicit_flags_beat_env_vars():
     assert result.output == "-13/945\n"
 
 
-@pytest.mark.parametrize(
-    "env,args,code,expected",
-    [
-        # a variable is named after the keyword its flag fills: FMT for
-        # --format, MAX_K for --k/--max-k and LEVEL_CAP for --n
-        ({"ZETAGENUS_POLY_FMT": "latex"}, ["poly", "--genus", "L", "--k", "2"], 0, "\\frac{1}{45}\\left(7 p_2 - p_1^2\\right)\n"),
-        ({"ZETAGENUS_POLY_FORMAT": "latex"}, ["poly", "--genus", "L", "--k", "2"], 0, "(7*p2 - p1^2)/45\n"),
-        ({"ZETAGENUS_VERIFY_MAX_K": "2"}, ["verify", "signs"], 0, "CONFIG max_k=2\n"),
-        ({"ZETAGENUS_VERIFY_LEVEL_CAP": "2", "ZETAGENUS_VERIFY_MAX_R": "2"}, ["verify", "formal"], 0, "CONFIG max_r=2 level_cap=2\n"),
-        # the command line beats the variable
-        ({"ZETAGENUS_POLY_FMT": "latex"}, ["poly", "--genus", "L", "--k", "2", "--format", "text"], 0, "(7*p2 - p1^2)/45\n"),
-        ({"ZETAGENUS_VERIFY_DEPTH": "x"}, ["verify", "main", "--depth", "1000", "--k", "1"], 0, "CONFIG max_k=1 depth=1000"),
-        # a variable's value is checked as the flag's would be
-        (
-            {"ZETAGENUS_VERIFY_DEPTH": "x"},
-            ["verify", "main"],
-            2,
-            "\nError: Invalid value for '--depth': 'x' is not a valid integer.\n",
-        ),
-    ],
-    ids=["fmt", "format-is-no-variable", "max-k", "level-cap", "flag-beats-fmt", "flag-beats-depth", "bad-depth"],
-)
-def test_each_flag_reads_its_documented_variable(env, args, code, expected):
-    result = _invoke(args, env=env)
-    assert result.exit_code == code, result.output
-    assert expected in result.output
-
-
 @pytest.mark.parametrize("keywords", [{}, {"auto_envvar_prefix": None, "standalone_mode": True}])
 def test_cli_main_returns_the_code_whatever_click_keywords_it_is_given(keywords):
     # perfbench/probe.py calls cli.main as it called click's main; those
-    # keywords are not read: the variables are read and the code returned
-    with mock.patch.dict(os.environ, {"ZETAGENUS_POLY_FMT": "latex"}), redirect_stdout(io.StringIO()) as out:
+    # keywords are not read: the code is always returned
+    with redirect_stdout(io.StringIO()) as out:
         assert cli.main(["poly", "--genus", "L", "--k", "2"], **keywords) == 0
         with redirect_stderr(io.StringIO()):
             assert cli.main(["poly", "--genus", "L", "--k", "x"], **keywords) == 2
-    assert out.getvalue() == "\\frac{1}{45}\\left(7 p_2 - p_1^2\\right)\n"
+    assert out.getvalue() == "(7*p2 - p1^2)/45\n"
+
+
+@pytest.mark.parametrize(
+    "args,error",
+    [
+        (["verify", "nosuch", "--k", "x"], "Invalid value for '{main|ahat|hoffman|multiple-eta|positivity|formal|oracle|signs}'"),
+        (["verify", "--k", "x"], "Missing argument '{main|ahat|hoffman|multiple-eta|positivity|formal|oracle|signs}'"),
+        (["poly", "--format", "x", "--k", "y"], "Missing option '--genus'"),
+        (["poly", "--format", "x", "--k", "y", "--genus", "L"], "Invalid value for '--k': 'y'"),
+    ],
+)
+def test_of_several_wrong_parameters_the_first_in_the_table_is_reported(args, error):
+    # parameters are checked in the order of the command's table, not in the
+    # order they are given
+    result = _invoke(args)
+    assert result.exit_code == 2
+    assert result.output.count("Error: ") == 1 and f"Error: {error}" in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +932,28 @@ def test_oracle_suite_counts_a_disagreeing_route(monkeypatch, route):
     ]
     assert [line for line in lines if line.startswith("CHECK") and "PASS" in line] == [
         line for line in plain if line.startswith("CHECK") and "k=3" not in line
+    ]
+
+
+def test_formal_suite_reports_a_failing_identity(monkeypatch):
+    # one more on the first monomial of every two-block distinct-level sum:
+    # the free sums of 1|2 and its Mobius inversion both fail there
+    real = formal.monomial_poly
+
+    def shifted(pi, level_cap):
+        poly = real(pi, level_cap)
+        if pi.length != 2:
+            return poly
+        first = min(poly.terms)
+        return formal.FormalPolynomial({**poly.terms, first: poly.terms[first] + 1})
+
+    monkeypatch.setattr(formal, "monomial_poly", shifted)
+    result = _invoke(["verify", "formal", "--max-r", "2", "--n", "2"])
+    assert result.exit_code == 1
+    assert [line for line in result.output.splitlines() if "FAIL" in line] == [
+        "CHECK free-sum[1|2] FAIL terms=4 terms=4 at=((1, 1), (2, 2)) exact",
+        "CHECK mobius[1|2] FAIL 2 1 at=((1, 1), (2, 2)) exact",
+        "RESULT formal FAIL 16/18",
     ]
 
 
