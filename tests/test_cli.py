@@ -469,6 +469,30 @@ def test_explicit_flags_beat_env_vars():
     assert result.output == "-13/945\n"
 
 
+@pytest.mark.parametrize(
+    "env,args,code,expected",
+    [
+        # the only input documented for a flag is the command line: a variable
+        # named after the flag or its keyword fills in no flag not given
+        ({"ZETAGENUS_POLY_FMT": "latex"}, ["poly", "--genus", "L", "--k", "2"], 0, "(7*p2 - p1^2)/45\n"),
+        ({"ZETAGENUS_POLY_FORMAT": "latex"}, ["poly", "--genus", "L", "--k", "2"], 0, "(7*p2 - p1^2)/45\n"),
+        ({"ZETAGENUS_VERIFY_DEPTH": "x"}, ["verify", "main", "--depth", "1000", "--k", "1"], 0, "CONFIG max_k=1 depth=1000"),
+        # a flag's bad value is refused whatever a variable holds
+        (
+            {"ZETAGENUS_VERIFY_DEPTH": "1000"},
+            ["verify", "main", "--depth", "x"],
+            2,
+            "\nError: Invalid value for '--depth': 'x' is not a valid integer.\n",
+        ),
+    ],
+    ids=["fmt", "format-is-no-variable", "flag-beats-depth", "bad-depth"],
+)
+def test_each_flag_reads_its_documented_variable(env, args, code, expected):
+    result = _invoke(args, env=env)
+    assert result.exit_code == code, result.output
+    assert expected in result.output
+
+
 @pytest.mark.parametrize("keywords", [{}, {"auto_envvar_prefix": None, "standalone_mode": True}])
 def test_cli_main_returns_the_code_whatever_click_keywords_it_is_given(keywords):
     # perfbench/probe.py calls cli.main as it called click's main; those
