@@ -77,7 +77,7 @@ print(f"p_pi = sum of m_rho over the {bell_number(3)} coarsenings: exact at N = 
 # Moebius inversion turns that triangular system upside down.
 for sp in enumerate_set_partitions(3):
     report = check_mobius_inversion(sp, N)
-    assert report.ok, report.describe()
+    assert report.ok, report
 print("Moebius inversion m = sum mu * p: exact for every partition of 3 elements.")
 
 # The chained alternating sums admit the same two-way inversion against the

@@ -13,8 +13,8 @@ Exit codes: 0 all good, 1 a mathematical check failed, 2 usage or
 configuration error.  An input past a supported range (degree, ground
 size, term budget) exits 2 before any work.  Only the command line sets
 options: no environment variable does.  The parser uses only the
-standard library; its help pages and messages are click's, as click lays
-them out on a terminal of 80 columns or more.  Each command imports the
+standard library; its help and messages are click's at 80 columns, but
+an unknown name is shown as typed, with no hint.  Each command imports the
 modules it runs in its own body, so a launch loads (and, without
 bytecode, compiles) only those: an exact verify suite does not load
 numeric.  main() sets OPENBLAS_NUM_THREADS=1 unless it is set: no
@@ -267,14 +267,6 @@ def _help(prog: str, command: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _suggest(name: str, names) -> str:
-    """click's hint after a mistyped name: the known names close to it."""
-    from difflib import get_close_matches
-    close = sorted(get_close_matches(name, names))
-    quoted = ", ".join(map(repr, close))
-    return f" (Did you mean one of: {quoted}?)" if len(close) > 1 else f" Did you mean {quoted}?" if close else ""
-
-
 def _parse(args: list[str], options, command: str | None) -> tuple[dict, list[str], bool]:
     """Split a command line as click does: each option's last value, the other arguments, and whether
     --help was given.  The group (None) stops at its command."""
@@ -294,9 +286,7 @@ def _parse(args: list[str], options, command: str | None) -> tuple[dict, list[st
                 raise ConfigError("Option '--help' does not take a value.")
             shown = True
         elif name not in flags:
-            if arg[:2] != "--":  # there are no short options: click names the first letter of -x
-                raise UsageError(f"No such option '{arg[:2]}'.", command)
-            raise UsageError(f"No such option '{name}'.{_suggest(name, [*flags, '--help'])}", command)
+            raise UsageError(f"No such option '{name}'.", command)
         elif not eq and not args:
             raise ConfigError(f"Option '{name}' requires an argument.")
         else:
@@ -315,7 +305,7 @@ def _run(args: list[str], prog: str, workers: int) -> int:
             raise UsageError("Missing command.", None)
         name = rest[0]
         if name not in _COMMANDS:
-            raise UsageError(f"No such command {name!r}.{_suggest(name, _COMMANDS)}", None)
+            raise UsageError(f"No such command {name!r}.", None)
         fn, options = _COMMANDS[name]
         values, rest, shown = _parse(rest[1:], options, name)
     if shown:

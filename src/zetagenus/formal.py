@@ -199,14 +199,6 @@ class IdentityReport:
     lhs_coeff: Optional[int] = None
     rhs_coeff: Optional[int] = None
 
-    def describe(self) -> str:
-        if self.ok:
-            return f"{self.name}: exact match"
-        return (
-            f"{self.name}: first differing monomial {self.first_diff}, "
-            f"lhs {self.lhs_coeff}, rhs {self.rhs_coeff}"
-        )
-
 
 def _compare(name: str, lhs: FormalPolynomial, rhs: FormalPolynomial) -> IdentityReport:
     diff = lhs.first_difference(rhs)

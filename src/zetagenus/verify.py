@@ -114,7 +114,7 @@ def _count_check(name: str, bad: int, total: int) -> CheckResult:
 def _identity_check(name: str, rep: IdentityReport) -> CheckResult:
     if rep.ok:
         return _exact_check(name, True, "match", "match", "0")
-    return _exact_check(name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}")
+    return _exact_check(name, False, str(rep.lhs_coeff), str(rep.rhs_coeff), f"at={rep.first_diff}".replace(" ", ""))
 
 
 def _partition_label(pi: SetPartition) -> str:
@@ -156,7 +156,7 @@ def _formal_checks(max_r: int, level_cap: int) -> Checks:
                 diff is None,
                 f"terms={len(lhs.terms)}",
                 f"terms={len(rhs.terms)}",
-                "0" if diff is None else f"at={diff}",
+                "0" if diff is None else f"at={diff}".replace(" ", ""),
             )
             yield _identity_check(f"mobius[{label}]", check_mobius_inversion(pi, level_cap, polys))
             yield _identity_check(f"chain-inversion[{label}]", check_chain_inversion(pi, level_cap, polys))

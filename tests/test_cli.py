@@ -536,12 +536,34 @@ def test_verify_reports_pass_and_exits_zero():
     assert lines[-1] == "RESULT oracle PASS 6/6"
 
 
-def test_verify_check_lines_are_well_formed():
+def _shift_two_block_monomials(monkeypatch):
+    # one more on the first monomial of every two-block distinct-level sum:
+    # the free sums of 1|2 and its Mobius inversion both fail there
+    real = formal.monomial_poly
+
+    def shifted(pi, level_cap):
+        poly = real(pi, level_cap)
+        if pi.length != 2:
+            return poly
+        first = min(poly.terms)
+        return formal.FormalPolynomial({**poly.terms, first: poly.terms[first] + 1})
+
+    monkeypatch.setattr(formal, "monomial_poly", shifted)
+
+
+def test_verify_check_lines_are_well_formed(monkeypatch):
     # CHECK <name> <PASS|FAIL> <lhs> <rhs> <delta> <bound>
     pattern = re.compile(r"^CHECK \S+ (PASS|FAIL) \S+ \S+ \S+ \S+$")
-    for args in (["formal", "--max-r", "2", "--n", "3"], ["oracle", "--k", "2"]):
+    runs = [
+        (["formal", "--max-r", "2", "--n", "3"], 0),
+        (["oracle", "--k", "2"], 0),
+        (["formal", "--max-r", "2", "--n", "2"], 1),
+    ]
+    for args, code in runs:
+        if code:  # a failing formal check names the monomial where the sides differ
+            _shift_two_block_monomials(monkeypatch)
         result = _invoke(["verify", *args])
-        assert result.exit_code == 0
+        assert result.exit_code == code
         checks = [l for l in result.output.splitlines() if l.startswith("CHECK ")]
         assert checks and all(pattern.match(l) for l in checks)
 
@@ -960,23 +982,12 @@ def test_oracle_suite_counts_a_disagreeing_route(monkeypatch, route):
 
 
 def test_formal_suite_reports_a_failing_identity(monkeypatch):
-    # one more on the first monomial of every two-block distinct-level sum:
-    # the free sums of 1|2 and its Mobius inversion both fail there
-    real = formal.monomial_poly
-
-    def shifted(pi, level_cap):
-        poly = real(pi, level_cap)
-        if pi.length != 2:
-            return poly
-        first = min(poly.terms)
-        return formal.FormalPolynomial({**poly.terms, first: poly.terms[first] + 1})
-
-    monkeypatch.setattr(formal, "monomial_poly", shifted)
+    _shift_two_block_monomials(monkeypatch)
     result = _invoke(["verify", "formal", "--max-r", "2", "--n", "2"])
     assert result.exit_code == 1
     assert [line for line in result.output.splitlines() if "FAIL" in line] == [
-        "CHECK free-sum[1|2] FAIL terms=4 terms=4 at=((1, 1), (2, 2)) exact",
-        "CHECK mobius[1|2] FAIL 2 1 at=((1, 1), (2, 2)) exact",
+        "CHECK free-sum[1|2] FAIL terms=4 terms=4 at=((1,1),(2,2)) exact",
+        "CHECK mobius[1|2] FAIL 2 1 at=((1,1),(2,2)) exact",
         "RESULT formal FAIL 16/18",
     ]
 

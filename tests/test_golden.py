@@ -96,6 +96,19 @@ TEXT_CASES = {
     "text-verify-bad-integer": (["verify", "main", "--k", "x"], 2),
     "text-nosuch": (["nosuch"], 2),
     "text-coeff-bad-partition": (["coeff", "--genus", "L", "--partition", "x"], 2),
+    "text-poly-unknown-option": (["poly", "--genus", "L", "--k", "2", "--nope"], 2),
+    "text-unknown-option": (["--nope"], 2),
+    "text-poly-help-value": (["poly", "--help=x"], 2),
+    "text-poly-missing-value": (["poly", "--genus"], 2),
+    "text-coeff-extra-arguments": (["coeff", "--genus", "L", "--partition", "1", "x", "y"], 2),
+    "text-dash-dash-help": (["--", "--help"], 2),
+    # --opt=value, and the last value of a repeated option wins
+    "text-poly-equals-last-wins": (["poly", "--genus=Ahat", "--genus", "L", "--k=2"], 0),
+    # an unknown name is reported as typed, with no suggestion
+    "text-coef": (["coef"], 2),
+    "text-verify-dpth": (["verify", "main", "--dpth", "5"], 2),
+    "text-verify-max": (["verify", "main", "--max"], 2),
+    "text-poly-short-option": (["poly", "-xyz"], 2),
 }
 
 GOLDEN = {
@@ -156,6 +169,28 @@ GOLDEN = {
     "text-nosuch.stderr": "1fcf10f97f43086a21bc8b8a4227374fb04dd0979868c4b18d37d5ecb2a08d5b",
     "text-coeff-bad-partition.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "text-coeff-bad-partition.stderr": "27b47b14f7dc11c6466a3920824ae673a7e7923320c47a5b7199300ef5183a08",
+    "text-poly-unknown-option.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-poly-unknown-option.stderr": "44bbdac2ea927173be5e4fef2740b420a0a7cbf5cd46c4af2afad6337e88d1ea",
+    "text-unknown-option.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-unknown-option.stderr": "07dabc5605e3e0a4054dbbb664f08cb063d89bf60b205cad5bfc4d5252b6a7ae",
+    "text-poly-help-value.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-poly-help-value.stderr": "49a62942bbca36da96a7705089aa315a2f3fafc0d5487ee40fff41e8d10ba8d9",
+    "text-poly-missing-value.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-poly-missing-value.stderr": "71c73b69306d177b4f1874a86620d120380f8df678edf3a6a2e47dcd92cc8b49",
+    "text-coeff-extra-arguments.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-coeff-extra-arguments.stderr": "bd26a7065b2c7a593b1d2f5036c9bfffbafa2cf2257304fe6a5fe5fd1dc4b899",
+    "text-dash-dash-help.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-dash-dash-help.stderr": "df4cc28be90a835f52792f1f54383a3dbc47773d604e438108281f3b9c96d6bf",
+    "text-poly-equals-last-wins.stdout": "aaea7569773630dae18e4453c2fc3334387368822b4b1a2bfa9f7bcfcd0c29a7",
+    "text-poly-equals-last-wins.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-coef.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-coef.stderr": "99e38a913e7ef31d01094ba629cc3ad31ae85f9c319db75227ff0923f95b190d",
+    "text-verify-dpth.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-verify-dpth.stderr": "cca206e107e91460954f83fb89c5db8b2e5fa98aee0ddbcdb93e70bb02b84c3c",
+    "text-verify-max.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-verify-max.stderr": "60617f58b4a421e8c0e6b53d537014d7c4dec608c92700b917cde3e2d78cd28a",
+    "text-poly-short-option.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "text-poly-short-option.stderr": "7648091f67254a0a8677256f453b12c6caea67bd396d3fa9081c6f12058583be",
 }
 
 
