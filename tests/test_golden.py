@@ -13,7 +13,8 @@ Where numpy dispatches past X86_V3 (AVX2), the float reports are also
 made in a child python with those features turned off, and checked
 against the hashes of the pow path it then takes.  Every command runs in
 process through cli.main and writes its output to a file, whose
-bytes are hashed; a table run with --cache also pins the cache file.
+bytes are hashed; a table run with --cache also pins the cache file, and
+a case naming {genus} reads a custom genus from a file written beside it.
 The CLI's own help and usage errors run as `python -m zetagenus` in a
 fresh interpreter, which pins their stdout and stderr apart, with the
 exit code each must give.
@@ -35,9 +36,11 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_genus import CUSTOM_COEFFICIENTS
 
 from zetagenus.cli import cli
 
@@ -69,6 +72,17 @@ CASES = {
     "poly-Ahat-text-20": ["poly", "--genus", "Ahat", "--k", "20", "--format", "text"],
     "verify-oracle-k12": ["verify", "oracle", "--k", "12"],
     "verify-signs-k20": ["verify", "signs", "--k", "20"],
+    # a genus read from a file: the only series here that exact.py did not build
+    "coeff-custom-5,4,2,1": ["coeff", "--genus", "{genus}", "--partition", "5,4,2,1"],
+    "poly-custom-text": ["poly", "--genus", "{genus}", "--k", "12", "--format", "text"],
+    "table-custom-csv": ["table", "--genus", "{genus}", "--max-k", "12", "--format", "csv"],
+}
+
+# the genus file that {genus} names: a series given to degree 20, with
+# negative, zero and non-unit-denominator coefficients
+CUSTOM_GENUS = {
+    "name": "custom",
+    "coefficients": [{"num": str(c.numerator), "den": str(c.denominator)} for c in map(Fraction, CUSTOM_COEFFICIENTS)],
 }
 
 # the float reports, at the suites' defaults and two degrees of main and ahat
@@ -143,6 +157,9 @@ GOLDEN = {
     "poly-Ahat-text-20": "83e1904116fac3214354f5e7743999cfafb8863d849efe05b892639f65d4801a",
     "verify-oracle-k12": "fed77f886fc697a3637ac723660c245a01d2f1cef54506d0750401c88dbc2734",
     "verify-signs-k20": "5832a6be363c8124d5828d796a9f84702a47cc3b4e3fa00d9d0f3607a23e8c45",
+    "coeff-custom-5,4,2,1": "f7a92b2ee7de41b53e31f32c071b9617943c8332423d4ce3841d4e26e43240d6",
+    "poly-custom-text": "500adb9b722f5997cc25bc0b29072ccb38ba84b2c454e9883f102c5ee863ccb1",
+    "table-custom-csv": "ad026fa73f2252cc6ffdc52359107b4a6f7bb287e27935cc76caec064bf0238a",
     "text-help.stdout": "e93fcccfd37d5ef874d946f7ce25dbc6d04fc8452115eae7911d36c600d64222",
     "text-help.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "text-verify-help.stdout": "7045f6855f7268427960c523339caf7411a94f1858d9c946582bf308fac0263f",
@@ -270,8 +287,9 @@ FLOAT_GOLDEN = {
 
 def _hashes(name: str, workdir: Path) -> dict[str, str]:
     """Run one case and return the sha256 of each file it writes."""
-    out, cache = workdir / f"{name}.out", workdir / f"{name}.cache"
-    args = [a.format(cache=cache) for a in {**CASES, **FLOAT_CASES}[name]] + ["--out", str(out)]
+    out, cache, genus = workdir / f"{name}.out", workdir / f"{name}.cache", workdir / f"{name}.genus.json"
+    genus.write_text(json.dumps(CUSTOM_GENUS))
+    args = [a.format(cache=cache, genus=genus) for a in {**CASES, **FLOAT_CASES}[name]] + ["--out", str(out)]
     with redirect_stdout(io.StringIO()) as output, redirect_stderr(output):
         code = cli.main(args)
     assert code == 0, output.getvalue()
