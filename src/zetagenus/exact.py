@@ -2,8 +2,8 @@
 
 Everything in this module is exact: scalars are ``fractions.Fraction``
 (always in lowest terms with a positive denominator), and series are
-truncated polynomials with a product and a reciprocal, neither of which
-invents coefficients beyond the truncation order.  The two characteristic series at the bottom of the
+truncated polynomials with one operation, a quotient, which invents no
+coefficients beyond the truncation order.  The two characteristic series at the bottom of the
 file are the generating data for the genus computations in
 :mod:`zetagenus.genus`.
 """
@@ -28,8 +28,8 @@ _Coeff = Union[Fraction, int]
 class PowerSeries:
     """A truncated power series c_0 + c_1 z + ... + c_order z^order.
 
-    Coefficients are exact rationals.  The product insists that both
-    factors carry the same truncation order, so an accidental mix of
+    Coefficients are exact rationals.  Division insists that both
+    operands carry the same truncation order, so an accidental mix of
     truncation depths fails loudly instead of silently dropping terms.
     """
 
@@ -66,37 +66,22 @@ class PowerSeries:
             shown += ", ..."
         return f"PowerSeries([{shown}]; order={self.order})"
 
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        """Cauchy product truncated at the shared order."""
+    def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
+        """Quotient truncated at the shared order; the divisor's constant term must be nonzero."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
         a, b = self._coeffs, other._coeffs
-        n = len(a)
-        out = [Fraction(0)] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return PowerSeries(out)
-
-    def reciprocal(self) -> "PowerSeries":
-        """Multiplicative inverse mod z^(order+1); constant term must be nonzero."""
-        a = self._coeffs
-        if a[0] == 0:
-            raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        inv0 = 1 / a[0]
-        out = [inv0] + [Fraction(0)] * self.order
-        for m in range(1, len(a)):
-            acc = Fraction(0)
+        if b[0] == 0:
+            raise ZeroDivisionError("division by a series with zero constant term")
+        out: list[Fraction] = []
+        for m, am in enumerate(a):
+            acc = am
             for k in range(1, m + 1):
-                if a[k]:
-                    acc += a[k] * out[m - k]
-            out[m] = -inv0 * acc
+                if b[k]:
+                    acc -= b[k] * out[m - k]
+            out.append(acc / b[0])
         return PowerSeries(out)
 
 
@@ -153,8 +138,8 @@ def l_genus_series(order: int) -> PowerSeries:
 
     1. the closed coefficient formula b_k = (-1)^(k-1) 2^(2k) B_k / (2k)!
        with B_k the unsigned Bernoulli numbers, and
-    2. the series reciprocal of tanh(sqrt(z))/sqrt(z), itself assembled
-       from the exponential series for sinh and cosh.
+    2. the series quotient cosh(sqrt(z)) / (sinh(sqrt(z))/sqrt(z)), both
+       taken from the exponential series.
 
     Any disagreement raises, so a silent regression in either the series
     arithmetic or the Bernoulli values is impossible.
@@ -168,8 +153,7 @@ def l_genus_series(order: int) -> PowerSeries:
             for k in range(1, order + 1)
         ]
     )
-    tanh_ratio = _sinh_ratio_series(order, Fraction(1)) * _cosh_series(order).reciprocal()
-    derived = tanh_ratio.reciprocal()
+    derived = _cosh_series(order) / _sinh_ratio_series(order, Fraction(1))
     if closed != derived:
         raise ArithmeticError(
             "closed-form and series-derived coefficients disagree; "
@@ -181,10 +165,11 @@ def l_genus_series(order: int) -> PowerSeries:
 def a_hat_series(order: int) -> PowerSeries:
     """Characteristic series (sqrt(z)/2)/sinh(sqrt(z)/2).
 
-    Assembled as the reciprocal of sinh(sqrt(z)/2)/(sqrt(z)/2), whose z^m
+    Assembled as 1 divided by sinh(sqrt(z)/2)/(sqrt(z)/2), whose z^m
     coefficient is (1/4)^m / (2m+1)!.  The first few coefficients are
     1, -1/24, 7/5760, -31/967680.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return _sinh_ratio_series(order, Fraction(1, 4)).reciprocal()
+    one = PowerSeries([1] + [0] * order)
+    return one / _sinh_ratio_series(order, Fraction(1, 4))

@@ -14,9 +14,9 @@ e_j renamed p_j.  There are three routes:
 * ``coefficient_table``, the production route, is the log/exp
   recurrence, run in integers over one denominator per degree.  With
   log Q(z) = sum_j c_j z^j the product is exp(sum_j c_j P_j) over the
-  power sums P_j of the x_i, and
-  j c_j = (-1)^(j-1) lambda_j for the leading coefficients lambda_k
-  (Newton's identities on the b_k).  With N_j = (-1)^(j-1) P_j written
+  power sums P_j of the x_i, and z Q'(z) / Q(z) = sum_j j c_j z^j,
+  one series division, gives j c_j = (-1)^(j-1) lambda_j for the leading
+  coefficients lambda_k (Newton's identities on the b_k).  With N_j = (-1)^(j-1) P_j written
   in the elementary basis (genus-independent), each degree follows from
   the lower ones (Macdonald, Symmetric Functions and Hall Polynomials,
   ch. I section 2):
@@ -136,16 +136,13 @@ class CoefficientTable:
 
 @lru_cache(maxsize=None)
 def _leading_from_series(series: PowerSeries, count: int) -> tuple[Fraction, ...]:
-    """lambda_1..lambda_count by Newton's identities with e_j = b_j."""
-    e = series.coefficients
-    lam: list[Fraction] = []
-    for k in range(1, count + 1):
-        acc = (-1) ** (k - 1) * k * e[k]
-        for i in range(1, k):
-            term = e[i] * lam[k - i - 1]
-            acc += term if i % 2 == 1 else -term
-        lam.append(acc)
-    return tuple(lam)
+    """lambda_1..lambda_count, where (-1)^(j-1) lambda_j is the z^j coefficient
+    of z Q'(z) / Q(z): Newton's identities with e_j = b_j."""
+    if series.order < count:
+        raise ValueError(f"series order {series.order} too small for lambda_{count}")
+    b = series.coefficients[: count + 1]
+    quotient = PowerSeries([j * bj for j, bj in enumerate(b)]) / PowerSeries(b)
+    return tuple((-1) ** (j - 1) * quotient[j] for j in range(1, count + 1))
 
 
 def leading_coefficients(genus: GenusSpec, count: int) -> list[Fraction]:

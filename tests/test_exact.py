@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zetagenus.exact import (
@@ -106,28 +106,35 @@ def _series(order):
     return st.lists(_coeffs, min_size=order + 1, max_size=order + 1).map(PowerSeries)
 
 
-@given(_series(4), _series(4))
-def test_multiplication_is_commutative(a, b):
-    assert a * b == b * a
+def _product(a, b):
+    """The Cauchy product of a and b truncated at their order: the reference for division."""
+    return PowerSeries([sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(a.order + 1)])
 
 
-@given(_series(3), _series(3), _series(3))
-def test_multiplication_is_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
-
-
-@given(_series(4))
-def test_one_is_a_multiplicative_identity(a):
-    assert a * PowerSeries([1, 0, 0, 0, 0]) == a
+_ONE = PowerSeries([1, 0, 0, 0, 0])
 
 
 @given(_series(4))
-def test_reciprocal_inverts_multiplication(a):
+def test_one_is_a_right_identity_of_division(a):
+    assert a / _ONE == a
+
+
+@given(_series(4))
+def test_a_series_divided_by_itself_is_one(a):
     if a[0] == 0:
         with pytest.raises(ZeroDivisionError):
-            a.reciprocal()
+            a / a
     else:
-        assert a * a.reciprocal() == PowerSeries([1, 0, 0, 0, 0])
+        assert a / a == _ONE
+
+
+@given(_series(4), _series(4))
+def test_division_inverts_the_cauchy_product(a, b):
+    if b[0] == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert _product(a / b, b) == a
 
 
 def test_coefficients_are_canonical_fractions():
@@ -135,11 +142,17 @@ def test_coefficients_are_canonical_fractions():
     assert p.coefficients == (F(2), F(2, 3), F(1, 2))
 
 
-def test_order_mismatch_fails_loudly():
-    a = PowerSeries([1, 2])
-    b = PowerSeries([1, 2, 3])
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_order_mismatch_fails_loudly(m, n, data):
+    assume(m != n)
+    a, b = data.draw(_series(m)), data.draw(_series(n))
     with pytest.raises(ValueError, match="order mismatch"):
-        a * b
+        a / b
+
+
+def test_division_by_a_non_series_is_not_implemented():
+    with pytest.raises(TypeError):
+        PowerSeries([1, 2]) / 2
 
 
 def test_empty_series_is_rejected():
@@ -158,8 +171,8 @@ def test_signature_series_frozen_coefficients():
 
 
 def test_signature_series_closed_form():
-    s = l_genus_series(10)
-    for k in range(1, 11):
+    s = l_genus_series(28)
+    for k in range(1, 29):
         expected = (-1) ** (k - 1) * F(2 ** (2 * k), factorial(2 * k)) * bernoulli(k)
         assert s[k] == expected
 
@@ -172,8 +185,8 @@ def test_spinor_series_frozen_coefficients():
 def test_spinor_series_closed_form():
     # z^k coefficient of (sqrt(z)/2)/sinh(sqrt(z)/2) is
     # (2^(1-2k) - 1) B_{2k} / (2k)! in the signed convention.
-    s = a_hat_series(10)
-    for k in range(1, 11):
+    s = a_hat_series(28)
+    for k in range(1, 29):
         expected = (F(2, 4**k) - 1) * standard_bernoulli(2 * k) / factorial(2 * k)
         assert s[k] == expected
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zetagenus import exact as exact_module
 from zetagenus import genus as genus_module
 from zetagenus import partitions as partitions_module
 from zetagenus.exact import bernoulli
@@ -220,6 +221,7 @@ def test_oracle_shares_no_code_with_the_recurrence(monkeypatch):
         "signed_block_sums",
     ):
         monkeypatch.setattr(genus_module, name, _raise)
+    monkeypatch.setattr(exact_module.PowerSeries, "__truediv__", _raise)  # lambda's route
     for genus, expected in zip(genera, tables):
         assert [coefficient_table_oracle(genus, k) for k in range(1, 9)] == expected
 
@@ -265,6 +267,36 @@ def test_leading_coefficients_guards(signature_genus):
         leading_coefficients(signature_genus, 0)
     with pytest.raises(ValueError):
         leading_coefficients(signature_genus, signature_genus.order + 1)
+
+
+def test_leading_from_series_refuses_a_count_past_the_order():
+    series = GenusSpec.from_coefficients("sparse", SPARSE_COEFFICIENTS).series
+    with pytest.raises(ValueError, match="too small"):
+        genus_module._leading_from_series(series, series.order + 1)
+
+
+def _newton_leading(series, count):
+    """lambda_1..lambda_count by Newton's identities with e_j = b_j, one
+    recurrence per lambda_k: the reference for _leading_from_series, which
+    reads them off one series division."""
+    e = series.coefficients
+    lam = []
+    for k in range(1, count + 1):
+        acc = (-1) ** (k - 1) * k * e[k]
+        for i in range(1, k):
+            term = e[i] * lam[k - i - 1]
+            acc += term if i % 2 == 1 else -term
+        lam.append(acc)
+    return tuple(lam)
+
+
+@pytest.mark.parametrize("genus", [
+    GenusSpec.l_genus(28), GenusSpec.a_hat(28), GenusSpec.from_coefficients("sparse", SPARSE_COEFFICIENTS),
+    GenusSpec.from_coefficients("custom", CUSTOM_COEFFICIENTS),
+], ids=["L", "Ahat", "sparse", "custom"])
+def test_leading_coefficients_match_newtons_identities(genus):
+    for count in range(1, genus.order + 1):
+        assert genus_module._leading_from_series(genus.series, count) == _newton_leading(genus.series, count)
 
 
 def test_pure_first_power_coefficient_recovers_the_series(
