@@ -130,11 +130,8 @@ def test_a_series_divided_by_itself_is_one(a):
 
 @given(_series(4), _series(4))
 def test_division_inverts_the_cauchy_product(a, b):
-    if b[0] == 0:
-        with pytest.raises(ZeroDivisionError):
-            a / b
-    else:
-        assert _product(a / b, b) == a
+    assume(b[0] != 0)
+    assert _product(a / b, b) == a
 
 
 def test_coefficients_are_canonical_fractions():
